@@ -27,6 +27,7 @@
 #include "core/design_registry.h"
 #include "core/telemetry.h"
 #include "datasets/registry.h"
+#include "labels/annotator_spec.h"
 #include "labels/async_annotator.h"
 #include "util/flags.h"
 #include "util/json.h"
@@ -125,18 +126,15 @@ int Main(int argc, char** argv) {
     std::fputs(kUsage, stdout);
     return 0;
   }
-  const Status valid = flags.Validate(
-      {"latencies-ms", "latencies_ms", "concurrency", "dataset", "design",
-       "max-units", "max_units", "batch-units", "batch_units", "seed", "out",
-       "help"});
+  const Status valid =
+      flags.Validate({"latencies-ms", "concurrency", "dataset", "design",
+                      "max-units", "batch-units", "seed", "out", "help"});
   if (!valid.ok()) {
     std::fprintf(stderr, "error: %s\n%s", valid.message().c_str(), kUsage);
     return 2;
   }
 
-  const std::string latencies_csv =
-      flags.Has("latencies-ms") ? flags.GetString("latencies-ms", "0,5,50")
-                                : flags.GetString("latencies_ms", "0,5,50");
+  const std::string latencies_csv = flags.GetString("latencies-ms", "0,5,50");
   Result<std::vector<uint64_t>> latencies =
       ParseList(latencies_csv, "latencies-ms");
   Result<std::vector<uint64_t>> windows =
@@ -148,12 +146,8 @@ int Main(int argc, char** argv) {
   }
   const std::string dataset_name = flags.GetString("dataset", "nell");
   const std::string design = flags.GetString("design", "srs");
-  const uint64_t max_units =
-      flags.Has("max-units") ? flags.GetUint64("max-units", 128).ValueOr(128)
-                             : flags.GetUint64("max_units", 128).ValueOr(128);
-  const uint64_t batch_units =
-      flags.Has("batch-units") ? flags.GetUint64("batch-units", 32).ValueOr(32)
-                               : flags.GetUint64("batch_units", 32).ValueOr(32);
+  const uint64_t max_units = flags.GetUint64("max-units", 128).ValueOr(128);
+  const uint64_t batch_units = flags.GetUint64("batch-units", 32).ValueOr(32);
   const uint64_t seed = flags.GetUint64("seed", bench::Seed()).ValueOr(0);
   const std::string out_path =
       flags.GetString("out", bench::ArtifactPath("BENCH_async_annotate.json"));
@@ -176,27 +170,15 @@ int Main(int argc, char** argv) {
 
   // One campaign through either facade over a fresh backend (fresh caches,
   // fresh latency request set).
-  auto run_campaign = [&](double latency_seconds, uint64_t window,
+  auto run_campaign = [&](uint64_t latency_ms, uint64_t window,
                           bool async_path) -> Result<RunOutcome> {
-    auto backend = std::make_unique<SimulatedAnnotator>(
-        dataset->oracle.get(), CostModel{},
-        SimulatedAnnotator::Options{.seed = seed});
-    auto mock = std::make_unique<MockLatencyAnnotator>(
-        std::move(backend),
-        MockLatencyAnnotator::Options{.latency_seconds = latency_seconds,
-                                      .seed = seed});
-    std::unique_ptr<Annotator> annotator;
-    const AsyncAnnotator* bridge = nullptr;
-    if (async_path) {
-      auto async = std::make_unique<AsyncAnnotator>(
-          std::move(mock),
-          AsyncAnnotator::Options{.max_concurrent =
-                                      static_cast<size_t>(window)});
-      bridge = async.get();
-      annotator = std::move(async);
-    } else {
-      annotator = std::move(mock);
-    }
+    const std::unique_ptr<Annotator> annotator = MakeAnnotator(
+        AnnotatorSpec{.seed = seed,
+                      .async = async_path,
+                      .latency_ms = static_cast<double>(latency_ms),
+                      .max_concurrent = window},
+        dataset->oracle.get());
+    const auto* bridge = dynamic_cast<const AsyncAnnotator*>(annotator.get());
     TraceRecorder recorder;
     EvaluationOptions run_options = options;
     run_options.telemetry = &recorder;
@@ -233,8 +215,7 @@ int Main(int argc, char** argv) {
 
   bool all_identical = true;
   for (const uint64_t latency_ms : *latencies) {
-    const double latency_seconds = static_cast<double>(latency_ms) / 1e3;
-    Result<RunOutcome> sync = run_campaign(latency_seconds, 1, false);
+    Result<RunOutcome> sync = run_campaign(latency_ms, 1, false);
     if (!sync.ok()) {
       std::fprintf(stderr, "error: sync run (latency %llums): %s\n",
                    static_cast<unsigned long long>(latency_ms),
@@ -242,8 +223,7 @@ int Main(int argc, char** argv) {
       return 1;
     }
     for (const uint64_t window : *windows) {
-      Result<RunOutcome> async_run =
-          run_campaign(latency_seconds, window, true);
+      Result<RunOutcome> async_run = run_campaign(latency_ms, window, true);
       if (!async_run.ok()) {
         std::fprintf(stderr, "error: async run (latency %llums, mc %llu): %s\n",
                      static_cast<unsigned long long>(latency_ms),

@@ -197,19 +197,15 @@ int RunStoreSection(const std::vector<uint64_t>& sizes,
 }
 
 int Run(const FlagParser& flags) {
-  const Status valid = flags.Validate({"store-only", "store_only",
-                                       "store-sizes", "store_sizes",
-                                       "store-dir", "store_dir",
-                                       "keep-stores", "keep_stores", "out",
-                                       "help"});
+  const Status valid = flags.Validate(
+      {"store-only", "store-sizes", "store-dir", "keep-stores", "out", "help"});
   if (!valid.ok()) {
     std::fprintf(stderr, "error: %s\n", valid.message().c_str());
     return 1;
   }
   const uint64_t seed = bench::Seed();
   const int trials = bench::Trials(5);
-  const bool store_only = flags.GetBool("store-only", false) ||
-                          flags.GetBool("store_only", false);
+  const bool store_only = flags.GetBool("store-only", false);
 
   if (!store_only) {
     bench::Banner(StrFormat("Figure 7-1: TWCS cost vs KG size (REM 90%%, "
@@ -244,9 +240,7 @@ int Run(const FlagParser& flags) {
   }
 
   std::vector<uint64_t> sizes;
-  const std::string sizes_arg = flags.Has("store-sizes")
-                                    ? flags.GetString("store-sizes", "")
-                                    : flags.GetString("store_sizes", "");
+  const std::string sizes_arg = flags.GetString("store-sizes", "");
   if (!sizes_arg.empty()) {
     for (const std::string_view token : SplitString(sizes_arg, ',')) {
       uint64_t parsed = 0;
@@ -260,11 +254,8 @@ int Run(const FlagParser& flags) {
   } else {
     sizes = {10000000ull, 100000000ull};
   }
-  const std::string dir = flags.Has("store-dir")
-                              ? flags.GetString("store-dir", ".")
-                              : flags.GetString("store_dir", ".");
-  const bool keep = flags.GetBool("keep-stores", false) ||
-                    flags.GetBool("keep_stores", false);
+  const std::string dir = flags.GetString("store-dir", ".");
+  const bool keep = flags.GetBool("keep-stores", false);
   const std::string out = flags.GetString(
       "out", bench::ArtifactPath("BENCH_kgstore.json"));
   return RunStoreSection(sizes, dir, keep, out, seed);

@@ -8,7 +8,6 @@
 #include "kg/generator.h"
 #include "sampling/alias_table.h"
 #include "sampling/cluster_sampler.h"
-#include "sampling/reservoir.h"
 #include "sampling/srs.h"
 #include "util/rng.h"
 
@@ -69,20 +68,6 @@ void BM_SrsBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SrsBatch)->Arg(200);
-
-void BM_WeightedReservoirStream(benchmark::State& state) {
-  const ClusterPopulation pop = MakePopulation(state.range(0));
-  Rng rng(17);
-  for (auto _ : state) {
-    WeightedReservoirSampler reservoir(64);
-    for (uint64_t c = 0; c < pop.NumClusters(); ++c) {
-      reservoir.Offer(c, static_cast<double>(pop.ClusterSize(c)), rng);
-    }
-    benchmark::DoNotOptimize(reservoir);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_WeightedReservoirStream)->Arg(100000)->Arg(1000000);
 
 void BM_SecondStageSrs(benchmark::State& state) {
   Rng rng(19);

@@ -4,24 +4,21 @@
 
 namespace kgacc {
 
-/// Round-granularity control of a running campaign: the hook that turns the
-/// run-to-completion evaluation loops into suspendable sessions (the
-/// kgacc_serve daemon's step/suspend/resume verbs).
+/// Round-granularity control of a campaign run to completion: the hook
+/// RunCampaign (core/campaign.h) — the one place that consults it — offers
+/// before every round, so an observer can count rounds or stop a campaign
+/// partway.
 ///
-/// Every campaign loop — the EvaluationEngine, both incremental update
-/// loops, and the KGEval baseline's control loop — consults the control
-/// *before* starting each round. The control may block (a step-gated serve
-/// session parks here between `step` requests) or answer kSuspend, upon
-/// which the loop unwinds immediately and returns its partial result with
-/// `suspended = true` and `rounds` equal to the rounds actually completed.
+/// RunCampaign asks the control *before* starting each round. On kSuspend
+/// the loop ends immediately and returns the partial result with
+/// `suspended = true` and `rounds` equal to the rounds actually completed;
+/// the campaign's telemetry stays open.
 ///
 /// Contract: the control never influences *what* a campaign computes, only
-/// how far it runs before handing control back. A campaign that is
-/// suspended after k rounds and later re-run from scratch with the same
-/// options/seed under a control that auto-proceeds through its first k
-/// rounds (deterministic replay) produces results and telemetry
-/// bit-identical to an uninterrupted run — the property the serve
-/// determinism suite pins.
+/// how far it runs. A campaign stopped after k rounds and later re-run from
+/// scratch with the same options/seed for k rounds (deterministic replay)
+/// is bit-identical to an uninterrupted run at that point. Serve sessions
+/// need no control: they step their Campaign directly.
 class CampaignControl {
  public:
   enum class Action {

@@ -4,31 +4,9 @@
 #include <string>
 
 #include "core/evaluation.h"
+#include "labels/annotator_spec.h"
 
 namespace kgacc {
-
-/// How a campaign session's annotation side is configured. The serve layer
-/// reconstructs annotators from this spec on resume, so it captures exactly
-/// the knobs that kgacc_eval exposes: a single SimulatedAnnotator when
-/// `annotators == 1`, a majority-voting AnnotatorPool otherwise.
-struct AnnotatorSpec {
-  uint64_t annotators = 1;        ///< pool size; 1 = single annotator.
-  double noise_rate = 0.0;        ///< per-annotator label flip rate.
-  uint64_t seed = 0x5eed;         ///< noise-stream seed.
-  int annotation_threads = 0;     ///< sharded batch-annotation threads.
-  int annotation_shards = 0;      ///< annotation cache shards (0 = default).
-  double c1_seconds = 45.0;       ///< entity identification cost (Eq 4).
-  double c2_seconds = 25.0;       ///< relationship validation cost (Eq 4).
-
-  /// Wraps the annotator in the latency-simulating async bridge
-  /// (labels/async_annotator.h). Latency never changes labels, ledger or
-  /// traces — only wall-clock time — so resuming with a different async
-  /// configuration would still replay bit-identically; it is nonetheless
-  /// persisted so a resumed session behaves like the original.
-  bool async = false;
-  double latency_ms = 0.0;        ///< mean simulated latency per triple.
-  uint64_t max_concurrent = 8;    ///< bounded in-flight annotation window.
-};
 
 /// The complete serializable identity of a (possibly suspended) campaign
 /// session: everything needed to re-create the campaign from scratch and
@@ -38,12 +16,13 @@ struct AnnotatorSpec {
 /// pipeline is deterministic given (graph, design, options, annotator spec):
 /// samplers draw from seeded Rngs, and annotation labels/cost are pure
 /// functions of the set of annotated triples (the annotator's determinism
-/// contract, independent of thread count). So resuming = constructing fresh
-/// components and re-running the first `rounds_completed` rounds under a
-/// control that auto-proceeds through them — bit-identical to the original
-/// run, for every registry design, without nine design-specific snapshot
-/// formats. The rounds replayed cost no *simulated* annotation effort beyond
-/// the original (set semantics), only machine time.
+/// contract, independent of thread count). So resuming = building a fresh
+/// Campaign from the registry and calling its Step() `rounds_completed`
+/// times before serving it (ServeSession's constructor) — bit-identical to
+/// the original run, trace included, for every registry design, without
+/// nine design-specific snapshot formats. The rounds replayed cost no
+/// *simulated* annotation effort beyond the original (set semantics), only
+/// machine time.
 ///
 /// EvaluationOptions' borrowed pointers (telemetry, control) are runtime
 /// wiring, not state: Save writes only the value fields and Restore leaves

@@ -17,88 +17,87 @@ namespace kgacc {
 
 namespace {
 
-/// TelemetrySink adapter that re-labels a campaign and shifts its cumulative
-/// cost/annotation fields by a constant offset — how twcs+pilot charges the
-/// pilot's (pre-campaign) effort to the campaign trace so the trace agrees
-/// with the EvaluationResult the same run returns.
-class OffsetCampaignSink : public TelemetrySink {
+/// TWCS with the second-stage size chosen by an annotated pilot (Eq 12).
+/// The pilot's annotations stay cached in the annotator, so the campaign
+/// reuses them for free; ledger/cost fields of the result — and of the
+/// emitted campaign trace — cover pilot + campaign (the full bill of
+/// selecting this design). For the trace this campaign is its TWCS
+/// campaign's telemetry sink: it relabels the campaign and shifts each
+/// round's cumulative fields by the pilot's bill before passing it on.
+class PilotedTwcsCampaign final : public Campaign, public TelemetrySink {
  public:
-  OffsetCampaignSink(TelemetrySink* inner, std::string design,
-                     double cost_offset_seconds, uint64_t triples_offset,
-                     uint64_t entities_offset)
-      : inner_(inner),
-        design_(std::move(design)),
-        cost_offset_seconds_(cost_offset_seconds),
-        triples_offset_(triples_offset),
-        entities_offset_(entities_offset) {}
+  static kgacc::Result<std::unique_ptr<Campaign>> Make(
+      const KgView& view, Annotator* annotator,
+      const EvaluationOptions& options) {
+    std::unique_ptr<PilotedTwcsCampaign> campaign(
+        new PilotedTwcsCampaign(annotator, options.telemetry));
+    EvaluationOptions pinned = options;
+    if (pinned.m == 0) {
+      const uint64_t pilot_clusters =
+          options.pilot_size > 0 ? options.pilot_size
+                                 : std::max<uint64_t>(options.min_units, 30);
+      KGACC_ASSIGN_OR_RETURN(
+          const OptimalMResult pilot,
+          PilotOptimalM(view, annotator, options.Alpha(), options.moe_target,
+                        pilot_clusters, /*m_max=*/20, options.seed));
+      pinned.m = pilot.best_m;
+    }
+    campaign->pilot_ = annotator->ledger().Since(campaign->start_ledger_);
+    campaign->pilot_seconds_ =
+        annotator->ElapsedSeconds() - campaign->start_seconds_;
+    if (options.telemetry != nullptr) pinned.telemetry = campaign.get();
+    campaign->twcs_ = StaticEvaluator(view, annotator, pinned).TwcsCampaign();
+    return std::unique_ptr<Campaign>(std::move(campaign));
+  }
+
+  bool Done() const override { return twcs_->Done(); }
+  void Step() override { twcs_->Step(); }
+  EvaluationResult Result() const override {
+    EvaluationResult result = twcs_->Result();
+    result.design = "TWCS+pilot";
+    result.ledger = annotator_->ledger().Since(start_ledger_);
+    result.annotation_seconds = annotator_->ElapsedSeconds() - start_seconds_;
+    return result;
+  }
 
   void BeginCampaign(const std::string& design,
                      const std::string& label) override {
     (void)design;
-    inner_->BeginCampaign(design_, label);
+    telemetry_->BeginCampaign("TWCS+pilot", label);
   }
   void OnRound(const CampaignRound& round) override {
     CampaignRound shifted = round;
-    shifted.cost_seconds += cost_offset_seconds_;
-    shifted.triples_annotated += triples_offset_;
-    shifted.entities_identified += entities_offset_;
-    inner_->OnRound(shifted);
+    shifted.cost_seconds += pilot_seconds_;
+    shifted.triples_annotated += pilot_.triples_annotated;
+    shifted.entities_identified += pilot_.entities_identified;
+    telemetry_->OnRound(shifted);
   }
-  void EndCampaign(bool converged) override { inner_->EndCampaign(converged); }
+  void EndCampaign(bool converged) override {
+    telemetry_->EndCampaign(converged);
+  }
 
  private:
-  TelemetrySink* inner_;
-  std::string design_;
-  double cost_offset_seconds_;
-  uint64_t triples_offset_;
-  uint64_t entities_offset_;
-};
+  PilotedTwcsCampaign(Annotator* annotator, TelemetrySink* telemetry)
+      : annotator_(annotator),
+        telemetry_(telemetry),
+        start_ledger_(annotator->ledger()),
+        start_seconds_(annotator->ElapsedSeconds()) {}
 
-/// TWCS with the second-stage size chosen by an annotated pilot (Eq 12).
-/// The pilot's annotations stay cached in the annotator, so the subsequent
-/// campaign reuses them for free; ledger/cost fields of the returned result
-/// — and of the emitted campaign trace — cover pilot + campaign (the full
-/// bill of selecting this design).
-Result<EvaluationResult> RunTwcsWithPilot(const KgView& view,
-                                          Annotator* annotator,
-                                          const EvaluationOptions& options) {
-  const AnnotationLedger start_ledger = annotator->ledger();
-  const double start_seconds = annotator->ElapsedSeconds();
-  EvaluationOptions pinned = options;
-  pinned.telemetry = nullptr;  // re-attached below, with the pilot's bill.
-  if (pinned.m == 0) {
-    const uint64_t pilot_clusters =
-        options.pilot_size > 0 ? options.pilot_size
-                               : std::max<uint64_t>(options.min_units, 30);
-    KGACC_ASSIGN_OR_RETURN(
-        const OptimalMResult pilot,
-        PilotOptimalM(view, annotator, options.Alpha(), options.moe_target,
-                      pilot_clusters, /*m_max=*/20, options.seed));
-    pinned.m = pilot.best_m;
-  }
-  OffsetCampaignSink traced(
-      options.telemetry, "TWCS+pilot",
-      annotator->ElapsedSeconds() - start_seconds,
-      annotator->ledger().triples_annotated - start_ledger.triples_annotated,
-      annotator->ledger().entities_identified -
-          start_ledger.entities_identified);
-  if (options.telemetry != nullptr) pinned.telemetry = &traced;
-  EvaluationResult result = StaticEvaluator(view, annotator, pinned)
-                                .EvaluateTwcs();
-  result.design = "TWCS+pilot";
-  result.ledger.entities_identified =
-      annotator->ledger().entities_identified - start_ledger.entities_identified;
-  result.ledger.triples_annotated =
-      annotator->ledger().triples_annotated - start_ledger.triples_annotated;
-  result.annotation_seconds = annotator->ElapsedSeconds() - start_seconds;
-  return result;
-}
+  Annotator* const annotator_;
+  TelemetrySink* const telemetry_;
+  const AnnotationLedger start_ledger_;
+  const double start_seconds_;
+  AnnotationLedger pilot_;  ///< what the pilot annotated.
+  double pilot_seconds_ = 0.0;
+  std::unique_ptr<Campaign> twcs_;
+};
 
 /// The KGEval baseline behind the registry face. Estimation carries no
 /// statistical guarantee: moe stays 1.0 and the campaign never "converges"
 /// (Section 8 / Table 6 — the paper's point about this baseline).
-Result<EvaluationResult> RunKgEval(const KgView& view, Annotator* annotator,
-                                   const EvaluationOptions& options) {
+Result<std::unique_ptr<Campaign>> MakeKgEval(const KgView& view,
+                                             Annotator* annotator,
+                                             const EvaluationOptions& options) {
   const auto* graph = dynamic_cast<const TripleView*>(&view);
   if (graph == nullptr) {
     return Status::FailedPrecondition(
@@ -106,35 +105,13 @@ Result<EvaluationResult> RunKgEval(const KgView& view, Annotator* annotator,
         "KnowledgeGraph or a mmap-backed graph store), not a sizes-only "
         "population");
   }
-  KgEvalBaseline baseline(*graph, KgEvalBaseline::Options{});
-  const KgEvalBaseline::Result run = baseline.Run(annotator, options.control);
-
-  EvaluationResult result;
-  result.design = "KGEval";
-  result.estimate.mean = run.estimated_accuracy;
-  result.estimate.num_units = run.triples_annotated;
-  result.rounds = run.triples_annotated;  // one control-loop pick per triple.
-  result.suspended = run.suspended;
-  result.ledger = run.ledger;
-  result.annotation_seconds = run.annotation_seconds;
-  result.machine_seconds = run.machine_seconds;
-  if (options.telemetry != nullptr && !run.suspended) {
-    // KGEval has no per-round estimate trajectory; report the terminal state
-    // as a single round so traces stay uniformly consumable.
-    options.telemetry->BeginCampaign("KGEval", "");
-    options.telemetry->OnRound(CampaignRound{
-        .round = 1,
-        .cost_seconds = run.annotation_seconds,
-        .units = run.triples_annotated,
-        .estimate = run.estimated_accuracy,
-        .ci_lower = 0.0,
-        .ci_upper = 1.0,
-        .moe = 1.0,
-        .triples_annotated = run.ledger.triples_annotated,
-        .entities_identified = run.ledger.entities_identified});
-    options.telemetry->EndCampaign(false);
-  }
-  return result;
+  auto baseline =
+      std::make_unique<KgEvalBaseline>(*graph, KgEvalBaseline::Options{});
+  std::unique_ptr<Campaign> picks =
+      baseline->MakeCampaign(annotator, options.telemetry);
+  return std::unique_ptr<Campaign>(
+      std::make_unique<OwningCampaign<KgEvalBaseline>>(std::move(baseline),
+                                                       std::move(picks)));
 }
 
 void RegisterBuiltins(DesignRegistry* registry) {
@@ -143,25 +120,25 @@ void RegisterBuiltins(DesignRegistry* registry) {
       "srs", "simple random sampling of triples (Eq 5)",
       [](const KgView& view, Annotator* annotator,
          const EvaluationOptions& options) {
-        return StaticEvaluator(view, annotator, options).EvaluateSrs();
+        return StaticEvaluator(view, annotator, options).SrsCampaign();
       }));
   must(registry->Register(
       "rcs", "random cluster sampling, uniform without replacement (Eq 7)",
       [](const KgView& view, Annotator* annotator,
          const EvaluationOptions& options) {
-        return StaticEvaluator(view, annotator, options).EvaluateRcs();
+        return StaticEvaluator(view, annotator, options).RcsCampaign();
       }));
   must(registry->Register(
       "wcs", "weighted cluster sampling, size-proportional (Eq 8)",
       [](const KgView& view, Annotator* annotator,
          const EvaluationOptions& options) {
-        return StaticEvaluator(view, annotator, options).EvaluateWcs();
+        return StaticEvaluator(view, annotator, options).WcsCampaign();
       }));
   must(registry->Register(
       "twcs", "two-stage weighted cluster sampling (Eq 9, recommended)",
       [](const KgView& view, Annotator* annotator,
          const EvaluationOptions& options) {
-        return StaticEvaluator(view, annotator, options).EvaluateTwcs();
+        return StaticEvaluator(view, annotator, options).TwcsCampaign();
       }));
   must(registry->Register(
       "twcs+strat",
@@ -169,23 +146,22 @@ void RegisterBuiltins(DesignRegistry* registry) {
       [](const KgView& view, Annotator* annotator,
          const EvaluationOptions& options) {
         const uint64_t h = options.num_strata > 0 ? options.num_strata : 4;
-        StratifiedTwcsEvaluator evaluator(view, annotator, options);
-        return evaluator.Evaluate(
-            StratifiedTwcsEvaluator::SizeStrata(view, static_cast<int>(h)));
+        return StratifiedTwcsEvaluator(view, annotator, options)
+            .MakeCampaign(
+                StratifiedTwcsEvaluator::SizeStrata(view, static_cast<int>(h)));
       }));
   must(registry->Register(
       "twcs+pilot",
       "TWCS with m selected by an annotated pilot (Eq 12 search)",
-      RunTwcsWithPilot));
+      PilotedTwcsCampaign::Make));
   must(registry->Register(
       "rs",
       "reservoir incremental evaluation (Sec 6.1, Alg 1); base campaign on "
       "the current graph",
       [](const KgView& view, Annotator* annotator,
          const EvaluationOptions& options) {
-        return IncrementalCampaignDriver(IncrementalMethod::kReservoir, &view,
-                                         annotator, options)
-            .Initialize();
+        return IncrementalCampaignDriver::BaseCampaign(
+            IncrementalMethod::kReservoir, &view, annotator, options);
       }));
   must(registry->Register(
       "ss",
@@ -193,15 +169,14 @@ void RegisterBuiltins(DesignRegistry* registry) {
       "the current graph",
       [](const KgView& view, Annotator* annotator,
          const EvaluationOptions& options) {
-        return IncrementalCampaignDriver(IncrementalMethod::kStratified, &view,
-                                         annotator, options)
-            .Initialize();
+        return IncrementalCampaignDriver::BaseCampaign(
+            IncrementalMethod::kStratified, &view, annotator, options);
       }));
   must(registry->Register(
       "kgeval",
       "KGEval baseline (Ojha & Talukdar 2017); materialized graphs only, no "
       "statistical guarantee",
-      RunKgEval));
+      MakeKgEval));
 }
 
 }  // namespace
@@ -216,12 +191,15 @@ DesignRegistry& DesignRegistry::Global() {
 }
 
 Status DesignRegistry::Register(const std::string& name,
-                                const std::string& description, DesignFn fn) {
+                                const std::string& description,
+                                CampaignFactory factory) {
   if (name.empty()) return Status::InvalidArgument("empty design name");
-  if (fn == nullptr) return Status::InvalidArgument("null design function");
+  if (factory == nullptr) {
+    return Status::InvalidArgument("null campaign factory");
+  }
   std::lock_guard<std::mutex> lock(mutex_);
   const auto [it, inserted] =
-      entries_.emplace(name, Entry{description, std::move(fn)});
+      entries_.emplace(name, Entry{description, std::move(factory)});
   if (!inserted) {
     return Status::FailedPrecondition(
         StrFormat("design '%s' already registered", name.c_str()));
@@ -229,19 +207,27 @@ Status DesignRegistry::Register(const std::string& name,
   return Status::OK();
 }
 
-Result<EvaluationResult> DesignRegistry::Run(
+Result<std::unique_ptr<Campaign>> DesignRegistry::MakeCampaign(
     const std::string& name, const KgView& view, Annotator* annotator,
     const EvaluationOptions& options) const {
-  DesignFn fn;
+  CampaignFactory factory;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = entries_.find(name);
     if (it == entries_.end()) return UnknownDesignLocked(name);
-    fn = it->second.fn;
+    factory = it->second.factory;
   }
-  // Run outside the lock: campaigns are long and may themselves consult the
-  // registry.
-  return fn(view, annotator, options);
+  // Build outside the lock: set-up can be long (a pilot annotates) and may
+  // itself consult the registry.
+  return factory(view, annotator, options);
+}
+
+Result<EvaluationResult> DesignRegistry::Run(
+    const std::string& name, const KgView& view, Annotator* annotator,
+    const EvaluationOptions& options) const {
+  KGACC_ASSIGN_OR_RETURN(std::unique_ptr<Campaign> campaign,
+                         MakeCampaign(name, view, annotator, options));
+  return RunCampaign(*campaign, options.control);
 }
 
 bool DesignRegistry::Contains(const std::string& name) const {

@@ -2,10 +2,12 @@
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "core/campaign.h"
 #include "core/evaluation.h"
 #include "kg/kg_view.h"
 #include "labels/annotator.h"
@@ -13,10 +15,12 @@
 
 namespace kgacc {
 
-/// Runs one evaluation campaign of a registered design. Designs may fail
-/// (e.g. "kgeval" on a sizes-only population); plain EvaluationResult
-/// returns convert implicitly.
-using DesignFn = std::function<Result<EvaluationResult>(
+/// Builds one evaluation campaign of a registered design, ready for its
+/// first Step(). The campaign borrows `view` and `annotator`, which must
+/// outlive it, and honours EvaluationOptions::telemetry; it ignores
+/// EvaluationOptions::control, which only RunCampaign consults. Designs may
+/// fail (e.g. "kgeval" on a sizes-only population).
+using CampaignFactory = std::function<Result<std::unique_ptr<Campaign>>(
     const KgView& view, Annotator* annotator,
     const EvaluationOptions& options)>;
 
@@ -42,10 +46,17 @@ class DesignRegistry {
 
   /// Registers a design; errors on a duplicate name or empty name.
   Status Register(const std::string& name, const std::string& description,
-                  DesignFn fn);
+                  CampaignFactory factory);
 
-  /// Runs one campaign of design `name`; errors on unknown names (the
-  /// message lists the known designs).
+  /// Builds one campaign of design `name`; errors on unknown names (the
+  /// message lists the known designs) and on designs that cannot run on
+  /// `view`.
+  Result<std::unique_ptr<Campaign>> MakeCampaign(
+      const std::string& name, const KgView& view, Annotator* annotator,
+      const EvaluationOptions& options) const;
+
+  /// Runs one campaign of design `name` to completion: MakeCampaign, then
+  /// RunCampaign with EvaluationOptions::control.
   Result<EvaluationResult> Run(const std::string& name, const KgView& view,
                                Annotator* annotator,
                                const EvaluationOptions& options) const;
@@ -66,7 +77,7 @@ class DesignRegistry {
  private:
   struct Entry {
     std::string description;
-    DesignFn fn;
+    CampaignFactory factory;
   };
 
   Status UnknownDesignLocked(const std::string& name) const;

@@ -1,11 +1,10 @@
 #include "core/engine.h"
 
 #include <span>
+#include <utility>
 
-#include "core/campaign_control.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "stats/confidence.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
@@ -13,7 +12,7 @@ namespace kgacc {
 
 namespace {
 
-/// Per-phase latency histograms for the campaign round loop. Resolved once;
+/// Per-phase latency histograms of the engine's round body. Resolved once;
 /// the registry keeps the pointers valid for the process lifetime.
 struct EngineMetrics {
   obs::Histogram* sample = obs::MetricsRegistry::Global().GetHistogram(
@@ -22,14 +21,6 @@ struct EngineMetrics {
       "engine.round.annotate_seconds");
   obs::Histogram* estimate = obs::MetricsRegistry::Global().GetHistogram(
       "engine.round.estimate_seconds");
-  obs::Histogram* stopping = obs::MetricsRegistry::Global().GetHistogram(
-      "engine.round.stopping_check_seconds");
-  obs::Histogram* campaign = obs::MetricsRegistry::Global().GetHistogram(
-      "engine.campaign.run_seconds");
-  obs::Counter* rounds =
-      obs::MetricsRegistry::Global().GetCounter("engine.rounds");
-  obs::Counter* campaigns =
-      obs::MetricsRegistry::Global().GetCounter("engine.campaigns");
 };
 
 EngineMetrics& Metrics() {
@@ -39,92 +30,93 @@ EngineMetrics& Metrics() {
 
 }  // namespace
 
-StoppingPolicy::StoppingPolicy(const EvaluationOptions& options)
-    : options_(options) {
-  KGACC_CHECK(options_.moe_target > 0.0);
-  KGACC_CHECK(options_.confidence > 0.0 && options_.confidence < 1.0);
+EngineCampaign::EngineCampaign(Annotator* annotator,
+                               const EvaluationOptions& options,
+                               const EngineConfig& config,
+                               std::shared_ptr<UnitSampler> sampler,
+                               std::shared_ptr<UnitEstimator> estimator)
+    : PolicyCampaign(config.design_name, config.telemetry_label, annotator,
+                     options,
+                     config.telemetry != nullptr ? config.telemetry
+                                                 : options.telemetry),
+      sampler_(std::move(sampler)),
+      estimator_(std::move(estimator)),
+      rng_(config.seed_override.value_or(options.seed)),
+      // Pipelined rounds: with an asynchronous annotator and a
+      // prefetch-safe sampler, round k+1's units are drawn while round k's
+      // annotations are in flight. The rng consumes draws in exactly the
+      // sequential order (round 1, round 2, ...), so labels, estimates,
+      // traces and cost are bit-identical to the sequential schedule; the
+      // one discarded speculative draw after the stopping round is invisible
+      // (campaign-local rng and sampler, and a resumed campaign replays the
+      // same sequence). Speculation never extends to annotation itself —
+      // cost is observable.
+      pipelined_(options.pipeline_rounds && annotator->AsyncCapable() &&
+                 sampler_->PrefetchSafe()) {
+  KGACC_CHECK(sampler_ != nullptr);
+  KGACC_CHECK(estimator_ != nullptr);
 }
 
-std::optional<ConfidenceInterval> StoppingPolicy::WilsonIntervalFor(
-    const UnitEstimator& estimator, const Estimate& estimate) const {
-  if (options_.srs_ci == CiMethod::kWilson && estimate.num_units > 0) {
-    uint64_t successes = 0;
-    uint64_t trials = 0;
-    if (estimator.BinomialCounts(&successes, &trials)) {
-      return WilsonInterval(successes, trials, options_.Alpha());
+PolicyCampaign::RoundOutcome EngineCampaign::RunRound() {
+  // The ScopedSpans below are purely observational (histograms + trace
+  // events); `sample_timer` stays the product-level source of
+  // machine_seconds so KGACC_NO_METRICS builds report identical results.
+  const uint64_t batch_units = options().batch_units;
+  WallTimer sample_timer;
+  std::vector<SampleUnit> batch;
+  if (prefetched_.has_value()) {
+    batch = *std::move(prefetched_);
+    prefetched_.reset();
+  } else {
+    obs::ScopedSpan span("engine.round.sample", Metrics().sample);
+    batch = sampler_->NextBatch(batch_units, rng_);
+  }
+  machine_seconds_ += sample_timer.ElapsedSeconds();
+
+  {
+    obs::ScopedSpan span("engine.round.annotate", Metrics().annotate);
+    refs_.clear();
+    for (const SampleUnit& unit : batch) {
+      for (uint64_t offset : unit.offsets) {
+        refs_.push_back(TripleRef{unit.cluster, offset});
+      }
+    }
+    labels_.resize(refs_.size());
+    if (pipelined_) {
+      annotator()->BeginAnnotateBatch(std::span<const TripleRef>(refs_),
+                                      labels_.data());
+    } else {
+      annotator()->AnnotateBatch(std::span<const TripleRef>(refs_),
+                                 labels_.data());
     }
   }
-  return std::nullopt;
+  if (pipelined_) {
+    // The overlap: draw the next round's units while this round's labels
+    // are in flight, then collect them.
+    WallTimer prefetch_timer;
+    {
+      obs::ScopedSpan span("engine.round.sample", Metrics().sample);
+      prefetched_ = sampler_->NextBatch(batch_units, rng_);
+    }
+    machine_seconds_ += prefetch_timer.ElapsedSeconds();
+    obs::ScopedSpan span("engine.round.annotate", Metrics().annotate);
+    annotator()->FinishAnnotateBatch();
+  }
+
+  obs::ScopedSpan span("engine.round.estimate", Metrics().estimate);
+  const uint8_t* cursor = labels_.data();
+  for (const SampleUnit& unit : batch) {
+    estimator_->AddUnit(unit, cursor);
+    cursor += unit.offsets.size();
+  }
+  return RoundOutcome{
+      .estimate = estimator_->Current(),
+      .moe = policy().MarginOfError(*estimator_),
+      .exhausted = batch.empty() && sampler_->Exhaustible()};
 }
 
-double StoppingPolicy::MarginOfError(const UnitEstimator& estimator) const {
-  const Estimate estimate = estimator.Current();
-  if (const std::optional<ConfidenceInterval> wilson =
-          WilsonIntervalFor(estimator, estimate)) {
-    return wilson->Width() / 2.0;
-  }
-  return estimate.MarginOfError(options_.Alpha());
-}
-
-double StoppingPolicy::MarginOfError(const Estimate& estimate) const {
-  return estimate.MarginOfError(options_.Alpha());
-}
-
-ConfidenceInterval StoppingPolicy::Interval(
-    const UnitEstimator& estimator) const {
-  const Estimate estimate = estimator.Current();
-  if (const std::optional<ConfidenceInterval> wilson =
-          WilsonIntervalFor(estimator, estimate)) {
-    return *wilson;
-  }
-  return Interval(estimate);
-}
-
-ConfidenceInterval StoppingPolicy::Interval(const Estimate& estimate) const {
-  // Unclamped on purpose: the unbiased cluster estimators (Eq 7) can
-  // overshoot [0, 1] in early rounds, and a telemetry interval must bracket
-  // whatever estimate the stopping rule actually saw. Clamping to the
-  // accuracy domain is a presentation concern (Estimate::CiLower/CiUpper).
-  const double moe = MarginOfError(estimate);
-  return ConfidenceInterval{estimate.mean - moe, estimate.mean + moe};
-}
-
-CampaignRound MakeCampaignRound(uint64_t round, const Estimate& estimate,
-                                double moe, const ConfidenceInterval& ci,
-                                const Annotator& annotator,
-                                const AnnotationLedger& start_ledger,
-                                double start_seconds) {
-  return CampaignRound{
-      .round = round,
-      .cost_seconds = annotator.ElapsedSeconds() - start_seconds,
-      .units = estimate.num_units,
-      .estimate = estimate.mean,
-      .ci_lower = ci.lower,
-      .ci_upper = ci.upper,
-      .moe = moe,
-      .triples_annotated = annotator.ledger().triples_annotated -
-                           start_ledger.triples_annotated,
-      .entities_identified = annotator.ledger().entities_identified -
-                             start_ledger.entities_identified};
-}
-
-StopDecision StoppingPolicy::Check(const Estimate& estimate, double moe,
-                                   double elapsed_cost_seconds,
-                                   bool sampler_exhausted) const {
-  if (estimate.num_units >= options_.min_units && moe <= options_.moe_target) {
-    return {true, true};
-  }
-  if (sampler_exhausted) {
-    return {true, moe <= options_.moe_target};
-  }
-  if (options_.max_cost_seconds > 0.0 &&
-      elapsed_cost_seconds >= options_.max_cost_seconds) {
-    return {true, false};
-  }
-  if (options_.max_units > 0 && estimate.num_units >= options_.max_units) {
-    return {true, false};
-  }
-  return {false, false};
+ConfidenceInterval EngineCampaign::RoundInterval(const Estimate&) const {
+  return policy().Interval(*estimator_);
 }
 
 EvaluationEngine::EvaluationEngine(Annotator* annotator,
@@ -137,140 +129,13 @@ EvaluationEngine::EvaluationEngine(Annotator* annotator,
 EvaluationResult EvaluationEngine::Run(const EngineConfig& config) {
   KGACC_CHECK(config.sampler != nullptr);
   KGACC_CHECK(config.estimator != nullptr);
-
-  EvaluationResult result;
-  result.design = config.design_name;
-  Rng rng(config.seed_override.value_or(options_.seed));
-  const StoppingPolicy policy(options_);
-
-  const AnnotationLedger start_ledger = annotator_->ledger();
-  const double start_seconds = annotator_->ElapsedSeconds();
-
-  TelemetrySink* telemetry =
-      config.telemetry != nullptr ? config.telemetry : options_.telemetry;
-  if (telemetry != nullptr) {
-    telemetry->BeginCampaign(config.design_name, config.telemetry_label);
-  }
-
-  // The ScopedSpans below are purely observational (histograms + trace
-  // events); `sample_timer` stays the product-level source of
-  // machine_seconds so KGACC_NO_METRICS builds report identical results.
-  Metrics().campaigns->Add(1);
-  obs::ScopedSpan campaign_span("engine.campaign", Metrics().campaign);
-
-  // Pipelined rounds: with an asynchronous annotator and a prefetch-safe
-  // sampler, round k+1's units are drawn while round k's annotations are in
-  // flight. The rng consumes draws in exactly the sequential order (round 1,
-  // round 2, ...), so labels, estimates, traces and cost are bit-identical
-  // to the sequential schedule; the one discarded speculative draw after the
-  // stopping round is invisible (campaign-local rng and sampler, and a
-  // resumed campaign replays the same sequence). Speculation never extends
-  // to annotation itself — cost is observable — and never past a round the
-  // control has not granted.
-  const bool pipelined = options_.pipeline_rounds &&
-                         annotator_->AsyncCapable() &&
-                         config.sampler->PrefetchSafe();
-
-  std::vector<TripleRef> refs;
-  std::vector<uint8_t> labels;
-  std::optional<std::vector<SampleUnit>> prefetched;
-  while (true) {
-    // Round-boundary control: a serve session parks the campaign here
-    // between `step` grants, and a suspend request unwinds the loop with the
-    // rounds completed so far (resume replays them deterministically).
-    if (options_.control != nullptr &&
-        options_.control->BeforeRound(result.rounds + 1) ==
-            CampaignControl::Action::kSuspend) {
-      result.suspended = true;
-      break;
-    }
-    ++result.rounds;
-    Metrics().rounds->Add(1);
-    WallTimer sample_timer;
-    std::vector<SampleUnit> batch;
-    if (prefetched.has_value()) {
-      batch = *std::move(prefetched);
-      prefetched.reset();
-    } else {
-      obs::ScopedSpan span("engine.round.sample", Metrics().sample);
-      batch = config.sampler->NextBatch(options_.batch_units, rng);
-    }
-    result.machine_seconds += sample_timer.ElapsedSeconds();
-
-    {
-      obs::ScopedSpan span("engine.round.annotate", Metrics().annotate);
-      refs.clear();
-      for (const SampleUnit& unit : batch) {
-        for (uint64_t offset : unit.offsets) {
-          refs.push_back(TripleRef{unit.cluster, offset});
-        }
-      }
-      labels.resize(refs.size());
-      if (pipelined) {
-        annotator_->BeginAnnotateBatch(std::span<const TripleRef>(refs),
-                                       labels.data());
-      } else {
-        annotator_->AnnotateBatch(std::span<const TripleRef>(refs),
-                                  labels.data());
-      }
-    }
-    if (pipelined) {
-      // The overlap: draw the next round's units while this round's labels
-      // are in flight, then collect them.
-      WallTimer prefetch_timer;
-      {
-        obs::ScopedSpan span("engine.round.sample", Metrics().sample);
-        prefetched = config.sampler->NextBatch(options_.batch_units, rng);
-      }
-      result.machine_seconds += prefetch_timer.ElapsedSeconds();
-      obs::ScopedSpan span("engine.round.annotate", Metrics().annotate);
-      annotator_->FinishAnnotateBatch();
-    }
-
-    Estimate estimate;
-    double moe = 0.0;
-    {
-      obs::ScopedSpan span("engine.round.estimate", Metrics().estimate);
-      const uint8_t* cursor = labels.data();
-      for (const SampleUnit& unit : batch) {
-        config.estimator->AddUnit(unit, cursor);
-        cursor += unit.offsets.size();
-      }
-      estimate = config.estimator->Current();
-      moe = policy.MarginOfError(*config.estimator);
-    }
-    result.estimate = estimate;
-    result.moe = moe;
-
-    obs::ScopedSpan stopping_span("engine.round.stopping_check",
-                                  Metrics().stopping);
-    if (telemetry != nullptr) {
-      telemetry->OnRound(MakeCampaignRound(
-          result.rounds, estimate, moe, policy.Interval(*config.estimator),
-          *annotator_, start_ledger, start_seconds));
-    }
-    const StopDecision decision = policy.Check(
-        estimate, moe, annotator_->ElapsedSeconds() - start_seconds,
-        batch.empty() && config.sampler->Exhaustible());
-    stopping_span.Finish();
-    if (decision.stop) {
-      result.converged = decision.converged;
-      break;
-    }
-  }
-  // A suspended campaign leaves its telemetry open: the resumed run
-  // re-begins the campaign and the session-side sink merges the rounds
-  // (see core/telemetry.h on suspended campaigns).
-  if (telemetry != nullptr && !result.suspended) {
-    telemetry->EndCampaign(result.converged);
-  }
-
-  result.ledger.entities_identified =
-      annotator_->ledger().entities_identified - start_ledger.entities_identified;
-  result.ledger.triples_annotated =
-      annotator_->ledger().triples_annotated - start_ledger.triples_annotated;
-  result.annotation_seconds = annotator_->ElapsedSeconds() - start_seconds;
-  return result;
+  // Non-owning: the caller keeps the sampler and estimator alive.
+  EngineCampaign campaign(
+      annotator_, options_, config,
+      std::shared_ptr<UnitSampler>(std::shared_ptr<void>(), config.sampler),
+      std::shared_ptr<UnitEstimator>(std::shared_ptr<void>(),
+                                     config.estimator));
+  return RunCampaign(campaign, options_.control);
 }
 
 }  // namespace kgacc

@@ -1,15 +1,16 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "core/campaign.h"
 #include "core/evaluation.h"
 #include "core/telemetry.h"
 #include "kg/triple.h"
 #include "labels/annotator.h"
-#include "stats/confidence.h"
 #include "util/rng.h"
 
 namespace kgacc {
@@ -77,69 +78,6 @@ class UnitEstimator {
   }
 };
 
-/// Builds the CampaignRound emitted after one evaluation round: cumulative
-/// cost/annotations are measured against the campaign-start snapshot
-/// (`start_ledger`, `start_seconds`). The one construction point shared by
-/// the engine and both incremental update loops, so the trace vocabulary
-/// cannot drift between designs.
-CampaignRound MakeCampaignRound(uint64_t round, const Estimate& estimate,
-                                double moe, const ConfidenceInterval& ci,
-                                const Annotator& annotator,
-                                const AnnotationLedger& start_ledger,
-                                double start_seconds);
-
-/// Verdict of one stopping check.
-struct StopDecision {
-  bool stop = false;       ///< terminate the campaign now.
-  bool converged = false;  ///< the MoE target was met.
-};
-
-/// The single source of truth for campaign termination: the MoE target with
-/// Wald/Wilson CI selection, the CLT floor (min_units), the cost and unit
-/// budgets, and sampler exhaustion. Every design — static, stratified,
-/// grouped, incremental — consults this one implementation, so stopping
-/// semantics cannot drift between designs again.
-class StoppingPolicy {
- public:
-  explicit StoppingPolicy(const EvaluationOptions& options);
-
-  /// The margin of error the stopping rule sees: the Wald half-width of Eq 1,
-  /// or the Wilson half-width when CiMethod::kWilson is selected and the
-  /// estimator exposes binomial counts (the SRS boundary-accuracy fix).
-  double MarginOfError(const UnitEstimator& estimator) const;
-
-  /// Plain Wald margin of error for callers without a UnitEstimator (the
-  /// incremental evaluators' read paths).
-  double MarginOfError(const Estimate& estimate) const;
-
-  /// The confidence interval behind the margin of error, for telemetry:
-  /// Wilson when selected and the estimator exposes binomial counts, the
-  /// unclamped Wald interval otherwise (unclamped so the bounds always
-  /// bracket the estimate, even when an unbiased cluster estimator
-  /// overshoots [0, 1] in early rounds).
-  ConfidenceInterval Interval(const UnitEstimator& estimator) const;
-
-  /// Unclamped Wald interval for callers without a UnitEstimator.
-  ConfidenceInterval Interval(const Estimate& estimate) const;
-
-  /// Checks all termination conditions, in fixed precedence order:
-  ///   1. converged: moe <= target with at least min_units units;
-  ///   2. exhausted: the sampler ran dry (converged iff moe <= target);
-  ///   3. cost budget: elapsed_cost_seconds >= max_cost_seconds (> 0);
-  ///   4. unit budget: num_units >= max_units (> 0).
-  StopDecision Check(const Estimate& estimate, double moe,
-                     double elapsed_cost_seconds, bool sampler_exhausted) const;
-
- private:
-  /// The Wilson interval when CiMethod::kWilson is selected and the
-  /// estimator exposes binomial counts; nullopt selects the Wald path. The
-  /// one dispatch shared by MarginOfError and Interval.
-  std::optional<ConfidenceInterval> WilsonIntervalFor(
-      const UnitEstimator& estimator, const Estimate& estimate) const;
-
-  EvaluationOptions options_;
-};
-
 /// Borrowed configuration of one campaign. `sampler` and `estimator` may
 /// point to the same object (composite designs that route allocation through
 /// estimator feedback, e.g. stratified TWCS).
@@ -157,20 +95,49 @@ struct EngineConfig {
   std::string telemetry_label;
 };
 
-/// The one iterative evaluation loop of the framework (Fig 2):
+/// The engine designs' round body (Fig 2):
 ///
-///   sample batch -> annotate (batched) -> estimate -> stopping policy
+///   sample batch -> annotate (batched) -> estimate
 ///
-/// looping until the StoppingPolicy terminates the campaign. Every design in
-/// the library is a configuration of this engine; new designs plug in a
-/// UnitSampler/UnitEstimator pair and inherit identical, tested stopping and
-/// accounting semantics (ledger deltas, rounds, machine vs annotation time).
+/// with the stopping check and telemetry of PolicyCampaign. Every static
+/// design in the library is a configuration of this campaign; new designs
+/// plug in a UnitSampler/UnitEstimator pair and inherit identical, tested
+/// stopping and accounting semantics (ledger deltas, rounds, machine vs
+/// annotation time).
+class EngineCampaign final : public PolicyCampaign {
+ public:
+  /// Runs `sampler` and `estimator`, which may share one object (composite
+  /// designs), under `config`'s design name, seed, telemetry and label;
+  /// config.sampler/estimator are not read. EvaluationEngine::Run passes
+  /// non-owning pointers to the parts its caller keeps alive.
+  EngineCampaign(Annotator* annotator, const EvaluationOptions& options,
+                 const EngineConfig& config,
+                 std::shared_ptr<UnitSampler> sampler,
+                 std::shared_ptr<UnitEstimator> estimator);
+
+ private:
+  RoundOutcome RunRound() override;
+  ConfidenceInterval RoundInterval(const Estimate& estimate) const override;
+
+  std::shared_ptr<UnitSampler> sampler_;
+  std::shared_ptr<UnitEstimator> estimator_;
+  Rng rng_;
+  /// Pipelined rounds (see the constructor): the asynchronous annotator
+  /// overlaps a round's labels with drawing the next round's units.
+  const bool pipelined_;
+  std::optional<std::vector<SampleUnit>> prefetched_;
+  std::vector<TripleRef> refs_;
+  std::vector<uint8_t> labels_;
+};
+
+/// Runs engine campaigns over borrowed samplers and estimators.
 class EvaluationEngine {
  public:
   /// `annotator` is borrowed and must outlive the engine.
   EvaluationEngine(Annotator* annotator, EvaluationOptions options);
 
-  /// Runs one campaign to completion.
+  /// Runs one campaign to completion (RunCampaign with
+  /// EvaluationOptions::control).
   EvaluationResult Run(const EngineConfig& config);
 
  private:

@@ -86,11 +86,11 @@ struct EvaluationOptions {
   /// samplers that are not PrefetchSafe().
   bool pipeline_rounds = true;
 
-  /// Borrowed round-boundary control (see core/campaign_control.h); null
-  /// runs the campaign to completion. Carried inside the options for the
-  /// same reason as `telemetry`: so suspend/resume flows through the
-  /// DesignRegistry without widening every design signature. Controls when
-  /// a campaign pauses, never what it computes.
+  /// Borrowed round-boundary control (see core/campaign_control.h) that
+  /// RunCampaign consults; null runs the campaign to completion. Carried
+  /// inside the options for the same reason as `telemetry`: so it flows
+  /// through the DesignRegistry without widening every design signature.
+  /// Controls how far a campaign runs, never what it computes.
   CampaignControl* control = nullptr;
 
   double Alpha() const { return 1.0 - confidence; }
@@ -104,10 +104,10 @@ struct EvaluationResult {
   bool converged = false;   ///< true when moe <= moe_target was reached.
   uint64_t rounds = 0;      ///< framework iterations executed.
 
-  /// True when the campaign was parked by EvaluationOptions::control before
-  /// terminating: `rounds`/`estimate`/ledger cover the completed rounds
-  /// only, and the campaign can be resumed bit-identically by replaying
-  /// those rounds (see core/campaign_control.h).
+  /// True when the campaign ended before its own stopping decision (a
+  /// control's kSuspend, or a serve session suspended or stopped):
+  /// `rounds`/`estimate`/ledger cover the completed rounds only, and the
+  /// campaign can be resumed bit-identically by replaying those rounds.
   bool suspended = false;
 
   /// Simulated human effort charged by the annotator for this campaign.

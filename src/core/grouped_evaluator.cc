@@ -105,11 +105,7 @@ GroupedEvaluator::GroupResult GroupedEvaluator::EvaluateGroup(
     evaluation.moe = 0.0;
     evaluation.converged = true;
     evaluation.rounds = 1;
-    evaluation.ledger.entities_identified =
-        annotator_->ledger().entities_identified -
-        start_ledger.entities_identified;
-    evaluation.ledger.triples_annotated =
-        annotator_->ledger().triples_annotated - start_ledger.triples_annotated;
+    evaluation.ledger = annotator_->ledger().Since(start_ledger);
     evaluation.annotation_seconds =
         annotator_->ElapsedSeconds() - start_seconds;
     if (options_.telemetry != nullptr) {

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 
+#include "core/evaluation.h"
 #include "stats/estimate.h"
 
 namespace kgacc {
@@ -21,12 +22,21 @@ struct IncrementalUpdateReport {
   double machine_seconds = 0.0;          ///< sample-maintenance machine time.
   uint64_t rounds = 0;                   ///< estimate/stop iterations this step.
 
-  /// True when the step was parked by EvaluationOptions::control before
-  /// terminating (see core/campaign_control.h): all fields cover completed
-  /// rounds only.
-  bool suspended = false;
-
   double StepCostHours() const { return step_cost_seconds / 3600.0; }
+
+  /// The report of a step whose campaign returned `result`.
+  static IncrementalUpdateReport FromResult(const EvaluationResult& result) {
+    return IncrementalUpdateReport{
+        .estimate = result.estimate,
+        .moe = result.moe,
+        .converged = result.converged,
+        .newly_annotated_entities = result.ledger.entities_identified,
+        .newly_annotated_triples = result.ledger.triples_annotated,
+        .step_cost_seconds = result.annotation_seconds,
+        .sample_units = result.estimate.num_units,
+        .machine_seconds = result.machine_seconds,
+        .rounds = result.rounds};
+  }
 };
 
 }  // namespace kgacc

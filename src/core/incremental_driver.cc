@@ -1,5 +1,7 @@
 #include "core/incremental_driver.h"
 
+#include <utility>
+
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
@@ -30,7 +32,7 @@ DriverMetrics& Metrics() {
 IncrementalCampaignDriver::IncrementalCampaignDriver(
     IncrementalMethod method, const KgView* population, Annotator* annotator,
     EvaluationOptions options)
-    : method_(method) {
+    : method_(method), options_(options) {
   switch (method_) {
     case IncrementalMethod::kReservoir:
       reservoir_ = std::make_unique<ReservoirIncrementalEvaluator>(
@@ -61,26 +63,23 @@ const char* IncrementalCampaignDriver::DesignLabel(IncrementalMethod method) {
   return "";
 }
 
-EvaluationResult IncrementalCampaignDriver::ToResult(
-    const IncrementalUpdateReport& report) const {
-  EvaluationResult result;
-  result.design = DesignLabel(method_);
-  result.estimate = report.estimate;
-  result.moe = report.moe;
-  result.converged = report.converged;
-  result.rounds = report.rounds;
-  result.suspended = report.suspended;
-  result.ledger.entities_identified = report.newly_annotated_entities;
-  result.ledger.triples_annotated = report.newly_annotated_triples;
-  result.annotation_seconds = report.step_cost_seconds;
-  result.machine_seconds = report.machine_seconds;
-  return result;
+std::unique_ptr<Campaign> IncrementalCampaignDriver::BaseCampaign(
+    IncrementalMethod method, const KgView* population, Annotator* annotator,
+    EvaluationOptions options) {
+  auto driver = std::make_unique<IncrementalCampaignDriver>(
+      method, population, annotator, options);
+  std::unique_ptr<Campaign> base =
+      driver->reservoir_ != nullptr ? driver->reservoir_->InitializeCampaign()
+                                    : driver->stratified_->InitializeCampaign();
+  return std::make_unique<OwningCampaign<IncrementalCampaignDriver>>(
+      std::move(driver), std::move(base));
 }
 
 EvaluationResult IncrementalCampaignDriver::Initialize() {
   obs::ScopedSpan span("incremental.driver.initialize", Metrics().initialize);
-  return ToResult(reservoir_ != nullptr ? reservoir_->Initialize()
-                                        : stratified_->Initialize());
+  return RunCampaign(reservoir_ != nullptr ? *reservoir_->InitializeCampaign()
+                                           : *stratified_->InitializeCampaign(),
+                     options_.control);
 }
 
 EvaluationResult IncrementalCampaignDriver::ApplyUpdate(
@@ -88,9 +87,11 @@ EvaluationResult IncrementalCampaignDriver::ApplyUpdate(
   obs::ScopedSpan span("incremental.driver.apply_update", Metrics().apply);
   Metrics().updates->Add(1);
   Metrics().clusters->Add(count);
-  return ToResult(reservoir_ != nullptr
-                      ? reservoir_->ApplyUpdate(first_new_cluster, count)
-                      : stratified_->ApplyUpdate(first_new_cluster, count));
+  return RunCampaign(
+      reservoir_ != nullptr
+          ? *reservoir_->UpdateCampaign(first_new_cluster, count)
+          : *stratified_->UpdateCampaign(first_new_cluster, count),
+      options_.control);
 }
 
 Estimate IncrementalCampaignDriver::CurrentEstimate() const {

@@ -4,6 +4,7 @@
 #include <memory>
 #include <string>
 
+#include "core/campaign.h"
 #include "core/evaluation.h"
 #include "core/incremental.h"
 #include "core/reservoir_incremental.h"
@@ -35,6 +36,8 @@ enum class IncrementalMethod {
 /// The driver is a thin adapter: at a fixed seed its estimates, sample
 /// draws and annotation ledger are bit-for-bit identical to driving the
 /// underlying evaluator directly (pinned by engine_parity-style tests).
+/// Both run the evaluator's campaigns, through RunCampaign with
+/// EvaluationOptions::control.
 class IncrementalCampaignDriver {
  public:
   /// `population` and `annotator` are borrowed and must outlive the driver.
@@ -46,6 +49,13 @@ class IncrementalCampaignDriver {
 
   /// The design label the method reports ("RS"/"SS").
   static const char* DesignLabel(IncrementalMethod method);
+
+  /// The registry's "rs"/"ss" design: a campaign evaluating the whole
+  /// current population as the base graph, owning the driver it runs on.
+  static std::unique_ptr<Campaign> BaseCampaign(IncrementalMethod method,
+                                                const KgView* population,
+                                                Annotator* annotator,
+                                                EvaluationOptions options);
 
   /// Evaluates all clusters currently in the population (the base graph).
   EvaluationResult Initialize();
@@ -65,9 +75,8 @@ class IncrementalCampaignDriver {
   StratifiedIncrementalEvaluator* stratified() { return stratified_.get(); }
 
  private:
-  EvaluationResult ToResult(const IncrementalUpdateReport& report) const;
-
   IncrementalMethod method_;
+  const EvaluationOptions options_;
   std::unique_ptr<ReservoirIncrementalEvaluator> reservoir_;
   std::unique_ptr<StratifiedIncrementalEvaluator> stratified_;
 };

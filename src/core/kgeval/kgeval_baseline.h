@@ -1,9 +1,12 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <vector>
 
-#include "core/campaign_control.h"
+#include "core/campaign.h"
 #include "core/kgeval/coupling_graph.h"
+#include "core/telemetry.h"
 #include "cost/cost_model.h"
 #include "kg/triple_view.h"
 #include "labels/annotator.h"
@@ -46,22 +49,26 @@ class KgEvalBaseline {
     double machine_seconds = 0.0;     ///< control + inference machine time.
     double annotation_seconds = 0.0;  ///< simulated human time (Eq 4).
     AnnotationLedger ledger;
-    /// True when `control` parked the loop early (see
-    /// core/campaign_control.h): the fields above cover the picks completed
-    /// so far and the run can be resumed bit-identically by replay.
-    bool suspended = false;
   };
 
   KgEvalBaseline(const TripleView& kg, const Options& options);
 
   /// Runs the full control/inference loop until every triple carries a
-  /// label, charging human effort to `annotator`. One "round" of KGEval is
-  /// one annotation pick; `control` (optional, borrowed) is consulted before
-  /// each pick, like the engine consults it before each sampling round.
-  Result Run(Annotator* annotator, CampaignControl* control = nullptr);
+  /// label, charging human effort to `annotator`.
+  Result Run(Annotator* annotator);
+
+  /// The same loop as a campaign: one "round" of KGEval is one annotation
+  /// pick. Once every triple is labeled, `telemetry` (borrowed, may be null)
+  /// receives the terminal state as a single round — KGEval has no
+  /// per-round estimate trajectory. The result reports moe 1.0 and never
+  /// converges: the estimate carries no statistical guarantee. Borrows this
+  /// baseline and `annotator`.
+  std::unique_ptr<Campaign> MakeCampaign(Annotator* annotator,
+                                         TelemetrySink* telemetry) const;
 
  private:
-  const TripleView& kg_;
+  class Picks;
+
   Options options_;
   CouplingGraph graph_;
 };

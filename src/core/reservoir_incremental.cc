@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <span>
 
-#include "core/campaign_control.h"
-#include "core/engine.h"
+#include "core/campaign.h"
 #include "core/optimal_m.h"
 #include "sampling/srs.h"
 #include "stats/running_stats.h"
@@ -42,156 +40,81 @@ std::vector<uint64_t> ReservoirIncrementalEvaluator::SecondStageOffsets(
                                          m_, second_stage);
 }
 
-double ReservoirIncrementalEvaluator::AnnotatedClusterAccuracy(uint64_t cluster) {
-  auto it = sampled_accuracy_.find(cluster);
-  if (it == sampled_accuracy_.end()) {
-    const std::vector<uint64_t> offsets = SecondStageOffsets(cluster);
-    uint64_t correct = 0;
-    for (uint64_t offset : offsets) {
-      if (annotator_->Annotate(TripleRef{cluster, offset})) ++correct;
-    }
-    it = sampled_accuracy_.emplace(cluster, std::make_pair(correct, offsets.size()))
-             .first;
-  }
-  return static_cast<double>(it->second.first) /
-         static_cast<double>(it->second.second);
-}
-
 void ReservoirIncrementalEvaluator::AnnotateReservoirEntrants(uint64_t count) {
   // Reservoir clusters are distinct, so entrants need no dedup.
-  if (annotator_->AsyncCapable() && options_.pipeline_rounds) {
-    // Streamed submission: each entrant's refs go in flight as soon as its
-    // second-stage offsets are derived, so deriving later entrants overlaps
-    // earlier entrants' annotation latency. The per-entrant label vectors
-    // are sized once and never resized, so the out-pointers handed to
-    // BeginAnnotateBatch stay valid until FinishAnnotateBatch (moving the
-    // outer vector relocates the Entrant objects, not their heap buffers).
-    struct Entrant {
-      uint64_t cluster = 0;
-      std::vector<TripleRef> refs;
-      std::vector<uint8_t> labels;
-    };
-    std::vector<Entrant> streamed;
-    for (uint64_t i = 0; i < count; ++i) {
-      const uint64_t cluster = entries_[i].cluster;
-      if (sampled_accuracy_.find(cluster) != sampled_accuracy_.end()) continue;
-      Entrant entrant;
-      entrant.cluster = cluster;
-      const std::vector<uint64_t> offsets = SecondStageOffsets(cluster);
-      entrant.refs.reserve(offsets.size());
-      for (uint64_t offset : offsets) {
-        entrant.refs.push_back(TripleRef{cluster, offset});
-      }
-      entrant.labels.assign(entrant.refs.size(), 0);
-      streamed.push_back(std::move(entrant));
-      Entrant& placed = streamed.back();
-      annotator_->BeginAnnotateBatch(std::span<const TripleRef>(placed.refs),
-                                     placed.labels.data());
-    }
-    if (streamed.empty()) return;
-    annotator_->FinishAnnotateBatch();
-    // Same fold, same entrant order, bit-identical labels as the
-    // synchronous branch below.
-    for (const Entrant& entrant : streamed) {
-      uint64_t correct = 0;
-      for (uint8_t label : entrant.labels) correct += label;
-      sampled_accuracy_.emplace(entrant.cluster,
-                                std::make_pair(correct, entrant.labels.size()));
-    }
-    return;
-  }
-  std::vector<std::pair<uint64_t, std::vector<uint64_t>>> entrants;
-  std::vector<TripleRef> refs;
+  std::vector<uint64_t> entrants;
   for (uint64_t i = 0; i < count; ++i) {
     const uint64_t cluster = entries_[i].cluster;
-    if (sampled_accuracy_.find(cluster) != sampled_accuracy_.end()) continue;
-    std::vector<uint64_t> offsets = SecondStageOffsets(cluster);
-    for (uint64_t offset : offsets) refs.push_back(TripleRef{cluster, offset});
-    entrants.emplace_back(cluster, std::move(offsets));
+    if (!sampled_accuracy_.contains(cluster)) entrants.push_back(cluster);
   }
-  if (entrants.empty()) return;
-  std::vector<uint8_t> labels(refs.size());
-  annotator_->AnnotateBatch(std::span<const TripleRef>(refs), labels.data());
-  const uint8_t* cursor = labels.data();
-  for (const auto& [cluster, offsets] : entrants) {
-    uint64_t correct = 0;
-    for (size_t j = 0; j < offsets.size(); ++j) correct += cursor[j];
-    cursor += offsets.size();
-    sampled_accuracy_.emplace(cluster,
-                              std::make_pair(correct, offsets.size()));
+  // Streamed with the async bridge: deriving later entrants' second-stage
+  // offsets overlaps earlier entrants' annotation latency.
+  const std::vector<GroupLabels> labels = AnnotateGroups(
+      *annotator_, entrants.size(),
+      [&](size_t e) {
+        std::vector<TripleRef> refs;
+        for (uint64_t offset : SecondStageOffsets(entrants[e])) {
+          refs.push_back(TripleRef{entrants[e], offset});
+        }
+        return refs;
+      },
+      annotator_->AsyncCapable() && options_.pipeline_rounds);
+  for (size_t e = 0; e < entrants.size(); ++e) {
+    sampled_accuracy_.emplace(
+        entrants[e], std::make_pair(labels[e].correct, labels[e].size));
   }
 }
 
-IncrementalUpdateReport ReservoirIncrementalEvaluator::Reevaluate(
-    const char* campaign_label) {
-  IncrementalUpdateReport report;
-  const StoppingPolicy policy(options_);
-  const AnnotationLedger start_ledger = annotator_->ledger();
-  const double start_seconds = annotator_->ElapsedSeconds();
-  TelemetrySink* telemetry = options_.telemetry;
-  if (telemetry != nullptr) telemetry->BeginCampaign("RS", campaign_label);
+class ReservoirIncrementalEvaluator::Reevaluation final
+    : public PolicyCampaign {
+ public:
+  Reevaluation(ReservoirIncrementalEvaluator* rs, const std::string& label)
+      : PolicyCampaign("RS", label, rs->annotator_, rs->options_,
+                       rs->options_.telemetry),
+        rs_(rs) {}
 
-  while (true) {
-    if (options_.control != nullptr &&
-        options_.control->BeforeRound(report.rounds + 1) ==
-            CampaignControl::Action::kSuspend) {
-      report.suspended = true;
-      break;
-    }
+ private:
+  RoundOutcome RunRound() override {
+    std::vector<KeyedCluster>& entries = rs_->entries_;
+    uint64_t& capacity = rs_->capacity_;
     WallTimer machine;
-    capacity_ = std::min<uint64_t>(capacity_, entries_.size());
-    // The top-capacity_ keys are the current A-Res reservoir.
-    std::nth_element(entries_.begin(),
-                     entries_.begin() + static_cast<int64_t>(capacity_ - 1),
-                     entries_.end(), [](const KeyedCluster& a, const KeyedCluster& b) {
+    capacity = std::min<uint64_t>(capacity, entries.size());
+    // The top-capacity keys are the current A-Res reservoir.
+    std::nth_element(entries.begin(),
+                     entries.begin() + static_cast<int64_t>(capacity - 1),
+                     entries.end(),
+                     [](const KeyedCluster& a, const KeyedCluster& b) {
                        return a.key > b.key;
                      });
-    report.machine_seconds += machine.ElapsedSeconds();
+    machine_seconds_ += machine.ElapsedSeconds();
 
     // One crowd-scale batch for all entrants, then the stats pass below
-    // finds every accuracy cached.
-    AnnotateReservoirEntrants(capacity_);
+    // finds every accuracy recorded.
+    rs_->AnnotateReservoirEntrants(capacity);
     RunningStats stats;
-    for (uint64_t i = 0; i < capacity_; ++i) {
-      stats.Add(AnnotatedClusterAccuracy(entries_[i].cluster));
+    for (uint64_t i = 0; i < capacity; ++i) {
+      const auto& [correct, sampled] =
+          rs_->sampled_accuracy_.at(entries[i].cluster);
+      stats.Add(static_cast<double>(correct) / static_cast<double>(sampled));
     }
-    report.estimate.mean = stats.Mean();
-    report.estimate.variance_of_mean = stats.VarianceOfMean();
-    report.estimate.num_units = stats.Count();
-    report.moe = policy.MarginOfError(report.estimate);
-    report.sample_units = capacity_;
-    ++report.rounds;
-    if (telemetry != nullptr) {
-      telemetry->OnRound(MakeCampaignRound(
-          report.rounds, report.estimate, report.moe,
-          policy.Interval(report.estimate), *annotator_, start_ledger,
-          start_seconds));
-    }
-
+    RoundOutcome outcome;
+    outcome.estimate.mean = stats.Mean();
+    outcome.estimate.variance_of_mean = stats.VarianceOfMean();
+    outcome.estimate.num_units = stats.Count();
+    outcome.moe = policy().MarginOfError(outcome.estimate);
     // The reservoir exhausts when the whole population is sampled.
-    const StopDecision decision = policy.Check(
-        report.estimate, report.moe,
-        annotator_->ElapsedSeconds() - start_seconds,
-        /*sampler_exhausted=*/capacity_ >= entries_.size());
-    if (decision.stop) {
-      report.converged = decision.converged;
-      break;
-    }
-    // MoE unmet: draw more cluster samples (grow the reservoir).
-    capacity_ = std::min<uint64_t>(entries_.size(),
-                                   capacity_ + options_.batch_units);
+    outcome.exhausted = capacity >= entries.size();
+    return outcome;
   }
 
-  if (telemetry != nullptr && !report.suspended) {
-    telemetry->EndCampaign(report.converged);
+  void Advance() override {
+    // MoE unmet: draw more cluster samples (grow the reservoir).
+    rs_->capacity_ = std::min<uint64_t>(
+        rs_->entries_.size(), rs_->capacity_ + options().batch_units);
   }
-  report.newly_annotated_entities =
-      annotator_->ledger().entities_identified - start_ledger.entities_identified;
-  report.newly_annotated_triples =
-      annotator_->ledger().triples_annotated - start_ledger.triples_annotated;
-  report.step_cost_seconds = annotator_->ElapsedSeconds() - start_seconds;
-  return report;
-}
+
+  ReservoirIncrementalEvaluator* rs_;
+};
 
 Estimate ReservoirIncrementalEvaluator::CurrentEstimate() const {
   KGACC_CHECK(!entries_.empty()) << "no state: call Initialize() or Restore()";
@@ -276,7 +199,7 @@ Status ReservoirIncrementalEvaluator::Restore(const ReservoirSnapshot& snapshot)
   return Status::OK();
 }
 
-IncrementalUpdateReport ReservoirIncrementalEvaluator::Initialize() {
+std::unique_ptr<Campaign> ReservoirIncrementalEvaluator::InitializeCampaign() {
   KGACC_CHECK(entries_.empty()) << "Initialize() called twice";
   const uint64_t n = population_->NumClusters();
   KGACC_CHECK(n > 0) << "empty base graph";
@@ -286,10 +209,10 @@ IncrementalUpdateReport ReservoirIncrementalEvaluator::Initialize() {
   }
   capacity_ = std::min<uint64_t>(n, std::max<uint64_t>(options_.min_units,
                                                        options_.batch_units));
-  return Reevaluate("initialize");
+  return std::make_unique<Reevaluation>(this, "initialize");
 }
 
-IncrementalUpdateReport ReservoirIncrementalEvaluator::ApplyUpdate(
+std::unique_ptr<Campaign> ReservoirIncrementalEvaluator::UpdateCampaign(
     uint64_t first_new_cluster, uint64_t count) {
   KGACC_CHECK(!entries_.empty()) << "call Initialize() first";
   KGACC_CHECK(first_new_cluster + count <= population_->NumClusters())
@@ -299,10 +222,20 @@ IncrementalUpdateReport ReservoirIncrementalEvaluator::ApplyUpdate(
     entries_.push_back(KeyedCluster{MakeKey(c), c});
   }
   ++update_counter_;
-  return Reevaluate(
-      StrFormat("update-%llu",
-                static_cast<unsigned long long>(update_counter_))
-          .c_str());
+  return std::make_unique<Reevaluation>(
+      this, StrFormat("update-%llu",
+                      static_cast<unsigned long long>(update_counter_)));
+}
+
+IncrementalUpdateReport ReservoirIncrementalEvaluator::Initialize() {
+  return IncrementalUpdateReport::FromResult(
+      RunCampaign(*InitializeCampaign(), options_.control));
+}
+
+IncrementalUpdateReport ReservoirIncrementalEvaluator::ApplyUpdate(
+    uint64_t first_new_cluster, uint64_t count) {
+  return IncrementalUpdateReport::FromResult(RunCampaign(
+      *UpdateCampaign(first_new_cluster, count), options_.control));
 }
 
 }  // namespace kgacc

@@ -1,11 +1,14 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "core/campaign.h"
 #include "core/evaluation.h"
 #include "core/incremental.h"
 #include "kg/kg_view.h"
@@ -49,6 +52,12 @@ class ReservoirIncrementalEvaluator {
   IncrementalUpdateReport ApplyUpdate(uint64_t first_new_cluster,
                                       uint64_t count);
 
+  /// The campaigns Initialize and ApplyUpdate run (same preconditions),
+  /// one reservoir re-evaluation round a step. They borrow this evaluator.
+  std::unique_ptr<Campaign> InitializeCampaign();
+  std::unique_ptr<Campaign> UpdateCampaign(uint64_t first_new_cluster,
+                                           uint64_t count);
+
   /// Current reservoir size (first-stage sample units).
   uint64_t SampleSize() const { return capacity_; }
 
@@ -85,32 +94,24 @@ class ReservoirIncrementalEvaluator {
     uint64_t cluster;
   };
 
+  /// One round rebuilds the top-`capacity_` sample, annotates entrants and
+  /// recomputes the estimate; a round that does not stop grows the capacity
+  /// (the paper's fallback of drawing more cluster samples).
+  class Reevaluation;
+
   /// Generates the A-Res key for a cluster (deterministic per cluster).
   double MakeKey(uint64_t cluster);
 
   /// The cluster's second-stage sample: min(size, m) offsets from a
   /// deterministic per-cluster stream, so re-entering clusters always
-  /// re-draw the same triples and reuse their cached annotations. The one
-  /// derivation shared by the lazy and batch annotation paths (which is
-  /// what keeps them bit-identical).
+  /// re-draw the same triples and reuse their cached annotations.
   std::vector<uint64_t> SecondStageOffsets(uint64_t cluster) const;
 
-  /// Annotates min(size, m) triples of `cluster` if not already annotated;
-  /// returns its sampled accuracy.
-  double AnnotatedClusterAccuracy(uint64_t cluster);
-
-  /// Batch-annotates every not-yet-annotated cluster among the current
-  /// top-`count` reservoir entries in one AnnotateBatch call, so the
-  /// annotator's concurrent path sees crowd-scale batches instead of m
-  /// triples at a time. Labels are order-independent, so this is
-  /// bit-identical to annotating lazily per cluster.
+  /// Annotates every not-yet-annotated cluster among the current top-`count`
+  /// reservoir entries in one AnnotateGroups call, so the annotator's
+  /// concurrent path sees crowd-scale batches instead of m triples at a
+  /// time, and records each entrant's sampled accuracy.
   void AnnotateReservoirEntrants(uint64_t count);
-
-  /// Rebuilds the top-`capacity_` sample, annotates entrants, recomputes the
-  /// estimate; grows capacity until the MoE target (or a budget) is hit.
-  /// `campaign_label` tags the step's telemetry campaign (see
-  /// EvaluationOptions::telemetry).
-  IncrementalUpdateReport Reevaluate(const char* campaign_label);
 
   const KgView* population_;
   Annotator* annotator_;

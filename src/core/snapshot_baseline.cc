@@ -17,19 +17,8 @@ IncrementalUpdateReport SnapshotBaselineEvaluator::Evaluate(const KgView& view) 
   options.seed = HashCombine(options_.seed, ++snapshot_counter_);
   SimulatedAnnotator annotator(oracle_, cost_model_,
                                {.noise_rate = 0.0, .seed = options.seed});
-  StaticEvaluator evaluator(view, &annotator, options);
-  const EvaluationResult result = evaluator.EvaluateTwcs();
-
-  IncrementalUpdateReport report;
-  report.estimate = result.estimate;
-  report.moe = result.moe;
-  report.converged = result.converged;
-  report.newly_annotated_entities = result.ledger.entities_identified;
-  report.newly_annotated_triples = result.ledger.triples_annotated;
-  report.step_cost_seconds = result.annotation_seconds;
-  report.sample_units = result.estimate.num_units;
-  report.machine_seconds = result.machine_seconds;
-  return report;
+  return IncrementalUpdateReport::FromResult(
+      StaticEvaluator(view, &annotator, options).EvaluateTwcs());
 }
 
 }  // namespace kgacc

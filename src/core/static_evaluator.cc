@@ -28,34 +28,49 @@ uint64_t StaticEvaluator::ResolveSecondStageSize() const {
                                        auto_m_stats_);
 }
 
+std::unique_ptr<Campaign> StaticEvaluator::SrsCampaign() const {
+  return std::make_unique<EngineCampaign>(
+      annotator_, options_, EngineConfig{.design_name = "SRS"},
+      std::make_shared<SrsUnitSampler>(view_),
+      std::make_shared<SrsUnitEstimator>());
+}
+
+std::unique_ptr<Campaign> StaticEvaluator::RcsCampaign() const {
+  return std::make_unique<EngineCampaign>(
+      annotator_, options_, EngineConfig{.design_name = "RCS"},
+      std::make_shared<RcsUnitSampler>(view_),
+      std::make_shared<RcsUnitEstimator>(view_.NumClusters(),
+                                         view_.TotalTriples()));
+}
+
+std::unique_ptr<Campaign> StaticEvaluator::WcsCampaign() const {
+  return std::make_unique<EngineCampaign>(
+      annotator_, options_, EngineConfig{.design_name = "WCS"},
+      std::make_shared<WcsUnitSampler>(view_),
+      std::make_shared<WcsUnitEstimator>());
+}
+
+std::unique_ptr<Campaign> StaticEvaluator::TwcsCampaign() const {
+  return std::make_unique<EngineCampaign>(
+      annotator_, options_, EngineConfig{.design_name = "TWCS"},
+      std::make_shared<TwcsUnitSampler>(view_, ResolveSecondStageSize()),
+      std::make_shared<TwcsUnitEstimator>());
+}
+
 EvaluationResult StaticEvaluator::EvaluateSrs() {
-  SrsUnitSampler sampler(view_);
-  SrsUnitEstimator estimator;
-  return EvaluationEngine(annotator_, options_)
-      .Run({.design_name = "SRS", .sampler = &sampler, .estimator = &estimator});
+  return RunCampaign(*SrsCampaign(), options_.control);
 }
 
 EvaluationResult StaticEvaluator::EvaluateRcs() {
-  RcsUnitSampler sampler(view_);
-  RcsUnitEstimator estimator(view_.NumClusters(), view_.TotalTriples());
-  return EvaluationEngine(annotator_, options_)
-      .Run({.design_name = "RCS", .sampler = &sampler, .estimator = &estimator});
+  return RunCampaign(*RcsCampaign(), options_.control);
 }
 
 EvaluationResult StaticEvaluator::EvaluateWcs() {
-  WcsUnitSampler sampler(view_);
-  WcsUnitEstimator estimator;
-  return EvaluationEngine(annotator_, options_)
-      .Run({.design_name = "WCS", .sampler = &sampler, .estimator = &estimator});
+  return RunCampaign(*WcsCampaign(), options_.control);
 }
 
 EvaluationResult StaticEvaluator::EvaluateTwcs() {
-  TwcsUnitSampler sampler(view_, ResolveSecondStageSize());
-  TwcsUnitEstimator estimator;
-  return EvaluationEngine(annotator_, options_)
-      .Run({.design_name = "TWCS",
-            .sampler = &sampler,
-            .estimator = &estimator});
+  return RunCampaign(*TwcsCampaign(), options_.control);
 }
 
 }  // namespace kgacc

@@ -1,7 +1,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
+#include "core/campaign.h"
 #include "core/evaluation.h"
 #include "core/optimal_m.h"
 #include "kg/kg_view.h"
@@ -12,11 +14,12 @@ namespace kgacc {
 /// The iterative Static Evaluation procedure of the framework (Fig 2):
 /// Sample Collector -> Sample Pool -> Estimation -> Quality Control, looping
 /// until the estimate's margin of error satisfies the user target. Each
-/// Evaluate* call is a thin configuration of the shared EvaluationEngine
-/// (core/engine.h) — the campaign loop, batched annotation, and stopping
-/// semantics live there. One evaluator instance runs one campaign per
-/// Evaluate* call; use a fresh SimulatedAnnotator per campaign so annotation
-/// caching does not leak cost savings across designs.
+/// *Campaign() factory is a thin configuration of the shared EngineCampaign
+/// (core/engine.h) — batched annotation and stopping semantics live there —
+/// and each Evaluate* call runs that campaign to completion. One evaluator
+/// instance runs one campaign per Evaluate* call; use a fresh
+/// SimulatedAnnotator per campaign so annotation caching does not leak cost
+/// savings across designs.
 ///
 /// All four designs of Section 5 are provided: SRS (Eq 5), RCS (Eq 7),
 /// WCS (Eq 8) and TWCS (Eq 9). TWCS is the paper's recommended design.
@@ -42,6 +45,13 @@ class StaticEvaluator {
   /// Two-stage weighted cluster sampling with second-stage size
   /// options.m (auto-selected when 0).
   EvaluationResult EvaluateTwcs();
+
+  /// The campaigns the Evaluate* calls run. Each owns its sampler and
+  /// estimator and borrows the view and annotator, not the evaluator.
+  std::unique_ptr<Campaign> SrsCampaign() const;
+  std::unique_ptr<Campaign> RcsCampaign() const;
+  std::unique_ptr<Campaign> WcsCampaign() const;
+  std::unique_ptr<Campaign> TwcsCampaign() const;
 
   /// The m that EvaluateTwcs() will use (resolves auto-m).
   uint64_t ResolveSecondStageSize() const;

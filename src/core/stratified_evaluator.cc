@@ -51,13 +51,18 @@ Strata StratifiedTwcsEvaluator::OracleStrata(const KgView& view,
 }
 
 EvaluationResult StratifiedTwcsEvaluator::Evaluate(const Strata& strata) {
+  return RunCampaign(*MakeCampaign(strata), options_.control);
+}
+
+std::unique_ptr<Campaign> StratifiedTwcsEvaluator::MakeCampaign(
+    const Strata& strata) const {
   KGACC_CHECK(strata.NumStrata() >= 1) << "need at least one stratum";
-  StratifiedTwcsSource source(view_, strata, ResolveSecondStageSize(),
-                              options_.min_stratum_units);
-  return EvaluationEngine(annotator_, options_)
-      .Run({.design_name = "TWCS+strat",
-            .sampler = &source,
-            .estimator = &source});
+  // The source is both sampler and estimator.
+  auto source = std::make_shared<StratifiedTwcsSource>(
+      view_, strata, ResolveSecondStageSize(), options_.min_stratum_units);
+  return std::make_unique<EngineCampaign>(
+      annotator_, options_, EngineConfig{.design_name = "TWCS+strat"}, source,
+      source);
 }
 
 }  // namespace kgacc

@@ -1,7 +1,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
+#include "core/campaign.h"
 #include "core/evaluation.h"
 #include "core/optimal_m.h"
 #include "kg/kg_view.h"
@@ -23,6 +25,9 @@ class StratifiedTwcsEvaluator {
 
   /// Runs the iterative campaign over the given strata.
   EvaluationResult Evaluate(const Strata& strata);
+
+  /// The campaign Evaluate runs; it owns its copy of the strata.
+  std::unique_ptr<Campaign> MakeCampaign(const Strata& strata) const;
 
   /// "Size Stratification": cum-sqrt(F) boundaries over cluster sizes.
   static Strata SizeStrata(const KgView& view, int num_strata);

@@ -1,10 +1,7 @@
 #include "core/stratified_incremental.h"
 
 #include <algorithm>
-#include <span>
 
-#include "core/campaign_control.h"
-#include "core/engine.h"
 #include "core/optimal_m.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -99,57 +96,23 @@ Status StratifiedIncrementalEvaluator::Restore(
 void StratifiedIncrementalEvaluator::SampleStratum(size_t h, uint64_t units) {
   StratumState& state = strata_[h];
   const std::vector<ClusterDraw> batch = state.sampler->NextBatch(units, rng_);
-  if (annotator_->AsyncCapable() && options_.pipeline_rounds) {
-    // Chunked submission: each draw's refs go in flight as soon as they are
-    // translated to parent coordinates, and the bounded window overlaps
-    // every draw's latency until one Finish collects the whole batch. No
-    // cross-round speculation happens here — `rng_` persists across
-    // updates, so a discarded speculative draw would shift every later
-    // update's draws — the win is within-batch. Per-draw label vectors are
-    // sized once and never resized, keeping the out-pointers stable.
-    std::vector<std::vector<TripleRef>> draw_refs(batch.size());
-    std::vector<std::vector<uint8_t>> draw_labels(batch.size());
-    for (size_t d = 0; d < batch.size(); ++d) {
-      const ClusterDraw& draw = batch[d];
-      const uint64_t parent = state.view->ToParent(draw.cluster);
-      draw_refs[d].reserve(draw.offsets.size());
-      for (uint64_t offset : draw.offsets) {
-        draw_refs[d].push_back(TripleRef{parent, offset});
-      }
-      draw_labels[d].assign(draw_refs[d].size(), 0);
-      annotator_->BeginAnnotateBatch(std::span<const TripleRef>(draw_refs[d]),
-                                     draw_labels[d].data());
-    }
-    annotator_->FinishAnnotateBatch();
-    // Same fold, same draw order, bit-identical labels as the synchronous
-    // branch below.
-    for (size_t d = 0; d < batch.size(); ++d) {
-      uint64_t correct = 0;
-      for (uint8_t label : draw_labels[d]) correct += label;
-      state.stats.Add(static_cast<double>(correct) /
-                      static_cast<double>(batch[d].offsets.size()));
-    }
-    return;
-  }
-  // One AnnotateBatch for the whole stratum batch (labels are
-  // order-independent, so this matches per-triple annotation bit for bit)
-  // lets the annotator's concurrent path amortize across draws.
-  std::vector<TripleRef> refs;
-  for (const ClusterDraw& draw : batch) {
-    const uint64_t parent = state.view->ToParent(draw.cluster);
-    for (uint64_t offset : draw.offsets) {
-      refs.push_back(TripleRef{parent, offset});
-    }
-  }
-  std::vector<uint8_t> labels(refs.size());
-  annotator_->AnnotateBatch(std::span<const TripleRef>(refs), labels.data());
-  const uint8_t* cursor = labels.data();
-  for (const ClusterDraw& draw : batch) {
-    uint64_t correct = 0;
-    for (size_t j = 0; j < draw.offsets.size(); ++j) correct += cursor[j];
-    cursor += draw.offsets.size();
-    state.stats.Add(static_cast<double>(correct) /
-                    static_cast<double>(draw.offsets.size()));
+  // Streamed with the async bridge, the win is within the batch. There is no
+  // cross-round speculation here: `rng_` persists across updates, so a
+  // discarded speculative draw would shift every later update's draws.
+  const std::vector<GroupLabels> labels = AnnotateGroups(
+      *annotator_, batch.size(),
+      [&](size_t d) {
+        const uint64_t parent = state.view->ToParent(batch[d].cluster);
+        std::vector<TripleRef> refs;
+        for (uint64_t offset : batch[d].offsets) {
+          refs.push_back(TripleRef{parent, offset});
+        }
+        return refs;
+      },
+      annotator_->AsyncCapable() && options_.pipeline_rounds);
+  for (const GroupLabels& draw : labels) {
+    state.stats.Add(static_cast<double>(draw.correct) /
+                    static_cast<double>(draw.size));
   }
 }
 
@@ -166,99 +129,92 @@ Estimate StratifiedIncrementalEvaluator::Combined() const {
   return combined;
 }
 
-IncrementalUpdateReport StratifiedIncrementalEvaluator::DriveToTarget(
-    size_t active) {
-  IncrementalUpdateReport report;
-  const AnnotationLedger start_ledger = annotator_->ledger();
-  const double start_seconds = annotator_->ElapsedSeconds();
-  WallTimer machine;
-  TelemetrySink* telemetry = options_.telemetry;
-  if (telemetry != nullptr) {
-    telemetry->BeginCampaign(
-        "SS", strata_.size() == 1
-                  ? std::string("initialize")
-                  : StrFormat("update-%llu", static_cast<unsigned long long>(
-                                                 strata_.size() - 1)));
+class StratifiedIncrementalEvaluator::DriveToTarget final
+    : public PolicyCampaign {
+ public:
+  DriveToTarget(StratifiedIncrementalEvaluator* ss, size_t active)
+      : PolicyCampaign(
+            "SS",
+            ss->strata_.size() == 1
+                ? std::string("initialize")
+                : StrFormat("update-%llu", static_cast<unsigned long long>(
+                                               ss->strata_.size() - 1)),
+            ss->annotator_, ss->options_, ss->options_.telemetry),
+        ss_(ss),
+        active_(active) {
+    // The newest stratum needs a minimal number of draws for a trustworthy
+    // variance before the combined MoE can be believed.
+    WallTimer machine;
+    const uint64_t min_active_units = ss_->strata_.size() == 1
+                                          ? options().min_units
+                                          : options().min_stratum_units;
+    const uint64_t drawn = ss_->strata_[active_].stats.Count();
+    if (drawn < min_active_units) {
+      ss_->SampleStratum(active_, min_active_units - drawn);
+    }
+    machine_seconds_ += machine.ElapsedSeconds();
   }
 
-  // The newest stratum needs a minimal number of draws for a trustworthy
-  // variance before the combined MoE can be believed.
-  const uint64_t min_active_units =
-      strata_.size() == 1 ? options_.min_units : options_.min_stratum_units;
-  if (strata_[active].stats.Count() < min_active_units) {
-    SampleStratum(active, min_active_units - strata_[active].stats.Count());
+ private:
+  RoundOutcome RunRound() override {
+    RoundOutcome outcome;
+    outcome.estimate = ss_->Combined();
+    outcome.moe = policy().MarginOfError(outcome.estimate);
+    // The newest-stratum TWCS sampler draws with replacement: never
+    // exhausts.
+    outcome.exhausted = false;
+    return outcome;
   }
 
-  const StoppingPolicy policy(options_);
-  while (true) {
-    if (options_.control != nullptr &&
-        options_.control->BeforeRound(report.rounds + 1) ==
-            CampaignControl::Action::kSuspend) {
-      report.suspended = true;
-      break;
-    }
-    const Estimate estimate = Combined();
-    report.estimate = estimate;
-    report.moe = policy.MarginOfError(estimate);
-    report.sample_units = estimate.num_units;
-    ++report.rounds;
-    if (telemetry != nullptr) {
-      telemetry->OnRound(MakeCampaignRound(
-          report.rounds, estimate, report.moe, policy.Interval(estimate),
-          *annotator_, start_ledger, start_seconds));
-    }
-
-    // The newest-stratum TWCS sampler draws with replacement: never exhausts.
-    const StopDecision decision = policy.Check(
-        estimate, report.moe, annotator_->ElapsedSeconds() - start_seconds,
-        /*sampler_exhausted=*/false);
-    if (decision.stop) {
-      report.converged = decision.converged;
-      break;
-    }
-
-    size_t target = active;
-    if (allow_top_up_) {
+  void Advance() override {
+    WallTimer machine;
+    size_t target = active_;
+    if (ss_->allow_top_up_) {
       // Route draws to the stratum contributing the most combined variance.
       double worst = -1.0;
-      for (size_t h = 0; h < strata_.size(); ++h) {
-        const double weight = static_cast<double>(strata_[h].triples) /
-                              static_cast<double>(total_triples_);
+      for (size_t h = 0; h < ss_->strata_.size(); ++h) {
+        const StratumState& stratum = ss_->strata_[h];
+        const double weight = static_cast<double>(stratum.triples) /
+                              static_cast<double>(ss_->total_triples_);
         const double contribution =
-            weight * weight * strata_[h].stats.VarianceOfMean();
+            weight * weight * stratum.stats.VarianceOfMean();
         if (contribution > worst) {
           worst = contribution;
           target = h;
         }
       }
     }
-    SampleStratum(target, options_.batch_units);
+    ss_->SampleStratum(target, options().batch_units);
+    machine_seconds_ += machine.ElapsedSeconds();
   }
 
-  if (telemetry != nullptr && !report.suspended) {
-    telemetry->EndCampaign(report.converged);
-  }
-  report.machine_seconds = machine.ElapsedSeconds();
-  report.newly_annotated_entities =
-      annotator_->ledger().entities_identified - start_ledger.entities_identified;
-  report.newly_annotated_triples =
-      annotator_->ledger().triples_annotated - start_ledger.triples_annotated;
-  report.step_cost_seconds = annotator_->ElapsedSeconds() - start_seconds;
-  return report;
-}
+  StratifiedIncrementalEvaluator* ss_;
+  const size_t active_;
+};
 
-IncrementalUpdateReport StratifiedIncrementalEvaluator::Initialize() {
+std::unique_ptr<Campaign> StratifiedIncrementalEvaluator::InitializeCampaign() {
   KGACC_CHECK(strata_.empty()) << "Initialize() called twice";
   KGACC_CHECK(population_->NumClusters() > 0) << "empty base graph";
   AddStratum(0, population_->NumClusters());
-  return DriveToTarget(0);
+  return std::make_unique<DriveToTarget>(this, 0);
+}
+
+std::unique_ptr<Campaign> StratifiedIncrementalEvaluator::UpdateCampaign(
+    uint64_t first_new_cluster, uint64_t count) {
+  KGACC_CHECK(!strata_.empty()) << "call Initialize() first";
+  AddStratum(first_new_cluster, count);
+  return std::make_unique<DriveToTarget>(this, strata_.size() - 1);
+}
+
+IncrementalUpdateReport StratifiedIncrementalEvaluator::Initialize() {
+  return IncrementalUpdateReport::FromResult(
+      RunCampaign(*InitializeCampaign(), options_.control));
 }
 
 IncrementalUpdateReport StratifiedIncrementalEvaluator::ApplyUpdate(
     uint64_t first_new_cluster, uint64_t count) {
-  KGACC_CHECK(!strata_.empty()) << "call Initialize() first";
-  AddStratum(first_new_cluster, count);
-  return DriveToTarget(strata_.size() - 1);
+  return IncrementalUpdateReport::FromResult(RunCampaign(
+      *UpdateCampaign(first_new_cluster, count), options_.control));
 }
 
 }  // namespace kgacc

@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/campaign.h"
 #include "core/evaluation.h"
 #include "core/incremental.h"
 #include "kg/kg_view.h"
@@ -45,6 +46,14 @@ class StratifiedIncrementalEvaluator {
   /// re-establishes the MoE target.
   IncrementalUpdateReport ApplyUpdate(uint64_t first_new_cluster,
                                       uint64_t count);
+
+  /// The campaigns Initialize and ApplyUpdate run (same preconditions). The
+  /// newest stratum gets its minimum draws when the campaign is made; each
+  /// step then re-estimates and, unless it stops, samples one more batch.
+  /// They borrow this evaluator.
+  std::unique_ptr<Campaign> InitializeCampaign();
+  std::unique_ptr<Campaign> UpdateCampaign(uint64_t first_new_cluster,
+                                           uint64_t count);
 
   uint64_t NumStrata() const { return strata_.size(); }
 
@@ -89,8 +98,8 @@ class StratifiedIncrementalEvaluator {
   /// Combined Eq 13 estimate over all strata.
   Estimate Combined() const;
 
-  /// Loops batches into `active` stratum until converged/budget.
-  IncrementalUpdateReport DriveToTarget(size_t active);
+  /// Drives batches into the `active` stratum until converged/budget.
+  class DriveToTarget;
 
   const KgView* population_;
   Annotator* annotator_;

@@ -47,13 +47,10 @@ struct CampaignTrace {
 /// influence the evaluation itself — a campaign run with and without a sink
 /// produces bit-identical results.
 ///
-/// Suspended campaigns (core/campaign_control.h) leave their telemetry open:
-/// the loop skips EndCampaign, and the later resumed run calls BeginCampaign
-/// again and re-emits rounds 1..k while replaying. Sinks that feed a
-/// suspendable session (serve) must therefore tolerate a repeated
-/// BeginCampaign and duplicate round indices by merging — the plain
-/// TraceRecorder intentionally does not, so one recorder sees one
-/// uninterrupted campaign.
+/// A campaign stopped before its own stopping decision leaves its telemetry
+/// open (no EndCampaign). Resuming it rebuilds the campaign from scratch,
+/// which begins a new telemetry campaign and re-emits rounds 1..k while
+/// replaying — so a resumed serve session feeds a fresh sink.
 class TelemetrySink {
  public:
   virtual ~TelemetrySink() = default;

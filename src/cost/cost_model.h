@@ -44,6 +44,12 @@ struct AnnotationLedger {
   uint64_t entities_identified = 0;
   uint64_t triples_annotated = 0;
 
+  /// What was annotated since the snapshot `start` of this ledger.
+  AnnotationLedger Since(const AnnotationLedger& start) const {
+    return {entities_identified - start.entities_identified,
+            triples_annotated - start.triples_annotated};
+  }
+
   double Seconds(const CostModel& model) const {
     return model.SampleCostSeconds(entities_identified, triples_annotated);
   }

@@ -49,6 +49,7 @@
 // Labels and annotation.
 #include "labels/annotator.h"        // IWYU pragma: export
 #include "labels/annotator_pool.h"   // IWYU pragma: export
+#include "labels/annotator_spec.h"   // IWYU pragma: export
 #include "labels/async_annotator.h"  // IWYU pragma: export
 #include "labels/gold_labels.h"      // IWYU pragma: export
 #include "labels/synthetic_oracle.h" // IWYU pragma: export
@@ -62,7 +63,6 @@
 // Sampling designs.
 #include "sampling/alias_table.h"     // IWYU pragma: export
 #include "sampling/cluster_sampler.h" // IWYU pragma: export
-#include "sampling/reservoir.h"       // IWYU pragma: export
 #include "sampling/srs.h"             // IWYU pragma: export
 #include "sampling/unit_samplers.h"   // IWYU pragma: export
 
@@ -71,6 +71,7 @@
 #include "estimators/unit_estimators.h" // IWYU pragma: export
 
 // Evaluation framework (the paper's core contribution).
+#include "core/campaign.h"               // IWYU pragma: export
 #include "core/design_registry.h"        // IWYU pragma: export
 #include "core/engine.h"                 // IWYU pragma: export
 #include "core/evaluation.h"             // IWYU pragma: export

@@ -42,6 +42,43 @@ constexpr uint64_t kNoiseStream = 0x6e6f697365ULL;  // "noise"
 
 }  // namespace
 
+std::vector<GroupLabels> AnnotateGroups(
+    Annotator& annotator, size_t num_groups,
+    const std::function<std::vector<TripleRef>(size_t)>& refs_of,
+    bool stream) {
+  // Per-group label buffers are sized once and never resized, so the
+  // out-pointers handed to BeginAnnotateBatch stay valid until the Finish.
+  std::vector<std::vector<TripleRef>> refs(num_groups);
+  std::vector<std::vector<uint8_t>> labels(num_groups);
+  if (stream) {
+    for (size_t g = 0; g < num_groups; ++g) {
+      refs[g] = refs_of(g);
+      labels[g].assign(refs[g].size(), 0);
+      annotator.BeginAnnotateBatch(refs[g], labels[g].data());
+    }
+    if (num_groups > 0) annotator.FinishAnnotateBatch();
+  } else {
+    std::vector<TripleRef> all;
+    for (size_t g = 0; g < num_groups; ++g) {
+      refs[g] = refs_of(g);
+      all.insert(all.end(), refs[g].begin(), refs[g].end());
+    }
+    std::vector<uint8_t> flat(all.size());
+    if (num_groups > 0) annotator.AnnotateBatch(all, flat.data());
+    auto cursor = flat.begin();
+    for (size_t g = 0; g < num_groups; ++g) {
+      labels[g].assign(cursor, cursor + static_cast<int64_t>(refs[g].size()));
+      cursor += static_cast<int64_t>(refs[g].size());
+    }
+  }
+  std::vector<GroupLabels> counts(num_groups);
+  for (size_t g = 0; g < num_groups; ++g) {
+    for (uint8_t label : labels[g]) counts[g].correct += label;
+    counts[g].size = labels[g].size();
+  }
+  return counts;
+}
+
 void Annotator::AnnotateBatch(std::span<const TripleRef> refs, uint8_t* out) {
   for (size_t i = 0; i < refs.size(); ++i) {
     out[i] = Annotate(refs[i]) ? 1 : 0;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -72,6 +73,24 @@ class Annotator {
   /// Annotates an evaluation task (triples grouped by subject).
   std::vector<uint8_t> AnnotateTask(const EvaluationTask& task);
 };
+
+/// How many of one group's refs AnnotateGroups found correct.
+struct GroupLabels {
+  uint64_t correct = 0;
+  uint64_t size = 0;  ///< refs in the group.
+};
+
+/// Annotates `num_groups` groups of refs, group `g` being `refs_of(g)`, and
+/// counts each group's correct labels. With `stream`, each group goes in
+/// flight as soon as it is built (BeginAnnotateBatch), so building later
+/// groups overlaps earlier groups' latency, and one FinishAnnotateBatch
+/// collects them all; otherwise every group goes into one AnnotateBatch, so
+/// the concurrent path sees one crowd-scale batch. Labels are
+/// order-independent, so the counts are bit-identical either way.
+std::vector<GroupLabels> AnnotateGroups(
+    Annotator& annotator, size_t num_groups,
+    const std::function<std::vector<TripleRef>(size_t)>& refs_of,
+    bool stream);
 
 /// Simulated human annotator: resolves labels through a TruthOracle while
 /// keeping the books the way the paper's cost model does —

@@ -78,8 +78,8 @@ std::string GrantRecord::ToLine() const {
 
 /// Per-graph fleet set of already-purchased labels. The cache's shard
 /// structure is reused as the set (the label value is irrelevant — only
-/// membership is); one mutex per graph since observers run on session
-/// worker threads.
+/// membership is); one mutex per graph since observers run on whichever
+/// thread steps a session.
 struct CampaignScheduler::FleetCache {
   std::mutex mutex;
   ShardedAnnotationCache cache;
@@ -222,9 +222,6 @@ Result<std::string> CampaignScheduler::AddTenant(TenantConfig config) {
   tenant->c_grants = registry.GetCounter(
       StrFormat("sched.tenant.%s.grants", config.id.c_str()));
 
-  // Make room before the new session takes a residency slot.
-  EnforceResidencyLocked(/*keep=*/nullptr);
-
   ServeSession::Config session_config;
   session_config.id = config.id;
   session_config.design = config.design;
@@ -234,6 +231,13 @@ Result<std::string> CampaignScheduler::AddTenant(TenantConfig config) {
   session_config.annotator = config.annotator;
   session_config.observer = &tenant->observer;
   tenant->session = std::make_shared<ServeSession>(std::move(session_config));
+  // A design that cannot run on this graph (e.g. kgeval on a sizes-only
+  // population) is refused with the registry's message, not admitted.
+  if (const Status error = tenant->session->GetInfo().error; !error.ok()) {
+    return error;
+  }
+  // Make room before the new session takes a residency slot.
+  EnforceResidencyLocked(/*keep=*/nullptr);
 
   tenants_.push_back(std::move(tenant));
   Metrics().tenants->Set(static_cast<double>(tenants_.size()));
@@ -263,8 +267,8 @@ Status CampaignScheduler::StopTenant(const std::string& id) {
     }
     session = tenant->session;
   }
-  // Outside the table lock: parks the campaign at the next round boundary,
-  // interrupting an in-flight grant instead of waiting for it.
+  // Outside the table lock: stops the campaign at the next round boundary,
+  // interrupting an in-flight grant instead of waiting it out.
   (void)session->Stop();
   std::lock_guard<std::mutex> lock(mutex_);
   Tenant* tenant = FindTenantLocked(id);
@@ -430,7 +434,7 @@ void CampaignScheduler::EvictTenantLocked(Tenant& tenant) {
     return;
   }
   tenant.blob = std::move(blob).value();
-  tenant.session.reset();  // joins the (already unwound) worker.
+  tenant.session.reset();
   tenant.state = TenantState::kEvicted;
   tenant.evictions++;
   evictions_++;
@@ -457,11 +461,10 @@ Status CampaignScheduler::ResumeTenantLocked(Tenant& tenant) {
   config.annotator = state.annotator;
   config.replay_rounds = state.rounds_completed;
   config.observer = &tenant.observer;
+  // The session replays to the suspension point before it returns. Replayed
+  // refs are already in the fleet cache, so the drained pending charge is
+  // zero — a resume never double-charges the budget.
   tenant.session = std::make_shared<ServeSession>(std::move(config));
-  // Let the deterministic replay reach the suspension point. Replayed refs
-  // are already in the fleet cache, so the drained pending charge is zero —
-  // a resume never double-charges the budget.
-  tenant.session->WaitParked();
   {
     std::lock_guard<std::mutex> charge(charge_mutex_);
     tenant.pending_charge = 0.0;

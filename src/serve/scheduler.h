@@ -20,7 +20,7 @@
 namespace kgacc::serve {
 
 /// Fleet-level campaign scheduler: owns a global annotation-cost budget and
-/// decides which parked tenant session gets the next round — the paper's
+/// decides which waiting tenant session gets the next round — the paper's
 /// cost/CI-width efficiency objective lifted across campaigns.
 ///
 /// Policies:
@@ -64,8 +64,8 @@ namespace kgacc::serve {
 /// Threading: GrantNext is serialized on a grant mutex (one round in flight
 /// fleet-wide — the budget is a single annotator pool); the tenant table is
 /// guarded separately so Statuses/StopTenant/SetBudget stay responsive while
-/// a round runs. StopTenant interrupts an in-flight grant through the
-/// session's own gate rather than waiting for it.
+/// a round runs. A grant steps its tenant's session on the granting thread;
+/// StopTenant interrupts it at the next round boundary.
 class CampaignScheduler {
  public:
   enum class Policy { kGreedyCi, kRoundRobin, kWeightedFair };
@@ -77,9 +77,9 @@ class CampaignScheduler {
     Policy policy = Policy::kGreedyCi;
     /// Total annotation seconds the fleet may spend (Eq 4, after reuse).
     double budget_seconds = std::numeric_limits<double>::infinity();
-    /// Max simultaneously resident (thread-holding) running sessions; the
-    /// least-recently-granted resident is evicted to a suspend blob when
-    /// exceeded. 0 = unlimited.
+    /// Max simultaneously resident (campaign-holding) running sessions;
+    /// the least-recently-granted resident is evicted to a suspend blob
+    /// when exceeded. 0 = unlimited.
     uint64_t max_resident_sessions = 0;
   };
 
@@ -89,13 +89,13 @@ class CampaignScheduler {
   /// Stops the drive loop and destroys all resident sessions.
   ~CampaignScheduler();
 
-  /// Admits a tenant (id auto-assigned as "t<n>" when empty) and parks its
-  /// session before round 1. Fails on unknown graph/design, duplicate id,
-  /// or weight <= 0.
+  /// Admits a tenant (id auto-assigned as "t<n>" when empty) with its
+  /// session built and waiting for round 1. Fails on unknown graph/design,
+  /// a design that cannot run on the graph, duplicate id, or weight <= 0.
   Result<std::string> AddTenant(TenantConfig config);
 
   /// Stops a tenant's campaign — including one whose round is currently in
-  /// flight (the session parks at the next round boundary). Terminal-state
+  /// flight (the session stops at the next round boundary). Terminal-state
   /// tenants are a benign no-op.
   Status StopTenant(const std::string& id);
 
@@ -200,7 +200,7 @@ class CampaignScheduler {
   Tenant* stepping_ = nullptr;  ///< tenant whose round is in flight; never
                                 ///< evicted out from under its grant.
 
-  std::mutex charge_mutex_;  ///< pending per-tenant charges (worker threads).
+  std::mutex charge_mutex_;  ///< pending per-tenant charges (observers).
 
   std::thread loop_;
   std::mutex loop_mutex_;

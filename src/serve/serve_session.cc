@@ -5,8 +5,7 @@
 
 #include "core/design_registry.h"
 #include "core/state_io.h"
-#include "labels/annotator_pool.h"
-#include "labels/async_annotator.h"
+#include "labels/annotator_spec.h"
 #include "labels/observed_annotator.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -16,22 +15,13 @@ namespace kgacc::serve {
 void SessionTraceSink::BeginCampaign(const std::string& design,
                                      const std::string& label) {
   std::lock_guard<std::mutex> lock(mutex_);
-  // A resumed campaign begins again with the identical design/label
-  // (deterministic replay); only the first begin records them.
-  if (began_) return;
-  began_ = true;
   trace_.design = design;
   trace_.label = label;
 }
 
 void SessionTraceSink::OnRound(const CampaignRound& round) {
   std::lock_guard<std::mutex> lock(mutex_);
-  // Replayed rounds re-arrive with indices the trace already holds; the
-  // determinism contract makes them bit-identical, so extending the
-  // trajectory by index is a merge, not a guess.
-  if (round.round == trace_.rounds.size() + 1) {
-    trace_.rounds.push_back(round);
-  }
+  trace_.rounds.push_back(round);
 }
 
 void SessionTraceSink::EndCampaign(bool converged) {
@@ -68,88 +58,62 @@ const char* ServeSession::StateName(State state) {
   return "unknown";
 }
 
-std::unique_ptr<Annotator> ServeSession::MakeAnnotator(
-    const AnnotatorSpec& spec, const TruthOracle* oracle) {
-  CostModel cost;
-  cost.c1_seconds = spec.c1_seconds;
-  cost.c2_seconds = spec.c2_seconds;
-  std::unique_ptr<Annotator> backend;
-  if (spec.annotators > 1) {
-    backend = std::make_unique<AnnotatorPool>(
-        oracle, cost,
-        AnnotatorPool::Options{.num_annotators = spec.annotators,
-                               .noise_rate = spec.noise_rate,
-                               .seed = spec.seed,
-                               .annotation_threads = spec.annotation_threads});
-  } else {
-    backend = std::make_unique<SimulatedAnnotator>(
-        oracle, cost,
-        SimulatedAnnotator::Options{
-            .noise_rate = spec.noise_rate,
-            .seed = spec.seed,
-            .annotation_threads = spec.annotation_threads,
-            .annotation_shards = spec.annotation_shards});
-  }
-  if (!spec.async) return backend;
-  // Latency-simulating async bridge: the campaign worker overlaps
-  // annotation latency with sampling; results stay bit-identical to the
-  // synchronous annotator (latency never changes labels or cost).
-  auto mock = std::make_unique<MockLatencyAnnotator>(
-      std::move(backend),
-      MockLatencyAnnotator::Options{.latency_seconds = spec.latency_ms / 1e3,
-                                    .seed = spec.seed});
-  return std::make_unique<AsyncAnnotator>(
-      std::move(mock),
-      AsyncAnnotator::Options{
-          .max_concurrent = static_cast<size_t>(spec.max_concurrent)});
-}
-
 ServeSession::ServeSession(Config config) : config_(std::move(config)) {
   KGACC_CHECK(config_.dataset != nullptr);
   KGACC_CHECK(config_.options.telemetry == nullptr &&
               config_.options.control == nullptr)
-      << "the session wires its own telemetry/control";
+      << "the session wires its own telemetry";
   annotator_ = MakeAnnotator(config_.annotator, config_.dataset->oracle.get());
   if (config_.observer != nullptr) {
     annotator_ = std::make_unique<ObservedAnnotator>(std::move(annotator_),
                                                      config_.observer);
   }
-  gate_ = std::make_unique<StepGate>(config_.replay_rounds);
-  worker_ = std::thread(&ServeSession::WorkerMain, this);
-}
-
-ServeSession::~ServeSession() {
-  std::lock_guard<std::mutex> op(op_mutex_);
-  ParkAndJoinLocked();
-}
-
-void ServeSession::WorkerMain() {
   EvaluationOptions options = config_.options;
   options.telemetry = &sink_;
-  options.control = gate_.get();
-  Result<EvaluationResult> run = DesignRegistry::Global().Run(
-      config_.design, config_.dataset->View(), annotator_.get(), options);
-  {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    if (run.ok()) {
-      result_ = std::move(run).value();
-      has_result_ = true;
-      state_ = result_.suspended ? State::kSuspended : State::kCompleted;
-    } else {
-      state_ = State::kStopped;
-      error_ = run.status();
-    }
+  Result<std::unique_ptr<Campaign>> made =
+      DesignRegistry::Global().MakeCampaign(
+          config_.design, config_.dataset->View(), annotator_.get(), options);
+  if (!made.ok()) {
+    state_ = State::kStopped;
+    error_ = made.status();
+    return;
   }
-  gate_->MarkFinished();
+  campaign_ = std::move(made).value();
+  // Resume: replay the rounds the suspended campaign had completed. The
+  // campaign is deterministic, so this lands bit-identically where the
+  // original stopped, with the same ledger: replay re-annotates exactly the
+  // triples the original paid for.
+  for (uint64_t k = 0; k < config_.replay_rounds && !campaign_->Done(); ++k) {
+    campaign_->Step();
+  }
+  if (campaign_->Done()) FinishLocked(State::kCompleted);
 }
 
-void ServeSession::ParkAndJoinLocked() {
-  gate_->RequestSuspend();
-  // With the async bridge, the worker may be mid-round waiting out simulated
-  // latency; cancel the waits (never the work — labels still resolve, so the
-  // suspended state stays bit-identical) so the join is prompt.
-  annotator_->CancelPending();
-  if (worker_.joinable()) worker_.join();
+std::unique_lock<std::mutex> ServeSession::Interrupt() {
+  interrupted_.store(true);
+  // With the async bridge, the stepping thread may be mid-round waiting out
+  // simulated latency; cancel the waits (never the work — labels still
+  // resolve, so the suspended state stays bit-identical) so it leaves the
+  // round promptly.
+  {
+    std::lock_guard<std::mutex> lock(annotator_mutex_);
+    if (annotator_ != nullptr) annotator_->CancelPending();
+  }
+  return std::unique_lock<std::mutex>(op_mutex_);
+}
+
+void ServeSession::FinishLocked(State state) {
+  EvaluationResult result = campaign_->Result();
+  result.suspended = state != State::kCompleted;
+  campaign_.reset();
+  {
+    std::lock_guard<std::mutex> lock(annotator_mutex_);
+    annotator_.reset();
+  }
+  std::lock_guard<std::mutex> lock(state_mutex_);
+  result_ = std::move(result);
+  has_result_ = true;
+  state_ = state;
 }
 
 Status ServeSession::Step(uint64_t rounds) {
@@ -163,18 +127,20 @@ Status ServeSession::Step(uint64_t rounds) {
     }
     if (state_ == State::kCompleted) return Status::OK();  // nothing to do.
   }
-  if (rounds == 0) {
-    gate_->RunToCompletion();
-  } else {
-    gate_->Grant(rounds);
+  for (uint64_t k = 0; (rounds == 0 || k < rounds) && !interrupted_.load();
+       ++k) {
+    campaign_->Step();
+    if (campaign_->Done()) {
+      FinishLocked(State::kCompleted);
+      break;
+    }
   }
-  gate_->WaitIdle();
-  if (gate_->finished() && worker_.joinable()) worker_.join();
   return Status::OK();
 }
 
 Result<std::string> ServeSession::Suspend() {
-  std::lock_guard<std::mutex> op(op_mutex_);
+  const std::unique_lock<std::mutex> op = Interrupt();
+  CampaignSessionState state;
   {
     std::lock_guard<std::mutex> lock(state_mutex_);
     if (state_ == State::kCompleted || state_ == State::kStopped) {
@@ -183,42 +149,28 @@ Result<std::string> ServeSession::Suspend() {
                     config_.id.c_str(), StateName(state_)));
     }
   }
-  ParkAndJoinLocked();
-  CampaignSessionState state;
+  if (campaign_ != nullptr) FinishLocked(State::kSuspended);
   {
     std::lock_guard<std::mutex> lock(state_mutex_);
-    // The suspend request can race the campaign's natural completion; a
-    // completed campaign has no future rounds to resume into.
-    if (state_ != State::kSuspended) {
-      if (!error_.ok()) return error_;
-      return Status::FailedPrecondition(
-          StrFormat("session %s completed before it could suspend",
-                    config_.id.c_str()));
-    }
     state.rounds_completed = result_.rounds;
   }
   state.design = config_.design;
   state.graph = config_.graph;
   state.options = config_.options;
-  state.options.telemetry = nullptr;
-  state.options.control = nullptr;
   state.annotator = config_.annotator;
   std::ostringstream out;
   KGACC_RETURN_IF_ERROR(SaveCampaignSession(state, out));
   return out.str();
 }
 
-void ServeSession::WaitParked() {
-  std::lock_guard<std::mutex> op(op_mutex_);
-  gate_->WaitIdle();
-  if (gate_->finished() && worker_.joinable()) worker_.join();
-}
-
 Status ServeSession::Stop() {
-  std::lock_guard<std::mutex> op(op_mutex_);
-  ParkAndJoinLocked();
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  state_ = State::kStopped;
+  const std::unique_lock<std::mutex> op = Interrupt();
+  if (campaign_ != nullptr) {
+    FinishLocked(State::kStopped);
+  } else {
+    std::lock_guard<std::mutex> lock(state_mutex_);
+    state_ = State::kStopped;
+  }
   return Status::OK();
 }
 

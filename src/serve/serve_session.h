@@ -1,17 +1,17 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "core/campaign.h"
 #include "core/campaign_session.h"
 #include "core/telemetry.h"
 #include "datasets/datasets.h"
 #include "labels/annotator.h"
-#include "serve/step_gate.h"
 #include "util/result.h"
 
 namespace kgacc {
@@ -20,13 +20,8 @@ class AnnotationObserver;
 
 namespace kgacc::serve {
 
-/// TelemetrySink for suspendable sessions: merges the re-emitted telemetry
-/// of a resumed campaign with what the session already recorded. A resumed
-/// run calls BeginCampaign again and replays rounds 1..k before producing
-/// new ones; the sink keeps one campaign and appends a round only when its
-/// index extends the recorded trajectory — replayed duplicates (bit-identical
-/// by the determinism contract) are dropped. Thread-safe: the worker writes
-/// while request handlers read.
+/// TelemetrySink recording a session's campaign trace. Thread-safe: the
+/// stepping thread writes while other request handlers read.
 class SessionTraceSink : public TelemetrySink {
  public:
   void BeginCampaign(const std::string& design,
@@ -34,7 +29,7 @@ class SessionTraceSink : public TelemetrySink {
   void OnRound(const CampaignRound& round) override;
   void EndCampaign(bool converged) override;
 
-  /// The merged trace so far (copy, safe while the campaign runs).
+  /// The trace so far (copy, safe while the campaign runs).
   CampaignTrace Trace() const;
 
   /// Rounds with 1-based index > `from`, in order.
@@ -45,22 +40,20 @@ class SessionTraceSink : public TelemetrySink {
  private:
   mutable std::mutex mutex_;
   CampaignTrace trace_;
-  bool began_ = false;
 };
 
-/// One campaign session of the serve daemon: a registry design running on a
-/// dedicated worker thread, advanced round-by-round through a StepGate,
-/// suspendable into a CampaignSessionState and resumable by deterministic
-/// replay.
-///
-/// A dedicated thread per running session (not the shared ThreadPool): the
-/// worker parks *inside* the campaign loop between steps, which would wedge
-/// a pooled executor; the annotator's own pool still parallelizes annotation
-/// within a round. Suspended/completed sessions hold no thread.
+/// One campaign session of the serve daemon: a registry design's Campaign,
+/// stepped round by round on the thread that asks for the rounds (a request
+/// handler, or the scheduler's GrantNext), suspendable into a
+/// CampaignSessionState and resumable by deterministic replay. An ended
+/// session keeps only its result and trace.
 ///
 /// Threading: Step/Suspend/Stop serialize on an op mutex (one client drives
-/// a session at a time; concurrent drivers queue). Info/Trace reads are
-/// lock-protected and safe at any time from any thread.
+/// a session at a time; concurrent drivers queue). Suspend and Stop first
+/// raise an interrupt that Step checks between rounds and cancel the
+/// annotator's pending waits, so they return within one round even while
+/// another thread runs Step(0). Info/Trace reads are lock-protected and
+/// safe at any time from any thread.
 class ServeSession {
  public:
   enum class State { kRunning, kSuspended, kCompleted, kStopped };
@@ -72,7 +65,7 @@ class ServeSession {
     std::string graph;
     std::shared_ptr<const Dataset> dataset;
     EvaluationOptions options;  ///< telemetry/control must be null; the
-                                ///< session wires its own.
+                                ///< session wires its own telemetry.
     AnnotatorSpec annotator;
     uint64_t replay_rounds = 0;  ///< > 0 resumes a suspended campaign.
     /// Optional fleet-accounting hook (borrowed; must outlive the session):
@@ -91,32 +84,24 @@ class ServeSession {
                                    ///< sizes-only population), if any.
   };
 
-  /// Starts the worker. A fresh session parks before round 1; a resuming
-  /// session replays its first `replay_rounds` rounds, then parks.
+  /// Builds the campaign, then replays its first `replay_rounds` rounds
+  /// before returning. A design that cannot run leaves the session stopped
+  /// with Info::error set.
   explicit ServeSession(Config config);
 
-  /// Stops the campaign (discarding it if still running) and joins.
-  ~ServeSession();
-
   /// Advances up to `rounds` more rounds (0 = run to the design's own
-  /// stopping decision) and returns once the campaign parked or finished.
-  /// No-op error on suspended/stopped sessions; benign no-op when already
-  /// completed.
+  /// stopping decision) on the calling thread. Error on suspended/stopped
+  /// sessions; benign no-op when already completed.
   Status Step(uint64_t rounds);
 
-  /// Parks the campaign at the next round boundary and serializes it as a
+  /// Ends the campaign at the next round boundary and serializes it as a
   /// `kgacc-campaign-session v1` document. Errors once completed/stopped
   /// (nothing left to suspend).
   Result<std::string> Suspend();
 
-  /// Abandons the campaign: parks it and marks the session stopped. The
-  /// recorded trace stays readable.
+  /// Abandons the campaign at the next round boundary and marks the session
+  /// stopped. The recorded trace stays readable.
   Status Stop();
-
-  /// Blocks until the worker is parked (grants drained — in particular,
-  /// until a resumed session finished replaying) or the campaign ended.
-  /// Grants nothing itself.
-  void WaitParked();
 
   Info GetInfo() const;
   CampaignTrace Trace() const { return sink_.Trace(); }
@@ -128,25 +113,27 @@ class ServeSession {
   const std::string& design() const { return config_.design; }
   const std::string& graph() const { return config_.graph; }
 
-  /// Builds the annotator a spec describes (shared with tests/bench so the
-  /// serve path constructs annotators exactly like kgacc_eval).
-  static std::unique_ptr<Annotator> MakeAnnotator(const AnnotatorSpec& spec,
-                                                  const TruthOracle* oracle);
-
  private:
-  void WorkerMain();
+  /// Makes the session unsteppable: raises the interrupt, cancels pending
+  /// annotation waits, and takes the op mutex once the stepping thread has
+  /// left its round.
+  std::unique_lock<std::mutex> Interrupt();
 
-  /// Parks the worker via the gate and joins it. Returns the final state
-  /// the campaign reported. Caller holds op_mutex_.
-  void ParkAndJoinLocked();
+  /// Records the campaign's result in `state` and frees the campaign and
+  /// its annotator: an ended session keeps only its result and trace.
+  /// Caller holds op_mutex_.
+  void FinishLocked(State state);
 
   Config config_;
   SessionTraceSink sink_;
-  std::unique_ptr<Annotator> annotator_;
-  std::unique_ptr<StepGate> gate_;
+  /// Guards annotator_ between Interrupt() on another thread and its
+  /// release when the session ends.
+  std::mutex annotator_mutex_;
+  std::unique_ptr<Annotator> annotator_;  ///< null once the session ended.
+  std::unique_ptr<Campaign> campaign_;    ///< null once the session ended.
+  std::atomic<bool> interrupted_{false};
 
   std::mutex op_mutex_;  ///< serializes Step/Suspend/Stop.
-  std::thread worker_;
 
   mutable std::mutex state_mutex_;  ///< guards state_/result_/error_.
   State state_ = State::kRunning;

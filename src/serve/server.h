@@ -33,7 +33,7 @@ class ServeServer {
   /// Blocks until the server shuts down.
   void Wait();
 
-  /// Initiates shutdown: stops the acceptor, closes every connection, parks
+  /// Initiates shutdown: stops the acceptor, closes every connection, stops
   /// all sessions. Idempotent, callable from any thread.
   void Shutdown();
 

@@ -1,9 +1,9 @@
 #include "serve/session_manager.h"
 
+#include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <utility>
-
-#include <cmath>
 
 #include "core/design_registry.h"
 #include "core/state_io.h"
@@ -160,41 +160,53 @@ SessionManager::Response SessionManager::HandleLine(const std::string& line) {
     const char* op;
     obs::Histogram* histogram;
     Response (SessionManager::*handler)(const JsonValue&);
+    std::vector<std::string> keys;  ///< accepted top-level keys besides "op".
   };
   static const Dispatch kTable[] = {
-      {"load-graph", Metrics().load_graph, &SessionManager::LoadGraph},
+      {"load-graph", Metrics().load_graph, &SessionManager::LoadGraph,
+       {"graph", "seed"}},
       {"start-campaign", Metrics().start_campaign,
-       &SessionManager::StartCampaign},
-      {"step", Metrics().step, &SessionManager::Step},
+       &SessionManager::StartCampaign,
+       {"graph", "design", "options", "annotator", "tenant", "id", "weight",
+        "quota_seconds"}},
+      {"step", Metrics().step, &SessionManager::Step, {"session", "rounds"}},
       {"query-estimate", Metrics().query_estimate,
-       &SessionManager::QueryEstimate},
-      {"stream-trace", Metrics().stream_trace, &SessionManager::StreamTrace},
-      {"suspend", Metrics().suspend, &SessionManager::Suspend},
-      {"resume", Metrics().resume, &SessionManager::Resume},
-      {"stop", Metrics().stop, &SessionManager::Stop},
-      {"set-budget", Metrics().set_budget, &SessionManager::SetBudgetOp},
+       &SessionManager::QueryEstimate, {"session"}},
+      {"stream-trace", Metrics().stream_trace, &SessionManager::StreamTrace,
+       {"session", "from"}},
+      {"suspend", Metrics().suspend, &SessionManager::Suspend, {"session"}},
+      {"resume", Metrics().resume, &SessionManager::Resume,
+       {"session", "campaign_state"}},
+      {"stop", Metrics().stop, &SessionManager::Stop, {"session"}},
+      {"set-budget", Metrics().set_budget, &SessionManager::SetBudgetOp,
+       {"budget_seconds"}},
       {"tenant-status", Metrics().tenant_status,
-       &SessionManager::TenantStatusOp},
+       &SessionManager::TenantStatusOp, {"tenant"}},
+      {"metrics", Metrics().metrics, &SessionManager::MetricsOp, {}},
+      {"shutdown", Metrics().shutdown, &SessionManager::ShutdownOp, {}},
   };
   for (const Dispatch& entry : kTable) {
-    if (*op == entry.op) {
-      obs::ScopedSpan span("serve.request", entry.histogram);
-      return (this->*entry.handler)(request);
+    if (*op != entry.op) continue;
+    obs::ScopedSpan span("serve.request", entry.histogram);
+    // A misplaced key (say "moe_target" beside "options" instead of inside
+    // it) must not silently run a default campaign.
+    for (const auto& [key, value] : request.AsObject()) {
+      if (key != "op" && std::find(entry.keys.begin(), entry.keys.end(),
+                                   key) == entry.keys.end()) {
+        return ErrorResponse(Status::InvalidArgument(
+            StrFormat("unknown key '%s' in a %s request", key.c_str(),
+                      entry.op)));
+      }
     }
+    return (this->*entry.handler)(request);
   }
-  if (*op == "metrics") {
-    obs::ScopedSpan span("serve.request", Metrics().metrics);
-    return MetricsOp();
-  }
-  if (*op == "shutdown") {
-    obs::ScopedSpan span("serve.request", Metrics().shutdown);
-    return ShutdownOp();
+  std::string known;
+  for (const Dispatch& entry : kTable) {
+    if (!known.empty()) known += ", ";
+    known += entry.op;
   }
   return ErrorResponse(Status::InvalidArgument(StrFormat(
-      "unknown op '%s' (known: load-graph, start-campaign, step, "
-      "query-estimate, stream-trace, suspend, resume, stop, set-budget, "
-      "tenant-status, metrics, shutdown)",
-      op->c_str())));
+      "unknown op '%s' (known: %s)", op->c_str(), known.c_str())));
 }
 
 SessionManager::Response SessionManager::LoadGraph(const JsonValue& request) {
@@ -250,12 +262,19 @@ SessionManager::Response SessionManager::StartCampaign(
     if (tenant->AsBool()) return StartTenantCampaign(request, config);
   }
 
-  std::shared_ptr<ServeSession> session;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     config.id = StrFormat("s%llu",
                           static_cast<unsigned long long>(next_id_++));
-    session = std::make_shared<ServeSession>(std::move(config));
+  }
+  // Built outside the table lock: a campaign's set-up (sampler index, a
+  // pilot) must not stall requests to other sessions.
+  auto session = std::make_shared<ServeSession>(std::move(config));
+  if (const Status error = session->GetInfo().error; !error.ok()) {
+    return ErrorResponse(error);
+  }
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
     sessions_.emplace(session->id(), session);
   }
   return OneLine(SessionStatusJson(*session, /*verbose=*/false));
@@ -443,20 +462,21 @@ SessionManager::Response SessionManager::Resume(const JsonValue& request) {
   config.annotator = state.annotator;
   config.replay_rounds = state.rounds_completed;
 
-  std::shared_ptr<ServeSession> session;
+  if (id.empty()) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    id = StrFormat("s%llu", static_cast<unsigned long long>(next_id_++));
+  }
+  config.id = id;
+  // The session replays to the suspension point before it is published,
+  // so the response (and any later query) reflects the restored position.
+  auto session = std::make_shared<ServeSession>(std::move(config));
+  if (const Status error = session->GetInfo().error; !error.ok()) {
+    return ErrorResponse(error);
+  }
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (id.empty()) {
-      id = StrFormat("s%llu", static_cast<unsigned long long>(next_id_++));
-    }
-    config.id = id;
-    session = std::make_shared<ServeSession>(std::move(config));
     sessions_[id] = session;  // replaces the suspended shell on resume-by-id.
   }
-  // Let the replay reach the suspension point before answering, so the
-  // response (and any immediately following query) reflects the restored
-  // position, not a half-replayed one.
-  session->WaitParked();
   return OneLine(SessionStatusJson(*session, /*verbose=*/false));
 }
 
@@ -572,14 +592,14 @@ SessionManager::Response SessionManager::TenantStatusOp(
   return OneLine(json.TakeString());
 }
 
-SessionManager::Response SessionManager::MetricsOp() {
+SessionManager::Response SessionManager::MetricsOp(const JsonValue&) {
   const obs::MetricsSnapshot snapshot =
       obs::MetricsRegistry::Global().Snapshot();
   return OneLine(StrFormat("{\"ok\": true, \"metrics\": %s}",
                            obs::MetricsToJson(snapshot).c_str()));
 }
 
-SessionManager::Response SessionManager::ShutdownOp() {
+SessionManager::Response SessionManager::ShutdownOp(const JsonValue&) {
   StopAll();
   Response response;
   response.lines.push_back("{\"ok\": true, \"shutting_down\": true}");

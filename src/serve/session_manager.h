@@ -20,8 +20,10 @@ class CampaignScheduler;
 /// drive the same entry point.
 ///
 /// Thread-safe: concurrent HandleLine calls (one per connection handler)
-/// share the session table behind a mutex, but a long-running op (step) runs
-/// outside it, so one session stepping never blocks requests to others.
+/// share the session table behind a mutex, but long-running work (building
+/// a campaign, stepping it) runs outside it on the handler's own thread, so
+/// one session stepping never blocks requests to others. Every op rejects
+/// top-level keys it does not accept.
 /// Each request runs under a ScopedSpan and lands in a per-op latency
 /// histogram (`serve.request.<op>_seconds`).
 class SessionManager {
@@ -54,7 +56,7 @@ class SessionManager {
 
   Response HandleLine(const std::string& line);
 
-  /// Parks every running session (server shutdown).
+  /// Stops every running session (server shutdown).
   void StopAll();
 
   GraphStore* graphs() { return graphs_; }
@@ -80,8 +82,8 @@ class SessionManager {
   Response Stop(const JsonValue& request);
   Response SetBudgetOp(const JsonValue& request);
   Response TenantStatusOp(const JsonValue& request);
-  Response MetricsOp();
-  Response ShutdownOp();
+  Response MetricsOp(const JsonValue& request);
+  Response ShutdownOp(const JsonValue& request);
 
   GraphStore* graphs_;
   AnnotatorSpec default_annotator_;

@@ -34,7 +34,7 @@ struct TenantConfig {
 
 /// Where a tenant's campaign currently lives.
 enum class TenantState {
-  kResident,   ///< ServeSession alive, parked between rounds.
+  kResident,   ///< ServeSession alive, waiting between rounds.
   kEvicted,    ///< suspended to a kgacc-campaign-session v1 blob; resumed
                ///< (deterministic replay) before its next grant.
   kCompleted,  ///< campaign reached its own stopping decision.

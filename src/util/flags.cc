@@ -6,6 +6,11 @@
 
 namespace kgacc {
 
+std::string FlagParser::Normalize(std::string name) {
+  std::replace(name.begin(), name.end(), '_', '-');
+  return name;
+}
+
 Result<FlagParser> FlagParser::Parse(int argc, const char* const* argv) {
   FlagParser parser;
   for (int i = 1; i < argc; ++i) {
@@ -20,33 +25,33 @@ Result<FlagParser> FlagParser::Parse(int argc, const char* const* argv) {
     }
     const size_t eq = body.find('=');
     if (eq != std::string_view::npos) {
-      parser.values_[std::string(body.substr(0, eq))] =
+      parser.values_[Normalize(std::string(body.substr(0, eq)))] =
           std::string(body.substr(eq + 1));
       continue;
     }
     // `--name value` when the next token is not itself a flag; else boolean.
     if (i + 1 < argc && std::string_view(argv[i + 1]).rfind("--", 0) != 0) {
-      parser.values_[std::string(body)] = argv[++i];
+      parser.values_[Normalize(std::string(body))] = argv[++i];
     } else {
-      parser.values_[std::string(body)] = "true";
+      parser.values_[Normalize(std::string(body))] = "true";
     }
   }
   return parser;
 }
 
 bool FlagParser::Has(const std::string& name) const {
-  return values_.count(name) > 0;
+  return values_.count(Normalize(name)) > 0;
 }
 
 std::string FlagParser::GetString(const std::string& name,
                                   const std::string& fallback) const {
-  auto it = values_.find(name);
+  auto it = values_.find(Normalize(name));
   return it == values_.end() ? fallback : it->second;
 }
 
 Result<uint64_t> FlagParser::GetUint64(const std::string& name,
                                        uint64_t fallback) const {
-  auto it = values_.find(name);
+  auto it = values_.find(Normalize(name));
   if (it == values_.end()) return fallback;
   uint64_t value = 0;
   if (!ParseUint64(it->second, &value)) {
@@ -59,7 +64,7 @@ Result<uint64_t> FlagParser::GetUint64(const std::string& name,
 
 Result<double> FlagParser::GetDouble(const std::string& name,
                                      double fallback) const {
-  auto it = values_.find(name);
+  auto it = values_.find(Normalize(name));
   if (it == values_.end()) return fallback;
   double value = 0.0;
   if (!ParseDouble(it->second, &value)) {
@@ -70,14 +75,16 @@ Result<double> FlagParser::GetDouble(const std::string& name,
 }
 
 bool FlagParser::GetBool(const std::string& name, bool fallback) const {
-  auto it = values_.find(name);
+  auto it = values_.find(Normalize(name));
   if (it == values_.end()) return fallback;
   return it->second != "false" && it->second != "0";
 }
 
 Status FlagParser::Validate(const std::vector<std::string>& known) const {
   for (const auto& [name, value] : values_) {
-    if (std::find(known.begin(), known.end(), name) == known.end()) {
+    if (std::none_of(known.begin(), known.end(), [&](const std::string& k) {
+          return Normalize(k) == name;
+        })) {
       return Status::InvalidArgument(StrFormat("unknown flag --%s", name.c_str()));
     }
   }

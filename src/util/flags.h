@@ -15,6 +15,10 @@ namespace kgacc {
 /// Accepted syntax: `--name=value`, `--name value`, and bare `--name` for
 /// boolean flags. Everything not starting with `--` is a positional
 /// argument. Unknown flags are rejected by Validate().
+///
+/// Flag names are spelled once: `_` and `-` are the same character in a
+/// name, when parsing and in every lookup, so `--batch_units` and
+/// `--batch-units` are one flag (the last value given wins).
 class FlagParser {
  public:
   /// Parses argv; returns an error on malformed input (e.g. missing value).
@@ -36,7 +40,10 @@ class FlagParser {
   Status Validate(const std::vector<std::string>& known) const;
 
  private:
-  std::map<std::string, std::string> values_;
+  /// `name` with every `_` spelled `-`.
+  static std::string Normalize(std::string name);
+
+  std::map<std::string, std::string> values_;  ///< keyed by Normalize(name).
   std::vector<std::string> positional_;
 };
 

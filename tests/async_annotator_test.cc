@@ -19,6 +19,7 @@
 
 #include "core/design_registry.h"
 #include "core/telemetry.h"
+#include "labels/annotator_spec.h"
 #include "test_util.h"
 
 namespace kgacc {
@@ -269,6 +270,40 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name + "_threads" + std::to_string(std::get<1>(info.param));
     });
+
+TEST(MakeAnnotatorTest, BuildsTheStackTheSpecDescribes) {
+  TestPopulation pop = MakeTestPopulation(50, 4, 0.9, 0.1, 27);
+  const std::unique_ptr<Annotator> plain =
+      MakeAnnotator(AnnotatorSpec{}, &pop.oracle);
+  EXPECT_NE(dynamic_cast<SimulatedAnnotator*>(plain.get()), nullptr);
+
+  const std::unique_ptr<Annotator> async =
+      MakeAnnotator(AnnotatorSpec{.async = true}, &pop.oracle);
+  EXPECT_NE(dynamic_cast<AsyncAnnotator*>(async.get()), nullptr);
+  EXPECT_TRUE(async->AsyncCapable());
+}
+
+TEST(MakeAnnotatorTest, LatencyWithoutAsyncIsWaitedOutSynchronously) {
+  // One builder for kgacc_eval, the daemon and the benches: a latency given
+  // without the async bridge is applied through the synchronous facade, and
+  // it still never changes a label.
+  TestPopulation pop = MakeTestPopulation(50, 4, 0.9, 0.1, 28);
+  const std::unique_ptr<Annotator> latent =
+      MakeAnnotator(AnnotatorSpec{.latency_ms = 40.0}, &pop.oracle);
+  ASSERT_NE(dynamic_cast<MockLatencyAnnotator*>(latent.get()), nullptr);
+  EXPECT_FALSE(latent->AsyncCapable());
+
+  const std::unique_ptr<Annotator> plain =
+      MakeAnnotator(AnnotatorSpec{}, &pop.oracle);
+  const std::vector<TripleRef> refs = MakeRefs(pop.population, 3, 29);
+  const Clock::time_point start = Clock::now();
+  for (const TripleRef& ref : refs) {
+    EXPECT_EQ(latent->Annotate(ref), plain->Annotate(ref));
+  }
+  // Each first-seen triple waits at least half the 40 ms mean.
+  EXPECT_GE(std::chrono::duration<double>(Clock::now() - start).count(),
+            0.020);
+}
 
 }  // namespace
 }  // namespace kgacc

@@ -68,9 +68,9 @@ TEST(DesignRegistryTest, UnknownDesignListsKnownNames) {
 
 TEST(DesignRegistryTest, RejectsDuplicateAndInvalidRegistrations) {
   DesignRegistry registry;
-  const DesignFn noop = [](const KgView& view, Annotator* annotator,
-                           const EvaluationOptions& options) {
-    return StaticEvaluator(view, annotator, options).EvaluateSrs();
+  const CampaignFactory noop = [](const KgView& view, Annotator* annotator,
+                                  const EvaluationOptions& options) {
+    return StaticEvaluator(view, annotator, options).SrsCampaign();
   };
   EXPECT_TRUE(registry.Register("custom", "test design", noop).ok());
   EXPECT_FALSE(registry.Register("custom", "duplicate", noop).ok());
@@ -88,7 +88,7 @@ TEST(DesignRegistryTest, CustomDesignPlugsIn) {
                               EvaluationOptions pinned = options;
                               pinned.m = 2;
                               return StaticEvaluator(view, annotator, pinned)
-                                  .EvaluateTwcs();
+                                  .TwcsCampaign();
                             })
                   .ok());
   TestPopulation pop = MakeTestPopulation(300, 10, 0.85, 0.1, 7);

@@ -76,5 +76,32 @@ TEST(FlagParserTest, LastValueWins) {
   EXPECT_EQ(flags.GetUint64("m", 0).value(), 7u);
 }
 
+TEST(FlagParserTest, UnderscoreAndDashSpellOneFlag) {
+  const FlagParser flags =
+      MustParse({"--batch_units=5", "--chrome-trace", "t.json"});
+  EXPECT_TRUE(flags.Has("batch-units"));
+  EXPECT_TRUE(flags.Has("batch_units"));
+  EXPECT_EQ(flags.GetUint64("batch-units", 0).value(), 5u);
+  EXPECT_EQ(flags.GetUint64("batch_units", 0).value(), 5u);
+  EXPECT_EQ(flags.GetString("chrome_trace", ""), "t.json");
+  EXPECT_EQ(flags.GetString("chrome-trace", ""), "t.json");
+  // Validate accepts either spelling of a known name, and still catches
+  // what neither spelling names.
+  EXPECT_TRUE(flags.Validate({"batch-units", "chrome_trace"}).ok());
+  EXPECT_TRUE(flags.Validate({"batch_units", "chrome-trace"}).ok());
+  EXPECT_TRUE(flags.Validate({"batch-units"}).IsInvalidArgument());
+}
+
+TEST(FlagParserTest, MixedSpellingsLastValueWins) {
+  const FlagParser flags =
+      MustParse({"--max-concurrent=3", "--max_concurrent=9"});
+  EXPECT_EQ(flags.GetUint64("max-concurrent", 0).value(), 9u);
+  const FlagParser reversed =
+      MustParse({"--max_concurrent=9", "--max-concurrent", "3"});
+  EXPECT_EQ(reversed.GetUint64("max_concurrent", 0).value(), 3u);
+  const FlagParser booleans = MustParse({"--no_pipeline", "--no-pipeline=0"});
+  EXPECT_FALSE(booleans.GetBool("no_pipeline", true));
+}
+
 }  // namespace
 }  // namespace kgacc

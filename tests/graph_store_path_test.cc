@@ -17,17 +17,10 @@
 #include "labels/synthetic_oracle.h"
 #include "serve/graph_store.h"
 #include "util/rng.h"
+#include "test_util.h"
 
 namespace kgacc {
 namespace {
-
-/// gtest's TempDir() keeps a trailing slash; strip it so the hand-built
-/// "dir/../dir/file" detour below stays a valid spelling of the same file.
-std::string TempDirPath() {
-  std::string dir = ::testing::TempDir();
-  while (dir.size() > 1 && dir.back() == '/') dir.pop_back();
-  return dir;
-}
 
 std::string MakeStoreFile(const std::string& name) {
   Rng rng(5);
@@ -36,7 +29,7 @@ std::string MakeStoreFile(const std::string& name) {
       MaterializeGraph(sizes, GraphMaterializeOptions{}, rng);
   PerClusterBernoulliOracle oracle(HashCombine(5, 0x7e57));
   for (size_t c = 0; c < sizes.size(); ++c) oracle.Append(0.9);
-  const std::string path = TempDirPath() + "/" + name;
+  const std::string path = testing::TempPath(name);
   EXPECT_TRUE(WriteGraphStore(path, graph, nullptr, &oracle).ok());
   return path;
 }
@@ -71,14 +64,15 @@ TEST(GraphStorePathTest, RelativeSpellingsShareOneMapping) {
 
 TEST(GraphStorePathTest, CwdRelativeSpellingMatchesAbsolute) {
   const std::string absolute = MakeStoreFile("path_cwd.kgstore");
+  const size_t slash = absolute.find_last_of('/');
   char cwd_buf[4096];
   ASSERT_NE(::getcwd(cwd_buf, sizeof(cwd_buf)), nullptr);
   const std::string original_cwd = cwd_buf;
-  ASSERT_EQ(::chdir(TempDirPath().c_str()), 0);
+  ASSERT_EQ(::chdir(absolute.substr(0, slash).c_str()), 0);
 
   serve::GraphStore store;
   Result<std::shared_ptr<const Dataset>> relative =
-      store.Load("path_cwd.kgstore", 1);
+      store.Load(absolute.substr(slash + 1), 1);
   ASSERT_TRUE(relative.ok()) << relative.status().ToString();
   Result<std::shared_ptr<const Dataset>> abs = store.Load(absolute, 1);
   ASSERT_TRUE(abs.ok()) << abs.status().ToString();

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_util.h"
+
 namespace kgacc {
 namespace {
 
@@ -93,7 +95,7 @@ TEST(LoaderTest, MissingFileIsIOError) {
 }
 
 TEST(LoaderTest, FileRoundTripOnDisk) {
-  const std::string path = ::testing::TempDir() + "/kgacc_loader_test.tsv";
+  const std::string path = testing::TempPath("kgacc_loader_test.tsv");
   {
     SymbolTable symbols;
     KnowledgeGraph kg;

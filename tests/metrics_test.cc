@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "obs/trace.h"
+#include "test_util.h"
 #include "util/json.h"
 #include "util/rng.h"
 
@@ -292,7 +293,8 @@ TEST(TraceSessionTest, SpansExportAsChromeTraceEvents) {
   TraceSession::Stop();
   EXPECT_GE(TraceSession::EventCount(), 3u);
 
-  const std::string path = ::testing::TempDir() + "/metrics_test_trace.json";
+  const std::string path =
+      kgacc::testing::TempPath("metrics_test_trace.json");
   ASSERT_TRUE(TraceSession::WriteJson(path).ok());
   std::ifstream in(path);
   std::stringstream buffer;

@@ -9,7 +9,9 @@
 #include <string>
 
 #include "core/design_registry.h"
+#include "labels/annotator.h"
 #include "serve/graph_store.h"
+#include "serve/scheduler.h"
 #include "serve/session_manager.h"
 #include "serve_test_util.h"
 
@@ -148,6 +150,140 @@ TEST(ServeProtocolTest, MalformedRequestLinesError) {
         << line << " -> " << response.lines[0];
     EXPECT_FALSE(response.shutdown);
   }
+}
+
+bool IsOk(const SessionManager::Response& response) {
+  return !response.lines.empty() &&
+         response.lines[0].find("\"ok\": true") != std::string::npos;
+}
+
+TEST(ServeProtocolTest, RejectsAMisplacedOptionAtTheTopLevel) {
+  // "moe_target" belongs inside "options"; ignoring it at the top level
+  // would silently run a default 5% campaign.
+  GraphStore graphs;
+  graphs.Put("g", kgacc::testing::MakeServePopulationDataset(1));
+  SessionManager manager(&graphs);
+  const SessionManager::Response response = manager.HandleLine(
+      R"({"op":"start-campaign","graph":"g","design":"twcs","moe_target":0.01})");
+  ASSERT_EQ(response.lines.size(), 1u);
+  EXPECT_FALSE(IsOk(response)) << response.lines[0];
+  EXPECT_NE(response.lines[0].find("unknown key 'moe_target'"),
+            std::string::npos)
+      << response.lines[0];
+  EXPECT_TRUE(IsOk(manager.HandleLine(
+      BuildStartCampaign("g", "twcs", R"({"moe_target": 0.01})"))));
+}
+
+/// The request each op's Build* helper makes, against the session "s1" and
+/// tenant "t1" that the fixture below creates.
+std::string BuiltRequest(const std::string& op) {
+  if (op == "load-graph") return BuildLoadGraph("g", 1);
+  if (op == "start-campaign") {
+    return BuildStartCampaign("g", "twcs", R"({"moe_target": 0.1})",
+                              R"({"annotators": 3})");
+  }
+  if (op == "start-tenant") {
+    return BuildStartTenantCampaign("g", "srs", R"({"seed": 5})", "", 2.0,
+                                    100.0, "t2");
+  }
+  if (op == "step") return BuildStep("s1", 1);
+  if (op == "query-estimate") return BuildQueryEstimate("s1");
+  if (op == "stream-trace") return BuildStreamTrace("s1", 0);
+  if (op == "suspend") return BuildSuspend("s1");
+  if (op == "resume") return BuildResumeSession("s1");
+  if (op == "resume-state") {
+    return BuildResumeState("kgacc-campaign-session v1\nend\n");
+  }
+  if (op == "stop") return BuildStop("s1");
+  if (op == "set-budget") return BuildSetBudget(10.0);
+  if (op == "tenant-status") return BuildTenantStatus("t1");
+  if (op == "metrics") return BuildMetrics();
+  if (op == "shutdown") return BuildShutdown();
+  ADD_FAILURE() << "no builder for " << op;
+  return "";
+}
+
+class ServeUnknownKeyTest : public ::testing::TestWithParam<const char*> {
+ protected:
+  void SetUp() override {
+    graphs_.Put("g", kgacc::testing::MakeServePopulationDataset(1));
+    manager_.AttachScheduler(&scheduler_);
+    ASSERT_TRUE(IsOk(manager_.HandleLine(BuildStartCampaign("g", "twcs"))));
+    ASSERT_TRUE(IsOk(manager_.HandleLine(
+        BuildStartTenantCampaign("g", "twcs", "", "", 1.0, 0.0, "t1"))));
+  }
+
+  GraphStore graphs_;
+  CampaignScheduler scheduler_{&graphs_, CampaignScheduler::Options{}};
+  SessionManager manager_{&graphs_};
+};
+
+TEST_P(ServeUnknownKeyTest, BuiltRequestPassesAndAnExtraKeyIsNamed) {
+  const std::string request = BuiltRequest(GetParam());
+  const SessionManager::Response built = manager_.HandleLine(request);
+  ASSERT_FALSE(built.lines.empty());
+  // A builder's request may still fail on its merits (no such graph, a
+  // blob without a design), never on its keys.
+  EXPECT_EQ(built.lines[0].find("unknown key"), std::string::npos)
+      << request << " -> " << built.lines[0];
+
+  std::string extra = request;
+  extra.insert(extra.rfind('}'), ", \"bogus\": 1");
+  const SessionManager::Response rejected = manager_.HandleLine(extra);
+  ASSERT_EQ(rejected.lines.size(), 1u);
+  EXPECT_FALSE(IsOk(rejected)) << extra;
+  EXPECT_FALSE(rejected.shutdown);
+  EXPECT_NE(rejected.lines[0].find("unknown key 'bogus'"), std::string::npos)
+      << extra << " -> " << rejected.lines[0];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryOp, ServeUnknownKeyTest,
+    ::testing::Values("load-graph", "start-campaign", "start-tenant", "step",
+                      "query-estimate", "stream-trace", "suspend", "resume",
+                      "resume-state", "stop", "set-budget", "tenant-status",
+                      "metrics", "shutdown"),
+    [](const ::testing::TestParamInfo<const char*>& info) {
+      std::string name = info.param;
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
+
+TEST(ServeProtocolTest, KgEvalOnASizesOnlyPopulationFailsToStart) {
+  // kgeval needs addressable triples; the design registry refuses it on a
+  // sizes-only population, and both serve entry points report exactly that
+  // instead of admitting a session that can never step.
+  GraphStore graphs;
+  const std::shared_ptr<const Dataset> population =
+      kgacc::testing::MakeServePopulationDataset(1);
+  graphs.Put("g", population);
+  SimulatedAnnotator annotator(population->oracle.get(), CostModel{});
+  const Status refused =
+      DesignRegistry::Global()
+          .MakeCampaign("kgeval", population->View(), &annotator,
+                        EvaluationOptions{})
+          .status();
+  ASSERT_FALSE(refused.ok());
+
+  SessionManager manager(&graphs);
+  CampaignScheduler scheduler(&graphs, CampaignScheduler::Options{});
+  manager.AttachScheduler(&scheduler);
+  const SessionManager::Response started =
+      manager.HandleLine(BuildStartCampaign("g", "kgeval"));
+  ASSERT_EQ(started.lines.size(), 1u);
+  EXPECT_FALSE(IsOk(started));
+  EXPECT_NE(started.lines[0].find(JsonEscape(refused.message())),
+            std::string::npos)
+      << started.lines[0];
+  EXPECT_FALSE(IsOk(manager.HandleLine(BuildQueryEstimate("s1"))));
+
+  const Result<std::string> admitted = scheduler.AddTenant(
+      TenantConfig{.id = "k", .graph = "g", .design = "kgeval"});
+  ASSERT_FALSE(admitted.ok());
+  EXPECT_EQ(admitted.status().message(), refused.message());
+  EXPECT_EQ(scheduler.NumTenants(), 0u);
 }
 
 }  // namespace

@@ -10,8 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -110,7 +112,6 @@ Output RunWithSuspensions(const std::string& design, int threads,
                              .options = state->options,
                              .annotator = state->annotator,
                              .replay_rounds = state->rounds_completed});
-    session->WaitParked();
     EXPECT_EQ(session->Trace().rounds.size(),
               design == "kgeval" ? 0u : state->rounds_completed);
   }
@@ -146,8 +147,11 @@ void ExpectBitIdentical(const Output& a, const Output& b,
   }
 }
 
+// The design is a std::string, not a const char*: gtest prints a pointer
+// parameter as its address, which would put a per-run address into the
+// listed test names.
 class SuspendResumeTest
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(SuspendResumeTest, ResumeIsBitIdenticalToUninterrupted) {
   const std::string design = std::get<0>(GetParam());
@@ -172,7 +176,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          "twcs+strat", "twcs+pilot", "rs",
                                          "ss", "kgeval"),
                        ::testing::Values(1, 4, 8)),
-    [](const ::testing::TestParamInfo<std::tuple<const char*, int>>& info) {
+    [](const ::testing::TestParamInfo<std::tuple<std::string, int>>& info) {
       std::string name = std::get<0>(info.param);
       for (char& c : name) {
         if (c == '+') c = '_';
@@ -314,6 +318,157 @@ TEST(ServeSessionTest, AsyncAnnotatorStopIsPromptDespitePendingLatency) {
   EXPECT_EQ(session.GetInfo().state, ServeSession::State::kStopped);
   EXPECT_EQ(session.Trace().rounds.size(), 2u);  // completed rounds intact.
 }
+
+TEST(ServeSessionTest, StepRunsExactlyThatManyRounds) {
+  ServeSession session({.id = "s",
+                        .design = "twcs",
+                        .graph = "g",
+                        .dataset = DatasetFor("twcs"),
+                        .options = BaseOptions(),
+                        .annotator = BaseSpec(1)});
+  EXPECT_EQ(session.GetInfo().rounds, 0u);  // built, no round run yet.
+  uint64_t expected = 0;
+  for (const uint64_t rounds : {1u, 2u, 3u}) {
+    ASSERT_TRUE(session.Step(rounds).ok());
+    expected += rounds;
+    EXPECT_EQ(session.GetInfo().rounds, expected);
+    EXPECT_EQ(session.GetInfo().state, ServeSession::State::kRunning);
+  }
+}
+
+TEST(ServeSessionTest, StepZeroRunsToCompletion) {
+  ServeSession session({.id = "s",
+                        .design = "twcs",
+                        .graph = "g",
+                        .dataset = DatasetFor("twcs"),
+                        .options = BaseOptions(),
+                        .annotator = BaseSpec(1)});
+  ASSERT_TRUE(session.Step(0).ok());
+  const ServeSession::Info info = session.GetInfo();
+  EXPECT_EQ(info.state, ServeSession::State::kCompleted);
+  ASSERT_TRUE(info.has_result);
+  EXPECT_TRUE(info.result.converged);
+  EXPECT_FALSE(info.result.suspended);
+  EXPECT_EQ(info.rounds, info.result.rounds);
+  EXPECT_TRUE(session.Trace().converged);
+}
+
+TEST(ServeSessionTest, ResumeReplaysItsRoundsBeforeReturning) {
+  ServeSession session({.id = "s",
+                        .design = "twcs",
+                        .graph = "g",
+                        .dataset = DatasetFor("twcs"),
+                        .options = BaseOptions(),
+                        .annotator = BaseSpec(1),
+                        .replay_rounds = 3});
+  EXPECT_EQ(session.GetInfo().state, ServeSession::State::kRunning);
+  EXPECT_EQ(session.GetInfo().rounds, 3u);
+  EXPECT_EQ(session.RoundsAfter(0).size(), 3u);
+}
+
+CampaignSessionState StateOf(const std::string& blob) {
+  std::istringstream in(blob);
+  Result<CampaignSessionState> state = RestoreCampaignSession(in);
+  EXPECT_TRUE(state.ok()) << state.status().ToString();
+  return state.ok() ? *state : CampaignSessionState{};
+}
+
+TEST(ServeSessionTest, ResumedSessionSuspendedAtOnceKeepsItsRounds) {
+  // A resumed session replays its rounds before the constructor returns,
+  // so suspending it straight away saves the same position, never less.
+  for (const char* design : {"twcs", "ss", "kgeval"}) {
+    SCOPED_TRACE(design);
+    ServeSession first({.id = "a",
+                        .design = design,
+                        .graph = "g",
+                        .dataset = DatasetFor(design),
+                        .options = BaseOptions(),
+                        .annotator = BaseSpec(1)});
+    ASSERT_TRUE(first.Step(4).ok());
+    Result<std::string> blob = first.Suspend();
+    ASSERT_TRUE(blob.ok()) << blob.status().ToString();
+    const CampaignSessionState state = StateOf(*blob);
+    ASSERT_EQ(state.rounds_completed, 4u);
+
+    ServeSession resumed({.id = "b",
+                          .design = state.design,
+                          .graph = state.graph,
+                          .dataset = DatasetFor(state.design),
+                          .options = state.options,
+                          .annotator = state.annotator,
+                          .replay_rounds = state.rounds_completed});
+    Result<std::string> again = resumed.Suspend();
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_EQ(StateOf(*again).rounds_completed, 4u);
+    EXPECT_EQ(resumed.GetInfo().state, ServeSession::State::kSuspended);
+  }
+}
+
+/// How a second thread ends a session that another thread is running to
+/// completion with Step(0).
+enum class EndBy { kSuspend, kStop };
+
+class ServeInterruptTest
+    : public ::testing::TestWithParam<std::tuple<bool, EndBy>> {};
+
+TEST_P(ServeInterruptTest, EndsStepZeroWithinOneRound) {
+  const bool async = std::get<0>(GetParam());
+  const EndBy end_by = std::get<1>(GetParam());
+  // Every triple takes 30 s to annotate, with the synchronous latency
+  // facade or through the async bridge: the campaign cannot finish, and a
+  // suspend or stop that waited for its round instead of cancelling the
+  // wait would take at least that long.
+  AnnotatorSpec spec = BaseSpec(1);
+  spec.async = async;
+  spec.latency_ms = 30000.0;
+  ServeSession session({.id = "s",
+                        .design = "twcs",
+                        .graph = "g",
+                        .dataset = DatasetFor("twcs"),
+                        .options = BaseOptions(),
+                        .annotator = spec});
+  Status stepped = Status::Internal("Step(0) did not return");
+  std::thread runner([&] { stepped = session.Step(0); });
+  // Let the runner get into its first round's wait.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  const auto start = std::chrono::steady_clock::now();
+  uint64_t rounds = 0;
+  if (end_by == EndBy::kSuspend) {
+    Result<std::string> blob = session.Suspend();
+    ASSERT_TRUE(blob.ok()) << blob.status().ToString();
+    rounds = StateOf(*blob).rounds_completed;
+  } else {
+    ASSERT_TRUE(session.Stop().ok());
+    rounds = session.GetInfo().result.rounds;
+  }
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  runner.join();
+
+  // OK when the runner was mid-round; a runner that only reached Step()
+  // after the session ended is refused like any late step.
+  EXPECT_TRUE(stepped.ok() || stepped.IsFailedPrecondition())
+      << stepped.ToString();
+  EXPECT_LT(seconds, 10.0);
+  EXPECT_LE(rounds, 1u);  // at most the round that was in flight.
+  const ServeSession::Info info = session.GetInfo();
+  EXPECT_EQ(info.state, end_by == EndBy::kSuspend
+                            ? ServeSession::State::kSuspended
+                            : ServeSession::State::kStopped);
+  EXPECT_EQ(info.rounds, rounds);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Annotators, ServeInterruptTest,
+    ::testing::Combine(::testing::Bool(),
+                       ::testing::Values(EndBy::kSuspend, EndBy::kStop)),
+    [](const ::testing::TestParamInfo<std::tuple<bool, EndBy>>& info) {
+      return std::string(std::get<0>(info.param) ? "Async" : "Sync") +
+             (std::get<1>(info.param) == EndBy::kSuspend ? "Suspend"
+                                                         : "Stop");
+    });
 
 }  // namespace
 }  // namespace kgacc::serve

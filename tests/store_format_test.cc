@@ -27,7 +27,7 @@ namespace kgacc {
 namespace {
 
 std::string TestPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return testing::TempPath(name);
 }
 
 std::string ReadAll(const std::string& path) {

@@ -18,6 +18,7 @@
 #include "kg/store/store_writer.h"
 #include "labels/annotator.h"
 #include "labels/synthetic_oracle.h"
+#include "test_util.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -45,7 +46,7 @@ ParityFixture MakeFixture() {
   for (size_t c = 0; c < sizes.size(); ++c) {
     fixture.oracle.Append(0.55 + 0.4 * acc_rng.UniformDouble());
   }
-  fixture.store_path = ::testing::TempDir() + "/parity.kgstore";
+  fixture.store_path = testing::TempPath("parity.kgstore");
   KGACC_CHECK(WriteGraphStore(fixture.store_path, fixture.graph, nullptr,
                               &fixture.oracle)
                   .ok());

@@ -135,8 +135,7 @@ TEST(TelemetryTest, JsonRoundTripsBitExactly) {
   EXPECT_EQ(recorder.campaigns()[0].label, "cellA/");
   EXPECT_EQ(recorder.campaigns()[1].label, "cellB/");
 
-  const std::string path =
-      ::testing::TempDir() + "/telemetry_roundtrip.json";
+  const std::string path = testing::TempPath("telemetry_roundtrip.json");
   ASSERT_TRUE(WriteTraceJson(path, recorder.campaigns(), {{"truth", 0.8}})
                   .ok());
   const Result<std::vector<CampaignTrace>> read = ReadTraceJson(path);
@@ -168,11 +167,10 @@ TEST(TelemetryTest, JsonRoundTripsBitExactly) {
 }
 
 TEST(TelemetryTest, ReadRejectsForeignAndMalformedDocuments) {
-  const std::string dir = ::testing::TempDir();
-  EXPECT_FALSE(ReadTraceJson(dir + "/does_not_exist.json").ok());
+  EXPECT_FALSE(ReadTraceJson(testing::TempPath("does_not_exist.json")).ok());
 
   const auto write = [&](const char* name, const char* content) {
-    const std::string path = dir + "/" + name;
+    const std::string path = testing::TempPath(name);
     FILE* f = std::fopen(path.c_str(), "w");
     EXPECT_NE(f, nullptr);
     std::fputs(content, f);

@@ -1,6 +1,11 @@
 #pragma once
 
+#include <unistd.h>
+
+#include <gtest/gtest.h>
+
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "kg/cluster_population.h"
@@ -8,6 +13,22 @@
 #include "util/rng.h"
 
 namespace kgacc::testing {
+
+/// A path for `name` under gtest's TempDir() that no other process uses: the
+/// pid goes before the extension ("parity.kgstore" -> "parity-123.kgstore").
+/// ctest runs every discovered test in its own process, and under -j they
+/// share TempDir(), so a fixed name would be rewritten by one test while
+/// another still reads (or maps) it.
+inline std::string TempPath(const std::string& name) {
+  std::string dir = ::testing::TempDir();
+  while (dir.size() > 1 && dir.back() == '/') dir.pop_back();
+  const size_t dot = name.find('.');
+  const std::string pid = "-" + std::to_string(::getpid());
+  return dir + "/" +
+         (dot == std::string::npos
+              ? name + pid
+              : name.substr(0, dot) + pid + name.substr(dot));
+}
 
 /// A small synthetic population paired with its label oracle, for estimator
 /// and framework tests.

@@ -37,7 +37,7 @@ Modes (choose one input):
   --graph-store FILE.kgstore
                       memory-map a columnar store built by kgacc_store; opens
                       in O(1) regardless of size and serves triples zero-copy
-                      (must embed gold labels; --graph_store also accepted)
+                      (must embed gold labels)
 
 Evaluation:
   --design D          any registered design name        [twcs]
@@ -58,24 +58,24 @@ Evaluation:
   --trace FILE.json   write the per-round campaign trace (estimate, CI
                       bounds, cumulative cost) as kgacc-trace-v1 JSON
   --batch-units N     sampling units drawn per engine round      [10]
-                      (--batch_units also accepted; larger rounds feed the
-                       parallel annotation path bigger batches — results
-                       depend on the round size, not on thread count)
+                      (larger rounds feed the parallel annotation path
+                       bigger batches — results depend on the round size,
+                       not on thread count)
 
 Observability (runtime metrics/profiling; never changes results):
   --metrics FILE.json       write counters + latency histograms collected
                             during the run as kgacc-metrics-v1 JSON
   --chrome-trace FILE.json  record phase/worker spans and export them in
                             Chrome trace_event format (load in Perfetto or
-                            chrome://tracing; --chrome_trace also accepted)
+                            chrome://tracing)
 
 Annotation:
   --annotators K          majority vote of K annotators     [1]
   --noise P               per-annotator label flip rate     [0]
   --annotation-threads N  sharded batch-annotation threads  [0]
-                          (--annotation_threads also accepted; applies to
-                           the single annotator and to --annotators pools;
-                           results are bit-identical for every N)
+                          (applies to the single annotator and to
+                           --annotators pools; results are bit-identical
+                           for every N)
   --c1 SECONDS            entity identification cost        [45]
   --c2 SECONDS            relationship validation cost      [25]
 
@@ -86,13 +86,15 @@ the synchronous annotator — only wall-clock time changes):
                             k's labels are in flight
   --annotator-latency-ms L  mean simulated latency per first-seen triple,
                             drawn per triple from a deterministic hash
-                            stream (seeded by --seed)             [0]
+                            stream (seeded by --seed); without
+                            --async-annotator it is waited out
+                            synchronously                         [0]
   --max-concurrent N        bounded in-flight annotation window   [8]
   --no-pipeline             keep the strictly sequential round schedule
                             (the async window still overlaps within a
                             round's batch)
-                            (underscore spellings of all three value flags
-                             are also accepted)
+
+Every flag may also be spelled with underscores (--batch_units).
 
 Misc: --seed S [42], --list-datasets, --list-designs, --help
 )";
@@ -129,9 +131,7 @@ int WriteObsArtifacts(const std::string& metrics_path,
 int RunEval(const FlagParser& flags) {
   // --- Observability (enabled before loading so KG timings are captured). ----
   const std::string metrics_path = flags.GetString("metrics", "");
-  const std::string chrome_trace_path =
-      flags.Has("chrome-trace") ? flags.GetString("chrome-trace", "")
-                                : flags.GetString("chrome_trace", "");
+  const std::string chrome_trace_path = flags.GetString("chrome-trace", "");
   if (!metrics_path.empty()) {
     if constexpr (!obs::kMetricsCompiledIn) {
       std::fprintf(stderr,
@@ -177,10 +177,8 @@ int RunEval(const FlagParser& flags) {
     dataset.name = flags.GetString("input", "");
     dataset.graph = std::move(graph);
     dataset.oracle = std::move(gold);
-  } else if (flags.Has("graph-store") || flags.Has("graph_store")) {
-    const std::string store_path =
-        flags.Has("graph-store") ? flags.GetString("graph-store", "")
-                                 : flags.GetString("graph_store", "");
+  } else if (flags.Has("graph-store")) {
+    const std::string store_path = flags.GetString("graph-store", "");
     Result<MappedGraph> mapped = MappedGraph::Open(store_path);
     if (!mapped.ok()) {
       std::fprintf(stderr, "error: %s\n", mapped.status().ToString().c_str());
@@ -209,19 +207,11 @@ int RunEval(const FlagParser& flags) {
   options.confidence = flags.GetDouble("confidence", 0.95).ValueOr(0.95);
   options.m = flags.GetUint64("m", 0).ValueOr(0);
   options.min_units = flags.GetUint64("min-units", 30).ValueOr(30);
-  // --pilot-size follows the tool's hyphenated convention; the underscore
-  // spelling is accepted as an alias.
-  options.pilot_size = flags.Has("pilot-size")
-                           ? flags.GetUint64("pilot-size", 0).ValueOr(0)
-                           : flags.GetUint64("pilot_size", 0).ValueOr(0);
+  options.pilot_size = flags.GetUint64("pilot-size", 0).ValueOr(0);
   options.seed = seed;
   if (flags.GetBool("wilson", false)) options.srs_ci = CiMethod::kWilson;
-  // --batch-units follows the tool's hyphenated convention; the underscore
-  // spelling is accepted as an alias.
-  const uint64_t batch_units =
-      flags.Has("batch-units") ? flags.GetUint64("batch-units", 0).ValueOr(0)
-                               : flags.GetUint64("batch_units", 0).ValueOr(0);
-  if (flags.Has("batch-units") || flags.Has("batch_units")) {
+  const uint64_t batch_units = flags.GetUint64("batch-units", 0).ValueOr(0);
+  if (flags.Has("batch-units")) {
     if (batch_units == 0) {
       std::fprintf(stderr, "error: --batch-units must be >= 1\n");
       return 1;
@@ -233,74 +223,28 @@ int RunEval(const FlagParser& flags) {
   TraceRecorder recorder;
   if (!trace_path.empty()) options.telemetry = &recorder;
 
-  CostModel cost;
-  cost.c1_seconds = flags.GetDouble("c1", 45.0).ValueOr(45.0);
-  cost.c2_seconds = flags.GetDouble("c2", 25.0).ValueOr(25.0);
-
-  const uint64_t annotators = flags.GetUint64("annotators", 1).ValueOr(1);
-  const double noise = flags.GetDouble("noise", 0.0).ValueOr(0.0);
-  // --annotation-threads follows the tool's hyphenated convention; the
-  // underscore spelling is accepted as an alias.
-  const uint64_t annotation_threads =
-      flags.Has("annotation-threads")
-          ? flags.GetUint64("annotation-threads", 0).ValueOr(0)
-          : flags.GetUint64("annotation_threads", 0).ValueOr(0);
-  std::unique_ptr<Annotator> annotator;
-  if (annotators > 1) {
-    annotator = std::make_unique<AnnotatorPool>(
-        dataset.oracle.get(), cost,
-        AnnotatorPool::Options{
-            .num_annotators = annotators,
-            .noise_rate = noise,
-            .seed = seed,
-            .annotation_threads = static_cast<int>(annotation_threads)});
-  } else {
-    annotator = std::make_unique<SimulatedAnnotator>(
-        dataset.oracle.get(), cost,
-        SimulatedAnnotator::Options{
-            .noise_rate = noise,
-            .seed = seed,
-            .annotation_threads = static_cast<int>(annotation_threads)});
-  }
-  // --annotator-latency-ms / --max-concurrent follow the hyphenated
-  // convention; underscore spellings are accepted as aliases.
-  const double latency_ms =
-      flags.Has("annotator-latency-ms")
-          ? flags.GetDouble("annotator-latency-ms", 0.0).ValueOr(0.0)
-          : flags.GetDouble("annotator_latency_ms", 0.0).ValueOr(0.0);
-  const uint64_t max_concurrent =
-      flags.Has("max-concurrent")
-          ? flags.GetUint64("max-concurrent", 8).ValueOr(8)
-          : flags.GetUint64("max_concurrent", 8).ValueOr(8);
-  if (latency_ms < 0.0) {
+  AnnotatorSpec spec;
+  spec.annotators = flags.GetUint64("annotators", 1).ValueOr(1);
+  spec.noise_rate = flags.GetDouble("noise", 0.0).ValueOr(0.0);
+  spec.seed = seed;
+  spec.annotation_threads =
+      static_cast<int>(flags.GetUint64("annotation-threads", 0).ValueOr(0));
+  spec.c1_seconds = flags.GetDouble("c1", 45.0).ValueOr(45.0);
+  spec.c2_seconds = flags.GetDouble("c2", 25.0).ValueOr(25.0);
+  spec.async = flags.GetBool("async-annotator", false);
+  spec.latency_ms = flags.GetDouble("annotator-latency-ms", 0.0).ValueOr(0.0);
+  spec.max_concurrent = flags.GetUint64("max-concurrent", 8).ValueOr(8);
+  if (spec.latency_ms < 0.0) {
     std::fprintf(stderr, "error: --annotator-latency-ms must be >= 0\n");
     return 1;
   }
-  if (max_concurrent == 0) {
+  if (spec.max_concurrent == 0) {
     std::fprintf(stderr, "error: --max-concurrent must be >= 1\n");
     return 1;
   }
-  const bool async_annotator = flags.GetBool("async-annotator", false) ||
-                               flags.GetBool("async_annotator", false);
-  options.pipeline_rounds = !(flags.GetBool("no-pipeline", false) ||
-                              flags.GetBool("no_pipeline", false));
-  if (async_annotator) {
-    auto mock = std::make_unique<MockLatencyAnnotator>(
-        std::move(annotator),
-        MockLatencyAnnotator::Options{.latency_seconds = latency_ms / 1e3,
-                                      .seed = seed});
-    annotator = std::make_unique<AsyncAnnotator>(
-        std::move(mock),
-        AsyncAnnotator::Options{
-            .max_concurrent = static_cast<size_t>(max_concurrent)});
-  } else if (latency_ms > 0.0) {
-    // Latency without the bridge: the synchronous facade, so the two paths
-    // are directly comparable from the command line.
-    annotator = std::make_unique<MockLatencyAnnotator>(
-        std::move(annotator),
-        MockLatencyAnnotator::Options{.latency_seconds = latency_ms / 1e3,
-                                      .seed = seed});
-  }
+  options.pipeline_rounds = !flags.GetBool("no-pipeline", false);
+  const std::unique_ptr<Annotator> annotator =
+      MakeAnnotator(spec, dataset.oracle.get());
 
   const KgView& view = dataset.View();
   std::printf("graph: %s — %llu entities, %llu triples (avg cluster %.1f)\n",
@@ -390,9 +334,9 @@ int RunEval(const FlagParser& flags) {
   }
 
   std::printf("design: %s%s\n", result.design.c_str(),
-              annotators > 1
+              spec.annotators > 1
                   ? StrFormat(" (majority of %llu annotators)",
-                              static_cast<unsigned long long>(annotators))
+                              static_cast<unsigned long long>(spec.annotators))
                         .c_str()
                   : "");
   std::printf("estimated accuracy: %s, %s%% CI [%s, %s] (MoE %.2f%%)\n",
@@ -428,14 +372,11 @@ int main(int argc, char** argv) {
   }
   const FlagParser& flags = *parsed;
   const Status valid = flags.Validate(
-      {"dataset", "input", "graph-store", "graph_store", "design", "strata",
-       "per-predicate", "moe",
-       "confidence", "m", "pilot-size", "pilot_size", "min-units", "wilson",
-       "trace", "batch-units", "batch_units", "metrics", "chrome-trace",
-       "chrome_trace", "annotators", "noise", "annotation-threads",
-       "annotation_threads", "c1", "c2", "seed", "async-annotator",
-       "async_annotator", "annotator-latency-ms", "annotator_latency_ms",
-       "max-concurrent", "max_concurrent", "no-pipeline", "no_pipeline",
+      {"dataset", "input", "graph-store", "design", "strata", "per-predicate",
+       "moe", "confidence", "m", "pilot-size", "min-units", "wilson", "trace",
+       "batch-units", "metrics", "chrome-trace", "annotators", "noise",
+       "annotation-threads", "c1", "c2", "seed", "async-annotator",
+       "annotator-latency-ms", "max-concurrent", "no-pipeline",
        "list-datasets", "list-designs", "help"});
   if (!valid.ok()) {
     std::fprintf(stderr, "error: %s (see --help)\n", valid.message().c_str());

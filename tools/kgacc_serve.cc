@@ -61,11 +61,15 @@ start-campaign with "tenant": true admits a campaign to the scheduler):
                             suspend blobs beyond K running sessions
                             (0 = unlimited)                            [0]
 
-Asynchronous annotation defaults (a campaign's "annotator" object
-overrides them field by field; underscore spellings accepted):
+Annotation latency defaults (a campaign's "annotator" object overrides
+them field by field):
   --async-annotator        route campaigns through the async bridge  [off]
-  --annotator-latency-ms L simulated mean per-triple latency (ms)    [0]
+  --annotator-latency-ms L simulated mean per-triple latency (ms); without
+                           --async-annotator it is waited out
+                           synchronously                             [0]
   --max-concurrent N       bounded in-flight annotation window       [8]
+
+Every flag may also be spelled with underscores (--max_concurrent).
 
 The bound port is announced on stdout as: kgacc_serve listening on port N
 )";
@@ -82,11 +86,9 @@ int Main(int argc, char** argv) {
     return 0;
   }
   const Status valid = flags.Validate(
-      {"port", "preload", "seed", "async-annotator", "async_annotator",
-       "annotator-latency-ms", "annotator_latency_ms", "max-concurrent",
-       "max_concurrent", "scheduler", "annotation-budget",
-       "annotation_budget", "max-resident-sessions", "max_resident_sessions",
-       "help"});
+      {"port", "preload", "seed", "async-annotator", "annotator-latency-ms",
+       "max-concurrent", "scheduler", "annotation-budget",
+       "max-resident-sessions", "help"});
   if (!valid.ok()) {
     std::fprintf(stderr, "error: %s\n%s", valid.message().c_str(), kUsage);
     return 2;
@@ -99,16 +101,11 @@ int Main(int argc, char** argv) {
     return 2;
   }
   AnnotatorSpec default_annotator;
-  default_annotator.async = flags.GetBool("async-annotator", false) ||
-                            flags.GetBool("async_annotator", false);
+  default_annotator.async = flags.GetBool("async-annotator", false);
   default_annotator.latency_ms =
-      flags.Has("annotator-latency-ms")
-          ? flags.GetDouble("annotator-latency-ms", 0.0).ValueOr(0.0)
-          : flags.GetDouble("annotator_latency_ms", 0.0).ValueOr(0.0);
+      flags.GetDouble("annotator-latency-ms", 0.0).ValueOr(0.0);
   default_annotator.max_concurrent =
-      flags.Has("max-concurrent")
-          ? flags.GetUint64("max-concurrent", 8).ValueOr(8)
-          : flags.GetUint64("max_concurrent", 8).ValueOr(8);
+      flags.GetUint64("max-concurrent", 8).ValueOr(8);
   if (default_annotator.latency_ms < 0.0 ||
       default_annotator.max_concurrent == 0) {
     std::fprintf(stderr,
@@ -149,21 +146,15 @@ int Main(int argc, char** argv) {
     }
     CampaignScheduler::Options scheduler_options;
     scheduler_options.policy = *policy;
-    if (flags.Has("annotation-budget") || flags.Has("annotation_budget")) {
-      Result<double> budget =
-          flags.Has("annotation-budget")
-              ? flags.GetDouble("annotation-budget", 0.0)
-              : flags.GetDouble("annotation_budget", 0.0);
+    if (flags.Has("annotation-budget")) {
+      Result<double> budget = flags.GetDouble("annotation-budget", 0.0);
       if (!budget.ok() || *budget < 0.0) {
         std::fprintf(stderr, "error: --annotation-budget must be >= 0\n");
         return 2;
       }
       scheduler_options.budget_seconds = *budget;
     }
-    Result<uint64_t> residents =
-        flags.Has("max-resident-sessions")
-            ? flags.GetUint64("max-resident-sessions", 0)
-            : flags.GetUint64("max_resident_sessions", 0);
+    Result<uint64_t> residents = flags.GetUint64("max-resident-sessions", 0);
     if (!residents.ok()) {
       std::fprintf(stderr, "error: %s\n",
                    residents.status().message().c_str());
@@ -176,9 +167,8 @@ int Main(int argc, char** argv) {
     scheduler->StartLoop();
     std::fprintf(stderr, "fleet scheduler on: policy=%s\n",
                  CampaignScheduler::PolicyName(*policy));
-  } else if (flags.Has("annotation-budget") || flags.Has("annotation_budget") ||
-             flags.Has("max-resident-sessions") ||
-             flags.Has("max_resident_sessions")) {
+  } else if (flags.Has("annotation-budget") ||
+             flags.Has("max-resident-sessions")) {
     std::fprintf(stderr,
                  "error: --annotation-budget/--max-resident-sessions "
                  "require --scheduler\n");

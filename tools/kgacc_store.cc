@@ -54,11 +54,9 @@ int RunBuild(const FlagParser& flags) {
   }
   const uint64_t seed = flags.GetUint64("seed", 42).ValueOr(42);
 
-  if (flags.Has("synthetic-triples") || flags.Has("synthetic_triples")) {
+  if (flags.Has("synthetic-triples")) {
     const uint64_t triples =
-        flags.Has("synthetic-triples")
-            ? flags.GetUint64("synthetic-triples", 0).ValueOr(0)
-            : flags.GetUint64("synthetic_triples", 0).ValueOr(0);
+        flags.GetUint64("synthetic-triples", 0).ValueOr(0);
     if (triples == 0) {
       std::fprintf(stderr, "error: --synthetic-triples must be >= 1\n");
       return 1;
@@ -171,8 +169,8 @@ int RunVerify(const std::string& path) {
 
 int Run(const FlagParser& flags) {
   const Status valid = flags.Validate(
-      {"out", "input", "dataset", "synthetic-triples", "synthetic_triples",
-       "accuracy", "seed", "help"});
+      {"out", "input", "dataset", "synthetic-triples", "accuracy", "seed",
+       "help"});
   if (!valid.ok()) {
     std::fprintf(stderr, "error: %s (see --help)\n", valid.message().c_str());
     return 1;
