@@ -20,7 +20,7 @@
 #include "datasets/registry.h"
 #include "kg/subset_view.h"
 #include "labels/annotator.h"
-#include "sampling/cluster_sampler.h"
+#include "sampling/unit_samplers.h"
 #include "stats/allocation.h"
 #include "stats/normal.h"
 
@@ -40,10 +40,10 @@ void AblationSecondStageReplacement(const Dataset& nell, int trials,
     RunningStats estimates;
     Rng rng(seed);
     for (int t = 0; t < trials * 4; ++t) {
-      TwcsSampler sampler(nell.View(), 5);
+      TwcsUnitSampler sampler(nell.View(), 5);
       RunningStats draws;
       if (!with_replacement) {
-        for (const ClusterDraw& draw : sampler.NextBatch(60, rng)) {
+        for (const SampleUnit& draw : sampler.NextBatch(60, rng)) {
           uint64_t correct = 0;
           for (uint64_t offset : draw.offsets) {
             if (nell.oracle->IsCorrect(TripleRef{draw.cluster, offset})) {
@@ -55,8 +55,8 @@ void AblationSecondStageReplacement(const Dataset& nell, int trials,
         }
       } else {
         // Same first stage, but offsets drawn uniformly WITH replacement.
-        WcsSampler first_stage(nell.View());
-        for (const ClusterDraw& draw : first_stage.NextBatch(60, rng)) {
+        WcsUnitSampler first_stage(nell.View());
+        for (const SampleUnit& draw : first_stage.NextBatch(60, rng)) {
           const uint64_t size = nell.View().ClusterSize(draw.cluster);
           uint64_t correct = 0;
           const uint64_t picks = std::min<uint64_t>(5, size);
@@ -168,7 +168,7 @@ void AblationAllocation(int trials, uint64_t seed) {
   for (int t = 0; t < trials; ++t) {
     Rng rng(seed + 13 * t);
     SimulatedAnnotator annotator(syn.oracle.get(), kCost);
-    std::vector<TwcsSampler> samplers;
+    std::vector<TwcsUnitSampler> samplers;
     std::vector<SubsetView> views;
     views.reserve(strata.NumStrata());
     for (size_t h = 0; h < strata.NumStrata(); ++h) {
@@ -191,7 +191,7 @@ void AblationAllocation(int trials, uint64_t seed) {
       const std::vector<uint64_t> allocation =
           ProportionalAllocation(strata.weights, 10, 0);
       for (size_t h = 0; h < strata.NumStrata(); ++h) {
-        for (const ClusterDraw& draw : samplers[h].NextBatch(allocation[h], rng)) {
+        for (const SampleUnit& draw : samplers[h].NextBatch(allocation[h], rng)) {
           uint64_t correct = 0;
           for (uint64_t offset : draw.offsets) {
             if (annotator.Annotate(

@@ -12,7 +12,7 @@
 #include "bench_util.h"
 #include "cost/cost_model.h"
 #include "datasets/datasets.h"
-#include "sampling/cluster_sampler.h"
+#include "sampling/unit_samplers.h"
 #include "sampling/srs.h"
 #include "util/rng.h"
 
@@ -28,10 +28,11 @@ int main() {
   // redrawing collisions (the paper ensures distinct subject ids).
   std::vector<TripleRef> triple_level;
   {
-    SrsTripleSampler sampler(movie.View());
+    SrsUnitSampler sampler(movie.View());
     std::vector<bool> seen_cluster;
     while (triple_level.size() < 50) {
-      for (const TripleRef& ref : sampler.NextBatch(10, rng)) {
+      for (const SampleUnit& unit : sampler.NextBatch(10, rng)) {
+        const TripleRef ref{unit.cluster, unit.offsets[0]};
         if (ref.cluster >= seen_cluster.size()) {
           seen_cluster.resize(ref.cluster + 1, false);
         }
@@ -48,9 +49,9 @@ int main() {
   std::vector<TripleRef> entity_level;
   std::vector<size_t> cluster_first_index;  // positions of per-cluster firsts.
   {
-    TwcsSampler sampler(movie.View(), 5);
+    TwcsUnitSampler sampler(movie.View(), 5);
     while (entity_level.size() < 50) {
-      for (const ClusterDraw& draw : sampler.NextBatch(1, rng)) {
+      for (const SampleUnit& draw : sampler.NextBatch(1, rng)) {
         cluster_first_index.push_back(entity_level.size());
         for (uint64_t offset : draw.offsets) {
           if (entity_level.size() < 50) {

@@ -7,8 +7,8 @@
 #include "kg/cluster_population.h"
 #include "kg/generator.h"
 #include "sampling/alias_table.h"
-#include "sampling/cluster_sampler.h"
 #include "sampling/srs.h"
+#include "sampling/unit_samplers.h"
 #include "util/rng.h"
 
 namespace kgacc {
@@ -45,7 +45,7 @@ BENCHMARK(BM_AliasTableSample);
 void BM_TwcsSampleGeneration(benchmark::State& state) {
   // Full TWCS first+second stage for a Table 4-sized campaign (n draws).
   const ClusterPopulation pop = MakePopulation(288770);
-  TwcsSampler sampler(pop, 5);
+  TwcsUnitSampler sampler(pop, 5);
   Rng rng(11);
   for (auto _ : state) {
     auto batch = sampler.NextBatch(state.range(0), rng);
@@ -60,7 +60,7 @@ void BM_SrsBatch(benchmark::State& state) {
   Rng rng(13);
   for (auto _ : state) {
     state.PauseTiming();
-    SrsTripleSampler sampler(pop);  // fresh draw history per iteration.
+    SrsUnitSampler sampler(pop);  // fresh draw history per iteration.
     state.ResumeTiming();
     auto batch = sampler.NextBatch(state.range(0), rng);
     benchmark::DoNotOptimize(batch);

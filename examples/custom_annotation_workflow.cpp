@@ -62,9 +62,9 @@ int main(int argc, char** argv) {
 
   // --- 2. Draw a TWCS sample and export evaluation tasks. ------------------
   Rng rng(2025);
-  TwcsSampler sampler(kg, /*m=*/3);
+  TwcsUnitSampler sampler(kg, /*m=*/3);
   std::vector<TripleRef> sample;
-  for (const ClusterDraw& draw :
+  for (const SampleUnit& draw :
        sampler.NextBatch(std::min<uint64_t>(kg.NumClusters(), 8), rng)) {
     for (uint64_t offset : draw.offsets) {
       sample.push_back(TripleRef{draw.cluster, offset});

@@ -8,8 +8,8 @@
 #include "core/engine.h"
 #include "core/optimal_m.h"
 #include "estimators/unit_estimators.h"
-#include "sampling/alias_table.h"
-#include "sampling/srs.h"
+#include "kg/cluster_population.h"
+#include "sampling/unit_samplers.h"
 #include "util/string_util.h"
 #include "util/logging.h"
 #include "util/timer.h"
@@ -19,46 +19,39 @@ namespace kgacc {
 namespace {
 
 /// TWCS over one group's virtual clusters (the group's triples within one
-/// subject cluster): first stage size-weighted with replacement across the
-/// virtual clusters, second stage an SRS of <= m of the cluster's offsets.
-/// Units carry the *parent* cluster id so annotation cost-sharing with other
-/// groups works unchanged.
+/// subject cluster): a TwcsUnitSampler over the virtual cluster sizes, whose
+/// units are translated back to the *parent* cluster id and offsets so
+/// annotation cost-sharing with other groups works unchanged.
 class VirtualTwcsSampler : public UnitSampler {
  public:
   VirtualTwcsSampler(const std::vector<GroupedEvaluator::VirtualCluster>& clusters,
                      uint64_t m)
-      : clusters_(clusters), alias_(Weights(clusters)), m_(m) {}
+      : clusters_(clusters), sizes_(Sizes(clusters)), twcs_(sizes_, m) {}
 
   std::vector<SampleUnit> NextBatch(uint64_t n, Rng& rng) override {
-    std::vector<SampleUnit> units;
-    units.reserve(n);
-    for (uint64_t d = 0; d < n; ++d) {
-      const GroupedEvaluator::VirtualCluster& vc = clusters_[alias_.Sample(rng)];
-      const std::vector<uint64_t> picks =
-          SampleIndicesWithoutReplacement(vc.offsets.size(), m_, rng);
-      SampleUnit unit;
+    std::vector<SampleUnit> units = twcs_.NextBatch(n, rng);
+    for (SampleUnit& unit : units) {
+      const GroupedEvaluator::VirtualCluster& vc = clusters_[unit.cluster];
       unit.cluster = vc.parent_cluster;
-      unit.offsets.reserve(picks.size());
-      for (uint64_t pick : picks) unit.offsets.push_back(vc.offsets[pick]);
-      units.push_back(std::move(unit));
+      for (uint64_t& offset : unit.offsets) offset = vc.offsets[offset];
     }
     return units;
   }
 
  private:
-  static std::vector<double> Weights(
+  static ClusterPopulation Sizes(
       const std::vector<GroupedEvaluator::VirtualCluster>& clusters) {
-    std::vector<double> weights;
-    weights.reserve(clusters.size());
+    std::vector<uint32_t> sizes;
+    sizes.reserve(clusters.size());
     for (const GroupedEvaluator::VirtualCluster& vc : clusters) {
-      weights.push_back(static_cast<double>(vc.offsets.size()));
+      sizes.push_back(static_cast<uint32_t>(vc.offsets.size()));
     }
-    return weights;
+    return ClusterPopulation(std::move(sizes));
   }
 
   const std::vector<GroupedEvaluator::VirtualCluster>& clusters_;
-  AliasTable alias_;
-  uint64_t m_;
+  ClusterPopulation sizes_;  // must outlive twcs_, which borrows it.
+  TwcsUnitSampler twcs_;
 };
 
 }  // namespace

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <span>
 
-#include "sampling/cluster_sampler.h"
+#include "sampling/unit_samplers.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -73,13 +73,13 @@ Result<OptimalMResult> PilotOptimalM(const KgView& view,
     return Status::FailedPrecondition("empty graph");
   }
   Rng rng(seed);
-  TwcsSampler sampler(view, m_max);
-  const std::vector<ClusterDraw> draws = sampler.NextBatch(pilot_clusters, rng);
+  TwcsUnitSampler sampler(view, m_max);
+  const std::vector<SampleUnit> draws = sampler.NextBatch(pilot_clusters, rng);
 
   // The whole pilot is one annotation batch, so the annotator's concurrent
   // path applies (labels are order-independent; identical to per-triple).
   std::vector<TripleRef> refs;
-  for (const ClusterDraw& draw : draws) {
+  for (const SampleUnit& draw : draws) {
     KGACC_CHECK(!draw.offsets.empty());
     for (uint64_t offset : draw.offsets) {
       refs.push_back(TripleRef{draw.cluster, offset});
@@ -92,7 +92,7 @@ Result<OptimalMResult> PilotOptimalM(const KgView& view,
   pilot.sizes.reserve(draws.size());
   pilot.accuracies.reserve(draws.size());
   const uint8_t* cursor = labels.data();
-  for (const ClusterDraw& draw : draws) {
+  for (const SampleUnit& draw : draws) {
     uint64_t correct = 0;
     for (size_t j = 0; j < draw.offsets.size(); ++j) correct += cursor[j];
     cursor += draw.offsets.size();

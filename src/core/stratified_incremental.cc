@@ -30,7 +30,7 @@ void StratifiedIncrementalEvaluator::AddStratum(uint64_t first_cluster,
   StratumState state;
   state.view = std::make_unique<SubsetView>(
       SubsetView::Range(*population_, first_cluster, count));
-  state.sampler = std::make_unique<TwcsSampler>(*state.view, m_);
+  state.sampler = std::make_unique<TwcsUnitSampler>(*state.view, m_);
   state.triples = state.view->TotalTriples();
   state.first_cluster = first_cluster;
   state.count = count;
@@ -95,7 +95,7 @@ Status StratifiedIncrementalEvaluator::Restore(
 
 void StratifiedIncrementalEvaluator::SampleStratum(size_t h, uint64_t units) {
   StratumState& state = strata_[h];
-  const std::vector<ClusterDraw> batch = state.sampler->NextBatch(units, rng_);
+  const std::vector<SampleUnit> batch = state.sampler->NextBatch(units, rng_);
   // Streamed with the async bridge, the win is within the batch. There is no
   // cross-round speculation here: `rng_` persists across updates, so a
   // discarded speculative draw would shift every later update's draws.

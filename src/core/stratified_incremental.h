@@ -10,7 +10,7 @@
 #include "kg/kg_view.h"
 #include "kg/subset_view.h"
 #include "labels/annotator.h"
-#include "sampling/cluster_sampler.h"
+#include "sampling/unit_samplers.h"
 #include "stats/running_stats.h"
 #include "util/status.h"
 #include "util/rng.h"
@@ -83,7 +83,7 @@ class StratifiedIncrementalEvaluator {
  private:
   struct StratumState {
     std::unique_ptr<SubsetView> view;
-    std::unique_ptr<TwcsSampler> sampler;
+    std::unique_ptr<TwcsUnitSampler> sampler;
     RunningStats stats;          ///< per-draw second-stage accuracies.
     uint64_t triples = 0;        ///< stratum triple mass (fixed at creation).
     uint64_t first_cluster = 0;  ///< population range of this stratum.

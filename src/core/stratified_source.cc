@@ -15,7 +15,7 @@ StratifiedTwcsSource::StratifiedTwcsSource(const KgView& view,
   for (size_t h = 0; h < strata.NumStrata(); ++h) {
     StratumState state;
     state.view = std::make_unique<SubsetView>(view, strata.members[h]);
-    state.sampler = std::make_unique<TwcsSampler>(*state.view, m);
+    state.sampler = std::make_unique<TwcsUnitSampler>(*state.view, m);
     strata_.push_back(std::move(state));
     combined_.AddStratum(strata.weights[h]);
   }
@@ -24,10 +24,8 @@ StratifiedTwcsSource::StratifiedTwcsSource(const KgView& view,
 void StratifiedTwcsSource::DrawInto(std::vector<SampleUnit>* out, size_t h,
                                     uint64_t units, Rng& rng) {
   StratumState& state = strata_[h];
-  for (ClusterDraw& draw : state.sampler->NextBatch(units, rng)) {
-    SampleUnit unit;
-    unit.cluster = state.view->ToParent(draw.cluster);
-    unit.offsets = std::move(draw.offsets);
+  for (SampleUnit& unit : state.sampler->NextBatch(units, rng)) {
+    unit.cluster = state.view->ToParent(unit.cluster);
     unit.tag = h;
     out->push_back(std::move(unit));
   }

@@ -8,7 +8,7 @@
 #include "estimators/estimators.h"
 #include "kg/kg_view.h"
 #include "kg/subset_view.h"
-#include "sampling/cluster_sampler.h"
+#include "sampling/unit_samplers.h"
 #include "stats/running_stats.h"
 #include "stats/stratification.h"
 
@@ -47,7 +47,7 @@ class StratifiedTwcsSource : public UnitSampler, public UnitEstimator {
  private:
   struct StratumState {
     std::unique_ptr<SubsetView> view;
-    std::unique_ptr<TwcsSampler> sampler;
+    std::unique_ptr<TwcsUnitSampler> sampler;
     RunningStats stats;
   };
 

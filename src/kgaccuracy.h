@@ -62,7 +62,6 @@
 
 // Sampling designs.
 #include "sampling/alias_table.h"     // IWYU pragma: export
-#include "sampling/cluster_sampler.h" // IWYU pragma: export
 #include "sampling/srs.h"             // IWYU pragma: export
 #include "sampling/unit_samplers.h"   // IWYU pragma: export
 

@@ -45,6 +45,25 @@ std::vector<uint64_t> SampleIndicesWithoutReplacement(uint64_t population,
   return out;
 }
 
+std::vector<uint64_t> DistinctIndexSampler::Next(uint64_t k, Rng& rng) {
+  k = std::min<uint64_t>(k, population_ - drawn_.size());
+  std::vector<uint64_t> batch;
+  batch.reserve(k);
+  // Rejection over the shrinking remainder; cheap while the sample is a
+  // small fraction of the population (always the case in our experiments).
+  // Falls back to an in-order scan when the remainder gets tight.
+  const uint64_t max_attempts = 20 * (k + 8);
+  for (uint64_t attempts = 0; batch.size() < k && attempts < max_attempts;
+       ++attempts) {
+    const uint64_t index = rng.UniformIndex(population_);
+    if (drawn_.insert(index).second) batch.push_back(index);
+  }
+  for (uint64_t index = 0; batch.size() < k && index < population_; ++index) {
+    if (drawn_.insert(index).second) batch.push_back(index);
+  }
+  return batch;
+}
+
 TriplePrefixIndex::TriplePrefixIndex(const KgView& view) {
   cumulative_.resize(view.NumClusters());
   uint64_t running = 0;
@@ -62,40 +81,6 @@ TripleRef TriplePrefixIndex::Lookup(uint64_t global_index) const {
   const uint64_t cluster = static_cast<uint64_t>(it - cumulative_.begin());
   const uint64_t before = cluster == 0 ? 0 : cumulative_[cluster - 1];
   return TripleRef{cluster, global_index - before};
-}
-
-SrsTripleSampler::SrsTripleSampler(const KgView& view)
-    : index_(view), population_(view.TotalTriples()) {}
-
-std::vector<TripleRef> SrsTripleSampler::NextBatch(uint64_t k, Rng& rng) {
-  std::vector<TripleRef> batch;
-  const uint64_t remaining = population_ - drawn_.size();
-  k = std::min(k, remaining);
-  batch.reserve(k);
-  // Rejection over the shrinking remainder; cheap while the sample is a
-  // small fraction of the population (always the case in our experiments).
-  // Falls back to scanning when the remainder gets tight.
-  uint64_t produced = 0;
-  uint64_t attempts = 0;
-  const uint64_t max_attempts = 20 * (k + 8);
-  while (produced < k && attempts < max_attempts) {
-    ++attempts;
-    const uint64_t idx = rng.UniformIndex(population_);
-    if (drawn_.insert(idx).second) {
-      batch.push_back(index_.Lookup(idx));
-      ++produced;
-    }
-  }
-  if (produced < k) {
-    // Exhaustive completion (population nearly exhausted).
-    for (uint64_t idx = 0; idx < population_ && produced < k; ++idx) {
-      if (drawn_.insert(idx).second) {
-        batch.push_back(index_.Lookup(idx));
-        ++produced;
-      }
-    }
-  }
-  return batch;
 }
 
 }  // namespace kgacc

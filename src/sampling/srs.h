@@ -17,6 +17,25 @@ namespace kgacc {
 std::vector<uint64_t> SampleIndicesWithoutReplacement(uint64_t population,
                                                       uint64_t k, Rng& rng);
 
+/// Incremental simple random sampling of indices in {0..population-1}:
+/// successive Next() calls return disjoint batches, so the union of all
+/// batches is itself an SRS without replacement — the property the iterative
+/// framework (Fig 2) relies on when it keeps enlarging the sample until MoE
+/// is met. SRS draws triple ordinals through it, RCS cluster ids.
+class DistinctIndexSampler {
+ public:
+  explicit DistinctIndexSampler(uint64_t population)
+      : population_(population) {}
+
+  /// Draws up to `k` new distinct indices (fewer when the population is
+  /// nearly exhausted, none once it is).
+  std::vector<uint64_t> Next(uint64_t k, Rng& rng);
+
+ private:
+  uint64_t population_;
+  std::unordered_set<uint64_t> drawn_;
+};
+
 /// Maps global triple indices in [0, M) to (cluster, offset) positions via a
 /// binary-searchable prefix-sum over cluster sizes. O(N) build, O(log N) per
 /// lookup.
@@ -32,26 +51,6 @@ class TriplePrefixIndex {
 
  private:
   std::vector<uint64_t> cumulative_;  // cumulative_[i] = sum of sizes 0..i.
-};
-
-/// Incremental SRS of triples: successive NextBatch() calls return disjoint
-/// simple random samples, so the union of all batches is itself an SRS
-/// without replacement — the property the iterative framework (Fig 2)
-/// relies on when it keeps enlarging the sample until MoE is met.
-class SrsTripleSampler {
- public:
-  explicit SrsTripleSampler(const KgView& view);
-
-  /// Draws up to `k` new distinct triples (fewer when the population is
-  /// nearly exhausted).
-  std::vector<TripleRef> NextBatch(uint64_t k, Rng& rng);
-
-  uint64_t NumDrawn() const { return drawn_.size(); }
-
- private:
-  TriplePrefixIndex index_;
-  uint64_t population_;
-  std::unordered_set<uint64_t> drawn_;
 };
 
 }  // namespace kgacc

@@ -1,38 +1,64 @@
 #include "sampling/unit_samplers.h"
 
+#include <numeric>
 #include <utility>
+
+#include "util/logging.h"
 
 namespace kgacc {
 
-std::vector<SampleUnit> ToSampleUnits(std::vector<ClusterDraw> draws) {
-  std::vector<SampleUnit> units;
-  units.reserve(draws.size());
-  for (ClusterDraw& draw : draws) {
-    units.push_back(SampleUnit{draw.cluster, std::move(draw.offsets)});
+namespace {
+
+std::vector<double> SizesAsWeights(const KgView& view) {
+  std::vector<double> weights(view.NumClusters());
+  for (uint64_t i = 0; i < weights.size(); ++i) {
+    weights[i] = static_cast<double>(view.ClusterSize(i));
   }
-  return units;
+  return weights;
 }
 
+}  // namespace
+
+SrsUnitSampler::SrsUnitSampler(const KgView& view)
+    : index_(view), ordinals_(view.TotalTriples()) {}
+
 std::vector<SampleUnit> SrsUnitSampler::NextBatch(uint64_t n, Rng& rng) {
-  const std::vector<TripleRef> triples = sampler_.NextBatch(n, rng);
   std::vector<SampleUnit> units;
-  units.reserve(triples.size());
-  for (const TripleRef& ref : triples) {
+  for (uint64_t ordinal : ordinals_.Next(n, rng)) {
+    const TripleRef ref = index_.Lookup(ordinal);
     units.push_back(SampleUnit{ref.cluster, {ref.offset}});
   }
   return units;
 }
 
+RcsUnitSampler::RcsUnitSampler(const KgView& view)
+    : view_(view), clusters_(view.NumClusters()) {}
+
 std::vector<SampleUnit> RcsUnitSampler::NextBatch(uint64_t n, Rng& rng) {
-  return ToSampleUnits(sampler_.NextBatch(n, rng));
+  std::vector<SampleUnit> units;
+  for (uint64_t cluster : clusters_.Next(n, rng)) {
+    std::vector<uint64_t> offsets(view_.ClusterSize(cluster));
+    std::iota(offsets.begin(), offsets.end(), 0);
+    units.push_back(SampleUnit{cluster, std::move(offsets)});
+  }
+  return units;
 }
 
-std::vector<SampleUnit> WcsUnitSampler::NextBatch(uint64_t n, Rng& rng) {
-  return ToSampleUnits(sampler_.NextBatch(n, rng));
+TwcsUnitSampler::TwcsUnitSampler(const KgView& view, uint64_t m)
+    : view_(view), alias_(SizesAsWeights(view)), m_(m) {
+  KGACC_CHECK(m_ >= 1) << "TWCS second-stage size m must be >= 1";
 }
 
 std::vector<SampleUnit> TwcsUnitSampler::NextBatch(uint64_t n, Rng& rng) {
-  return ToSampleUnits(sampler_.NextBatch(n, rng));
+  std::vector<SampleUnit> units;
+  units.reserve(n);
+  for (uint64_t i = 0; i < n; ++i) {
+    const uint64_t cluster = alias_.Sample(rng);
+    units.push_back(SampleUnit{
+        cluster,
+        SampleIndicesWithoutReplacement(view_.ClusterSize(cluster), m_, rng)});
+  }
+  return units;
 }
 
 }  // namespace kgacc

@@ -1,73 +1,72 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/engine.h"
 #include "kg/kg_view.h"
-#include "sampling/cluster_sampler.h"
+#include "sampling/alias_table.h"
 #include "sampling/srs.h"
 #include "util/rng.h"
 
 namespace kgacc {
 
-/// UnitSampler adapters over the concrete Section 5 samplers, so every design
-/// runs through the one EvaluationEngine campaign loop. Each adapter is a
-/// thin translation layer: the wrapped sampler owns all randomness and
-/// without-replacement bookkeeping.
+/// The Section 5 sampling designs, each a UnitSampler that the one campaign
+/// loop drives. Every sampler owns its randomness and its without-replacement
+/// bookkeeping, and returns SampleUnits in the parent view's coordinates.
 
 /// SRS of triples (Section 5.1): one unit per sampled triple.
 class SrsUnitSampler : public UnitSampler {
  public:
-  explicit SrsUnitSampler(const KgView& view) : sampler_(view) {}
+  explicit SrsUnitSampler(const KgView& view);
 
   std::vector<SampleUnit> NextBatch(uint64_t n, Rng& rng) override;
   bool Exhaustible() const override { return true; }
 
  private:
-  SrsTripleSampler sampler_;
+  TriplePrefixIndex index_;
+  DistinctIndexSampler ordinals_;
 };
 
 /// Random cluster sampling (Section 5.2.1): uniform, without replacement;
 /// a unit is a whole cluster.
 class RcsUnitSampler : public UnitSampler {
  public:
-  explicit RcsUnitSampler(const KgView& view) : sampler_(view) {}
+  explicit RcsUnitSampler(const KgView& view);
 
   std::vector<SampleUnit> NextBatch(uint64_t n, Rng& rng) override;
   bool Exhaustible() const override { return true; }
 
  private:
-  RcsSampler sampler_;
+  const KgView& view_;
+  DistinctIndexSampler clusters_;
+};
+
+/// Two-stage weighted cluster sampling (Section 5.2.3): the first stage draws
+/// clusters with replacement with probability pi_i = M_i / M, the second an
+/// SRS of min(M_i, m) triples without replacement inside each drawn cluster.
+/// A unit is one first-stage draw with its second-stage offsets; a cluster
+/// drawn twice yields two independent units. m = 1 degenerates to SRS
+/// (Proposition 2).
+class TwcsUnitSampler : public UnitSampler {
+ public:
+  TwcsUnitSampler(const KgView& view, uint64_t m);
+
+  std::vector<SampleUnit> NextBatch(uint64_t n, Rng& rng) override;
+
+ private:
+  const KgView& view_;
+  AliasTable alias_;
+  uint64_t m_;
 };
 
 /// Weighted cluster sampling (Section 5.2.2): size-proportional, with
-/// replacement; a unit is a whole cluster.
-class WcsUnitSampler : public UnitSampler {
+/// replacement; a unit is a whole cluster — TWCS with no second-stage cap.
+class WcsUnitSampler : public TwcsUnitSampler {
  public:
-  explicit WcsUnitSampler(const KgView& view) : sampler_(view) {}
-
-  std::vector<SampleUnit> NextBatch(uint64_t n, Rng& rng) override;
-
- private:
-  WcsSampler sampler_;
+  explicit WcsUnitSampler(const KgView& view)
+      : TwcsUnitSampler(view, std::numeric_limits<uint64_t>::max()) {}
 };
-
-/// Two-stage weighted cluster sampling (Section 5.2.3): a unit is one
-/// first-stage draw with its <= m second-stage offsets.
-class TwcsUnitSampler : public UnitSampler {
- public:
-  TwcsUnitSampler(const KgView& view, uint64_t m) : sampler_(view, m) {}
-
-  std::vector<SampleUnit> NextBatch(uint64_t n, Rng& rng) override;
-
-  uint64_t second_stage_size() const { return sampler_.second_stage_size(); }
-
- private:
-  TwcsSampler sampler_;
-};
-
-/// Shared translation: ClusterDraws -> SampleUnits.
-std::vector<SampleUnit> ToSampleUnits(std::vector<ClusterDraw> draws);
 
 }  // namespace kgacc

@@ -1,4 +1,4 @@
-#include "sampling/cluster_sampler.h"
+#include "sampling/unit_samplers.h"
 
 #include <set>
 
@@ -11,24 +11,24 @@ namespace {
 
 TEST(RcsSamplerTest, DrawsAllOffsetsOfEachCluster) {
   const ClusterPopulation pop({3, 1, 4});
-  RcsSampler sampler(pop);
+  RcsUnitSampler sampler(pop);
   Rng rng(1);
   const auto batch = sampler.NextBatch(3, rng);
   ASSERT_EQ(batch.size(), 3u);
-  for (const ClusterDraw& draw : batch) {
+  for (const SampleUnit& draw : batch) {
     EXPECT_EQ(draw.offsets.size(), pop.ClusterSize(draw.cluster));
   }
 }
 
 TEST(RcsSamplerTest, BatchesDisjointAndExhaust) {
   const ClusterPopulation pop({1, 1, 1, 1, 1});
-  RcsSampler sampler(pop);
+  RcsUnitSampler sampler(pop);
   Rng rng(2);
   std::set<uint64_t> seen;
-  for (const ClusterDraw& draw : sampler.NextBatch(3, rng)) {
+  for (const SampleUnit& draw : sampler.NextBatch(3, rng)) {
     EXPECT_TRUE(seen.insert(draw.cluster).second);
   }
-  for (const ClusterDraw& draw : sampler.NextBatch(3, rng)) {
+  for (const SampleUnit& draw : sampler.NextBatch(3, rng)) {
     EXPECT_TRUE(seen.insert(draw.cluster).second);
   }
   EXPECT_EQ(seen.size(), 5u);
@@ -37,11 +37,11 @@ TEST(RcsSamplerTest, BatchesDisjointAndExhaust) {
 
 TEST(WcsSamplerTest, FrequenciesProportionalToSize) {
   const ClusterPopulation pop({1, 9});  // 10% vs 90%.
-  WcsSampler sampler(pop);
+  WcsUnitSampler sampler(pop);
   Rng rng(3);
   int heavy = 0;
   const int n = 50000;
-  for (const ClusterDraw& draw : sampler.NextBatch(n, rng)) {
+  for (const SampleUnit& draw : sampler.NextBatch(n, rng)) {
     if (draw.cluster == 1) ++heavy;
   }
   EXPECT_NEAR(static_cast<double>(heavy) / n, 0.9, 0.01);
@@ -49,7 +49,7 @@ TEST(WcsSamplerTest, FrequenciesProportionalToSize) {
 
 TEST(WcsSamplerTest, WithReplacementCanRepeat) {
   const ClusterPopulation pop({1, 1});
-  WcsSampler sampler(pop);
+  WcsUnitSampler sampler(pop);
   Rng rng(4);
   const auto batch = sampler.NextBatch(50, rng);
   EXPECT_EQ(batch.size(), 50u);  // more draws than clusters -> repeats.
@@ -57,9 +57,9 @@ TEST(WcsSamplerTest, WithReplacementCanRepeat) {
 
 TEST(TwcsSamplerTest, SecondStageCapsAtM) {
   const ClusterPopulation pop({2, 10, 30});
-  TwcsSampler sampler(pop, 5);
+  TwcsUnitSampler sampler(pop, 5);
   Rng rng(5);
-  for (const ClusterDraw& draw : sampler.NextBatch(200, rng)) {
+  for (const SampleUnit& draw : sampler.NextBatch(200, rng)) {
     const uint64_t expected =
         std::min<uint64_t>(5, pop.ClusterSize(draw.cluster));
     EXPECT_EQ(draw.offsets.size(), expected);
@@ -73,7 +73,7 @@ TEST(TwcsSamplerTest, SecondStageCapsAtM) {
 
 TEST(TwcsSamplerTest, RepeatDrawsGetIndependentSecondStages) {
   const ClusterPopulation pop({100});
-  TwcsSampler sampler(pop, 3);
+  TwcsUnitSampler sampler(pop, 3);
   Rng rng(6);
   const auto batch = sampler.NextBatch(2, rng);
   ASSERT_EQ(batch.size(), 2u);
@@ -84,11 +84,11 @@ TEST(TwcsSamplerTest, RepeatDrawsGetIndependentSecondStages) {
 
 TEST(TwcsSamplerTest, FirstStageIsSizeWeighted) {
   const ClusterPopulation pop({5, 15});  // 25% vs 75%.
-  TwcsSampler sampler(pop, 2);
+  TwcsUnitSampler sampler(pop, 2);
   Rng rng(7);
   int heavy = 0;
   const int n = 40000;
-  for (const ClusterDraw& draw : sampler.NextBatch(n, rng)) {
+  for (const SampleUnit& draw : sampler.NextBatch(n, rng)) {
     if (draw.cluster == 1) ++heavy;
   }
   EXPECT_NEAR(static_cast<double>(heavy) / n, 0.75, 0.01);
@@ -96,7 +96,7 @@ TEST(TwcsSamplerTest, FirstStageIsSizeWeighted) {
 
 TEST(TwcsSamplerDeathTest, MZeroAborts) {
   const ClusterPopulation pop({1});
-  EXPECT_DEATH({ TwcsSampler sampler(pop, 0); }, "m must be >= 1");
+  EXPECT_DEATH({ TwcsUnitSampler sampler(pop, 0); }, "m must be >= 1");
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "labels/truth_oracle.h"
-#include "sampling/cluster_sampler.h"
+#include "sampling/unit_samplers.h"
 #include "stats/running_stats.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -70,10 +70,10 @@ TEST_F(EstimatorUnbiasednessTest, RcsIsUnbiased) {
   Rng rng(1);
   RunningStats trial_means;
   for (int t = 0; t < 1500; ++t) {
-    RcsSampler sampler(pop_.population);
+    RcsUnitSampler sampler(pop_.population);
     RcsEstimator est(pop_.population.NumClusters(),
                      pop_.population.TotalTriples());
-    for (const ClusterDraw& draw : sampler.NextBatch(15, rng)) {
+    for (const SampleUnit& draw : sampler.NextBatch(15, rng)) {
       est.AddCluster(ClusterCorrectCount(draw.cluster));
     }
     trial_means.Add(est.Current().mean);
@@ -87,9 +87,9 @@ TEST_F(EstimatorUnbiasednessTest, WcsIsUnbiased) {
   Rng rng(2);
   RunningStats trial_means;
   for (int t = 0; t < 1500; ++t) {
-    WcsSampler sampler(pop_.population);
+    WcsUnitSampler sampler(pop_.population);
     WcsEstimator est;
-    for (const ClusterDraw& draw : sampler.NextBatch(15, rng)) {
+    for (const SampleUnit& draw : sampler.NextBatch(15, rng)) {
       est.AddCluster(ClusterRealizedAccuracy(draw.cluster));
     }
     trial_means.Add(est.Current().mean);
@@ -104,9 +104,9 @@ TEST_F(EstimatorUnbiasednessTest, TwcsIsUnbiasedForAnyM) {
     Rng rng(100 + m);
     RunningStats trial_means;
     for (int t = 0; t < 1200; ++t) {
-      TwcsSampler sampler(pop_.population, m);
+      TwcsUnitSampler sampler(pop_.population, m);
       TwcsEstimator est;
-      for (const ClusterDraw& draw : sampler.NextBatch(12, rng)) {
+      for (const SampleUnit& draw : sampler.NextBatch(12, rng)) {
         uint64_t correct = 0;
         for (uint64_t offset : draw.offsets) {
           if (pop_.oracle.IsCorrect(TripleRef{draw.cluster, offset})) ++correct;
@@ -126,17 +126,17 @@ TEST_F(EstimatorUnbiasednessTest, WcsHasLowerVarianceThanRcsOnSkewedSizes) {
   Rng rng(3);
   RunningStats rcs_means, wcs_means;
   for (int t = 0; t < 800; ++t) {
-    RcsSampler rcs(pop_.population);
+    RcsUnitSampler rcs(pop_.population);
     RcsEstimator rcs_est(pop_.population.NumClusters(),
                          pop_.population.TotalTriples());
-    for (const ClusterDraw& draw : rcs.NextBatch(15, rng)) {
+    for (const SampleUnit& draw : rcs.NextBatch(15, rng)) {
       rcs_est.AddCluster(ClusterCorrectCount(draw.cluster));
     }
     rcs_means.Add(rcs_est.Current().mean);
 
-    WcsSampler wcs(pop_.population);
+    WcsUnitSampler wcs(pop_.population);
     WcsEstimator wcs_est;
-    for (const ClusterDraw& draw : wcs.NextBatch(15, rng)) {
+    for (const SampleUnit& draw : wcs.NextBatch(15, rng)) {
       wcs_est.AddCluster(ClusterRealizedAccuracy(draw.cluster));
     }
     wcs_means.Add(wcs_est.Current().mean);

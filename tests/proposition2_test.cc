@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sampling/cluster_sampler.h"
+#include "sampling/unit_samplers.h"
 #include "stats/running_stats.h"
 #include "stats/variance.h"
 #include "test_util.h"
@@ -18,11 +18,11 @@ using kgacc::testing::TestPopulation;
 
 TEST(Proposition2Test, TwcsM1SelectsTriplesUniformly) {
   const ClusterPopulation pop({1, 3, 6});  // 10 triples total.
-  TwcsSampler sampler(pop, 1);
+  TwcsUnitSampler sampler(pop, 1);
   Rng rng(11);
   std::map<std::pair<uint64_t, uint64_t>, int> counts;
   const int n = 100000;
-  for (const ClusterDraw& draw : sampler.NextBatch(n, rng)) {
+  for (const SampleUnit& draw : sampler.NextBatch(n, rng)) {
     ASSERT_EQ(draw.offsets.size(), 1u);
     ++counts[{draw.cluster, draw.offsets[0]}];
   }
@@ -45,9 +45,9 @@ TEST(Proposition2Test, EstimatorDistributionMatchesSrs) {
   // TWCS with m = 1.
   RunningStats twcs_means;
   for (int t = 0; t < trials; ++t) {
-    TwcsSampler sampler(tp.population, 1);
+    TwcsUnitSampler sampler(tp.population, 1);
     RunningStats per_trial;
-    for (const ClusterDraw& draw : sampler.NextBatch(draws, rng)) {
+    for (const SampleUnit& draw : sampler.NextBatch(draws, rng)) {
       per_trial.Add(tp.oracle.IsCorrect(TripleRef{draw.cluster, draw.offsets[0]})
                         ? 1.0
                         : 0.0);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "kg/cluster_population.h"
+#include "sampling/unit_samplers.h"
 
 namespace kgacc {
 namespace {
@@ -80,21 +81,22 @@ TEST(TriplePrefixIndexDeathTest, OutOfRangeAborts) {
 
 TEST(SrsTripleSamplerTest, BatchesAreDisjoint) {
   const ClusterPopulation pop({10, 10, 10});
-  SrsTripleSampler sampler(pop);
+  SrsUnitSampler sampler(pop);
   Rng rng(6);
   std::set<std::pair<uint64_t, uint64_t>> seen;
   for (int batch = 0; batch < 3; ++batch) {
-    for (const TripleRef& ref : sampler.NextBatch(8, rng)) {
-      EXPECT_TRUE(seen.emplace(ref.cluster, ref.offset).second)
+    for (const SampleUnit& unit : sampler.NextBatch(8, rng)) {
+      ASSERT_EQ(unit.offsets.size(), 1u);
+      EXPECT_TRUE(seen.emplace(unit.cluster, unit.offsets[0]).second)
           << "duplicate draw across batches";
     }
   }
-  EXPECT_EQ(sampler.NumDrawn(), 24u);
+  EXPECT_EQ(seen.size(), 24u);
 }
 
 TEST(SrsTripleSamplerTest, ExhaustsPopulationExactly) {
   const ClusterPopulation pop({2, 3});
-  SrsTripleSampler sampler(pop);
+  SrsUnitSampler sampler(pop);
   Rng rng(7);
   const auto first = sampler.NextBatch(4, rng);
   const auto second = sampler.NextBatch(4, rng);  // only 1 left.
@@ -106,11 +108,12 @@ TEST(SrsTripleSamplerTest, ExhaustsPopulationExactly) {
 
 TEST(SrsTripleSamplerTest, RefsAreValidPositions) {
   const ClusterPopulation pop({5, 2, 9, 1});
-  SrsTripleSampler sampler(pop);
+  SrsUnitSampler sampler(pop);
   Rng rng(8);
-  for (const TripleRef& ref : sampler.NextBatch(17, rng)) {
-    ASSERT_LT(ref.cluster, pop.NumClusters());
-    EXPECT_LT(ref.offset, pop.ClusterSize(ref.cluster));
+  for (const SampleUnit& unit : sampler.NextBatch(17, rng)) {
+    ASSERT_LT(unit.cluster, pop.NumClusters());
+    ASSERT_EQ(unit.offsets.size(), 1u);
+    EXPECT_LT(unit.offsets[0], pop.ClusterSize(unit.cluster));
   }
 }
 

@@ -10,7 +10,7 @@
 
 #include "kg/cluster_population.h"
 #include "labels/synthetic_oracle.h"
-#include "sampling/cluster_sampler.h"
+#include "sampling/unit_samplers.h"
 #include "stats/running_stats.h"
 #include "stats/variance.h"
 #include "util/rng.h"
@@ -108,10 +108,10 @@ TEST_P(Eq10Sweep, TheoryMatchesMonteCarlo) {
   // Monte Carlo over single draws (n=1): the estimator value of one draw has
   // variance exactly V(m).
   Rng rng(4242);
-  TwcsSampler sampler(pop.view, m);
+  TwcsUnitSampler sampler(pop.view, m);
   RunningStats draws;
   const int trials = 60000;
-  for (const ClusterDraw& draw : sampler.NextBatch(trials, rng)) {
+  for (const SampleUnit& draw : sampler.NextBatch(trials, rng)) {
     uint64_t correct = 0;
     for (uint64_t offset : draw.offsets) {
       if (pop.oracle.IsCorrect(TripleRef{draw.cluster, offset})) ++correct;

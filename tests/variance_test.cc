@@ -6,7 +6,7 @@
 
 #include "kg/cluster_population.h"
 #include "labels/gold_labels.h"
-#include "sampling/cluster_sampler.h"
+#include "sampling/unit_samplers.h"
 #include "stats/running_stats.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -79,9 +79,9 @@ TEST(TwcsVarianceTest, MatchesMonteCarloSimulation) {
   Rng rng(123);
   const int trials = 4000;
   for (int t = 0; t < trials; ++t) {
-    TwcsSampler sampler(tp.population, m);
+    TwcsUnitSampler sampler(tp.population, m);
     RunningStats draws;
-    for (const ClusterDraw& draw : sampler.NextBatch(n, rng)) {
+    for (const SampleUnit& draw : sampler.NextBatch(n, rng)) {
       uint64_t correct = 0;
       for (uint64_t offset : draw.offsets) {
         if (tp.oracle.IsCorrect(TripleRef{draw.cluster, offset})) ++correct;
