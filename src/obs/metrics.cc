@@ -153,7 +153,9 @@ double HistogramSnapshot::Percentile(double q) const {
     if (cumulative >= rank) {
       const double lower = static_cast<double>(BucketLowerNanos(bucket.index));
       const double upper = static_cast<double>(BucketUpperNanos(bucket.index));
-      return (lower + upper) * 0.5e-9;
+      // A bucket's midpoint can lie outside the exact range actually seen.
+      return std::min(std::max((lower + upper) * 0.5e-9, min_seconds),
+                      max_seconds);
     }
   }
   return max_seconds;

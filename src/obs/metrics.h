@@ -144,7 +144,8 @@ uint64_t BucketLowerNanos(size_t index);
 uint64_t BucketUpperNanos(size_t index);
 
 /// Point-in-time reduction of one histogram. Percentiles are bucket
-/// midpoints except p100 (`max_seconds`), which is exact.
+/// midpoints clamped into [min_seconds, max_seconds], except p100
+/// (`max_seconds`), which is exact.
 struct HistogramSnapshot {
   std::string name;
   uint64_t count = 0;

@@ -221,7 +221,7 @@ RunOutput RunDesign(const std::string& design, const TestPopulation& pop,
 }
 
 class AsyncAnnotatorParityTest
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(AsyncAnnotatorParityTest, PipelinedResultsAreBitIdenticalToSync) {
   const std::string design = std::get<0>(GetParam());
@@ -263,7 +263,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("srs", "twcs", "twcs+strat", "rs",
                                          "ss"),
                        ::testing::Values(1, 4, 8)),
-    [](const ::testing::TestParamInfo<std::tuple<const char*, int>>& info) {
+    [](const ::testing::TestParamInfo<std::tuple<std::string, int>>& info) {
       std::string name = std::get<0>(info.param);
       for (char& c : name) {
         if (c == '+') c = '_';

@@ -98,13 +98,16 @@ TEST(DatasetTest, DeterministicAcrossCalls) {
 
 TEST(EndToEndTest, TwcsBeatsSrsOnNell) {
   // Table 5 shape on NELL: TWCS cost < SRS cost, both unbiased. TWCS runs
-  // with the Eq 12-optimal m, as the paper's experiments do.
+  // with the Eq 12-optimal m, as the paper's experiments do. The mean cost
+  // ratio TWCS/SRS is about 0.84; over 400 seeds its standard error is about
+  // 0.02, where over 15 it was about 0.1 and a re-drawn sampler could flip
+  // the ordering by chance.
   const Dataset nell = MakeNell(3);
   const double truth = Characterize(nell).gold_accuracy;
   const ClusterPopulationStats stats =
       BuildPopulationStats(nell.View(), *nell.oracle);
   RunningStats srs_cost, twcs_cost, srs_est, twcs_est;
-  for (uint64_t seed = 0; seed < 15; ++seed) {
+  for (uint64_t seed = 0; seed < 400; ++seed) {
     EvaluationOptions options;
     options.seed = 500 + seed;
     SimulatedAnnotator a1(nell.oracle.get(), kCost);

@@ -111,6 +111,22 @@ TEST(HistogramTest, PercentilesWithinOneBucketWidth) {
   EXPECT_DOUBLE_EQ(snap.p99_seconds, snap.Percentile(0.99));
 }
 
+TEST(HistogramTest, PercentilesStayWithinMinAndMax) {
+  if (!kMetricsCompiledIn) GTEST_SKIP() << "built with KGACC_NO_METRICS";
+  // Both samples fall in the [960, 1024) ns bucket, whose 992 ns midpoint
+  // lies above the first and below the second: unclamped, a one-sample
+  // histogram would report a p50 outside its own [min, max].
+  for (const uint64_t ns : {961u, 1000u}) {
+    Histogram h;
+    h.RecordNanos(ns);
+    const HistogramSnapshot snap = h.Snapshot();
+    EXPECT_DOUBLE_EQ(snap.min_seconds, static_cast<double>(ns) * 1e-9);
+    EXPECT_EQ(snap.min_seconds, snap.max_seconds);
+    EXPECT_EQ(snap.p50_seconds, snap.min_seconds) << ns << " ns";
+    EXPECT_EQ(snap.p99_seconds, snap.min_seconds) << ns << " ns";
+  }
+}
+
 HistogramSnapshot SnapshotOf(std::vector<uint64_t> nanos) {
   Histogram h;
   for (const uint64_t ns : nanos) h.RecordNanos(ns);

@@ -339,16 +339,29 @@ int RunEval(const FlagParser& flags) {
                               static_cast<unsigned long long>(spec.annotators))
                         .c_str()
                   : "");
-  std::printf("estimated accuracy: %s, %s%% CI [%s, %s] (MoE %.2f%%)\n",
-              FormatPercent(result.estimate.mean, 2).c_str(),
-              StrFormat("%.0f", options.confidence * 100).c_str(),
-              FormatPercent(result.estimate.CiLower(options.Alpha()), 2).c_str(),
-              FormatPercent(result.estimate.CiUpper(options.Alpha()), 2).c_str(),
-              result.moe * 100.0);
+  // KGEval infers labels instead of sampling them, so it has no interval and
+  // no budget that would make it converge.
+  const bool no_guarantee = design == "kgeval";
+  if (no_guarantee) {
+    std::printf("estimated accuracy: %s (no interval: KGEval gives no "
+                "sampling guarantee)\n",
+                FormatPercent(result.estimate.mean, 2).c_str());
+  } else {
+    std::printf("estimated accuracy: %s, %s%% CI [%s, %s] (MoE %.2f%%)\n",
+                FormatPercent(result.estimate.mean, 2).c_str(),
+                StrFormat("%.0f", options.confidence * 100).c_str(),
+                FormatPercent(result.estimate.CiLower(options.Alpha()), 2)
+                    .c_str(),
+                FormatPercent(result.estimate.CiUpper(options.Alpha()), 2)
+                    .c_str(),
+                result.moe * 100.0);
+  }
+  const char* converged = result.converged ? "yes"
+                          : no_guarantee   ? "no"
+                                           : "NO — raise budget or loosen target";
   std::printf("sampling units: %llu (%llu rounds); converged: %s\n",
               static_cast<unsigned long long>(result.estimate.num_units),
-              static_cast<unsigned long long>(result.rounds),
-              result.converged ? "yes" : "NO — raise budget or loosen target");
+              static_cast<unsigned long long>(result.rounds), converged);
   std::printf("annotation: %llu entities, %llu triples -> %s\n",
               static_cast<unsigned long long>(result.ledger.entities_identified),
               static_cast<unsigned long long>(result.ledger.triples_annotated),

@@ -438,7 +438,7 @@ bool CheckHistogramEntry(const std::string& path, const JsonValue& entry) {
     return false;
   }
   if (*count < 0.0 || *sum < 0.0 || *min < 0.0 || *min > *max ||
-      *p50 > *p95 || *p95 > *p99) {
+      *min > *p50 || *p50 > *p95 || *p95 > *p99 || *p99 > *max) {
     std::fprintf(stderr,
                  "%s: histogram '%s' has inconsistent summary stats\n",
                  path.c_str(), name->c_str());
