@@ -6,7 +6,6 @@
 
 #include "kg/cluster_population.h"
 #include "kg/generator.h"
-#include "sampling/alias_table.h"
 #include "sampling/srs.h"
 #include "sampling/unit_samplers.h"
 #include "util/rng.h"
@@ -21,26 +20,26 @@ ClusterPopulation MakePopulation(uint64_t clusters) {
   return ClusterPopulation(std::move(sizes));
 }
 
-void BM_AliasTableBuild(benchmark::State& state) {
+void BM_TriplePrefixIndexBuild(benchmark::State& state) {
   const ClusterPopulation pop = MakePopulation(state.range(0));
   for (auto _ : state) {
-    AliasTable table = AliasTable::FromSizes(pop.sizes());
-    benchmark::DoNotOptimize(table);
+    TriplePrefixIndex index(pop);
+    benchmark::DoNotOptimize(index);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_AliasTableBuild)->Arg(10000)->Arg(288770)->Arg(2000000);
+BENCHMARK(BM_TriplePrefixIndexBuild)->Arg(10000)->Arg(288770)->Arg(2000000);
 
-void BM_AliasTableSample(benchmark::State& state) {
+void BM_SizeWeightedDraw(benchmark::State& state) {
   const ClusterPopulation pop = MakePopulation(288770);
-  const AliasTable table = AliasTable::FromSizes(pop.sizes());
+  const TriplePrefixIndex index(pop);
   Rng rng(7);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(table.Sample(rng));
+    benchmark::DoNotOptimize(index.SizeWeightedCluster(rng));
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_AliasTableSample);
+BENCHMARK(BM_SizeWeightedDraw);
 
 void BM_TwcsSampleGeneration(benchmark::State& state) {
   // Full TWCS first+second stage for a Table 4-sized campaign (n draws).

@@ -29,9 +29,9 @@ struct SampleUnit {
   uint64_t tag = 0;
 };
 
-/// Produces sampling units for the evaluation campaign. Adapters in
-/// sampling/unit_samplers.h wrap the concrete SRS/RCS/WCS/TWCS samplers;
-/// composite designs (stratified TWCS) implement allocation internally.
+/// Produces sampling units for the evaluation campaign. The SRS/RCS/WCS/TWCS
+/// designs are the samplers in sampling/unit_samplers.h; composite designs
+/// (stratified TWCS) implement allocation internally over them.
 class UnitSampler {
  public:
   virtual ~UnitSampler() = default;

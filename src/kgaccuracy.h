@@ -61,7 +61,6 @@
 #include "cost/task.h"        // IWYU pragma: export
 
 // Sampling designs.
-#include "sampling/alias_table.h"     // IWYU pragma: export
 #include "sampling/srs.h"             // IWYU pragma: export
 #include "sampling/unit_samplers.h"   // IWYU pragma: export
 

@@ -83,4 +83,10 @@ TripleRef TriplePrefixIndex::Lookup(uint64_t global_index) const {
   return TripleRef{cluster, global_index - before};
 }
 
+uint64_t TriplePrefixIndex::SizeWeightedCluster(Rng& rng) const {
+  KGACC_CHECK(TotalTriples() > 0)
+      << "size-weighted draw over an empty population";
+  return Lookup(rng.UniformIndex(TotalTriples())).cluster;
+}
+
 }  // namespace kgacc

@@ -38,12 +38,19 @@ class DistinctIndexSampler {
 
 /// Maps global triple indices in [0, M) to (cluster, offset) positions via a
 /// binary-searchable prefix-sum over cluster sizes. O(N) build, O(log N) per
-/// lookup.
+/// lookup. The one size-weighted structure: SRS looks up uniform triple
+/// ordinals in it, and WCS/TWCS draw their first stage from it.
 class TriplePrefixIndex {
  public:
   explicit TriplePrefixIndex(const KgView& view);
 
   TripleRef Lookup(uint64_t global_index) const;
+
+  /// Draws a cluster with probability pi_i = M_i / M (Section 5.2.2): the
+  /// cluster holding a uniformly drawn triple (Proposition 2, read the other
+  /// way). Exact in integer arithmetic, so a zero-size cluster is never
+  /// drawn. Aborts on a population without triples.
+  uint64_t SizeWeightedCluster(Rng& rng) const;
 
   uint64_t TotalTriples() const {
     return cumulative_.empty() ? 0 : cumulative_.back();

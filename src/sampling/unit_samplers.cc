@@ -7,18 +7,6 @@
 
 namespace kgacc {
 
-namespace {
-
-std::vector<double> SizesAsWeights(const KgView& view) {
-  std::vector<double> weights(view.NumClusters());
-  for (uint64_t i = 0; i < weights.size(); ++i) {
-    weights[i] = static_cast<double>(view.ClusterSize(i));
-  }
-  return weights;
-}
-
-}  // namespace
-
 SrsUnitSampler::SrsUnitSampler(const KgView& view)
     : index_(view), ordinals_(view.TotalTriples()) {}
 
@@ -45,7 +33,7 @@ std::vector<SampleUnit> RcsUnitSampler::NextBatch(uint64_t n, Rng& rng) {
 }
 
 TwcsUnitSampler::TwcsUnitSampler(const KgView& view, uint64_t m)
-    : view_(view), alias_(SizesAsWeights(view)), m_(m) {
+    : view_(view), index_(view), m_(m) {
   KGACC_CHECK(m_ >= 1) << "TWCS second-stage size m must be >= 1";
 }
 
@@ -53,7 +41,7 @@ std::vector<SampleUnit> TwcsUnitSampler::NextBatch(uint64_t n, Rng& rng) {
   std::vector<SampleUnit> units;
   units.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
-    const uint64_t cluster = alias_.Sample(rng);
+    const uint64_t cluster = index_.SizeWeightedCluster(rng);
     units.push_back(SampleUnit{
         cluster,
         SampleIndicesWithoutReplacement(view_.ClusterSize(cluster), m_, rng)});

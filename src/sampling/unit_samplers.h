@@ -6,7 +6,6 @@
 
 #include "core/engine.h"
 #include "kg/kg_view.h"
-#include "sampling/alias_table.h"
 #include "sampling/srs.h"
 #include "util/rng.h"
 
@@ -57,7 +56,7 @@ class TwcsUnitSampler : public UnitSampler {
 
  private:
   const KgView& view_;
-  AliasTable alias_;
+  TriplePrefixIndex index_;
   uint64_t m_;
 };
 

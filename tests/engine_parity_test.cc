@@ -41,6 +41,9 @@ struct Golden {
 
 // Captured pre-refactor on MakeTestPopulation(500, 15, 0.8, 0.2, 31337)
 // with EvaluationOptions{.seed = 77} (and srs_ci = kWilson where flagged).
+// The wcs, twcs and twcs+strat rows were re-captured when the size-weighted
+// first stage moved from a Walker alias table to the triple prefix index,
+// which draws clusters with the same probabilities from a different stream.
 const Golden kGoldens[] = {
     {"srs", 0.77142857142857146, 0.00062973760932944595, 280,
      0.049184459884006361, true, 28, 212, 280, 16540.0},
@@ -48,12 +51,12 @@ const Golden kGoldens[] = {
      0.049959417048247468, true, 27, 203, 270, 15885.0, /*wilson=*/true},
     {"rcs", 0.80620899114638511, 0.00064250557600313779, 340,
      0.049680566746791575, true, 34, 340, 2771, 84575.0},
-    {"wcs", 0.81382228882228869, 0.00051318543519964573, 50,
-     0.044400233295551865, true, 5, 47, 484, 14215.0},
-    {"twcs", 0.82750000000000001, 0.00064608050847457629, 60,
-     0.049818587576909545, true, 6, 54, 269, 9155.0},
-    {"twcs+strat", 0.8229028947185304, 0.00062420856914991124, 60,
-     0.04896806626684154, true, 3, 55, 252, 8775.0},
+    {"wcs", 0.81207714507714512, 0.00063018794764339674, 50,
+     0.049202043150359656, true, 5, 45, 465, 13650.0},
+    {"twcs", 0.79625000000000001, 0.00058368275316455728, 80,
+     0.047351803140229201, true, 8, 73, 371, 12560.0},
+    {"twcs+strat", 0.79283839367862763, 0.00059530940016392741, 60,
+     0.047821088928440843, true, 3, 55, 269, 9200.0},
 };
 
 class EngineParityTest : public ::testing::Test {

@@ -79,6 +79,76 @@ TEST(TriplePrefixIndexDeathTest, OutOfRangeAborts) {
   EXPECT_DEATH({ (void)index.Lookup(2); }, "out of range");
 }
 
+TEST(TriplePrefixIndexTest, SizeWeightedDrawFrequenciesMatchSizes) {
+  // Chi-square goodness of fit of the draw against pi_i = M_i / M.
+  const ClusterPopulation pop({1, 2, 3, 4, 10});
+  const TriplePrefixIndex index(pop);
+  Rng rng(42);
+  std::vector<int> counts(pop.NumClusters(), 0);
+  const int n = 200000;
+  for (int i = 0; i < n; ++i) ++counts[index.SizeWeightedCluster(rng)];
+  double chi_square = 0.0;
+  for (uint64_t c = 0; c < pop.NumClusters(); ++c) {
+    const double expected = n * static_cast<double>(pop.ClusterSize(c)) /
+                            static_cast<double>(pop.TotalTriples());
+    chi_square += (counts[c] - expected) * (counts[c] - expected) / expected;
+  }
+  EXPECT_LT(chi_square, 18.47);  // 4 degrees of freedom, p = 0.001.
+}
+
+TEST(TriplePrefixIndexTest, SizeWeightedDrawFromSingleCluster) {
+  const ClusterPopulation pop({5});
+  const TriplePrefixIndex index(pop);
+  Rng rng(1);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(index.SizeWeightedCluster(rng), 0u);
+}
+
+TEST(TriplePrefixIndexTest, SizeWeightedDrawNeverPicksZeroSizeCluster) {
+  const ClusterPopulation pop({0, 1, 0, 1, 0});
+  const TriplePrefixIndex index(pop);
+  Rng rng(2);
+  for (int i = 0; i < 10000; ++i) {
+    const uint64_t cluster = index.SizeWeightedCluster(rng);
+    EXPECT_TRUE(cluster == 1 || cluster == 3) << cluster;
+  }
+}
+
+TEST(TriplePrefixIndexTest, SizeWeightedDrawUnderMillionToOneSkew) {
+  const ClusterPopulation pop({1, 1000000});
+  const TriplePrefixIndex index(pop);
+  Rng rng(3);
+  int rare = 0;
+  const int n = 100000;
+  for (int i = 0; i < n; ++i) {
+    if (index.SizeWeightedCluster(rng) == 0) ++rare;
+  }
+  EXPECT_LT(rare, 10);  // expected ~0.1 hits.
+}
+
+TEST(TriplePrefixIndexTest, SizeWeightedDrawOverLargeUniformPopulation) {
+  const ClusterPopulation pop(std::vector<uint32_t>(100000, 1));
+  const TriplePrefixIndex index(pop);
+  Rng rng(4);
+  std::set<uint64_t> seen;
+  for (int i = 0; i < 1000; ++i) {
+    const uint64_t cluster = index.SizeWeightedCluster(rng);
+    EXPECT_LT(cluster, 100000u);
+    seen.insert(cluster);
+  }
+  EXPECT_GT(seen.size(), 980u);  // ~995 distinct expected among 1000 draws.
+}
+
+TEST(TriplePrefixIndexDeathTest, SizeWeightedDrawFromEmptyPopulationAborts) {
+  Rng rng(5);
+  const ClusterPopulation none;
+  const TriplePrefixIndex empty(none);
+  EXPECT_DEATH({ (void)empty.SizeWeightedCluster(rng); }, "empty population");
+  const ClusterPopulation zeros({0, 0});
+  const TriplePrefixIndex no_triples(zeros);
+  EXPECT_DEATH({ (void)no_triples.SizeWeightedCluster(rng); },
+               "empty population");
+}
+
 TEST(SrsTripleSamplerTest, BatchesAreDisjoint) {
   const ClusterPopulation pop({10, 10, 10});
   SrsUnitSampler sampler(pop);
