@@ -12,8 +12,8 @@
 namespace kgacc {
 
 /// The Section 5 sampling designs, each a UnitSampler that the one campaign
-/// loop drives. Every sampler owns its randomness and its without-replacement
-/// bookkeeping, and returns SampleUnits in the parent view's coordinates.
+/// loop drives. Every sampler owns its without-replacement bookkeeping and
+/// returns SampleUnits in the coordinates of the view it samples.
 
 /// SRS of triples (Section 5.1): one unit per sampled triple.
 class SrsUnitSampler : public UnitSampler {
