@@ -30,8 +30,6 @@ class ClusterPopulation : public KgView {
   uint64_t ClusterSize(uint64_t cluster) const override;
   uint64_t TotalTriples() const override { return total_triples_; }
 
-  const std::vector<uint32_t>& sizes() const { return sizes_; }
-
  private:
   std::vector<uint32_t> sizes_;
   uint64_t total_triples_ = 0;
