@@ -9,22 +9,20 @@
 // snapshot deltas around the run — the obs subsystem's striped histograms,
 // not extra stopwatches, so the timed path is exactly the production path.
 //
-// Writes BENCH_cost_sweep.json (kgacc-cost-sweep-v1, into
-// $KGACC_BENCH_JSON_DIR when set):
+// Writes BENCH_cost_sweep.json (a kgacc-bench-v2 artifact, into
+// $KGACC_BENCH_JSON_DIR when set) with one row per budget:
 //
-//   {"schema": "kgacc-cost-sweep-v1",
-//    "design": "twcs",
-//    "sweep": [{"budget_seconds": ..., "cost_seconds": ...,
-//               "estimate": ..., "moe": ..., "units": ..., "rounds": ...,
-//               "converged": true|false,
-//               "phase_seconds": {"sample": ..., "annotate": ...,
-//                                  "estimate": ..., "stopping_check": ...}},
-//              ...]}
+//   {"budget_seconds": ..., "cost_seconds": ..., "estimate": ..., "moe": ...,
+//    "units": ..., "rounds": ..., "converged": true|false,
+//    "phase_seconds": {"sample": ..., "annotate": ..., "estimate": ...,
+//                      "stopping_check": ...}}
 //
-// Invariants the artifact exhibits (and the companion test pins on a small
-// instance): spent cost never exceeds budget by more than one round, and is
-// non-decreasing in the budget; achieved MoE is non-increasing in the
-// budget (more annotation never hurts precision, trial-for-trial).
+// The sweep's designed invariants are exact (the runs are seeded and the
+// cost model is simulated), so the bench checks them itself and exits
+// non-zero when one breaks: budgets ascend with the unbounded run last,
+// spent cost is non-decreasing and achieved MoE non-increasing in the
+// budget (more annotation never hurts precision, trial-for-trial). The
+// companion test pins the same properties on a small instance.
 
 #include <cstdio>
 #include <string>
@@ -32,6 +30,7 @@
 
 #include "bench_util.h"
 #include "core/design_registry.h"
+#include "core/telemetry.h"
 #include "kg/cluster_population.h"
 #include "kg/generator.h"
 #include "labels/annotator.h"
@@ -61,6 +60,34 @@ struct SweepRow {
 double PhaseSum(const obs::MetricsSnapshot& snapshot, const char* name) {
   const obs::HistogramSnapshot* histogram = snapshot.FindHistogram(name);
   return histogram != nullptr ? histogram->sum_seconds : 0.0;
+}
+
+/// Budgets ascend (0 = unbounded, last); spent cost is non-decreasing and
+/// achieved MoE non-increasing in the budget.
+bool CheckSweepInvariants(const std::vector<SweepRow>& rows) {
+  for (size_t i = 1; i < rows.size(); ++i) {
+    const SweepRow& prev = rows[i - 1];
+    const SweepRow& row = rows[i];
+    const char* broken = nullptr;
+    if (row.budget_seconds != 0.0 &&
+        (prev.budget_seconds == 0.0 ||
+         row.budget_seconds <= prev.budget_seconds)) {
+      broken = "budgets not ascending";
+    } else if (row.cost_seconds < prev.cost_seconds) {
+      broken = "spent cost decreased as the budget grew";
+    } else if (row.moe > prev.moe) {
+      broken = "MoE increased as the budget grew";
+    }
+    if (broken != nullptr) {
+      std::fprintf(stderr,
+                   "error: %s (budget %.0fs -> %.0fs: cost %.0fs -> %.0fs, "
+                   "MoE %.4f -> %.4f)\n",
+                   broken, prev.budget_seconds, row.budget_seconds,
+                   prev.cost_seconds, row.cost_seconds, prev.moe, row.moe);
+      return false;
+    }
+  }
+  return true;
 }
 
 int RunSweep() {
@@ -125,35 +152,35 @@ int RunSweep() {
   }
   obs::EnableMetrics(false);
 
+  BenchArtifact artifact("cost_sweep");
+  artifact.config().Key("design").String("twcs");
+  for (const SweepRow& row : rows) {
+    artifact.rows()
+        .BeginObject()
+        .Key("budget_seconds").Number(row.budget_seconds)
+        .Key("cost_seconds").Number(row.cost_seconds)
+        .Key("estimate").Number(row.estimate)
+        .Key("moe").Number(row.moe)
+        .Key("units").Uint(row.units)
+        .Key("rounds").Uint(row.rounds)
+        .Key("converged").Bool(row.converged)
+        .Key("phase_seconds").BeginObject()
+        .Key("sample").Number(row.sample_seconds)
+        .Key("annotate").Number(row.annotate_seconds)
+        .Key("estimate").Number(row.estimate_seconds)
+        .Key("stopping_check").Number(row.stopping_seconds)
+        .EndObject()
+        .EndObject();
+  }
   const std::string path = bench::ArtifactPath("BENCH_cost_sweep.json");
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  const Status written = artifact.Write(path);
+  if (!written.ok()) {
+    std::fprintf(stderr, "error: %s\n", written.ToString().c_str());
     return 1;
   }
-  std::fprintf(f, "{\n  \"schema\": \"kgacc-cost-sweep-v1\",\n");
-  std::fprintf(f, "  \"design\": \"twcs\",\n  \"sweep\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const SweepRow& row = rows[i];
-    std::fprintf(
-        f,
-        "    {\"budget_seconds\": %.17g, \"cost_seconds\": %.17g, "
-        "\"estimate\": %.17g, \"moe\": %.17g, \"units\": %llu, "
-        "\"rounds\": %llu, \"converged\": %s, "
-        "\"phase_seconds\": {\"sample\": %.17g, \"annotate\": %.17g, "
-        "\"estimate\": %.17g, \"stopping_check\": %.17g}}%s\n",
-        row.budget_seconds, row.cost_seconds, row.estimate, row.moe,
-        static_cast<unsigned long long>(row.units),
-        static_cast<unsigned long long>(row.rounds),
-        row.converged ? "true" : "false", row.sample_seconds,
-        row.annotate_seconds, row.estimate_seconds, row.stopping_seconds,
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
   std::printf("\ncost sweep artifact: %s (%zu budgets)\n", path.c_str(),
               rows.size());
-  return 0;
+  return CheckSweepInvariants(rows) ? 0 : 1;
 }
 
 }  // namespace

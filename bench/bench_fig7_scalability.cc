@@ -7,14 +7,15 @@
 //   (3) kgacc-kgstore-v1 substrate: streamed build throughput, O(1) open
 //       latency (must NOT scale with triple count), zero-copy lookup and
 //       TWCS sampler latency over the mmap-backed graph, written as a
-//       kgacc-kgstore-bench-v1 artifact for kgacc_trace_check.
+//       kgacc-bench-v2 artifact ("kgstore") for kgacc_trace_check. The
+//       section exits non-zero when open latency scales with size.
 //
 // The MOVIE-FULL substrate is a size-only ClusterPopulation with lazily
 // hashed labels (DESIGN.md), so 130M triples fit in a few hundred MB; the
 // store section streams the same profile to disk and samples it via mmap.
 //
 // Flags: --store-only              skip sections (1)/(2) (CI's bench-smoke)
-//        --store-sizes N,N,...     store section triple counts
+//        --store-sizes N,N,...     store section triple counts, ascending
 //                                  [10000000,100000000]
 //        --store-dir DIR           where .kgstore files are built [.]
 //        --keep-stores             leave the built files on disk (CI caches
@@ -22,6 +23,7 @@
 //        --out FILE.json           artifact path
 //                                  [$KGACC_BENCH_JSON_DIR/BENCH_kgstore.json]
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -29,11 +31,11 @@
 
 #include "bench_util.h"
 #include "core/static_evaluator.h"
+#include "core/telemetry.h"
 #include "datasets/datasets.h"
 #include "kg/store/mapped_graph.h"
 #include "labels/annotator.h"
 #include "util/flags.h"
-#include "util/json.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 #include "util/timer.h"
@@ -164,35 +166,51 @@ int RunStoreSection(const std::vector<uint64_t>& sizes,
   std::printf("Expected shape: open_ms flat across sizes (O(1) mmap open); "
               "build throughput flat (streaming writer).\n");
 
-  JsonWriter json;
-  json.BeginObject();
-  json.Key("schema").String("kgacc-kgstore-bench-v1");
-  json.Key("accuracy").Number(0.9);
-  json.Key("seed").Uint(seed);
-  json.Key("rows").BeginArray();
+  BenchArtifact artifact("kgstore");
+  artifact.config().Key("accuracy").Number(0.9).Key("seed").Uint(seed);
+  double open_ms_min = rows.front().open_ms;
+  double open_ms_max = rows.front().open_ms;
+  double build_rate_min = rows.front().build_mtriples_per_sec;
   for (const StoreRow& row : rows) {
-    json.BeginObject();
-    json.Key("triples").Uint(row.triples);
-    json.Key("clusters").Uint(row.clusters);
-    json.Key("file_bytes").Uint(row.file_bytes);
-    json.Key("build_seconds").Number(row.build_seconds);
-    json.Key("build_mtriples_per_sec").Number(row.build_mtriples_per_sec);
-    json.Key("open_ms").Number(row.open_ms);
-    json.Key("lookup_ns").Number(row.lookup_ns);
-    json.Key("twcs_wall_ms").Number(row.twcs_wall_ms);
-    json.EndObject();
+    open_ms_min = std::min(open_ms_min, row.open_ms);
+    open_ms_max = std::max(open_ms_max, row.open_ms);
+    build_rate_min = std::min(build_rate_min, row.build_mtriples_per_sec);
+    artifact.rows()
+        .BeginObject()
+        .Key("triples").Uint(row.triples)
+        .Key("clusters").Uint(row.clusters)
+        .Key("file_bytes").Uint(row.file_bytes)
+        .Key("build_seconds").Number(row.build_seconds)
+        .Key("build_mtriples_per_sec").Number(row.build_mtriples_per_sec)
+        .Key("open_ms").Number(row.open_ms)
+        .Key("lookup_ns").Number(row.lookup_ns)
+        .Key("twcs_wall_ms").Number(row.twcs_wall_ms)
+        .EndObject();
   }
-  json.EndArray();
-  json.EndObject();
-  FILE* out = std::fopen(out_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "error: cannot write %s\n", out_path.c_str());
+  artifact.SetMetric("max_open_ms", open_ms_max);
+  artifact.SetMetric("min_build_mtriples_per_sec", build_rate_min);
+  const Status written = artifact.Write(out_path);
+  if (!written.ok()) {
+    std::fprintf(stderr, "error: %s\n", written.ToString().c_str());
     return 1;
   }
-  std::fputs(json.str().c_str(), out);
-  std::fputc('\n', out);
-  std::fclose(out);
   std::printf("artifact: %s\n", out_path.c_str());
+
+  // The O(1)-open contract: across a sweep whose triple counts span an
+  // order of magnitude or more, open latency may vary only by a constant
+  // factor (noise + page-table setup), never with size. 8x plus a 2ms
+  // absolute slack keeps tiny-store sweeps (where everything is
+  // sub-millisecond timer noise) from flaking while still catching any
+  // open path that reads the triple columns.
+  constexpr double kMaxOpenRatio = 8.0;
+  constexpr double kOpenSlackMs = 2.0;
+  if (open_ms_max > open_ms_min * kMaxOpenRatio + kOpenSlackMs) {
+    std::fprintf(stderr,
+                 "error: open latency scales with store size (%.3fms -> "
+                 "%.3fms across the sweep; O(1) open contract violated)\n",
+                 open_ms_min, open_ms_max);
+    return 1;
+  }
   return 0;
 }
 
@@ -247,6 +265,10 @@ int Run(const FlagParser& flags) {
       if (!ParseUint64(token, &parsed) || parsed == 0) {
         std::fprintf(stderr, "error: bad --store-sizes entry '%.*s'\n",
                      static_cast<int>(token.size()), token.data());
+        return 1;
+      }
+      if (!sizes.empty() && parsed <= sizes.back()) {
+        std::fprintf(stderr, "error: --store-sizes must ascend\n");
         return 1;
       }
       sizes.push_back(parsed);

@@ -9,17 +9,21 @@
 // sampling seed, whose rounds are free after the first tenant bought the
 // labels (cross-campaign reuse).
 //
-// Emits a kgacc-fleet-bench-v1 artifact (BENCH_fleet_scheduler.json) that
-// `kgacc_trace_check --max-fleet-ci-width/--min-fleet-fairness` gates, plus
-// one fleet_grants_<policy>.log per policy: the GrantRecord::ToLine rendering
+// Emits a kgacc-bench-v2 artifact (BENCH_fleet_scheduler.json) whose
+// fleet_scheduler.* metrics `kgacc_trace_check --gate` reads, plus one
+// fleet_grants_<policy>.log per policy: the GrantRecord::ToLine rendering
 // of the grant sequence, byte-identical across runs with the same flags
 // (CI's fleet-smoke job compares two runs to pin scheduler determinism).
+// Exits non-zero when a policy run breaks the fleet's accounting: no
+// grants, tenant spends that do not sum to the fleet's, or a CI width
+// outside [0, 1].
 //
 // Flags: --tenants N (8), --graphs G (2), --budget SECONDS (40000),
 // --max-resident K (0 = unlimited), --policies a,b,c (all three),
 // --seed S (KGACC_SEED fallback), --out PATH.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -28,6 +32,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "core/telemetry.h"
 #include "datasets/datasets.h"
 #include "kg/cluster_population.h"
 #include "labels/synthetic_oracle.h"
@@ -45,7 +50,7 @@ namespace {
 constexpr const char* kUsage = R"(bench_fleet_scheduler — fleet scheduling bench
 
 Runs one tenant fleet under each scheduling policy at the same annotation
-budget and writes a kgacc-fleet-bench-v1 artifact plus per-policy grant logs.
+budget and writes a kgacc-bench-v2 artifact plus per-policy grant logs.
 
 Flags:
   --tenants N       fleet size                                       [8]
@@ -218,21 +223,45 @@ void WriteGrantLog(const PolicyOutcome& outcome) {
               outcome.grant_log.size());
 }
 
-void WriteArtifact(const std::string& path,
-                   const std::vector<PolicyOutcome>& outcomes,
-                   uint64_t num_tenants, uint64_t num_graphs, double budget,
-                   uint64_t seed) {
-  JsonWriter json;
-  json.BeginObject();
-  json.Key("schema").String("kgacc-fleet-bench-v1");
-  json.Key("seed").Uint(seed);
-  json.Key("num_tenants").Uint(num_tenants);
-  json.Key("num_graphs").Uint(num_graphs);
-  json.Key("budget_seconds").Number(budget);
-  json.Key("rows").BeginArray();
+/// The accounting every policy run must satisfy: at least one grant,
+/// tenant spends summing to the fleet's spend, CI widths in [0, 1].
+bool CheckOutcome(const PolicyOutcome& outcome) {
+  double tenant_spend = 0.0;
+  bool widths_ok = true;
+  for (const TenantStatus& t : outcome.tenants) {
+    tenant_spend += t.spent_seconds;
+    widths_ok = widths_ok && t.ci_width >= 0.0 && t.ci_width <= 1.0;
+  }
+  const double slack = 1e-6 * std::max(1.0, outcome.spent_seconds);
+  if (outcome.grants == 0 || !widths_ok ||
+      std::abs(tenant_spend - outcome.spent_seconds) > slack) {
+    std::fprintf(stderr,
+                 "error: %s: %llu grants, tenant spend %.6f vs fleet spend "
+                 "%.6f, CI widths %s\n",
+                 outcome.policy.c_str(),
+                 static_cast<unsigned long long>(outcome.grants),
+                 tenant_spend, outcome.spent_seconds,
+                 widths_ok ? "in [0, 1]" : "outside [0, 1]");
+    return false;
+  }
+  return true;
+}
+
+Status WriteArtifact(const std::string& path,
+                     const std::vector<PolicyOutcome>& outcomes,
+                     uint64_t num_tenants, uint64_t num_graphs, double budget,
+                     uint64_t seed) {
+  BenchArtifact artifact("fleet_scheduler");
+  artifact.config()
+      .Key("seed").Uint(seed)
+      .Key("num_tenants").Uint(num_tenants)
+      .Key("num_graphs").Uint(num_graphs)
+      .Key("budget_seconds").Number(budget);
+  std::map<std::string, const PolicyOutcome*> by_policy;
   for (const PolicyOutcome& outcome : outcomes) {
+    by_policy[outcome.policy] = &outcome;
     // Per-tenant CI-width trajectory vs own cumulative charged seconds,
-    // reconstructed from the grant log (tools/plot_fleet.py renders these).
+    // reconstructed from the grant log (tools/plot_bench.py renders these).
     std::map<std::string, std::vector<std::pair<double, double>>> trajectories;
     std::map<std::string, double> charged;
     for (const GrantRecord& record : outcome.grant_log) {
@@ -240,11 +269,11 @@ void WriteArtifact(const std::string& path,
       trajectories[record.tenant].emplace_back(charged[record.tenant],
                                                record.ci_width);
     }
+    JsonWriter& json = artifact.rows();
     json.BeginObject();
     json.Key("policy").String(outcome.policy);
     json.Key("grants").Uint(outcome.grants);
     json.Key("spent_seconds").Number(outcome.spent_seconds);
-    json.Key("budget_seconds").Number(budget);
     json.Key("mean_ci_width").Number(outcome.mean_ci_width);
     json.Key("max_ci_width").Number(outcome.max_ci_width);
     json.Key("budget_avg_ci_width").Number(outcome.budget_avg_ci_width);
@@ -275,11 +304,26 @@ void WriteArtifact(const std::string& path,
     json.EndArray();
     json.EndObject();
   }
-  json.EndArray();
-  json.EndObject();
-  std::ofstream out(path, std::ios::trunc);
-  out << json.TakeString() << "\n";
+  // The gated claims: the greedy fleet's final width, the weighted-fair
+  // fleet's fairness, and greedy-ci against round-robin on budget-averaged
+  // width at equal budget (< 1 means greedy narrows the fleet faster).
+  const auto greedy = by_policy.find("greedy-ci");
+  const auto fair = by_policy.find("weighted-fair");
+  const auto round_robin = by_policy.find("round-robin");
+  if (greedy != by_policy.end()) {
+    artifact.SetMetric("greedy_mean_ci_width", greedy->second->mean_ci_width);
+  }
+  if (fair != by_policy.end()) {
+    artifact.SetMetric("weighted_fair_jain", fair->second->jain_fairness);
+  }
+  if (greedy != by_policy.end() && round_robin != by_policy.end()) {
+    artifact.SetMetric("greedy_over_round_robin_avg_ci_width",
+                       greedy->second->budget_avg_ci_width /
+                           round_robin->second->budget_avg_ci_width);
+  }
+  KGACC_RETURN_IF_ERROR(artifact.Write(path));
   std::printf("wrote %s\n", path.c_str());
+  return Status::OK();
 }
 
 int Main(int argc, char** argv) {
@@ -365,8 +409,13 @@ int Main(int argc, char** argv) {
     WriteGrantLog(outcome);
     outcomes.push_back(std::move(outcome));
   }
-  WriteArtifact(out_path, outcomes, num_tenants, num_graphs, budget, seed);
-  return 0;
+  const Status written =
+      WriteArtifact(out_path, outcomes, num_tenants, num_graphs, budget, seed);
+  if (!written.ok()) {
+    std::fprintf(stderr, "error: %s\n", written.ToString().c_str());
+    return 1;
+  }
+  return std::all_of(outcomes.begin(), outcomes.end(), CheckOutcome) ? 0 : 1;
 }
 
 }  // namespace

@@ -10,11 +10,10 @@
 // BM_AnnotateBatchSweep is the crowd-scale sweep (batch size × thread
 // count): it measures pure AnnotateBatch throughput with manual timing (the
 // per-iteration cache Reset is excluded) and, when any sweep configuration
-// ran, writes a `kgacc-annotate-bench-v1` JSON artifact
-// (BENCH_annotate_sweep.json, into $KGACC_BENCH_JSON_DIR when set) with
-// items/sec and the speedup of every thread count against the same batch's
-// single-thread run. `kgacc_trace_check` validates the artifact; CI's
-// bench-smoke job uploads it.
+// ran, writes a kgacc-bench-v2 artifact (BENCH_annotate_sweep.json, into
+// $KGACC_BENCH_JSON_DIR when set) with items/sec and the speedup of every
+// thread count against the same batch's single-thread run. CI's bench-smoke
+// job gates `annotate_sweep.largest_batch_speedup` with kgacc_trace_check.
 
 #include <benchmark/benchmark.h>
 
@@ -154,36 +153,42 @@ BENCHMARK(BM_AnnotateBatchSweep)
 
 }  // namespace
 
-/// Writes the kgacc-annotate-bench-v1 artifact from the sweep cells that
-/// ran (a --benchmark_filter selecting none of them writes nothing).
+/// Writes the annotate_sweep artifact (kgacc-bench-v2) from the sweep cells
+/// that ran (a --benchmark_filter selecting none of them writes nothing).
+/// Its gated metric is the best multi-thread speedup at the largest batch:
+/// small batches legitimately lose to thread hand-off on few-core runners,
+/// and small-batch parallelism is not what the sharded path is for.
 void WriteSweepArtifact() {
   const auto& rates = SweepRates();
   if (rates.empty()) return;
-  const std::string path =
-      bench::ArtifactPath("BENCH_annotate_sweep.json");
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"schema\": \"kgacc-annotate-bench-v1\",\n");
-  std::fprintf(f, "  \"sweep\": [\n");
-  bool first = true;
+  BenchArtifact artifact("annotate_sweep");
+  std::map<int64_t, double> best_speedup;  // batch -> best over threads > 1.
   for (const auto& [key, rate] : rates) {
     const auto& [batch, threads] = key;
     const auto single = rates.find({batch, int64_t{1}});
     const double speedup =
         single != rates.end() && single->second > 0.0 ? rate / single->second
                                                       : 0.0;
-    std::fprintf(f,
-                 "%s    {\"batch\": %lld, \"threads\": %lld, "
-                 "\"items_per_second\": %.17g, \"speedup_vs_1\": %.17g}",
-                 first ? "" : ",\n", static_cast<long long>(batch),
-                 static_cast<long long>(threads), rate, speedup);
-    first = false;
+    if (threads > 1) {
+      best_speedup[batch] = std::max(best_speedup[batch], speedup);
+    }
+    artifact.rows()
+        .BeginObject()
+        .Key("batch").Int(batch)
+        .Key("threads").Int(threads)
+        .Key("items_per_second").Number(rate)
+        .Key("speedup_vs_1").Number(speedup)
+        .EndObject();
   }
-  std::fprintf(f, "\n  ]\n}\n");
-  std::fclose(f);
+  if (!best_speedup.empty()) {
+    artifact.SetMetric("largest_batch_speedup", best_speedup.rbegin()->second);
+  }
+  const std::string path = bench::ArtifactPath("BENCH_annotate_sweep.json");
+  const Status written = artifact.Write(path);
+  if (!written.ok()) {
+    std::fprintf(stderr, "%s\n", written.ToString().c_str());
+    return;
+  }
   std::printf("sweep artifact: %s (%zu configurations)\n", path.c_str(),
               rates.size());
 }
@@ -231,7 +236,7 @@ void BM_EngineCampaignMetrics(benchmark::State& state) {
   // The identical campaign with metrics collection enabled: every phase
   // span records to its histogram and every counter site accumulates. The
   // delta to BM_EngineCampaign is the live instrumentation overhead, which
-  // the kgacc-metrics-bench-v1 artifact reports and CI budgets.
+  // the metrics_overhead artifact reports and CI budgets.
   const Workload workload = MakeWorkload(1);
   EvaluationOptions options;
   options.seed = 7;
@@ -279,29 +284,25 @@ BENCHMARK(BM_EngineCampaignTraced);
 
 }  // namespace
 
-/// Writes the kgacc-metrics-bench-v1 instrumentation-overhead artifact when
-/// both BM_EngineCampaign and BM_EngineCampaignMetrics ran (a filter
-/// selecting only one of them writes nothing). kgacc_trace_check gates
-/// `overhead_fraction` with --max-metrics-overhead.
+/// Writes the metrics_overhead artifact (kgacc-bench-v2) when both
+/// BM_EngineCampaign and BM_EngineCampaignMetrics ran (a filter selecting
+/// only one of them writes nothing). CI gates `metrics_overhead.fraction`.
 void WriteMetricsOverheadArtifact() {
   const OverheadCells& cells = Overhead();
   if (cells.baseline_seconds <= 0.0 || cells.metrics_seconds <= 0.0) return;
   const double overhead =
       cells.metrics_seconds / cells.baseline_seconds - 1.0;
+  BenchArtifact artifact("metrics_overhead");
+  artifact.SetMetric("baseline_seconds", cells.baseline_seconds);
+  artifact.SetMetric("metrics_seconds", cells.metrics_seconds);
+  artifact.SetMetric("fraction", overhead);
   const std::string path =
       bench::ArtifactPath("BENCH_metrics_overhead.json");
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  const Status written = artifact.Write(path);
+  if (!written.ok()) {
+    std::fprintf(stderr, "%s\n", written.ToString().c_str());
     return;
   }
-  std::fprintf(f,
-               "{\n  \"schema\": \"kgacc-metrics-bench-v1\",\n"
-               "  \"baseline_seconds\": %.17g,\n"
-               "  \"metrics_seconds\": %.17g,\n"
-               "  \"overhead_fraction\": %.17g\n}\n",
-               cells.baseline_seconds, cells.metrics_seconds, overhead);
-  std::fclose(f);
   std::printf("metrics overhead artifact: %s (%.2f%%)\n", path.c_str(),
               overhead * 100.0);
 }

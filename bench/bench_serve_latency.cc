@@ -20,8 +20,10 @@
 // stream-trace}; a campaign that converges is replaced by a fresh
 // start-campaign, so the mix also exercises session creation under load.
 //
-// Writes BENCH_serve_latency.json (kgacc-serve-bench-v1) for
-// kgacc_trace_check --max-serve-p99 / --min-serve-qps gating.
+// Writes BENCH_serve_latency.json (a kgacc-bench-v2 artifact) whose
+// serve_latency.max_p99_ms and serve_latency.qps metrics CI gates with
+// kgacc_trace_check --gate. Exits non-zero when the run recorded no
+// requests or any protocol error.
 
 #include <algorithm>
 #include <atomic>
@@ -33,6 +35,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "core/telemetry.h"
 #include "serve/graph_store.h"
 #include "serve/protocol.h"
 #include "serve/serve_client.h"
@@ -268,21 +271,16 @@ int Main(int argc, char** argv) {
   for (const OpStats& stats : merged) total += stats.latencies_ms.size();
   const double qps = elapsed > 0 ? static_cast<double>(total) / elapsed : 0.0;
 
-  JsonWriter json;
-  json.BeginObject();
-  json.Key("schema").String("kgacc-serve-bench-v1");
-  json.Key("mode").String(target_qps > 0 ? "open" : "closed");
-  json.Key("clients").Uint(clients);
-  json.Key("graph").String(graph);
-  json.Key("design").String(design);
-  json.Key("target_qps").Number(target_qps);
-  json.Key("duration_seconds").Number(elapsed);
-  json.Key("total_requests").Uint(total);
-  json.Key("errors").Uint(errors);
-  json.Key("qps").Number(qps);
-  json.Key("request_types").BeginArray();
+  BenchArtifact artifact("serve_latency");
+  artifact.config()
+      .Key("mode").String(target_qps > 0 ? "open" : "closed")
+      .Key("clients").Uint(clients)
+      .Key("graph").String(graph)
+      .Key("design").String(design)
+      .Key("target_qps").Number(target_qps);
   std::printf("%-16s %8s %9s %9s %9s %9s\n", "op", "count", "p50_ms",
               "p95_ms", "p99_ms", "max_ms");
+  double max_p99 = 0.0;
   for (OpStats& stats : merged) {
     std::sort(stats.latencies_ms.begin(), stats.latencies_ms.end());
     const double p50 = PercentileMs(stats.latencies_ms, 0.50);
@@ -296,34 +294,41 @@ int Main(int argc, char** argv) {
                             ? 0.0
                             : sum / static_cast<double>(
                                         stats.latencies_ms.size());
-    json.BeginObject();
-    json.Key("op").String(stats.op);
-    json.Key("count").Uint(stats.latencies_ms.size());
-    json.Key("mean_ms").Number(mean);
-    json.Key("p50_ms").Number(p50);
-    json.Key("p95_ms").Number(p95);
-    json.Key("p99_ms").Number(p99);
-    json.Key("max_ms").Number(max);
-    json.EndObject();
+    // An op that never fired (stream-trace in a tiny run) has no p99.
+    if (!stats.latencies_ms.empty()) max_p99 = std::max(max_p99, p99);
+    artifact.rows()
+        .BeginObject()
+        .Key("op").String(stats.op)
+        .Key("count").Uint(stats.latencies_ms.size())
+        .Key("mean_ms").Number(mean)
+        .Key("p50_ms").Number(p50)
+        .Key("p95_ms").Number(p95)
+        .Key("p99_ms").Number(p99)
+        .Key("max_ms").Number(max)
+        .EndObject();
     std::printf("%-16s %8zu %9.3f %9.3f %9.3f %9.3f\n", stats.op.c_str(),
                 stats.latencies_ms.size(), p50, p95, p99, max);
   }
-  json.EndArray();
-  json.EndObject();
-
-  FILE* out = std::fopen(out_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "error: cannot write %s\n", out_path.c_str());
+  artifact.SetMetric("duration_seconds", elapsed);
+  artifact.SetMetric("requests", static_cast<double>(total));
+  artifact.SetMetric("errors", static_cast<double>(errors));
+  artifact.SetMetric("qps", qps);
+  artifact.SetMetric("max_p99_ms", max_p99);
+  const Status written = artifact.Write(out_path);
+  if (!written.ok()) {
+    std::fprintf(stderr, "error: %s\n", written.ToString().c_str());
     return 1;
   }
-  std::fputs(json.str().c_str(), out);
-  std::fputc('\n', out);
-  std::fclose(out);
   std::printf("%s: %llu requests in %.2fs (%.0f qps, %llu errors) -> %s\n",
               target_qps > 0 ? "open-loop" : "closed-loop",
               static_cast<unsigned long long>(total), elapsed, qps,
               static_cast<unsigned long long>(errors), out_path.c_str());
-  return errors == 0 ? 0 : 1;
+  if (total == 0 || errors > 0) {
+    std::fprintf(stderr, "error: the run needs requests and no protocol "
+                         "errors\n");
+    return 1;
+  }
+  return 0;
 }
 
 }  // namespace

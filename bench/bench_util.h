@@ -50,10 +50,9 @@ inline std::string MeanStdPercent(const RunningStats& stats, int decimals = 1) {
 
 /// Path for a machine-readable bench artifact (BENCH_*.json): written into
 /// $KGACC_BENCH_JSON_DIR when set, the working directory otherwise. The
-/// artifacts are kgacc-trace-v1 documents; `kgacc_trace_check` validates
-/// them (the same gate CI's bench-smoke job applies to the CLI-generated
-/// traces — these fig benches themselves are too slow for CI and run
-/// offline).
+/// fig benches write kgacc-trace-v1 campaign traces, the measurement
+/// benches kgacc-bench-v2 envelopes (BenchArtifact); `kgacc_trace_check`
+/// validates both.
 inline std::string ArtifactPath(const std::string& name) {
   const char* dir = std::getenv("KGACC_BENCH_JSON_DIR");
   const std::string base = (dir != nullptr && *dir != '\0') ? dir : ".";

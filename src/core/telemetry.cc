@@ -1,6 +1,7 @@
 #include "core/telemetry.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -211,19 +212,175 @@ Result<std::vector<CampaignTrace>> ParseTraceJson(const JsonValue& document,
   return traces;
 }
 
-Status CheckGateCoverage(const std::vector<GateRequirement>& active_gates,
-                         const std::vector<std::string>& kinds_seen) {
-  for (const GateRequirement& gate : active_gates) {
-    if (std::find(kinds_seen.begin(), kinds_seen.end(), gate.kind) ==
-        kinds_seen.end()) {
-      return Status::InvalidArgument(StrFormat(
-          "gate --%s inspects %s artifacts, but no input file has that "
-          "schema — the gate would pass vacuously; pass a matching artifact "
-          "or drop the flag",
-          gate.flag.c_str(), gate.kind.c_str()));
+namespace {
+
+constexpr const char* kBenchSchema = "kgacc-bench-v2";
+
+/// "<bench>.<metric>": the bench's name keeps metrics of different
+/// artifacts apart in one gate list.
+std::string MetricName(const std::string& bench, const std::string& name) {
+  return bench + "." + name;
+}
+
+bool IsMetricNameChar(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
+         c == '.' || c == '-';
+}
+
+}  // namespace
+
+BenchArtifact::BenchArtifact(std::string bench) : bench_(std::move(bench)) {
+  config_.BeginObject();
+  rows_.BeginArray();
+}
+
+void BenchArtifact::SetMetric(const std::string& name, double value) {
+  metrics_[MetricName(bench_, name)] = value;
+}
+
+Status BenchArtifact::Write(const std::string& path) {
+  JsonWriter metrics;
+  metrics.BeginObject();
+  for (const auto& [name, value] : metrics_) {
+    if (!std::isfinite(value)) {
+      return Status::InvalidArgument(
+          StrFormat("metric '%s' is not finite (%g)", name.c_str(), value));
     }
+    metrics.Key(name).Number(value);
+  }
+  metrics.EndObject();
+  config_.EndObject();
+  rows_.EndArray();
+  std::ofstream file(path, std::ios::out | std::ios::trunc);
+  file << "{\"schema\": \"" << kBenchSchema << "\", \"bench\": \""
+       << JsonEscape(bench_) << "\",\n \"config\": " << config_.str()
+       << ",\n \"metrics\": " << metrics.str()
+       << ",\n \"rows\": " << rows_.str() << "}\n";
+  file.flush();
+  if (!file) {
+    return Status::IOError(StrFormat("cannot write '%s'", path.c_str()));
   }
   return Status::OK();
+}
+
+Result<BenchSummary> ParseBenchJson(const JsonValue& document,
+                                    const std::string& context) {
+  KGACC_ASSIGN_OR_RETURN(const std::string schema,
+                         document.GetString("schema"));
+  if (schema != kBenchSchema) {
+    return Status::InvalidArgument(
+        StrFormat("'%s': unsupported schema '%s' (want %s)", context.c_str(),
+                  schema.c_str(), kBenchSchema));
+  }
+  BenchSummary summary;
+  KGACC_ASSIGN_OR_RETURN(summary.bench, document.GetString("bench"));
+  const JsonValue* config = document.Find("config");
+  const JsonValue* metrics = document.Find("metrics");
+  const JsonValue* rows = document.Find("rows");
+  if (summary.bench.empty() || config == nullptr || !config->is_object() ||
+      metrics == nullptr || !metrics->is_object() || rows == nullptr ||
+      !rows->is_array()) {
+    return Status::InvalidArgument(StrFormat(
+        "'%s': a %s document needs a bench name, a config object, a "
+        "metrics object and a rows array",
+        context.c_str(), kBenchSchema));
+  }
+  const std::string prefix = MetricName(summary.bench, "");
+  for (const auto& [name, value] : metrics->AsObject()) {
+    if (name.size() <= prefix.size() ||
+        name.compare(0, prefix.size(), prefix) != 0) {
+      return Status::InvalidArgument(
+          StrFormat("'%s': metric '%s' is not named '%s<metric>'",
+                    context.c_str(), name.c_str(), prefix.c_str()));
+    }
+    if (!value.is_number()) {
+      return Status::InvalidArgument(StrFormat(
+          "'%s': metric '%s' is not a number", context.c_str(), name.c_str()));
+    }
+    summary.metrics[name] = value.AsNumber();
+  }
+  summary.rows = rows->AsArray().size();
+  return summary;
+}
+
+bool Gate::Admits(double value) const {
+  switch (op) {
+    case Op::kLess: return value < threshold;
+    case Op::kLessEqual: return value <= threshold;
+    case Op::kGreater: return value > threshold;
+    case Op::kGreaterEqual: return value >= threshold;
+  }
+  return false;
+}
+
+std::string Gate::ToString() const {
+  static constexpr const char* kSpelling[] = {"<", "<=", ">", ">="};
+  return StrFormat("%s%s%g", metric.c_str(),
+                   kSpelling[static_cast<int>(op)], threshold);
+}
+
+Result<std::vector<Gate>> ParseGates(std::string_view spec) {
+  std::vector<Gate> gates;
+  for (const std::string_view piece : SplitString(spec, ',')) {
+    const std::string_view entry = StripWhitespace(piece);
+    const size_t at = entry.find_first_of("<>");
+    if (at == std::string_view::npos) {
+      return Status::InvalidArgument(StrFormat(
+          "gate '%.*s' has no operator (<, <=, >, >=)",
+          static_cast<int>(entry.size()), entry.data()));
+    }
+    Gate gate;
+    gate.metric = std::string(StripWhitespace(entry.substr(0, at)));
+    if (gate.metric.empty() ||
+        !std::all_of(gate.metric.begin(), gate.metric.end(),
+                     IsMetricNameChar)) {
+      return Status::InvalidArgument(StrFormat(
+          "gate '%.*s' needs a metric name of letters, digits, '_', '.' "
+          "and '-' before its operator",
+          static_cast<int>(entry.size()), entry.data()));
+    }
+    const bool inclusive = at + 1 < entry.size() && entry[at + 1] == '=';
+    if (entry[at] == '<') {
+      gate.op = inclusive ? Gate::Op::kLessEqual : Gate::Op::kLess;
+    } else {
+      gate.op = inclusive ? Gate::Op::kGreaterEqual : Gate::Op::kGreater;
+    }
+    const std::string_view value = entry.substr(at + (inclusive ? 2 : 1));
+    if (!ParseDouble(value, &gate.threshold)) {
+      return Status::InvalidArgument(StrFormat(
+          "gate '%.*s': threshold '%.*s' is not a finite number",
+          static_cast<int>(entry.size()), entry.data(),
+          static_cast<int>(value.size()), value.data()));
+    }
+    gates.push_back(std::move(gate));
+  }
+  return gates;
+}
+
+Status CheckGates(const std::vector<Gate>& gates,
+                  const MetricObservations& observed) {
+  std::vector<std::string> failures;
+  for (const Gate& gate : gates) {
+    const auto it = observed.find(gate.metric);
+    if (it == observed.end() || it->second.empty()) {
+      failures.push_back(StrFormat(
+          "gate '%s': no input carries metric '%s', so the gate would pass "
+          "vacuously; pass an artifact that reports it or drop the gate",
+          gate.ToString().c_str(), gate.metric.c_str()));
+      continue;
+    }
+    for (const double value : it->second) {
+      if (!gate.Admits(value)) {
+        failures.push_back(StrFormat("gate '%s' failed: %s = %.17g",
+                                     gate.ToString().c_str(),
+                                     gate.metric.c_str(), value));
+      }
+    }
+  }
+  if (failures.empty()) return Status::OK();
+  std::string message = failures.front();
+  for (size_t i = 1; i < failures.size(); ++i) message += "\n" + failures[i];
+  return Status::FailedPrecondition(message);
 }
 
 }  // namespace kgacc

@@ -1,10 +1,13 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "util/json.h"
 #include "util/result.h"
 #include "util/status.h"
 
@@ -121,28 +124,87 @@ Status WriteTraceJson(
 /// ValidateTrace on each returned trace for those.
 Result<std::vector<CampaignTrace>> ReadTraceJson(const std::string& path);
 
-class JsonValue;  // util/json.h
-
 /// Same, over an already-parsed JSON document (callers that dispatch on the
 /// "schema" field can parse once and hand the document over; `context`
 /// labels error messages, typically the file path).
 Result<std::vector<CampaignTrace>> ParseTraceJson(const JsonValue& document,
                                                   const std::string& context);
 
-/// One explicitly requested artifact gate: the flag that enabled it and the
-/// artifact kind (schema name) the gate inspects.
-struct GateRequirement {
-  std::string flag;  ///< e.g. "min-async-speedup".
-  std::string kind;  ///< e.g. "kgacc-async-bench-v1".
+/// Builder for a `kgacc-bench-v2` artifact, the one shape every bench
+/// writes:
+///
+///   {"schema": "kgacc-bench-v2", "bench": "kgstore",
+///    "config": {"seed": 20190923, ...},
+///    "metrics": {"kgstore.max_open_ms": 0.015, ...},
+///    "rows": [{"triples": 1000000, "open_ms": 0.012, ...}, ...]}
+///
+/// `metrics` holds every scalar a `kgacc_trace_check --gate` can read, each
+/// finite and named "<bench>.<metric>"; `config` records the run's
+/// parameters and `rows` is the free-form table the plotters read.
+class BenchArtifact {
+ public:
+  explicit BenchArtifact(std::string bench);
+
+  /// Writer positioned inside the "config" object: add Key(...) + value.
+  JsonWriter& config() { return config_; }
+  /// Writer positioned inside the "rows" array: add one value per row.
+  JsonWriter& rows() { return rows_; }
+  /// Sets metric "<bench>.<name>".
+  void SetMetric(const std::string& name, double value);
+
+  /// Writes the document; call once, after the last row. Fails on a
+  /// non-finite metric, which JSON cannot carry.
+  Status Write(const std::string& path);
+
+ private:
+  std::string bench_;
+  JsonWriter config_;
+  JsonWriter rows_;
+  std::map<std::string, double> metrics_;
 };
 
-/// Gate/input coverage check for artifact gating tools (kgacc_trace_check):
-/// every active gate must have seen at least one artifact of the kind it
-/// inspects. A gate whose kind never appeared in the input would otherwise
-/// pass vacuously — the classic CI failure where a renamed artifact silently
-/// disarms the gate — so the first uncovered gate is returned as an
-/// InvalidArgument naming both the flag and the missing kind.
-Status CheckGateCoverage(const std::vector<GateRequirement>& active_gates,
-                         const std::vector<std::string>& kinds_seen);
+/// The gate-readable part of a parsed `kgacc-bench-v2` document.
+struct BenchSummary {
+  std::string bench;
+  std::map<std::string, double> metrics;
+  size_t rows = 0;
+};
+
+/// Checks the `kgacc-bench-v2` envelope — schema marker, a non-empty bench
+/// name, a config object, a rows array, and metrics that are all numbers
+/// named "<bench>.<metric>" — and returns its metrics. `context` labels
+/// error messages, typically the file path.
+Result<BenchSummary> ParseBenchJson(const JsonValue& document,
+                                    const std::string& context);
+
+/// One threshold on a named metric, spelled "name<x", "name<=x", "name>x"
+/// or "name>=x" (kgacc_trace_check --gate).
+struct Gate {
+  enum class Op { kLess, kLessEqual, kGreater, kGreaterEqual };
+
+  std::string metric;
+  Op op = Op::kLessEqual;
+  double threshold = 0.0;
+
+  bool Admits(double value) const;
+  std::string ToString() const;
+};
+
+/// Parses a comma-separated gate list, "a>=3,b<=0.5" (a list, because a
+/// repeated flag keeps only its last value). Rejects an empty entry, a
+/// missing operator, an empty or malformed metric name and a threshold that
+/// is not a finite number.
+Result<std::vector<Gate>> ParseGates(std::string_view spec);
+
+/// Every value each metric took, one per input that carried it.
+using MetricObservations = std::map<std::string, std::vector<double>>;
+
+/// Checks every gate against every observed value of its metric. A gate
+/// whose metric no input carries fails instead of passing vacuously — the
+/// CI failure where a renamed artifact or metric silently disarms a gate.
+/// The error names each failing gate, one per line; with no gates, any
+/// input passes.
+Status CheckGates(const std::vector<Gate>& gates,
+                  const MetricObservations& observed);
 
 }  // namespace kgacc

@@ -3,8 +3,10 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstring>
+#include <string>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -39,15 +41,23 @@ Result<StoreWriter> StoreWriter::Create(const std::string& path,
                                         uint64_t num_clusters,
                                         uint64_t num_triples,
                                         const Options& options) {
+  // Build into a sibling temp file and rename it over `path` in Finish: a
+  // process that has the old store mapped keeps reading the old inode
+  // instead of pages truncated under its mapping.
+  static std::atomic<uint64_t> next_temp{0};
+  const std::string temp_path =
+      path + ".tmp-" + std::to_string(::getpid()) + "-" +
+      std::to_string(next_temp.fetch_add(1, std::memory_order_relaxed));
   const int fd =
-      ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+      ::open(temp_path.c_str(), O_RDWR | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
   if (fd < 0) {
-    return Status::IOError("cannot create kgstore file " + path + ": " +
+    return Status::IOError("cannot create kgstore file " + temp_path + ": " +
                            std::strerror(errno));
   }
 
   StoreWriter writer;
   writer.path_ = path;
+  writer.temp_path_ = temp_path;
   writer.fd_ = fd;
   writer.with_labels_ = options.with_labels;
   writer.num_clusters_ = num_clusters;
@@ -230,17 +240,27 @@ Status StoreWriter::Finish(const SymbolTable* symbols) {
   header.header_checksum = store::HeaderChecksum(header);
   KGACC_RETURN_IF_ERROR(PwriteAll(
       fd_, reinterpret_cast<const char*>(&header), sizeof(header), 0, path_));
+  if (::fsync(fd_) != 0) {
+    return Status::IOError("kgstore fsync failed for " + temp_path_ + ": " +
+                           std::strerror(errno));
+  }
+  ::close(std::exchange(fd_, -1));
+  if (::rename(temp_path_.c_str(), path_.c_str()) != 0) {
+    return Status::IOError("cannot rename " + temp_path_ + " to " + path_ +
+                           ": " + std::strerror(errno));
+  }
+  temp_path_.clear();
 
   obs::MetricsRegistry::Global()
       .GetCounter("kg.store.triples_written")
       ->Add(triples_added_);
   finished_ = true;
-  Close();
   return Status::OK();
 }
 
 void StoreWriter::MoveFrom(StoreWriter& other) noexcept {
   path_ = std::move(other.path_);
+  temp_path_ = std::exchange(other.temp_path_, std::string());
   fd_ = std::exchange(other.fd_, -1);
   with_labels_ = other.with_labels_;
   finished_ = other.finished_;
@@ -256,10 +276,11 @@ void StoreWriter::MoveFrom(StoreWriter& other) noexcept {
   }
 }
 
-void StoreWriter::Close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
+void StoreWriter::Abandon() {
+  if (fd_ >= 0) ::close(std::exchange(fd_, -1));
+  if (!temp_path_.empty()) {
+    ::unlink(temp_path_.c_str());
+    temp_path_.clear();
   }
 }
 
@@ -267,13 +288,13 @@ StoreWriter::StoreWriter(StoreWriter&& other) noexcept { MoveFrom(other); }
 
 StoreWriter& StoreWriter::operator=(StoreWriter&& other) noexcept {
   if (this != &other) {
-    Close();
+    Abandon();
     MoveFrom(other);
   }
   return *this;
 }
 
-StoreWriter::~StoreWriter() { Close(); }
+StoreWriter::~StoreWriter() { Abandon(); }
 
 Status WriteGraphStore(const std::string& path, const TripleView& view,
                        const SymbolTable* symbols, const TruthOracle* labels) {

@@ -29,6 +29,11 @@ namespace kgacc {
 /// file cursor, with FNV checksums accumulated incrementally — memory stays
 /// O(buffer) regardless of graph size, which is what lets MaterializeGraph's
 /// streaming path generate 100M-triple graphs without ever holding them.
+///
+/// The file is built under a sibling temp name and renamed over `path` by
+/// Finish (after an fsync), so rebuilding a store that another process has
+/// mapped never changes the pages under its mapping; a writer destroyed
+/// before Finish succeeds removes its temp file and leaves `path` as it was.
 class StoreWriter {
  public:
   struct Options {
@@ -64,8 +69,9 @@ class StoreWriter {
                    bool correct = false);
 
   /// Flushes all sections, appends the symbol table (when given), writes the
-  /// checksummed header, and closes the file. Fails unless exactly the
-  /// declared number of clusters and triples were streamed.
+  /// checksummed header, fsyncs and closes the temp file and renames it over
+  /// the target path. Fails unless exactly the declared number of clusters
+  /// and triples were streamed.
   Status Finish(const SymbolTable* symbols = nullptr);
 
  private:
@@ -80,7 +86,8 @@ class StoreWriter {
 
   StoreWriter() = default;
   void MoveFrom(StoreWriter& other) noexcept;
-  void Close();
+  /// Closes the temp file and unlinks it unless Finish renamed it.
+  void Abandon();
 
   Status Append(store::Section section, const void* data, uint64_t size);
   Status FlushSection(store::Section section);
@@ -88,6 +95,7 @@ class StoreWriter {
   Status FlushBitWord(store::Section section, uint64_t& word);
 
   std::string path_;
+  std::string temp_path_;  ///< empty once renamed into place.
   int fd_ = -1;
   bool with_labels_ = false;
   bool finished_ = false;

@@ -545,7 +545,8 @@ bool CampaignScheduler::GrantNext() {
   std::lock_guard<std::mutex> lock(mutex_);
   stepping_ = nullptr;
   const auto account_start = std::chrono::steady_clock::now();
-  for (const CampaignRound& round : session->RoundsAfter(tenant->rounds)) {
+  const CampaignTrace granted = session->TraceAfter(tenant->rounds);
+  for (const CampaignRound& round : granted.rounds) {
     tenant->rounds = round.round;
     tenant->ci_width = round.ci_upper - round.ci_lower;
   }

@@ -29,23 +29,24 @@ void SessionTraceSink::EndCampaign(bool converged) {
   trace_.converged = converged;
 }
 
-CampaignTrace SessionTraceSink::Trace() const {
+SessionTraceSink::Progress SessionTraceSink::GetProgress() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return trace_;
+  Progress progress;
+  progress.rounds = trace_.rounds.size();
+  if (!trace_.rounds.empty()) progress.last = trace_.rounds.back();
+  return progress;
 }
 
-std::vector<CampaignRound> SessionTraceSink::RoundsAfter(uint64_t from) const {
+CampaignTrace SessionTraceSink::TraceAfter(uint64_t from) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<CampaignRound> rounds;
+  CampaignTrace out;
+  out.design = trace_.design;
+  out.label = trace_.label;
+  out.converged = trace_.converged;
   for (const CampaignRound& round : trace_.rounds) {
-    if (round.round > from) rounds.push_back(round);
+    if (round.round > from) out.rounds.push_back(round);
   }
-  return rounds;
-}
-
-uint64_t SessionTraceSink::NumRounds() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return trace_.rounds.size();
+  return out;
 }
 
 const char* ServeSession::StateName(State state) {
@@ -183,7 +184,7 @@ ServeSession::Info ServeSession::GetInfo() const {
     if (has_result_) info.result = result_;
     info.error = error_;
   }
-  info.rounds = sink_.NumRounds();
+  info.rounds = sink_.GetProgress().rounds;
   return info;
 }
 

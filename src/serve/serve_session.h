@@ -29,13 +29,18 @@ class SessionTraceSink : public TelemetrySink {
   void OnRound(const CampaignRound& round) override;
   void EndCampaign(bool converged) override;
 
-  /// The trace so far (copy, safe while the campaign runs).
-  CampaignTrace Trace() const;
+  /// The round count and the latest round (meaningful when rounds > 0).
+  struct Progress {
+    uint64_t rounds = 0;
+    CampaignRound last;
+  };
 
-  /// Rounds with 1-based index > `from`, in order.
-  std::vector<CampaignRound> RoundsAfter(uint64_t from) const;
+  /// One locked O(1) read, whatever the trace length.
+  Progress GetProgress() const;
 
-  uint64_t NumRounds() const;
+  /// Design, label and converged flag, with only the rounds whose 1-based
+  /// index is > `from` — one locked read that copies just those rounds.
+  CampaignTrace TraceAfter(uint64_t from) const;
 
  private:
   mutable std::mutex mutex_;
@@ -104,9 +109,11 @@ class ServeSession {
   Status Stop();
 
   Info GetInfo() const;
-  CampaignTrace Trace() const { return sink_.Trace(); }
-  std::vector<CampaignRound> RoundsAfter(uint64_t from) const {
-    return sink_.RoundsAfter(from);
+  SessionTraceSink::Progress GetProgress() const {
+    return sink_.GetProgress();
+  }
+  CampaignTrace TraceAfter(uint64_t from) const {
+    return sink_.TraceAfter(from);
   }
 
   const std::string& id() const { return config_.id; }

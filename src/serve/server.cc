@@ -6,10 +6,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <string>
+#include <utility>
 
+#include "util/json.h"
 #include "util/string_util.h"
 
 namespace kgacc::serve {
@@ -37,8 +41,10 @@ ServeServer::ServeServer(SessionManager* manager, int port)
 
 ServeServer::~ServeServer() {
   Shutdown();
-  Wait();
-  if (acceptor_.joinable()) acceptor_.join();
+  if (acceptor_.joinable()) {  // Start() succeeded.
+    Wait();
+    acceptor_.join();
+  }
 }
 
 Status ServeServer::Start() {
@@ -84,8 +90,17 @@ void ServeServer::AcceptLoop() {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      break;  // listener closed (shutdown) or fatal.
+      if (errno == EMFILE || errno == ENFILE || errno == ECONNABORTED ||
+          errno == ENOBUFS || errno == ENOMEM) {
+        // Out of fds (or the peer gave up): the pending connection waits in
+        // the backlog until a handler closes its fd.
+        ReapFinished();
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        continue;
+      }
+      break;  // listener shut down, or fatal.
     }
+    ReapFinished();
     const int enable = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof(enable));
     std::lock_guard<std::mutex> lock(connections_mutex_);
@@ -93,8 +108,12 @@ void ServeServer::AcceptLoop() {
       ::close(fd);
       break;
     }
-    connection_fds_.push_back(fd);
-    connection_threads_.emplace_back(&ServeServer::HandleConnection, this, fd);
+    connection_fds_.emplace(
+        fd, std::thread(&ServeServer::HandleConnection, this, fd));
+  }
+  {
+    std::lock_guard<std::mutex> lock(connections_mutex_);
+    ::close(std::exchange(listen_fd_, -1));
   }
   {
     std::lock_guard<std::mutex> lock(wait_mutex_);
@@ -103,18 +122,31 @@ void ServeServer::AcceptLoop() {
   wait_cv_.notify_all();
 }
 
+void ServeServer::ReapFinished() {
+  std::vector<std::thread> finished;
+  {
+    std::lock_guard<std::mutex> lock(connections_mutex_);
+    finished.swap(finished_threads_);
+  }
+  for (std::thread& thread : finished) thread.join();
+}
+
 void ServeServer::HandleConnection(int fd) {
   std::string buffer;
+  size_t scanned = 0;  // prefix of `buffer` known to hold no '\n'.
   char chunk[4096];
-  while (!shutdown_.load(std::memory_order_acquire)) {
+  bool open = true;
+  while (open && !shutdown_.load(std::memory_order_acquire)) {
     const ssize_t received = ::recv(fd, chunk, sizeof(chunk), 0);
     if (received < 0 && errno == EINTR) continue;
     if (received <= 0) break;  // peer closed or shutdown unblocked us.
     buffer.append(chunk, static_cast<size_t>(received));
     size_t newline;
-    while ((newline = buffer.find('\n')) != std::string::npos) {
+    while (open &&
+           (newline = buffer.find('\n', scanned)) <= kMaxRequestLineBytes) {
       const std::string line = buffer.substr(0, newline);
       buffer.erase(0, newline + 1);
+      scanned = 0;
       if (StripWhitespace(line).empty()) continue;
       const SessionManager::Response response = manager_->HandleLine(line);
       std::string out;
@@ -122,26 +154,44 @@ void ServeServer::HandleConnection(int fd) {
         out += response_line;
         out += '\n';
       }
-      if (!WriteAll(fd, out.data(), out.size())) return;
+      open = WriteAll(fd, out.data(), out.size());
       if (response.shutdown) {
         Shutdown();
-        return;
+        open = false;
       }
     }
+    if (!open) break;
+    // `newline` is npos here, or the end of a line over the cap.
+    scanned = std::min(newline, buffer.size());
+    if (scanned > kMaxRequestLineBytes) {
+      const std::string error =
+          StrFormat("{\"ok\": false, \"error\": \"%s\"}\n",
+                    JsonEscape(Status::InvalidArgument(StrFormat(
+                                   "request line exceeds %zu bytes; closing "
+                                   "the connection",
+                                   kMaxRequestLineBytes))
+                                   .ToString())
+                        .c_str());
+      WriteAll(fd, error.data(), error.size());
+      break;
+    }
   }
+  std::lock_guard<std::mutex> lock(connections_mutex_);
+  const auto self = connection_fds_.find(fd);
+  finished_threads_.push_back(std::move(self->second));
+  connection_fds_.erase(self);
+  ::close(fd);
+  connections_cv_.notify_all();
 }
 
 void ServeServer::Shutdown() {
   if (shutdown_.exchange(true, std::memory_order_acq_rel)) return;
   manager_->StopAll();
-  if (listen_fd_ >= 0) {
-    // Closing the listener unblocks accept(); shutdown() each connection
-    // unblocks its recv() without yanking fds out from under the handlers.
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-  }
+  // shutdown() unblocks accept() and each connection's recv(); the acceptor
+  // and the handlers close their own fds, under the mutex.
   std::lock_guard<std::mutex> lock(connections_mutex_);
-  for (const int fd : connection_fds_) ::shutdown(fd, SHUT_RDWR);
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  for (const auto& [fd, thread] : connection_fds_) ::shutdown(fd, SHUT_RDWR);
 }
 
 void ServeServer::Wait() {
@@ -150,17 +200,11 @@ void ServeServer::Wait() {
     wait_cv_.wait(lock, [this] { return done_; });
   }
   // Acceptor is done: no new connections can appear; drain the handlers.
-  std::vector<std::thread> threads;
-  std::vector<int> fds;
   {
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    threads.swap(connection_threads_);
-    fds.swap(connection_fds_);
+    std::unique_lock<std::mutex> lock(connections_mutex_);
+    connections_cv_.wait(lock, [this] { return connection_fds_.empty(); });
   }
-  for (std::thread& thread : threads) {
-    if (thread.joinable()) thread.join();
-  }
-  for (const int fd : fds) ::close(fd);
+  ReapFinished();
 }
 
 }  // namespace kgacc::serve

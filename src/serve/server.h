@@ -1,6 +1,8 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
+#include <map>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -13,13 +15,22 @@ namespace kgacc::serve {
 /// The TCP face of the daemon: line-delimited `kgacc-serve-v1` over a
 /// loopback-friendly socket. One acceptor thread, one handler thread per
 /// connection; each request line goes through SessionManager::HandleLine
-/// and the response lines are written back, '\n'-terminated.
+/// and the response lines are written back, '\n'-terminated. A request
+/// line longer than kMaxRequestLineBytes gets one error response and the
+/// connection is closed.
+///
+/// A connection's fd is closed when its client disconnects and its handler
+/// thread is joined by the acceptor soon after, so fds and threads stay
+/// bounded by the live connections over any uptime. When accept() runs out
+/// of fds (EMFILE/ENFILE) the acceptor backs off briefly and keeps trying.
 ///
 /// Port 0 binds an ephemeral port (tests/bench); port() reports the actual
 /// one after Start(). A `shutdown` op — or Shutdown() from any thread —
 /// stops accepting, unblocks every connection, and lets Wait() return.
 class ServeServer {
  public:
+  static constexpr size_t kMaxRequestLineBytes = size_t{1} << 20;
+
   /// `manager` is borrowed and must outlive the server.
   ServeServer(SessionManager* manager, int port);
   ~ServeServer();
@@ -30,7 +41,7 @@ class ServeServer {
   /// The bound port (valid after Start()).
   int port() const { return port_; }
 
-  /// Blocks until the server shuts down.
+  /// Blocks until the server shuts down. Only after a successful Start().
   void Wait();
 
   /// Initiates shutdown: stops the acceptor, closes every connection, stops
@@ -40,6 +51,8 @@ class ServeServer {
  private:
   void AcceptLoop();
   void HandleConnection(int fd);
+  /// Joins the handler threads that have finished.
+  void ReapFinished();
 
   SessionManager* manager_;
   int requested_port_;
@@ -49,8 +62,12 @@ class ServeServer {
   std::thread acceptor_;
 
   std::mutex connections_mutex_;
-  std::vector<int> connection_fds_;
-  std::vector<std::thread> connection_threads_;
+  std::condition_variable connections_cv_;  ///< signalled as handlers end.
+  /// Each open connection's fd and handler thread. A handler erases its own
+  /// entry and closes its fd under the mutex, so Shutdown never
+  /// shutdown()s an fd number that has since been reused.
+  std::map<int, std::thread> connection_fds_;
+  std::vector<std::thread> finished_threads_;  ///< awaiting join.
 
   std::mutex wait_mutex_;
   std::condition_variable wait_cv_;

@@ -95,7 +95,7 @@ Result<uint64_t> OptionalCount(const JsonValue& request, const char* key,
 /// trace round; terminal fields (converged) from the result once available.
 std::string SessionStatusJson(ServeSession& session, bool verbose) {
   const ServeSession::Info info = session.GetInfo();
-  const CampaignTrace trace = session.Trace();
+  const SessionTraceSink::Progress progress = session.GetProgress();
   JsonWriter json;
   json.BeginObject();
   json.Key("ok").Bool(true);
@@ -103,9 +103,9 @@ std::string SessionStatusJson(ServeSession& session, bool verbose) {
   json.Key("design").String(session.design());
   json.Key("graph").String(session.graph());
   json.Key("state").String(ServeSession::StateName(info.state));
-  json.Key("rounds").Uint(trace.rounds.size());
-  if (!trace.rounds.empty()) {
-    const CampaignRound& last = trace.rounds.back();
+  json.Key("rounds").Uint(progress.rounds);
+  if (progress.rounds > 0) {
+    const CampaignRound& last = progress.last;
     json.Key("estimate").Number(last.estimate);
     json.Key("moe").Number(last.moe);
     json.Key("units").Uint(last.units);
@@ -370,8 +370,8 @@ SessionManager::Response SessionManager::StreamTrace(const JsonValue& request) {
   if (!from.ok()) return ErrorResponse(from.status());
 
   const ServeSession::Info info = session->GetInfo();
-  const CampaignTrace trace = session->Trace();
-  std::vector<CampaignRound> rounds = session->RoundsAfter(*from);
+  const CampaignTrace trace = session->TraceAfter(*from);
+  const std::vector<CampaignRound>& rounds = trace.rounds;
   Response response;
   response.lines.push_back(StrFormat(
       "{\"ok\": true, \"session\": \"%s\", \"design\": \"%s\", "

@@ -66,7 +66,7 @@ Output Finish(ServeSession& session) {
   EXPECT_EQ(info.state, ServeSession::State::kCompleted)
       << info.error.ToString();
   EXPECT_TRUE(info.has_result);
-  return {info.result, session.Trace()};
+  return {info.result, session.TraceAfter(0)};
 }
 
 Output RunUninterrupted(const std::string& design, int threads) {
@@ -112,7 +112,7 @@ Output RunWithSuspensions(const std::string& design, int threads,
                              .options = state->options,
                              .annotator = state->annotator,
                              .replay_rounds = state->rounds_completed});
-    EXPECT_EQ(session->Trace().rounds.size(),
+    EXPECT_EQ(session->TraceAfter(0).rounds.size(),
               design == "kgeval" ? 0u : state->rounds_completed);
   }
   return Finish(*session);
@@ -256,8 +256,8 @@ TEST(ServeSessionTest, SuspendedSessionKeepsItsTraceReadable) {
                         .annotator = BaseSpec(1)});
   ASSERT_TRUE(session.Step(3).ok());
   ASSERT_TRUE(session.Suspend().ok());
-  EXPECT_EQ(session.Trace().rounds.size(), 3u);
-  EXPECT_EQ(session.RoundsAfter(1).size(), 2u);
+  EXPECT_EQ(session.TraceAfter(0).rounds.size(), 3u);
+  EXPECT_EQ(session.TraceAfter(1).rounds.size(), 2u);
 }
 
 AnnotatorSpec AsyncSpec(int threads) {
@@ -316,7 +316,8 @@ TEST(ServeSessionTest, AsyncAnnotatorStopIsPromptDespitePendingLatency) {
   ASSERT_TRUE(session.Step(2).ok());
   ASSERT_TRUE(session.Stop().ok());
   EXPECT_EQ(session.GetInfo().state, ServeSession::State::kStopped);
-  EXPECT_EQ(session.Trace().rounds.size(), 2u);  // completed rounds intact.
+  // The completed rounds stay intact.
+  EXPECT_EQ(session.TraceAfter(0).rounds.size(), 2u);
 }
 
 TEST(ServeSessionTest, StepRunsExactlyThatManyRounds) {
@@ -350,7 +351,7 @@ TEST(ServeSessionTest, StepZeroRunsToCompletion) {
   EXPECT_TRUE(info.result.converged);
   EXPECT_FALSE(info.result.suspended);
   EXPECT_EQ(info.rounds, info.result.rounds);
-  EXPECT_TRUE(session.Trace().converged);
+  EXPECT_TRUE(session.TraceAfter(0).converged);
 }
 
 TEST(ServeSessionTest, ResumeReplaysItsRoundsBeforeReturning) {
@@ -363,7 +364,7 @@ TEST(ServeSessionTest, ResumeReplaysItsRoundsBeforeReturning) {
                         .replay_rounds = 3});
   EXPECT_EQ(session.GetInfo().state, ServeSession::State::kRunning);
   EXPECT_EQ(session.GetInfo().rounds, 3u);
-  EXPECT_EQ(session.RoundsAfter(0).size(), 3u);
+  EXPECT_EQ(session.TraceAfter(0).rounds.size(), 3u);
 }
 
 CampaignSessionState StateOf(const std::string& blob) {

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -228,6 +229,76 @@ TEST(StoreWriterTest, GuardsAgainstCountMismatch) {
   ASSERT_TRUE(writer->AddTriple(1, ObjectRef::Entity(7)).ok());
   // Finishing before all declared clusters/triples were added must fail.
   EXPECT_FALSE(writer->Finish().ok());
+}
+
+/// Every triple of `view`, in cluster order.
+std::vector<Triple> AllTriples(const TripleView& view) {
+  std::vector<Triple> triples;
+  for (uint64_t c = 0; c < view.NumClusters(); ++c) {
+    for (uint64_t offset = 0; offset < view.ClusterSize(c); ++offset) {
+      triples.push_back(view.TripleAt(TripleRef{c, offset}));
+    }
+  }
+  return triples;
+}
+
+/// Directory entries next to `path` that start with its file name plus
+/// ".tmp" — the writer's in-progress files.
+std::vector<std::string> TempSiblings(const std::string& path) {
+  const size_t slash = path.find_last_of('/');
+  const std::string prefix = path.substr(slash + 1) + ".tmp";
+  std::vector<std::string> found;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(path.substr(0, slash))) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind(prefix, 0) == 0) found.push_back(name);
+  }
+  return found;
+}
+
+TEST(StoreWriterTest, RebuildLeavesAnOpenMappingIntact) {
+  const std::string path = TestPath("store_rebuild.kgstore");
+  const KnowledgeGraph old_graph = MakeSmallGraph(21);
+  const KnowledgeGraph new_graph = MakeSmallGraph(22);
+  ASSERT_NE(AllTriples(old_graph), AllTriples(new_graph));
+  ASSERT_TRUE(WriteGraphStore(path, old_graph).ok());
+  Result<MappedGraph> live = MappedGraph::Open(path);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+
+  // Rebuilding the same path (what a daemon's --preload store sees when it
+  // is regenerated) must not touch the pages the live mapping reads.
+  ASSERT_TRUE(WriteGraphStore(path, new_graph).ok());
+  EXPECT_TRUE(live->Verify().ok());
+  EXPECT_EQ(AllTriples(*live), AllTriples(old_graph));
+
+  Result<MappedGraph> fresh = MappedGraph::Open(path);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_TRUE(fresh->Verify().ok());
+  EXPECT_EQ(AllTriples(*fresh), AllTriples(new_graph));
+  EXPECT_TRUE(TempSiblings(path).empty());
+  std::remove(path.c_str());
+}
+
+TEST(StoreWriterTest, FailedBuildLeavesTheOldFileIntact) {
+  const std::string path = TestPath("store_failed_rebuild.kgstore");
+  const KnowledgeGraph graph = MakeSmallGraph(23);
+  ASSERT_TRUE(WriteGraphStore(path, graph).ok());
+  const std::string before = ReadAll(path);
+  {
+    Result<StoreWriter> writer = StoreWriter::Create(path, 2, 3);
+    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE(writer->BeginCluster(0).ok());
+    ASSERT_TRUE(writer->AddTriple(1, ObjectRef::Entity(7)).ok());
+    EXPECT_EQ(TempSiblings(path).size(), 1u);
+    EXPECT_FALSE(writer->Finish().ok());  // the count check fails.
+  }
+  EXPECT_EQ(ReadAll(path), before);
+  EXPECT_TRUE(TempSiblings(path).empty());
+  Result<MappedGraph> opened = MappedGraph::Open(path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_TRUE(opened->Verify().ok());
+  EXPECT_EQ(AllTriples(*opened), AllTriples(graph));
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <limits>
+#include <map>
+#include <sstream>
+
 #include "core/design_registry.h"
 #include "test_util.h"
 
@@ -243,35 +249,168 @@ TEST(TelemetryTest, RecorderOpensAnonymousCampaignForBareRounds) {
   EXPECT_EQ(recorder.campaigns()[0].rounds.size(), 1u);
 }
 
+/// Parses a one-gate spec, asserting success.
+Gate OneGate(const std::string& spec) {
+  Result<std::vector<Gate>> gates = ParseGates(spec);
+  EXPECT_TRUE(gates.ok()) << spec << ": " << gates.status().ToString();
+  EXPECT_EQ(gates.ok() ? gates->size() : 0u, 1u) << spec;
+  return gates.ok() && gates->size() == 1 ? gates->front() : Gate{};
+}
+
+TEST(TelemetryTest, GateParsesEachOperator) {
+  const struct {
+    const char* spec;
+    Gate::Op op;
+  } cases[] = {{"a.x<2.5", Gate::Op::kLess},
+               {"a.x<=2.5", Gate::Op::kLessEqual},
+               {"a.x>2.5", Gate::Op::kGreater},
+               {" a.x >= 2.5 ", Gate::Op::kGreaterEqual}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.spec);
+    const Gate gate = OneGate(c.spec);
+    EXPECT_EQ(gate.metric, "a.x");
+    EXPECT_EQ(gate.op, c.op);
+    EXPECT_EQ(gate.threshold, 2.5);
+    EXPECT_EQ(OneGate(gate.ToString()).op, c.op);  // spelling round-trips.
+  }
+  Result<std::vector<Gate>> list =
+      ParseGates("chrome.span_threads>=2,kgstore.max_open_ms<=50,x>-1e-3");
+  ASSERT_TRUE(list.ok()) << list.status().ToString();
+  ASSERT_EQ(list->size(), 3u);
+  EXPECT_EQ((*list)[1].metric, "kgstore.max_open_ms");
+  EXPECT_EQ((*list)[2].threshold, -1e-3);
+}
+
+TEST(TelemetryTest, GateRejectsMalformedSpecs) {
+  for (const char* spec :
+       {"a.x=3", "a.x", "",            // missing operator
+        ">=3", " <1", "a,b>=1",        // empty name (also per entry)
+        "a x>=1", "a=>1",              // malformed name
+        "a>=", "a>=three", "a<=1x",    // non-numeric threshold
+        "a>=inf", "a<nan", "a>1e999",  // non-finite threshold
+        "a>=1,", "a>=1>=2"}) {
+    SCOPED_TRACE(spec);
+    const Result<std::vector<Gate>> gates = ParseGates(spec);
+    EXPECT_FALSE(gates.ok());
+  }
+}
+
+TEST(TelemetryTest, GateBoundariesAreExact) {
+  EXPECT_TRUE(OneGate("x>=3").Admits(3.0));
+  EXPECT_FALSE(OneGate("x>3").Admits(3.0));
+  EXPECT_TRUE(OneGate("x>3").Admits(3.0000001));
+  EXPECT_TRUE(OneGate("x<=3").Admits(3.0));
+  EXPECT_FALSE(OneGate("x<3").Admits(3.0));
+  EXPECT_TRUE(OneGate("x<3").Admits(2.9999999));
+  EXPECT_FALSE(OneGate("x>=3").Admits(2.9999999));
+  EXPECT_FALSE(OneGate("x<=3").Admits(3.0000001));
+}
+
 TEST(TelemetryTest, GateCoverageFailsWhenAGatedKindNeverAppears) {
-  // The kgacc_trace_check regression this pins: a gate flag whose artifact
-  // kind is absent from the input must fail loudly, never pass vacuously
-  // (a renamed bench artifact would otherwise silently disarm CI).
-  const std::vector<GateRequirement> gates = {
-      {"min-async-speedup", "kgacc-async-bench-v1"},
-      {"max-serve-p99", "kgacc-serve-bench-v1"}};
+  // The kgacc_trace_check regression this pins: a gate whose metric no
+  // input carries must fail loudly, never pass vacuously (a renamed bench
+  // artifact or metric would otherwise silently disarm CI).
+  const std::vector<Gate> gates = {OneGate("async_annotate.gated_speedup>=3"),
+                                   OneGate("serve_latency.max_p99_ms<=250")};
 
   const Status uncovered =
-      CheckGateCoverage(gates, {"kgacc-serve-bench-v1", "kgacc-trace-v1"});
+      CheckGates(gates, {{"serve_latency.max_p99_ms", {2.2}},
+                         {"chrome.span_threads", {5}}});
   EXPECT_FALSE(uncovered.ok());
-  // The message must name both the flag and the missing kind — that is what
+  // The message must name the gate and its missing metric — that is what
   // makes the failure actionable from a CI log.
-  EXPECT_NE(uncovered.message().find("min-async-speedup"), std::string::npos)
-      << uncovered.message();
-  EXPECT_NE(uncovered.message().find("kgacc-async-bench-v1"),
+  EXPECT_NE(uncovered.message().find("async_annotate.gated_speedup>=3"),
             std::string::npos)
       << uncovered.message();
+  EXPECT_NE(uncovered.message().find("no input carries"), std::string::npos)
+      << uncovered.message();
+  EXPECT_EQ(uncovered.message().find("serve_latency"), std::string::npos)
+      << uncovered.message();
 
-  const Status covered = CheckGateCoverage(
-      gates, {"kgacc-async-bench-v1", "kgacc-serve-bench-v1"});
+  const Status covered = CheckGates(
+      gates, {{"async_annotate.gated_speedup", {20.7}},
+              {"serve_latency.max_p99_ms", {2.2}}});
   EXPECT_TRUE(covered.ok()) << covered.ToString();
 
-  // No active gates: any input (even none) is fine.
-  EXPECT_TRUE(CheckGateCoverage({}, {}).ok());
-  // Duplicate kinds are harmless; one sighting covers a gate.
-  EXPECT_TRUE(CheckGateCoverage({{"baseline", "kgacc-trace-v1"}},
-                                {"kgacc-trace-v1", "kgacc-trace-v1"})
-                  .ok());
+  // No gates: any input (even none) is fine.
+  EXPECT_TRUE(CheckGates({}, {}).ok());
+  EXPECT_TRUE(CheckGates({}, {{"x", {1.0}}}).ok());
+  // A metric seen in several inputs covers its gate once, and every
+  // sighting must pass it.
+  EXPECT_TRUE(CheckGates({OneGate("x<=3")}, {{"x", {1.0, 3.0}}}).ok());
+  const Status one_bad = CheckGates({OneGate("x<=3")}, {{"x", {1.0, 4.0}}});
+  EXPECT_FALSE(one_bad.ok());
+  EXPECT_NE(one_bad.message().find("x<=3"), std::string::npos)
+      << one_bad.message();
+}
+
+TEST(TelemetryTest, BenchArtifactRoundTripsThroughTheChecker) {
+  const std::string path = testing::TempPath("bench_artifact.json");
+  BenchArtifact artifact("demo");
+  artifact.config().Key("seed").Uint(7).Key("mode").String("closed");
+  artifact.SetMetric("speedup", 3.0);
+  artifact.SetMetric("p99_ms", 0.1);
+  artifact.SetMetric("speedup", 3.5);  // the last value wins.
+  for (int i = 0; i < 3; ++i) {
+    artifact.rows().BeginObject().Key("i").Int(i).EndObject();
+  }
+  ASSERT_TRUE(artifact.Write(path).ok());
+
+  std::ifstream file(path);
+  std::stringstream text;
+  text << file.rdbuf();
+  Result<JsonValue> doc = JsonValue::Parse(text.str());
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  Result<BenchSummary> summary = ParseBenchJson(*doc, path);
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  EXPECT_EQ(summary->bench, "demo");
+  EXPECT_EQ(summary->rows, 3u);
+  const std::map<std::string, double> want = {{"demo.p99_ms", 0.1},
+                                              {"demo.speedup", 3.5}};
+  EXPECT_EQ(summary->metrics, want);
+
+  MetricObservations observed;
+  for (const auto& [name, value] : summary->metrics) {
+    observed[name].push_back(value);
+  }
+  const Result<std::vector<Gate>> pass =
+      ParseGates("demo.speedup>=3.5,demo.p99_ms<=0.1");
+  ASSERT_TRUE(pass.ok());
+  EXPECT_TRUE(CheckGates(*pass, observed).ok());
+  const Status fail = CheckGates({OneGate("demo.speedup>3.5")}, observed);
+  EXPECT_FALSE(fail.ok());
+  EXPECT_NE(fail.message().find("demo.speedup>3.5"), std::string::npos);
+
+  // A non-finite metric is refused at write time.
+  BenchArtifact bad("demo");
+  bad.SetMetric("ratio", std::numeric_limits<double>::infinity());
+  EXPECT_FALSE(bad.Write(path).ok());
+  std::remove(path.c_str());
+}
+
+TEST(TelemetryTest, BenchEnvelopeRejectsMalformedDocuments) {
+  const char* bad[] = {
+      R"({"schema": "kgacc-trace-v1", "bench": "b", "config": {},
+          "metrics": {}, "rows": []})",
+      R"({"schema": "kgacc-bench-v2", "bench": "", "config": {},
+          "metrics": {}, "rows": []})",
+      R"({"schema": "kgacc-bench-v2", "bench": "b", "metrics": {},
+          "rows": []})",
+      R"({"schema": "kgacc-bench-v2", "bench": "b", "config": {},
+          "metrics": {}, "rows": {}})",
+      R"({"schema": "kgacc-bench-v2", "bench": "b", "config": {},
+          "metrics": {"other.x": 1}, "rows": []})",
+      R"({"schema": "kgacc-bench-v2", "bench": "b", "config": {},
+          "metrics": {"b.x": "1"}, "rows": []})",
+      R"({"schema": "kgacc-bench-v2", "bench": "b", "config": {},
+          "metrics": {"b.": 1}, "rows": []})",
+  };
+  for (const char* text : bad) {
+    SCOPED_TRACE(text);
+    Result<JsonValue> doc = JsonValue::Parse(text);
+    ASSERT_TRUE(doc.ok());
+    EXPECT_FALSE(ParseBenchJson(*doc, "doc").ok());
+  }
 }
 
 }  // namespace
