@@ -87,6 +87,7 @@ Status ServeServer::Start() {
 
 void ServeServer::AcceptLoop() {
   while (!shutdown_.load(std::memory_order_acquire)) {
+    ReapFinished();
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
@@ -94,13 +95,11 @@ void ServeServer::AcceptLoop() {
           errno == ENOBUFS || errno == ENOMEM) {
         // Out of fds (or the peer gave up): the pending connection waits in
         // the backlog until a handler closes its fd.
-        ReapFinished();
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
         continue;
       }
       break;  // listener shut down, or fatal.
     }
-    ReapFinished();
     const int enable = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof(enable));
     std::lock_guard<std::mutex> lock(connections_mutex_);
