@@ -18,8 +18,8 @@
 #include "core/static_evaluator.h"
 #include "core/stratified_evaluator.h"
 #include "datasets/registry.h"
-#include "kg/subset_view.h"
 #include "labels/annotator.h"
+#include "sampling/stratum_index.h"
 #include "sampling/unit_samplers.h"
 #include "stats/allocation.h"
 #include "stats/normal.h"
@@ -165,18 +165,10 @@ void AblationAllocation(int trials, uint64_t seed) {
   // (Neyman with equal stddevs == proportional; emulate via one-stratum-at-
   // a-time proportional batching using the library's ProportionalAllocation).
   RunningStats proportional_hours;
+  const StratumIndex index(syn.View(), strata.stratum_of, strata.NumStrata());
   for (int t = 0; t < trials; ++t) {
     Rng rng(seed + 13 * t);
     SimulatedAnnotator annotator(syn.oracle.get(), kCost);
-    std::vector<TwcsUnitSampler> samplers;
-    std::vector<SubsetView> views;
-    views.reserve(strata.NumStrata());
-    for (size_t h = 0; h < strata.NumStrata(); ++h) {
-      views.emplace_back(syn.View(), strata.members[h]);
-    }
-    for (size_t h = 0; h < strata.NumStrata(); ++h) {
-      samplers.emplace_back(views[h], 5);
-    }
     std::vector<RunningStats> stats(strata.NumStrata());
     const auto combined_moe = [&] {
       double variance = 0.0;
@@ -191,16 +183,17 @@ void AblationAllocation(int trials, uint64_t seed) {
       const std::vector<uint64_t> allocation =
           ProportionalAllocation(strata.weights, 10, 0);
       for (size_t h = 0; h < strata.NumStrata(); ++h) {
-        for (const SampleUnit& draw : samplers[h].NextBatch(allocation[h], rng)) {
+        for (uint64_t i = 0; i < allocation[h]; ++i) {
+          // One TWCS unit (m = 5) inside stratum h.
+          const uint64_t cluster = index.SizeWeightedCluster(h, rng);
+          const std::vector<uint64_t> offsets = SampleIndicesWithoutReplacement(
+              syn.View().ClusterSize(cluster), 5, rng);
           uint64_t correct = 0;
-          for (uint64_t offset : draw.offsets) {
-            if (annotator.Annotate(
-                    TripleRef{views[h].ToParent(draw.cluster), offset})) {
-              ++correct;
-            }
+          for (uint64_t offset : offsets) {
+            if (annotator.Annotate(TripleRef{cluster, offset})) ++correct;
           }
           stats[h].Add(static_cast<double>(correct) /
-                       static_cast<double>(draw.offsets.size()));
+                       static_cast<double>(offsets.size()));
           ++total_units;
         }
       }

@@ -4,9 +4,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include "core/stratified_evaluator.h"
 #include "kg/cluster_population.h"
 #include "kg/generator.h"
 #include "sampling/srs.h"
+#include "sampling/stratum_index.h"
 #include "sampling/unit_samplers.h"
 #include "util/rng.h"
 
@@ -20,6 +22,8 @@ ClusterPopulation MakePopulation(uint64_t clusters) {
   return ClusterPopulation(std::move(sizes));
 }
 
+// What a campaign pays for its size-weighted index: the population owns the
+// triple-offset column, so the index borrows it in O(1).
 void BM_TriplePrefixIndexBuild(benchmark::State& state) {
   const ClusterPopulation pop = MakePopulation(state.range(0));
   for (auto _ : state) {
@@ -29,6 +33,29 @@ void BM_TriplePrefixIndexBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_TriplePrefixIndexBuild)->Arg(10000)->Arg(288770)->Arg(2000000);
+
+// twcs+strat's one O(N) set-up: size strata (H = 4) cut from the column,
+// then the block-prefix rank index every stratum draws through.
+void BM_SizeStrata(benchmark::State& state) {
+  const ClusterPopulation pop = MakePopulation(state.range(0));
+  for (auto _ : state) {
+    Strata strata = StratifiedTwcsEvaluator::SizeStrata(pop, 4);
+    benchmark::DoNotOptimize(strata);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SizeStrata)->Arg(10000)->Arg(288770)->Arg(2000000);
+
+void BM_StratumIndexBuild(benchmark::State& state) {
+  const ClusterPopulation pop = MakePopulation(state.range(0));
+  const Strata strata = StratifiedTwcsEvaluator::SizeStrata(pop, 4);
+  for (auto _ : state) {
+    StratumIndex index(pop, strata.stratum_of, strata.NumStrata());
+    benchmark::DoNotOptimize(index);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_StratumIndexBuild)->Arg(10000)->Arg(288770)->Arg(2000000);
 
 void BM_SizeWeightedDraw(benchmark::State& state) {
   const ClusterPopulation pop = MakePopulation(288770);

@@ -10,6 +10,7 @@
 #include "core/stratified_evaluator.h"
 #include "core/telemetry.h"
 #include "kg/knowledge_graph.h"
+#include "stats/stratification.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -144,8 +145,10 @@ void RegisterBuiltins(DesignRegistry* registry) {
       "twcs+strat",
       "size-stratified TWCS with options.num_strata strata (Eq 13)",
       [](const KgView& view, Annotator* annotator,
-         const EvaluationOptions& options) {
+         const EvaluationOptions& options)
+          -> Result<std::unique_ptr<Campaign>> {
         const uint64_t h = options.num_strata > 0 ? options.num_strata : 4;
+        KGACC_RETURN_IF_ERROR(CheckNumStrata(h));
         return StratifiedTwcsEvaluator(view, annotator, options)
             .MakeCampaign(
                 StratifiedTwcsEvaluator::SizeStrata(view, static_cast<int>(h)));

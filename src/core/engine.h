@@ -31,7 +31,7 @@ struct SampleUnit {
 
 /// Produces sampling units for the evaluation campaign. The SRS/RCS/WCS/TWCS
 /// designs are the samplers in sampling/unit_samplers.h; composite designs
-/// (stratified TWCS) implement allocation internally over them.
+/// (stratified TWCS) implement allocation and drawing internally.
 class UnitSampler {
  public:
   virtual ~UnitSampler() = default;

@@ -1,9 +1,11 @@
 #include "core/stratified_evaluator.h"
 
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
 #include "core/stratified_source.h"
+#include "sampling/srs.h"
 #include "util/logging.h"
 
 namespace kgacc {
@@ -27,14 +29,8 @@ uint64_t StratifiedTwcsEvaluator::ResolveSecondStageSize() const {
 }
 
 Strata StratifiedTwcsEvaluator::SizeStrata(const KgView& view, int num_strata) {
-  const uint64_t n = view.NumClusters();
-  std::vector<double> signal(n);
-  std::vector<uint64_t> sizes(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    sizes[i] = view.ClusterSize(i);
-    signal[i] = static_cast<double>(sizes[i]);
-  }
-  return StratifyClusters(signal, sizes, num_strata);
+  const TriplePrefixIndex column(view);  // the view's offsets, or built ones.
+  return StratifySizes(column.Offsets(), num_strata);
 }
 
 Strata StratifiedTwcsEvaluator::OracleStrata(const KgView& view,
@@ -55,11 +51,12 @@ EvaluationResult StratifiedTwcsEvaluator::Evaluate(const Strata& strata) {
 }
 
 std::unique_ptr<Campaign> StratifiedTwcsEvaluator::MakeCampaign(
-    const Strata& strata) const {
+    Strata strata) const {
   KGACC_CHECK(strata.NumStrata() >= 1) << "need at least one stratum";
   // The source is both sampler and estimator.
   auto source = std::make_shared<StratifiedTwcsSource>(
-      view_, strata, ResolveSecondStageSize(), options_.min_stratum_units);
+      view_, std::move(strata), ResolveSecondStageSize(),
+      options_.min_stratum_units);
   return std::make_unique<EngineCampaign>(
       annotator_, options_, EngineConfig{.design_name = "TWCS+strat"}, source,
       source);

@@ -26,10 +26,11 @@ class StratifiedTwcsEvaluator {
   /// Runs the iterative campaign over the given strata.
   EvaluationResult Evaluate(const Strata& strata);
 
-  /// The campaign Evaluate runs; it owns its copy of the strata.
-  std::unique_ptr<Campaign> MakeCampaign(const Strata& strata) const;
+  /// The campaign Evaluate runs; it owns the strata.
+  std::unique_ptr<Campaign> MakeCampaign(Strata strata) const;
 
-  /// "Size Stratification": cum-sqrt(F) boundaries over cluster sizes.
+  /// "Size Stratification": cum-sqrt(F) boundaries over cluster sizes, read
+  /// straight from the view's TripleOffsets() column (StratifySizes).
   static Strata SizeStrata(const KgView& view, int num_strata);
 
   /// "Oracle Stratification": strata on realized per-cluster accuracy —

@@ -28,8 +28,7 @@ void StratifiedIncrementalEvaluator::AddStratum(uint64_t first_cluster,
   KGACC_CHECK(count > 0) << "empty stratum";
   KGACC_CHECK(first_cluster + count <= population_->NumClusters());
   StratumState state;
-  state.view = std::make_unique<SubsetView>(
-      SubsetView::Range(*population_, first_cluster, count));
+  state.view = std::make_unique<SubsetView>(*population_, first_cluster, count);
   state.sampler = std::make_unique<TwcsUnitSampler>(*state.view, m_);
   state.triples = state.view->TotalTriples();
   state.first_cluster = first_cluster;
@@ -73,8 +72,7 @@ Status StratifiedIncrementalEvaluator::Restore(
           static_cast<unsigned long long>(stratum.count),
           static_cast<unsigned long long>(population_->NumClusters())));
     }
-    const SubsetView view = SubsetView::Range(
-        *population_, stratum.first_cluster, stratum.count);
+    const SubsetView view(*population_, stratum.first_cluster, stratum.count);
     if (view.TotalTriples() != stratum.triples) {
       return Status::FailedPrecondition(StrFormat(
           "stratum [%llu, +%llu): stored %llu triples, population has %llu "

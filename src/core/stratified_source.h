@@ -7,8 +7,7 @@
 #include "core/engine.h"
 #include "estimators/estimators.h"
 #include "kg/kg_view.h"
-#include "kg/subset_view.h"
-#include "sampling/unit_samplers.h"
+#include "sampling/stratum_index.h"
 #include "stats/running_stats.h"
 #include "stats/stratification.h"
 
@@ -22,12 +21,13 @@ namespace kgacc {
 /// Sampling protocol: the first NextBatch() is the seed round — every stratum
 /// receives min_stratum_units draws so its variance estimate can be trusted;
 /// every later NextBatch(n) splits n across strata by Neyman allocation.
-/// Units carry their stratum index in `tag`, and their `cluster` is already
-/// translated to the parent view's cluster id (annotator coordinates).
+/// Units carry their stratum index in `tag`. Every stratum draws through one
+/// StratumIndex over the view's clusters, so unit clusters are the view's
+/// cluster ids (annotator coordinates).
 class StratifiedTwcsSource : public UnitSampler, public UnitEstimator {
  public:
-  /// `view` is borrowed and must outlive the source. `strata` is copied.
-  StratifiedTwcsSource(const KgView& view, const Strata& strata, uint64_t m,
+  /// `view` is borrowed and must outlive the source. `strata` is taken.
+  StratifiedTwcsSource(const KgView& view, Strata strata, uint64_t m,
                        uint64_t min_stratum_units);
 
   // UnitSampler.
@@ -42,20 +42,18 @@ class StratifiedTwcsSource : public UnitSampler, public UnitEstimator {
   void AddUnit(const SampleUnit& unit, const uint8_t* labels) override;
   Estimate Current() const override { return combined_.Current(); }
 
-  size_t NumStrata() const { return strata_.size(); }
+  size_t NumStrata() const { return stats_.size(); }
 
  private:
-  struct StratumState {
-    std::unique_ptr<SubsetView> view;
-    std::unique_ptr<TwcsUnitSampler> sampler;
-    RunningStats stats;
-  };
-
-  /// Draws `units` TWCS units inside stratum `h`, translated to parent ids.
+  /// Draws `units` TWCS units inside stratum `h`: a size-weighted cluster of
+  /// h, then an SRS of min(M_i, m) of its triples.
   void DrawInto(std::vector<SampleUnit>* out, size_t h, uint64_t units,
                 Rng& rng);
 
-  std::vector<StratumState> strata_;
+  const KgView& view_;
+  StratumIndex index_;
+  uint64_t m_;
+  std::vector<RunningStats> stats_;  ///< per-stratum per-draw accuracies.
   std::vector<double> weights_;
   StratifiedEstimator combined_;
   uint64_t min_stratum_units_;

@@ -4,26 +4,24 @@
 
 namespace kgacc {
 
-ClusterPopulation::ClusterPopulation(std::vector<uint32_t> sizes)
-    : sizes_(std::move(sizes)) {
-  for (uint32_t s : sizes_) total_triples_ += s;
+ClusterPopulation::ClusterPopulation(const std::vector<uint32_t>& sizes) {
+  offsets_.reserve(sizes.size() + 1);
+  for (uint32_t s : sizes) offsets_.push_back(offsets_.back() + s);
 }
 
 uint64_t ClusterPopulation::Append(uint32_t size) {
   KGACC_DCHECK(size > 0) << "clusters must be non-empty";
-  sizes_.push_back(size);
-  total_triples_ += size;
-  return sizes_.size() - 1;
+  offsets_.push_back(offsets_.back() + size);
+  return NumClusters() - 1;
 }
 
 void ClusterPopulation::AppendAll(const std::vector<uint32_t>& sizes) {
-  sizes_.reserve(sizes_.size() + sizes.size());
   for (uint32_t s : sizes) Append(s);
 }
 
 uint64_t ClusterPopulation::ClusterSize(uint64_t cluster) const {
-  KGACC_DCHECK(cluster < sizes_.size());
-  return sizes_[cluster];
+  KGACC_DCHECK(cluster < NumClusters());
+  return offsets_[cluster + 1] - offsets_[cluster];
 }
 
 }  // namespace kgacc

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -52,6 +53,11 @@ class MappedGraph final : public TripleView {
     return cluster_offsets_[cluster + 1] - cluster_offsets_[cluster];
   }
   uint64_t TotalTriples() const override { return header_.num_triples; }
+  /// The mapped cluster_offsets section itself.
+  std::span<const uint64_t> TripleOffsets() const override {
+    if (cluster_offsets_ == nullptr) return {};
+    return {cluster_offsets_, header_.num_clusters + 1};
+  }
 
   // TripleView. TripleAt assembles the 12-byte Triple from the s/p/o
   // columns and the object-kind bitset at global index off[c] + offset.

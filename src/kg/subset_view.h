@@ -1,52 +1,58 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "kg/kg_view.h"
 #include "util/logging.h"
 
 namespace kgacc {
 
-/// A KgView over a subset of another view's clusters, re-indexed densely.
-/// Used by stratified evaluation (each stratum is a subset of clusters) and
-/// by incremental evaluation (the Delta stratum is the suffix of new
-/// clusters). Lookups translate local -> parent cluster ids via `ToParent`.
+/// A KgView over the contiguous cluster range [first, first + count) of
+/// another view, re-indexed from 0 — the shape every stratum of incremental
+/// evaluation takes (the base graph, then each update batch appended after
+/// it). Lookups translate local -> parent cluster ids via `ToParent`. When the
+/// parent has a TripleOffsets() column the view hands out its subspan, so
+/// building it is O(1); it re-reads the parent's column on every call, which
+/// keeps it valid while the parent appends clusters past the range.
 class SubsetView : public KgView {
  public:
-  SubsetView(const KgView& parent, std::vector<uint32_t> cluster_indices)
-      : parent_(parent), indices_(std::move(cluster_indices)) {
-    for (uint32_t parent_index : indices_) {
-      KGACC_CHECK(parent_index < parent_.NumClusters());
-      total_triples_ += parent_.ClusterSize(parent_index);
+  SubsetView(const KgView& parent, uint64_t first, uint64_t count)
+      : parent_(parent), first_(first), count_(count) {
+    KGACC_CHECK(first <= parent.NumClusters() &&
+                count <= parent.NumClusters() - first)
+        << "cluster range exceeds the parent view";
+    const std::span<const uint64_t> offsets = TripleOffsets();
+    if (!offsets.empty()) {
+      total_triples_ = offsets.back() - offsets.front();
+    } else {
+      for (uint64_t c = first; c < first + count; ++c) {
+        total_triples_ += parent.ClusterSize(c);
+      }
     }
   }
 
-  /// Convenience: the contiguous cluster range [first, first + count) of the
-  /// parent — the shape every update batch takes in the evolving substrate.
-  static SubsetView Range(const KgView& parent, uint64_t first, uint64_t count) {
-    std::vector<uint32_t> indices(count);
-    for (uint64_t i = 0; i < count; ++i) {
-      indices[i] = static_cast<uint32_t>(first + i);
-    }
-    return SubsetView(parent, std::move(indices));
-  }
-
-  uint64_t NumClusters() const override { return indices_.size(); }
+  uint64_t NumClusters() const override { return count_; }
   uint64_t ClusterSize(uint64_t cluster) const override {
     return parent_.ClusterSize(ToParent(cluster));
   }
   uint64_t TotalTriples() const override { return total_triples_; }
+  std::span<const uint64_t> TripleOffsets() const override {
+    const std::span<const uint64_t> parent = parent_.TripleOffsets();
+    if (parent.empty()) return {};
+    return parent.subspan(first_, count_ + 1);
+  }
 
   /// Maps a local cluster index to the parent's cluster index.
   uint64_t ToParent(uint64_t local) const {
-    KGACC_DCHECK(local < indices_.size());
-    return indices_[local];
+    KGACC_DCHECK(local < count_);
+    return first_ + local;
   }
 
  private:
   const KgView& parent_;
-  std::vector<uint32_t> indices_;
+  uint64_t first_;
+  uint64_t count_;
   uint64_t total_triples_ = 0;
 };
 

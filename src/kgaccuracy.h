@@ -62,6 +62,7 @@
 
 // Sampling designs.
 #include "sampling/srs.h"             // IWYU pragma: export
+#include "sampling/stratum_index.h"   // IWYU pragma: export
 #include "sampling/unit_samplers.h"   // IWYU pragma: export
 
 // Estimators.

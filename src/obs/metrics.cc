@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <fstream>
 
 #include "util/json.h"
@@ -293,7 +294,13 @@ std::string MetricsToJson(const MetricsSnapshot& snapshot) {
   for (const auto& gauge : snapshot.gauges) {
     writer.BeginObject();
     writer.Key("name").String(gauge.name);
-    writer.Key("value").Number(gauge.value);
+    // JSON has no spelling for inf or nan (an unlimited budget gauge is
+    // inf), so a non-finite gauge reads null.
+    if (std::isfinite(gauge.value)) {
+      writer.Key("value").Number(gauge.value);
+    } else {
+      writer.Key("value").Null();
+    }
     writer.EndObject();
   }
   writer.EndArray();

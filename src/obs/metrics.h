@@ -269,8 +269,9 @@ class MetricsRegistry {
 ///                    "p50_seconds": ..., "p95_seconds": ..., "p99_seconds": ...,
 ///                    "buckets": [{"le_seconds": 1e-6, "count": 4}, ...]}]}
 ///
-/// `le_seconds` is the bucket's upper bound; buckets are ascending and only
-/// non-empty ones are written. kgacc_trace_check validates this schema.
+/// A gauge that is not finite (inf, nan) has the value null. `le_seconds` is
+/// the bucket's upper bound; buckets are ascending and only non-empty ones
+/// are written. kgacc_trace_check validates this schema.
 std::string MetricsToJson(const MetricsSnapshot& snapshot);
 Status WriteMetricsJson(const std::string& path,
                         const MetricsSnapshot& snapshot);

@@ -64,23 +64,27 @@ std::vector<uint64_t> DistinctIndexSampler::Next(uint64_t k, Rng& rng) {
   return batch;
 }
 
-TriplePrefixIndex::TriplePrefixIndex(const KgView& view) {
-  cumulative_.resize(view.NumClusters());
-  uint64_t running = 0;
-  for (uint64_t i = 0; i < view.NumClusters(); ++i) {
-    running += view.ClusterSize(i);
-    cumulative_[i] = running;
+TriplePrefixIndex::TriplePrefixIndex(const KgView& view)
+    : view_(view), num_clusters_(view.NumClusters()) {
+  if (view.TripleOffsets().empty()) {
+    built_.resize(num_clusters_ + 1);
+    for (uint64_t i = 0; i < num_clusters_; ++i) {
+      built_[i + 1] = built_[i] + view.ClusterSize(i);
+    }
   }
+  const std::span<const uint64_t> offsets = Offsets();
+  total_triples_ = offsets.back() - offsets.front();
 }
 
 TripleRef TriplePrefixIndex::Lookup(uint64_t global_index) const {
   KGACC_CHECK(global_index < TotalTriples())
       << "global triple index out of range";
-  const auto it = std::upper_bound(cumulative_.begin(), cumulative_.end(),
-                                   global_index);
-  const uint64_t cluster = static_cast<uint64_t>(it - cumulative_.begin());
-  const uint64_t before = cluster == 0 ? 0 : cumulative_[cluster - 1];
-  return TripleRef{cluster, global_index - before};
+  const std::span<const uint64_t> offsets = Offsets();
+  const uint64_t ordinal = offsets.front() + global_index;
+  // The first offset past the ordinal ends the cluster holding it.
+  const auto it = std::upper_bound(offsets.begin() + 1, offsets.end(), ordinal);
+  const uint64_t cluster = static_cast<uint64_t>(it - offsets.begin()) - 1;
+  return TripleRef{cluster, ordinal - offsets[cluster]};
 }
 
 uint64_t TriplePrefixIndex::SizeWeightedCluster(Rng& rng) const {

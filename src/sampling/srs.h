@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -36,10 +37,14 @@ class DistinctIndexSampler {
   std::unordered_set<uint64_t> drawn_;
 };
 
-/// Maps global triple indices in [0, M) to (cluster, offset) positions via a
-/// binary-searchable prefix-sum over cluster sizes. O(N) build, O(log N) per
-/// lookup. The one size-weighted structure: SRS looks up uniform triple
-/// ordinals in it, and WCS/TWCS draw their first stage from it.
+/// Maps global triple indices in [0, M) to (cluster, offset) positions by
+/// binary search over a triple-offset column (KgView::TripleOffsets()). It
+/// borrows the view's column and re-reads it on every lookup, so building it
+/// is O(1); only for a view without one does it build its own, in O(N).
+/// O(log N) per lookup. The one size-weighted structure: SRS looks up uniform
+/// triple ordinals in it, and WCS/TWCS draw their first stage from it.
+/// Covers the clusters the view had when the index was built. Borrows
+/// `view`, which must outlive the index.
 class TriplePrefixIndex {
  public:
   explicit TriplePrefixIndex(const KgView& view);
@@ -52,12 +57,19 @@ class TriplePrefixIndex {
   /// drawn. Aborts on a population without triples.
   uint64_t SizeWeightedCluster(Rng& rng) const;
 
-  uint64_t TotalTriples() const {
-    return cumulative_.empty() ? 0 : cumulative_.back();
+  uint64_t TotalTriples() const { return total_triples_; }
+
+  /// The column lookups read: the view's, or the one this index built.
+  std::span<const uint64_t> Offsets() const {
+    if (!built_.empty()) return built_;
+    return view_.TripleOffsets().first(num_clusters_ + 1);
   }
 
  private:
-  std::vector<uint64_t> cumulative_;  // cumulative_[i] = sum of sizes 0..i.
+  const KgView& view_;
+  uint64_t num_clusters_;
+  uint64_t total_triples_ = 0;
+  std::vector<uint64_t> built_;  // only for a view without a column.
 };
 
 }  // namespace kgacc

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "stats/stratification.h"
 #include "util/string_util.h"
 
 namespace kgacc::serve {
@@ -57,6 +58,7 @@ Status ParseEvaluationOptions(const JsonValue& json, EvaluationOptions* out) {
       KGACC_ASSIGN_OR_RETURN(out->min_stratum_units, AsCount(value, key));
     } else if (key == "num_strata") {
       KGACC_ASSIGN_OR_RETURN(out->num_strata, AsCount(value, key));
+      KGACC_RETURN_IF_ERROR(CheckNumStrata(out->num_strata));
     } else if (key == "pilot_size") {
       KGACC_ASSIGN_OR_RETURN(out->pilot_size, AsCount(value, key));
     } else if (key == "pipeline_rounds") {

@@ -2,30 +2,31 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace kgacc {
 
-std::vector<double> CumulativeSqrtFBoundaries(const std::vector<double>& values,
-                                              int num_strata, int num_bins) {
-  KGACC_CHECK(num_strata >= 1);
-  KGACC_CHECK(num_bins >= num_strata);
-  if (values.empty() || num_strata == 1) return {};
+namespace {
 
-  const auto [min_it, max_it] = std::minmax_element(values.begin(), values.end());
-  const double lo = *min_it;
-  const double hi = *max_it;
-  if (lo == hi) return {};  // single point mass: one stratum.
+/// Sizes min_size + s with s below this are binned and assigned once per
+/// distinct size; a tail of larger sizes once per cluster.
+constexpr uint64_t kSizeTableEntries = uint64_t{1} << 16;
 
-  const double bin_width = (hi - lo) / static_cast<double>(num_bins);
-  std::vector<uint64_t> freq(static_cast<size_t>(num_bins), 0);
-  for (double v : values) {
-    int bin = static_cast<int>((v - lo) / bin_width);
-    bin = std::clamp(bin, 0, num_bins - 1);
-    ++freq[static_cast<size_t>(bin)];
-  }
+/// Equi-width histogram bin of `value`: bins of `bin_width` from `lo`, the
+/// last one closed.
+int BinOf(double value, double lo, double bin_width, int num_bins) {
+  const int bin = static_cast<int>((value - lo) / bin_width);
+  return std::clamp(bin, 0, num_bins - 1);
+}
 
+/// Cuts cumulative sqrt(frequency) over the histogram `freq` into
+/// `num_strata` equal segments; returns the ascending value boundaries.
+std::vector<double> CutCumulativeSqrtF(const std::vector<uint64_t>& freq,
+                                       double lo, double bin_width,
+                                       int num_strata) {
   std::vector<double> cum_sqrt_f(freq.size());
   double running = 0.0;
   for (size_t i = 0; i < freq.size(); ++i) {
@@ -49,13 +50,49 @@ std::vector<double> CumulativeSqrtFBoundaries(const std::vector<double>& values,
   return boundaries;
 }
 
+/// The first stratum whose boundary is >= value, i.e. the number of
+/// boundaries below it. Counted without branches: a cluster's stratum is as
+/// random as its signal, and a mispredicted binary-search branch per cluster
+/// would be most of a pass.
+size_t StratumOf(double value, const std::vector<double>& boundaries) {
+  size_t below = 0;
+  for (double boundary : boundaries) below += boundary < value ? 1 : 0;
+  return below;
+}
+
+}  // namespace
+
+Status CheckNumStrata(uint64_t num_strata) {
+  if (num_strata > static_cast<uint64_t>(kMaxStrata)) {
+    return Status::InvalidArgument(
+        StrFormat("num_strata %llu is over the limit of %d strata",
+                  static_cast<unsigned long long>(num_strata), kMaxStrata));
+  }
+  return Status::OK();
+}
+
+std::vector<double> CumulativeSqrtFBoundaries(const std::vector<double>& values,
+                                              int num_strata, int num_bins) {
+  KGACC_CHECK(num_strata >= 1);
+  KGACC_CHECK(num_bins >= num_strata);
+  if (values.empty() || num_strata == 1) return {};
+
+  const auto [min_it, max_it] = std::minmax_element(values.begin(), values.end());
+  const double lo = *min_it;
+  const double hi = *max_it;
+  if (lo == hi) return {};  // single point mass: one stratum.
+
+  const double bin_width = (hi - lo) / static_cast<double>(num_bins);
+  std::vector<uint64_t> freq(static_cast<size_t>(num_bins), 0);
+  for (double v : values) ++freq[BinOf(v, lo, bin_width, num_bins)];
+  return CutCumulativeSqrtF(freq, lo, bin_width, num_strata);
+}
+
 std::vector<uint32_t> AssignStrata(const std::vector<double>& values,
                                    const std::vector<double>& boundaries) {
   std::vector<uint32_t> assignment(values.size(), 0);
   for (size_t i = 0; i < values.size(); ++i) {
-    const auto it =
-        std::lower_bound(boundaries.begin(), boundaries.end(), values[i]);
-    assignment[i] = static_cast<uint32_t>(it - boundaries.begin());
+    assignment[i] = static_cast<uint32_t>(StratumOf(values[i], boundaries));
   }
   return assignment;
 }
@@ -65,31 +102,115 @@ Strata StratifyClusters(const std::vector<double>& signal,
   KGACC_CHECK(signal.size() == sizes.size());
   const std::vector<double> boundaries =
       CumulativeSqrtFBoundaries(signal, num_strata);
-  const std::vector<uint32_t> assignment = AssignStrata(signal, boundaries);
-  const size_t h_count = boundaries.size() + 1;
-
-  Strata strata;
-  strata.members.resize(h_count);
-  std::vector<uint64_t> stratum_triples(h_count, 0);
-  uint64_t total_triples = 0;
+  std::vector<uint8_t> stratum_of(signal.size());
+  std::vector<uint64_t> triples(boundaries.size() + 1, 0);
+  std::vector<uint64_t> clusters(boundaries.size() + 1, 0);
   for (size_t i = 0; i < signal.size(); ++i) {
-    const uint32_t h = assignment[i];
-    strata.members[h].push_back(static_cast<uint32_t>(i));
-    stratum_triples[h] += sizes[i];
-    total_triples += sizes[i];
+    const size_t h = StratumOf(signal[i], boundaries);
+    stratum_of[i] = static_cast<uint8_t>(h);
+    triples[h] += sizes[i];
+    ++clusters[h];
   }
+  return internal::CompactStrata(std::move(stratum_of), triples, clusters);
+}
+
+Strata StratifySizes(std::span<const uint64_t> offsets, int num_strata) {
+  KGACC_CHECK(num_strata >= 1);
+  KGACC_CHECK(kMaxStrata >= num_strata);
+  const uint64_t n = offsets.empty() ? 0 : offsets.size() - 1;
+  const auto size_of = [offsets](uint64_t c) {
+    return offsets[c + 1] - offsets[c];
+  };
+
+  // Pass 1: the size range. Converting to double is monotone, so these are
+  // also the extremes of the sizes as a double signal.
+  uint64_t min_size = n > 0 ? size_of(0) : 0;
+  uint64_t max_size = min_size;
+  for (uint64_t c = 1; c < n; ++c) {
+    const uint64_t size = size_of(c);
+    min_size = std::min(min_size, size);
+    max_size = std::max(max_size, size);
+  }
+  const uint64_t table_size =
+      n == 0 ? 0
+             : std::min(max_size - min_size, kSizeTableEntries - 1) + 1;
+  const double lo = static_cast<double>(min_size);
+  const double hi = static_cast<double>(max_size);
+  // CumulativeSqrtFBoundaries' early-outs: one stratum, or one point mass.
+  const bool cut = num_strata > 1 && lo != hi;
+  const double bin_width = (hi - lo) / static_cast<double>(kMaxStrata);
+
+  // Pass 2: clusters per size in the table, histogram bins for the rest.
+  std::vector<uint64_t> clusters_of_size(table_size, 0);
+  std::vector<uint64_t> freq(kMaxStrata, 0);
+  for (uint64_t c = 0; c < n; ++c) {
+    const uint64_t size = size_of(c);
+    if (size - min_size < table_size) {
+      ++clusters_of_size[size - min_size];
+    } else if (cut) {
+      ++freq[BinOf(static_cast<double>(size), lo, bin_width, kMaxStrata)];
+    }
+  }
+  std::vector<double> boundaries;
+  if (cut) {
+    for (uint64_t s = 0; s < table_size; ++s) {
+      freq[BinOf(static_cast<double>(min_size + s), lo, bin_width,
+                 kMaxStrata)] += clusters_of_size[s];
+    }
+    boundaries = CutCumulativeSqrtF(freq, lo, bin_width, num_strata);
+  }
+
+  // Pass 3: each cluster's stratum, through the table where it reaches.
+  std::vector<uint64_t> triples(boundaries.size() + 1, 0);
+  std::vector<uint64_t> clusters(boundaries.size() + 1, 0);
+  std::vector<uint8_t> stratum_of_size(table_size);
+  for (uint64_t s = 0; s < table_size; ++s) {
+    const size_t h = StratumOf(static_cast<double>(min_size + s), boundaries);
+    stratum_of_size[s] = static_cast<uint8_t>(h);
+    triples[h] += clusters_of_size[s] * (min_size + s);
+    clusters[h] += clusters_of_size[s];
+  }
+  std::vector<uint8_t> stratum_of(n);
+  for (uint64_t c = 0; c < n; ++c) {
+    const uint64_t size = size_of(c);
+    if (size - min_size < table_size) {
+      stratum_of[c] = stratum_of_size[size - min_size];
+      continue;
+    }
+    const size_t h = StratumOf(static_cast<double>(size), boundaries);
+    stratum_of[c] = static_cast<uint8_t>(h);
+    triples[h] += size;
+    ++clusters[h];
+  }
+  return internal::CompactStrata(std::move(stratum_of), triples, clusters);
+}
+
+namespace internal {
+
+Strata CompactStrata(std::vector<uint8_t> stratum_of,
+                     const std::vector<uint64_t>& stratum_triples,
+                     const std::vector<uint64_t>& stratum_clusters) {
+  uint64_t total_triples = 0;
+  for (uint64_t triples : stratum_triples) total_triples += triples;
 
   // Drop empty strata (possible when boundaries collapse).
-  Strata compact;
-  for (size_t h = 0; h < h_count; ++h) {
-    if (strata.members[h].empty()) continue;
-    compact.members.push_back(std::move(strata.members[h]));
-    compact.weights.push_back(total_triples > 0
-                                  ? static_cast<double>(stratum_triples[h]) /
-                                        static_cast<double>(total_triples)
-                                  : 0.0);
+  Strata strata;
+  std::vector<uint8_t> renumbered(stratum_clusters.size(), 0);
+  for (size_t h = 0; h < stratum_clusters.size(); ++h) {
+    if (stratum_clusters[h] == 0) continue;
+    renumbered[h] = static_cast<uint8_t>(strata.weights.size());
+    strata.weights.push_back(
+        total_triples > 0 ? static_cast<double>(stratum_triples[h]) /
+                                static_cast<double>(total_triples)
+                          : 0.0);
   }
-  return compact;
+  if (strata.weights.size() < stratum_clusters.size()) {
+    for (uint8_t& h : stratum_of) h = renumbered[h];
+  }
+  strata.stratum_of = std::move(stratum_of);
+  return strata;
 }
+
+}  // namespace internal
 
 }  // namespace kgacc

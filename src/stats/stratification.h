@@ -2,18 +2,32 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <vector>
+
+#include "util/status.h"
 
 namespace kgacc {
 
-/// A partition of cluster indices into non-overlapping strata, plus each
-/// stratum's weight W_h = (triples in stratum h) / (total triples)
-/// (paper Section 5.3, Eq 13).
-struct Strata {
-  std::vector<std::vector<uint32_t>> members;  ///< cluster indices per stratum.
-  std::vector<double> weights;                 ///< W_h, sums to 1.
+/// Most strata a stratification takes: the cum-sqrt(F) histogram has 256
+/// bins and needs one per stratum, and a stratum id fits one byte.
+inline constexpr int kMaxStrata = 256;
+static_assert(kMaxStrata - 1 <= std::numeric_limits<uint8_t>::max());
 
-  size_t NumStrata() const { return members.size(); }
+/// InvalidArgument, naming the limit, unless `num_strata` <= kMaxStrata.
+/// Every surface that takes a stratum count from outside checks it.
+Status CheckNumStrata(uint64_t num_strata);
+
+/// A partition of clusters into non-overlapping strata: each cluster's
+/// stratum id, plus each stratum's weight W_h = (triples in stratum h) /
+/// (total triples) (paper Section 5.3, Eq 13). Every stratum holds at least
+/// one cluster.
+struct Strata {
+  std::vector<uint8_t> stratum_of;  ///< stratum id of each cluster.
+  std::vector<double> weights;      ///< W_h, sums to 1.
+
+  size_t NumStrata() const { return weights.size(); }
 };
 
 /// Dalenius–Hodges cumulative-sqrt(F) stratum boundaries over `values`
@@ -24,17 +38,35 @@ struct Strata {
 /// Degenerate inputs (all values equal, fewer distinct values than strata)
 /// return fewer boundaries.
 std::vector<double> CumulativeSqrtFBoundaries(const std::vector<double>& values,
-                                              int num_strata, int num_bins = 256);
+                                              int num_strata,
+                                              int num_bins = kMaxStrata);
 
 /// Assigns each value to a stratum given ascending boundaries; value v goes
 /// to the first stratum whose boundary is >= v (last stratum if none).
 std::vector<uint32_t> AssignStrata(const std::vector<double>& values,
                                    const std::vector<double>& boundaries);
 
-/// Builds Strata over clusters from a per-cluster signal (e.g. size for size
-/// stratification, true accuracy for oracle stratification). Empty strata are
-/// dropped. `sizes` provides the triple mass used for W_h.
+/// Builds Strata over clusters from a per-cluster signal (e.g. true accuracy
+/// for oracle stratification). Empty strata are dropped. `sizes` provides the
+/// triple mass used for W_h.
 Strata StratifyClusters(const std::vector<double>& signal,
                         const std::vector<uint64_t>& sizes, int num_strata);
+
+/// Size stratification over a triple-offset column (cluster c holds
+/// [offsets[c], offsets[c+1]), as KgView::TripleOffsets()): exactly
+/// StratifyClusters with each cluster's size as both signal and mass, but
+/// with no per-cluster copy. Sizes go through per-size tables, so it costs
+/// three cheap passes over the column; the one O(N) allocation is the
+/// stratum id per cluster.
+Strata StratifySizes(std::span<const uint64_t> offsets, int num_strata);
+
+namespace internal {
+/// Strata from a stratum id per cluster (< stratum_triples.size()) and each
+/// id's triple mass and cluster count: ids without a cluster are dropped and
+/// the rest renumbered in order.
+Strata CompactStrata(std::vector<uint8_t> stratum_of,
+                     const std::vector<uint64_t>& stratum_triples,
+                     const std::vector<uint64_t>& stratum_clusters);
+}  // namespace internal
 
 }  // namespace kgacc

@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "core/static_evaluator.h"
+#include "stats/stratification.h"
 #include "test_util.h"
 
 namespace kgacc {
@@ -115,6 +116,29 @@ TEST(DesignRegistryTest, StrataCountFlowsThroughOptions) {
   EXPECT_TRUE(r6.converged);
   // Different stratifications draw different samples.
   EXPECT_NE(r2.ledger.triples_annotated, r6.ledger.triples_annotated);
+}
+
+TEST(DesignRegistryTest, OutOfRangeStrataCountIsAnError) {
+  TestPopulation pop = MakeTestPopulation(600, 20, 0.8, 0.2, 99);
+  // 300 is over the 256-stratum limit; 2^32 + 2 would truncate to 2 as an
+  // int.
+  for (uint64_t count : {uint64_t{300}, (uint64_t{1} << 32) + 2}) {
+    EvaluationOptions options;
+    options.num_strata = count;
+    SimulatedAnnotator annotator(&pop.oracle, kCost);
+    const Result<EvaluationResult> run = DesignRegistry::Global().Run(
+        "twcs+strat", pop.population, &annotator, options);
+    ASSERT_FALSE(run.ok()) << count;
+    EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(run.status().message().find("256"), std::string::npos)
+        << run.status().message();
+  }
+  EvaluationOptions most;
+  most.num_strata = kMaxStrata;
+  SimulatedAnnotator annotator(&pop.oracle, kCost);
+  EXPECT_TRUE(DesignRegistry::Global()
+                  .Run("twcs+strat", pop.population, &annotator, most)
+                  .ok());
 }
 
 }  // namespace

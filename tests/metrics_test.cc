@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -249,6 +250,34 @@ TEST(MetricsRegistryTest, ConcurrentWritersProduceExactTotals) {
             static_cast<uint64_t>(kThreads) * kIterations);
   EXPECT_EQ(snap.FindHistogram("stress.hist")->count,
             static_cast<uint64_t>(kThreads) * kIterations);
+}
+
+TEST(MetricsJsonTest, NonFiniteGaugesExportAsNull) {
+  // An unlimited scheduler budget is an infinite gauge; the export must
+  // still parse (a bare `inf` is not JSON).
+  if (!kMetricsCompiledIn) GTEST_SKIP() << "built with KGACC_NO_METRICS";
+  MetricsRegistry registry;
+  registry.GetGauge("json.finite")->Set(2.5);
+  registry.GetGauge("json.inf")->Set(std::numeric_limits<double>::infinity());
+  registry.GetGauge("json.minus_inf")
+      ->Set(-std::numeric_limits<double>::infinity());
+  registry.GetGauge("json.nan")->Set(std::numeric_limits<double>::quiet_NaN());
+  const std::string json = MetricsToJson(registry.Snapshot());
+  const Result<JsonValue> doc = JsonValue::Parse(json);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString() << "\n" << json;
+  const JsonValue* gauges = doc->Find("gauges");
+  ASSERT_NE(gauges, nullptr);
+  ASSERT_EQ(gauges->AsArray().size(), 4u);
+  for (const JsonValue& gauge : gauges->AsArray()) {
+    const std::string name = gauge.Find("name")->AsString();
+    const JsonValue* value = gauge.Find("value");
+    ASSERT_NE(value, nullptr) << name;
+    if (name == "json.finite") {
+      EXPECT_EQ(value->AsNumber(), 2.5);
+    } else {
+      EXPECT_TRUE(value->is_null()) << name;
+    }
+  }
 }
 
 TEST(MetricsJsonTest, SerializesAndParsesBack) {

@@ -77,6 +77,18 @@ TEST(ServeProtocolTest, RejectsOutOfRangeOptions) {
                    .ok());  // counts must be integers.
 }
 
+TEST(ServeProtocolTest, RejectsAStrataCountOverTheLimit) {
+  EvaluationOptions options;
+  const Status status = ParseEvaluationOptions(
+      ParseOrDie(R"({"num_strata": 300})"), &options);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("256"), std::string::npos)
+      << status.message();
+  EXPECT_TRUE(
+      ParseEvaluationOptions(ParseOrDie(R"({"num_strata": 256})"), &options)
+          .ok());
+}
+
 TEST(ServeProtocolTest, ParsesAnnotatorSpec) {
   const JsonValue json = ParseOrDie(
       R"({"annotators": 3, "noise_rate": 0.1, "seed": 99,
@@ -172,6 +184,23 @@ TEST(ServeProtocolTest, RejectsAMisplacedOptionAtTheTopLevel) {
       << response.lines[0];
   EXPECT_TRUE(IsOk(manager.HandleLine(
       BuildStartCampaign("g", "twcs", R"({"moe_target": 0.01})"))));
+}
+
+TEST(ServeProtocolTest, StrataCountOverTheLimitFailsOnlyItsRequest) {
+  // An out-of-range count fails its own request instead of reaching a fatal
+  // check that would take every session down; the next request is served.
+  GraphStore graphs;
+  graphs.Put("g", kgacc::testing::MakeServePopulationDataset(1));
+  SessionManager manager(&graphs);
+  const SessionManager::Response refused = manager.HandleLine(
+      BuildStartCampaign("g", "twcs+strat", R"({"num_strata": 300})"));
+  ASSERT_EQ(refused.lines.size(), 1u);
+  EXPECT_FALSE(IsOk(refused));
+  EXPECT_NE(refused.lines[0].find("256"), std::string::npos)
+      << refused.lines[0];
+  EXPECT_TRUE(IsOk(manager.HandleLine(
+      BuildStartCampaign("g", "twcs+strat", R"({"num_strata": 4})"))));
+  EXPECT_TRUE(IsOk(manager.HandleLine(BuildStep("s1", 1))));
 }
 
 /// The request each op's Build* helper makes, against the session "s1" and

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_util.h"
+
 namespace kgacc {
 namespace {
 
@@ -65,12 +67,15 @@ TEST(StratifyClustersTest, WeightsSumToOneAndCoverAllClusters) {
   }
   const Strata strata = StratifyClusters(signal, sizes, 3);
   ASSERT_GE(strata.NumStrata(), 2u);
+  ASSERT_EQ(strata.stratum_of.size(), 200u);
+  const std::vector<std::vector<uint32_t>> members =
+      testing::StrataMembers(strata);
   double weight_sum = 0.0;
   size_t member_count = 0;
   for (size_t h = 0; h < strata.NumStrata(); ++h) {
-    EXPECT_FALSE(strata.members[h].empty());
+    EXPECT_FALSE(members[h].empty());
     weight_sum += strata.weights[h];
-    member_count += strata.members[h].size();
+    member_count += members[h].size();
   }
   EXPECT_NEAR(weight_sum, 1.0, 1e-9);
   EXPECT_EQ(member_count, 200u);
@@ -95,12 +100,64 @@ TEST(StratifyClustersTest, StrataAreHomogeneousOnSeparatedSignal) {
   const Strata strata = StratifyClusters(signal, sizes, 2);
   ASSERT_EQ(strata.NumStrata(), 2u);
   // Every member of a stratum shares the same signal value.
+  const std::vector<std::vector<uint32_t>> members =
+      testing::StrataMembers(strata);
   for (size_t h = 0; h < 2; ++h) {
-    const double first = signal[strata.members[h][0]];
-    for (uint32_t member : strata.members[h]) {
+    const double first = signal[members[h][0]];
+    for (uint32_t member : members[h]) {
       EXPECT_DOUBLE_EQ(signal[member], first);
     }
   }
+}
+
+TEST(StratifyClustersTest, DroppedStrataAreRenumberedInOrder) {
+  // Ids 0 and 2 hold clusters, id 1 none: id 2 becomes stratum 1.
+  const Strata strata = internal::CompactStrata(
+      {2, 0, 2, 0}, /*stratum_triples=*/{3, 0, 1},
+      /*stratum_clusters=*/{2, 0, 2});
+  EXPECT_EQ(strata.stratum_of, (std::vector<uint8_t>{1, 0, 1, 0}));
+  EXPECT_EQ(strata.weights, (std::vector<double>{0.75, 0.25}));
+}
+
+TEST(StratifySizesTest, MatchesStratifyClustersOverTheSizes) {
+  // The table path, the per-cluster tail past 2^16 distinct sizes, zero-size
+  // clusters, a point mass and every stratum count up to the limit.
+  std::vector<std::vector<uint64_t>> cases;
+  Rng rng(5);
+  std::vector<uint64_t> skewed;
+  for (int i = 0; i < 3000; ++i) {
+    skewed.push_back(i % 5 == 0 ? 0 : 1 + rng.UniformIndex(40));
+  }
+  for (uint64_t big : {70000ull, 1000000ull, 5000000000ull}) {
+    skewed.push_back(big);
+  }
+  cases.push_back(skewed);
+  cases.push_back({7, 7, 7, 7});
+  cases.push_back({0, 0, 5});
+  cases.push_back({});
+  for (const std::vector<uint64_t>& sizes : cases) {
+    std::vector<uint64_t> offsets = {0};
+    std::vector<double> signal;
+    for (uint64_t size : sizes) {
+      offsets.push_back(offsets.back() + size);
+      signal.push_back(static_cast<double>(size));
+    }
+    for (int h : {1, 2, 3, 4, 6, 16, kMaxStrata}) {
+      const Strata want = StratifyClusters(signal, sizes, h);
+      const Strata got = StratifySizes(offsets, h);
+      EXPECT_EQ(got.stratum_of, want.stratum_of) << sizes.size() << "/" << h;
+      EXPECT_EQ(got.weights, want.weights) << sizes.size() << "/" << h;
+    }
+  }
+}
+
+TEST(CheckNumStrataTest, NamesTheLimit) {
+  EXPECT_TRUE(CheckNumStrata(1).ok());
+  EXPECT_TRUE(CheckNumStrata(kMaxStrata).ok());
+  const Status over = CheckNumStrata(kMaxStrata + 1);
+  EXPECT_EQ(over.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(over.message().find("256"), std::string::npos) << over.message();
+  EXPECT_FALSE(CheckNumStrata(uint64_t{1} << 31).ok());
 }
 
 }  // namespace

@@ -43,10 +43,13 @@ TEST(SizeStrataTest, PartitionsAllClusters) {
   BmmPopulation bmm = MakeBmmPopulation(1);
   const Strata strata =
       StratifiedTwcsEvaluator::SizeStrata(bmm.population, 4);
+  ASSERT_EQ(strata.stratum_of.size(), bmm.population.NumClusters());
   size_t members = 0;
   double weight = 0.0;
+  for (const std::vector<uint32_t>& stratum : testing::StrataMembers(strata)) {
+    members += stratum.size();
+  }
   for (size_t h = 0; h < strata.NumStrata(); ++h) {
-    members += strata.members[h].size();
     weight += strata.weights[h];
   }
   EXPECT_EQ(members, bmm.population.NumClusters());
@@ -60,9 +63,11 @@ TEST(OracleStrataTest, GroupsByAccuracy) {
       StratifiedTwcsEvaluator::OracleStrata(bmm.population, bmm.oracle, 4);
   EXPECT_GE(strata.NumStrata(), 2u);
   // Accuracy spread within a stratum should be far smaller than overall.
+  const std::vector<std::vector<uint32_t>> members =
+      testing::StrataMembers(strata);
   for (size_t h = 0; h < strata.NumStrata(); ++h) {
     RunningStats acc;
-    for (uint32_t c : strata.members[h]) {
+    for (uint32_t c : members[h]) {
       acc.Add(RealizedClusterAccuracy(bmm.oracle, c,
                                       bmm.population.ClusterSize(c)));
     }
@@ -124,10 +129,7 @@ TEST(StratifiedTwcsTest, SingleStratumMatchesPlainTwcsShape) {
   StratifiedTwcsEvaluator evaluator(bmm.population, &annotator,
                                     DefaultOptions(8));
   Strata one;
-  one.members.resize(1);
-  for (uint32_t c = 0; c < bmm.population.NumClusters(); ++c) {
-    one.members[0].push_back(c);
-  }
+  one.stratum_of.assign(bmm.population.NumClusters(), 0);
   one.weights = {1.0};
   const EvaluationResult r = evaluator.Evaluate(one);
   EXPECT_TRUE(r.converged);

@@ -9,7 +9,9 @@
 #include <vector>
 
 #include "kg/cluster_population.h"
+#include "kg/kg_view.h"
 #include "labels/synthetic_oracle.h"
+#include "stats/stratification.h"
 #include "util/rng.h"
 
 namespace kgacc::testing {
@@ -60,6 +62,31 @@ inline TestPopulation MakeTestPopulation(uint64_t num_clusters,
   }
   out.true_accuracy = weighted / static_cast<double>(total);
   return out;
+}
+
+/// Forwards everything but TripleOffsets(), so an index over it builds its
+/// own column (the path KnowledgeGraph takes).
+class NoColumnView : public KgView {
+ public:
+  explicit NoColumnView(const KgView& inner) : inner_(inner) {}
+  uint64_t NumClusters() const override { return inner_.NumClusters(); }
+  uint64_t ClusterSize(uint64_t cluster) const override {
+    return inner_.ClusterSize(cluster);
+  }
+  uint64_t TotalTriples() const override { return inner_.TotalTriples(); }
+
+ private:
+  const KgView& inner_;
+};
+
+/// Each stratum's clusters in ascending id order, read off the stratum id
+/// per cluster.
+inline std::vector<std::vector<uint32_t>> StrataMembers(const Strata& strata) {
+  std::vector<std::vector<uint32_t>> members(strata.NumStrata());
+  for (size_t c = 0; c < strata.stratum_of.size(); ++c) {
+    members.at(strata.stratum_of[c]).push_back(static_cast<uint32_t>(c));
+  }
+  return members;
 }
 
 }  // namespace kgacc::testing

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "kg/cluster_population.h"
+#include "kg/subset_view.h"
+#include "test_util.h"
 
 namespace kgacc {
 namespace {
@@ -92,6 +94,68 @@ TEST(TwcsSamplerTest, FirstStageIsSizeWeighted) {
     if (draw.cluster == 1) ++heavy;
   }
   EXPECT_NEAR(static_cast<double>(heavy) / n, 0.75, 0.01);
+}
+
+/// Forwards every call, TripleOffsets() included, and counts ClusterSize
+/// reads.
+class CountingView : public KgView {
+ public:
+  explicit CountingView(const KgView& inner) : inner_(inner) {}
+  uint64_t NumClusters() const override { return inner_.NumClusters(); }
+  uint64_t ClusterSize(uint64_t cluster) const override {
+    ++reads_;
+    return inner_.ClusterSize(cluster);
+  }
+  uint64_t TotalTriples() const override { return inner_.TotalTriples(); }
+  std::span<const uint64_t> TripleOffsets() const override {
+    return inner_.TripleOffsets();
+  }
+  uint64_t reads() const { return reads_; }
+
+ private:
+  const KgView& inner_;
+  mutable uint64_t reads_ = 0;
+};
+
+TEST(SamplerSetUpTest, BorrowingTheColumnReadsNoClusterSize) {
+  std::vector<uint32_t> sizes;
+  for (uint32_t c = 0; c < 10000; ++c) sizes.push_back(1 + c % 17);
+  const ClusterPopulation pop(sizes);
+  const CountingView view(pop);
+  SrsUnitSampler srs(view);
+  WcsUnitSampler wcs(view);
+  TwcsUnitSampler twcs(view, 5);
+  // SS's strata: the base graph, then an update batch.
+  const SubsetView base(view, 0, 8000);
+  TwcsUnitSampler base_sampler(base, 5);
+  const SubsetView update(view, 8000, 2000);
+  TwcsUnitSampler update_sampler(update, 5);
+  EXPECT_EQ(update.TotalTriples(), pop.TotalTriples() - base.TotalTriples());
+  EXPECT_EQ(view.reads(), 0u);
+  // Drawing reads the drawn clusters' sizes only.
+  Rng rng(8);
+  EXPECT_EQ(twcs.NextBatch(25, rng).size(), 25u);
+  EXPECT_EQ(update_sampler.NextBatch(25, rng).size(), 25u);
+  EXPECT_EQ(srs.NextBatch(25, rng).size(), 25u);
+  EXPECT_LE(view.reads(), 50u);
+}
+
+TEST(SamplerSetUpTest, AViewWithoutAColumnIsReadOncePerIndex) {
+  std::vector<uint32_t> sizes(1000, 3);
+  const ClusterPopulation pop(sizes);
+  const CountingView counted(pop);
+  const testing::NoColumnView view(counted);
+  TwcsUnitSampler twcs(view, 5);
+  EXPECT_EQ(counted.reads(), 1000u);
+  // Its own column serves the same draws as the borrowed one.
+  TwcsUnitSampler borrowed(pop, 5);
+  Rng a(9), b(9);
+  const std::vector<SampleUnit> ours = twcs.NextBatch(200, a);
+  const std::vector<SampleUnit> theirs = borrowed.NextBatch(200, b);
+  for (size_t i = 0; i < ours.size(); ++i) {
+    EXPECT_EQ(ours[i].cluster, theirs[i].cluster);
+    EXPECT_EQ(ours[i].offsets, theirs[i].offsets);
+  }
 }
 
 TEST(TwcsSamplerDeathTest, MZeroAborts) {

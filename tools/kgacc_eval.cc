@@ -44,9 +44,9 @@ Evaluation:
                       (the registered set is printed below and by
                        --list-designs; unknown names error with the same
                        listing, sourced from the DesignRegistry)
-  --strata H          stratum count for twcs+strat; passing H > 1
-                      selects twcs+strat (conflicts with any other
-                      explicit --design)                   [4]
+  --strata H          stratum count for twcs+strat, at most 256;
+                      passing H > 1 selects twcs+strat (conflicts with
+                      any other explicit --design)         [4]
   --per-predicate     per-predicate accuracy report (materialized graphs)
   --moe E             margin-of-error target            [0.05]
   --confidence C      confidence level                  [0.95]
@@ -141,6 +141,13 @@ int RunEval(const FlagParser& flags) {
     obs::EnableMetrics(true);
   }
   if (!chrome_trace_path.empty()) obs::TraceSession::Start();
+
+  // Checked before the graph is built, which can take seconds.
+  const uint64_t strata_count = flags.GetUint64("strata", 0).ValueOr(0);
+  if (const Status strata = CheckNumStrata(strata_count); !strata.ok()) {
+    std::fprintf(stderr, "error: --strata: %s\n", strata.message().c_str());
+    return 1;
+  }
 
   // --- Input. ----------------------------------------------------------------
   Dataset dataset;
@@ -294,7 +301,6 @@ int RunEval(const FlagParser& flags) {
   }
 
   // --- Whole-graph evaluation (design resolved via the registry). ------------
-  const uint64_t strata_count = flags.GetUint64("strata", 0).ValueOr(0);
   std::string design = flags.GetString("design", "twcs");
   if (strata_count > 1) {
     options.num_strata = strata_count;

@@ -22,6 +22,7 @@
 
 #include <signal.h>
 
+#include <atomic>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -195,9 +196,12 @@ int Main(int argc, char** argv) {
   std::printf("kgacc_serve listening on port %d\n", server.port());
   std::fflush(stdout);
 
-  std::thread signal_thread([&signals, &server] {
+  // Set before main wakes the signal thread itself, so that only a signal
+  // from outside is logged as one.
+  std::atomic<bool> self_wake{false};
+  std::thread signal_thread([&signals, &server, &self_wake] {
     int received = 0;
-    if (sigwait(&signals, &received) == 0) {
+    if (sigwait(&signals, &received) == 0 && !self_wake.load()) {
       std::fprintf(stderr, "received signal %d, shutting down\n", received);
       server.Shutdown();
     }
@@ -205,6 +209,7 @@ int Main(int argc, char** argv) {
 
   server.Wait();
   // Unblock the signal thread if shutdown came from the protocol instead.
+  self_wake.store(true);
   pthread_kill(signal_thread.native_handle(), SIGTERM);
   signal_thread.join();
   std::fprintf(stderr, "kgacc_serve exiting\n");
