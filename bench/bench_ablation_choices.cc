@@ -185,15 +185,14 @@ void AblationAllocation(int trials, uint64_t seed) {
       for (size_t h = 0; h < strata.NumStrata(); ++h) {
         for (uint64_t i = 0; i < allocation[h]; ++i) {
           // One TWCS unit (m = 5) inside stratum h.
-          const uint64_t cluster = index.SizeWeightedCluster(h, rng);
-          const std::vector<uint64_t> offsets = SampleIndicesWithoutReplacement(
-              syn.View().ClusterSize(cluster), 5, rng);
+          const SampleUnit unit = TwcsUnit(
+              syn.View(), index.SizeWeightedCluster(h, rng), 5, rng);
           uint64_t correct = 0;
-          for (uint64_t offset : offsets) {
-            if (annotator.Annotate(TripleRef{cluster, offset})) ++correct;
+          for (uint64_t offset : unit.offsets) {
+            if (annotator.Annotate(TripleRef{unit.cluster, offset})) ++correct;
           }
           stats[h].Add(static_cast<double>(correct) /
-                       static_cast<double>(offsets.size()));
+                       static_cast<double>(unit.offsets.size()));
           ++total_units;
         }
       }

@@ -5,7 +5,7 @@
 // estimate, and convergence.
 //
 // Each sweep row is annotated with per-phase machine timings
-// (sample/annotate/estimate/stopping-check) taken as metrics-registry
+// (sample/annotate) taken as metrics-registry
 // snapshot deltas around the run — the obs subsystem's striped histograms,
 // not extra stopwatches, so the timed path is exactly the production path.
 //
@@ -14,8 +14,7 @@
 //
 //   {"budget_seconds": ..., "cost_seconds": ..., "estimate": ..., "moe": ...,
 //    "units": ..., "rounds": ..., "converged": true|false,
-//    "phase_seconds": {"sample": ..., "annotate": ..., "estimate": ...,
-//                      "stopping_check": ...}}
+//    "phase_seconds": {"sample": ..., "annotate": ...}}
 //
 // The sweep's designed invariants are exact (the runs are seeded and the
 // cost model is simulated), so the bench checks them itself and exits
@@ -53,8 +52,6 @@ struct SweepRow {
   bool converged = false;
   double sample_seconds = 0.0;
   double annotate_seconds = 0.0;
-  double estimate_seconds = 0.0;
-  double stopping_seconds = 0.0;
 };
 
 double PhaseSum(const obs::MetricsSnapshot& snapshot, const char* name) {
@@ -107,7 +104,7 @@ int RunSweep() {
   bench::Banner("TWCS under an annotation-cost budget (c1=45s, c2=25s)");
   std::printf("%12s %12s %10s %8s %7s %7s %5s %34s\n", "budget", "spent",
               "estimate", "MoE", "units", "rounds", "conv",
-              "machine phases (sam/ann/est/stop ms)");
+              "machine phases (sam/ann ms)");
   bench::Rule();
   for (const double budget : budgets) {
     EvaluationOptions options;
@@ -136,19 +133,15 @@ int RunSweep() {
     row.converged = run->converged;
     row.sample_seconds = PhaseSum(snapshot, "engine.round.sample_seconds");
     row.annotate_seconds = PhaseSum(snapshot, "engine.round.annotate_seconds");
-    row.estimate_seconds = PhaseSum(snapshot, "engine.round.estimate_seconds");
-    row.stopping_seconds =
-        PhaseSum(snapshot, "engine.round.stopping_check_seconds");
     rows.push_back(row);
 
-    std::printf("%12s %12.0f %9.2f%% %7.2f%% %7llu %7llu %5s %10.1f/%.1f/%.1f/%.1f\n",
+    std::printf("%12s %12.0f %9.2f%% %7.2f%% %7llu %7llu %5s %10.1f/%.1f\n",
                 budget > 0 ? StrFormat("%.0f", budget).c_str() : "none",
                 row.cost_seconds, row.estimate * 100.0, row.moe * 100.0,
                 static_cast<unsigned long long>(row.units),
                 static_cast<unsigned long long>(row.rounds),
                 row.converged ? "yes" : "no", row.sample_seconds * 1e3,
-                row.annotate_seconds * 1e3, row.estimate_seconds * 1e3,
-                row.stopping_seconds * 1e3);
+                row.annotate_seconds * 1e3);
   }
   obs::EnableMetrics(false);
 
@@ -167,8 +160,6 @@ int RunSweep() {
         .Key("phase_seconds").BeginObject()
         .Key("sample").Number(row.sample_seconds)
         .Key("annotate").Number(row.annotate_seconds)
-        .Key("estimate").Number(row.estimate_seconds)
-        .Key("stopping_check").Number(row.stopping_seconds)
         .EndObject()
         .EndObject();
   }

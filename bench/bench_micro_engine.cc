@@ -195,11 +195,12 @@ void WriteSweepArtifact() {
 
 namespace {
 
-/// Fastest observed per-campaign time with metrics collection off/on; the
-/// minimum is robust against scheduler noise on shared runners.
+/// Median per-campaign times with metrics collection off/on, and the
+/// median of their per-iteration ratios.
 struct OverheadCells {
   double baseline_seconds = 0.0;
   double metrics_seconds = 0.0;
+  double fraction = 0.0;
 };
 
 OverheadCells& Overhead() {
@@ -227,30 +228,39 @@ void BM_EngineCampaign(benchmark::State& state) {
   // collection off (the process default: the same sites, just the disabled
   // branch of each one) and once on (every phase span records to its
   // histogram and every counter site accumulates), alternating which goes
-  // first. Host drift during the run then lands on both variants alike, so
-  // the ratio of their fastest runs is the live instrumentation overhead
-  // that the metrics_overhead artifact reports and CI budgets.
+  // first, and keeps the ratio of the two. Host drift then lands on both
+  // halves of a pair alike and cancels in its ratio; the median ratio is the
+  // live instrumentation overhead that the metrics_overhead artifact reports
+  // and CI budgets. (The fastest run of each variant would compare two
+  // extremes from different moments of the run.)
   const Workload workload = MakeWorkload(1);
   uint64_t triples = 0;
-  double best_off = 0.0;
-  double best_on = 0.0;
-  const auto keep_min = [](double* best, double seconds) {
-    if (*best == 0.0 || seconds < *best) *best = seconds;
-  };
+  std::vector<double> off_seconds;
+  std::vector<double> on_seconds;
+  std::vector<double> ratios;
   obs::MetricsRegistry::Global().ResetValues();
   bool on_first = false;
   for (auto _ : state) {
+    double seconds[2] = {0.0, 0.0};  // [metrics off, metrics on].
     for (const bool metrics : {on_first, !on_first}) {
       obs::EnableMetrics(metrics);
-      keep_min(metrics ? &best_on : &best_off,
-               TimeTwcsCampaign(workload, &triples));
+      seconds[metrics ? 1 : 0] = TimeTwcsCampaign(workload, &triples);
     }
     obs::EnableMetrics(false);
     on_first = !on_first;
+    off_seconds.push_back(seconds[0]);
+    on_seconds.push_back(seconds[1]);
+    if (seconds[0] > 0.0) ratios.push_back(seconds[1] / seconds[0]);
   }
   state.SetItemsProcessed(static_cast<int64_t>(triples));
-  if (best_off > 0.0 && best_on > 0.0) {
-    Overhead() = OverheadCells{best_off, best_on};
+  const auto median = [](std::vector<double>& values) {
+    std::nth_element(values.begin(), values.begin() + values.size() / 2,
+                     values.end());
+    return values[values.size() / 2];
+  };
+  if (!ratios.empty()) {
+    Overhead() = OverheadCells{median(off_seconds), median(on_seconds),
+                               median(ratios) - 1.0};
   }
 }
 BENCHMARK(BM_EngineCampaign);
@@ -284,8 +294,7 @@ BENCHMARK(BM_EngineCampaignTraced);
 void WriteMetricsOverheadArtifact() {
   const OverheadCells& cells = Overhead();
   if (cells.baseline_seconds <= 0.0 || cells.metrics_seconds <= 0.0) return;
-  const double overhead =
-      cells.metrics_seconds / cells.baseline_seconds - 1.0;
+  const double overhead = cells.fraction;
   BenchArtifact artifact("metrics_overhead");
   artifact.SetMetric("baseline_seconds", cells.baseline_seconds);
   artifact.SetMetric("metrics_seconds", cells.metrics_seconds);

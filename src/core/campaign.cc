@@ -15,10 +15,6 @@ namespace {
 /// Round and campaign metrics of the campaign loop. Resolved once; the
 /// registry keeps the pointers valid for the process lifetime.
 struct CampaignMetrics {
-  obs::Histogram* stopping = obs::MetricsRegistry::Global().GetHistogram(
-      "engine.round.stopping_check_seconds");
-  obs::Histogram* campaign = obs::MetricsRegistry::Global().GetHistogram(
-      "engine.campaign.run_seconds");
   obs::Counter* rounds =
       obs::MetricsRegistry::Global().GetCounter("engine.rounds");
   obs::Counter* campaigns =
@@ -54,7 +50,7 @@ CampaignRound MakeCampaignRound(uint64_t round, const Estimate& estimate,
 
 EvaluationResult RunCampaign(Campaign& campaign, CampaignControl* control) {
   Metrics().campaigns->Add(1);
-  obs::ScopedSpan span("engine.campaign", Metrics().campaign);
+  obs::ScopedSpan span("engine.campaign");  // trace-only.
   for (uint64_t completed = 0; !campaign.Done(); ++completed) {
     if (control != nullptr && control->BeforeRound(completed + 1) ==
                                   CampaignControl::Action::kSuspend) {
@@ -158,7 +154,7 @@ void PolicyCampaign::Step() {
   estimate_ = outcome.estimate;
   moe_ = outcome.moe;
 
-  obs::ScopedSpan span("engine.round.stopping_check", Metrics().stopping);
+  obs::ScopedSpan span("engine.round.stopping_check");  // trace-only.
   if (telemetry_ != nullptr) {
     telemetry_->OnRound(MakeCampaignRound(
         rounds_, estimate_, moe_, RoundInterval(estimate_), *annotator_,

@@ -150,8 +150,7 @@ void RegisterBuiltins(DesignRegistry* registry) {
         const uint64_t h = options.num_strata > 0 ? options.num_strata : 4;
         KGACC_RETURN_IF_ERROR(CheckNumStrata(h));
         return StratifiedTwcsEvaluator(view, annotator, options)
-            .MakeCampaign(
-                StratifiedTwcsEvaluator::SizeStrata(view, static_cast<int>(h)));
+            .MakeSizeStratifiedCampaign(static_cast<int>(h));
       }));
   must(registry->Register(
       "twcs+pilot",

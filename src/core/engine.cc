@@ -19,8 +19,6 @@ struct EngineMetrics {
       "engine.round.sample_seconds");
   obs::Histogram* annotate = obs::MetricsRegistry::Global().GetHistogram(
       "engine.round.annotate_seconds");
-  obs::Histogram* estimate = obs::MetricsRegistry::Global().GetHistogram(
-      "engine.round.estimate_seconds");
 };
 
 EngineMetrics& Metrics() {
@@ -58,52 +56,58 @@ EngineCampaign::EngineCampaign(Annotator* annotator,
 }
 
 PolicyCampaign::RoundOutcome EngineCampaign::RunRound() {
-  // The ScopedSpans below are purely observational (histograms + trace
-  // events); `sample_timer` stays the product-level source of
-  // machine_seconds so KGACC_NO_METRICS builds report identical results.
+  // The spans are purely observational. With metrics on, the sample and
+  // annotate phases record histograms through PhaseSpans, which reuses the
+  // reads of the sampling stopwatch (the product-level source of
+  // machine_seconds, read in every build, KGACC_NO_METRICS included), so
+  // they cost one more clock read a round. The estimate and stopping-check
+  // spans carry no histogram: a clock read a round each was most of what
+  // metrics added to a small campaign, so they read the clock only for a
+  // trace.
   const uint64_t batch_units = options().batch_units;
-  WallTimer sample_timer;
+  const uint64_t round_start = MonotonicNanos();
+  obs::PhaseSpans phases(round_start);
+  // A prefetched batch was drawn, and timed, during the previous round.
+  const char* sample_span = "engine.round.sample";
   std::vector<SampleUnit> batch;
   if (prefetched_.has_value()) {
     batch = *std::move(prefetched_);
     prefetched_.reset();
+    sample_span = nullptr;
   } else {
-    obs::ScopedSpan span("engine.round.sample", Metrics().sample);
     batch = sampler_->NextBatch(batch_units, rng_);
   }
-  machine_seconds_ += sample_timer.ElapsedSeconds();
+  const uint64_t sampled = MonotonicNanos();
+  machine_seconds_ += static_cast<double>(sampled - round_start) * 1e-9;
+  phases.Lap(sample_span, Metrics().sample, sampled);
 
-  {
-    obs::ScopedSpan span("engine.round.annotate", Metrics().annotate);
-    refs_.clear();
-    for (const SampleUnit& unit : batch) {
-      for (uint64_t offset : unit.offsets) {
-        refs_.push_back(TripleRef{unit.cluster, offset});
-      }
-    }
-    labels_.resize(refs_.size());
-    if (pipelined_) {
-      annotator()->BeginAnnotateBatch(std::span<const TripleRef>(refs_),
-                                      labels_.data());
-    } else {
-      annotator()->AnnotateBatch(std::span<const TripleRef>(refs_),
-                                 labels_.data());
+  refs_.clear();
+  for (const SampleUnit& unit : batch) {
+    for (uint64_t offset : unit.offsets) {
+      refs_.push_back(TripleRef{unit.cluster, offset});
     }
   }
+  labels_.resize(refs_.size());
   if (pipelined_) {
+    annotator()->BeginAnnotateBatch(std::span<const TripleRef>(refs_),
+                                    labels_.data());
     // The overlap: draw the next round's units while this round's labels
     // are in flight, then collect them.
-    WallTimer prefetch_timer;
-    {
-      obs::ScopedSpan span("engine.round.sample", Metrics().sample);
-      prefetched_ = sampler_->NextBatch(batch_units, rng_);
-    }
-    machine_seconds_ += prefetch_timer.ElapsedSeconds();
-    obs::ScopedSpan span("engine.round.annotate", Metrics().annotate);
+    const uint64_t prefetch_start = MonotonicNanos();
+    phases.Lap("engine.round.annotate", Metrics().annotate, prefetch_start);
+    prefetched_ = sampler_->NextBatch(batch_units, rng_);
+    const uint64_t prefetch_end = MonotonicNanos();
+    machine_seconds_ +=
+        static_cast<double>(prefetch_end - prefetch_start) * 1e-9;
+    phases.Lap("engine.round.sample", Metrics().sample, prefetch_end);
     annotator()->FinishAnnotateBatch();
+  } else {
+    annotator()->AnnotateBatch(std::span<const TripleRef>(refs_),
+                               labels_.data());
   }
+  phases.Lap("engine.round.annotate", Metrics().annotate);
 
-  obs::ScopedSpan span("engine.round.estimate", Metrics().estimate);
+  obs::ScopedSpan span("engine.round.estimate");  // trace-only.
   const uint8_t* cursor = labels_.data();
   for (const SampleUnit& unit : batch) {
     estimator_->AddUnit(unit, cursor);

@@ -29,8 +29,7 @@ uint64_t StratifiedTwcsEvaluator::ResolveSecondStageSize() const {
 }
 
 Strata StratifiedTwcsEvaluator::SizeStrata(const KgView& view, int num_strata) {
-  const TriplePrefixIndex column(view);  // the view's offsets, or built ones.
-  return StratifySizes(column.Offsets(), num_strata);
+  return StratifySizes(TriplePrefixIndex(view).Offsets(), num_strata);
 }
 
 Strata StratifiedTwcsEvaluator::OracleStrata(const KgView& view,
@@ -53,10 +52,23 @@ EvaluationResult StratifiedTwcsEvaluator::Evaluate(const Strata& strata) {
 std::unique_ptr<Campaign> StratifiedTwcsEvaluator::MakeCampaign(
     Strata strata) const {
   KGACC_CHECK(strata.NumStrata() >= 1) << "need at least one stratum";
-  // The source is both sampler and estimator.
-  auto source = std::make_shared<StratifiedTwcsSource>(
+  return MakeEngineCampaign(std::make_shared<StratifiedTwcsSource>(
       view_, std::move(strata), ResolveSecondStageSize(),
-      options_.min_stratum_units);
+      options_.min_stratum_units));
+}
+
+std::unique_ptr<Campaign> StratifiedTwcsEvaluator::MakeSizeStratifiedCampaign(
+    int num_strata) const {
+  TriplePrefixIndex column(view_);
+  Strata strata = StratifySizes(column.Offsets(), num_strata);
+  return MakeEngineCampaign(std::make_shared<StratifiedTwcsSource>(
+      std::move(column), std::move(strata), ResolveSecondStageSize(),
+      options_.min_stratum_units));
+}
+
+std::unique_ptr<Campaign> StratifiedTwcsEvaluator::MakeEngineCampaign(
+    std::shared_ptr<StratifiedTwcsSource> source) const {
+  // The source is both sampler and estimator.
   return std::make_unique<EngineCampaign>(
       annotator_, options_, EngineConfig{.design_name = "TWCS+strat"}, source,
       source);

@@ -6,6 +6,7 @@
 #include "core/campaign.h"
 #include "core/evaluation.h"
 #include "core/optimal_m.h"
+#include "core/stratified_source.h"
 #include "kg/kg_view.h"
 #include "labels/annotator.h"
 #include "labels/truth_oracle.h"
@@ -29,6 +30,10 @@ class StratifiedTwcsEvaluator {
   /// The campaign Evaluate runs; it owns the strata.
   std::unique_ptr<Campaign> MakeCampaign(Strata strata) const;
 
+  /// The campaign over SizeStrata(view, num_strata): the strata and the
+  /// draws read one triple-offset column, the view's or one built for both.
+  std::unique_ptr<Campaign> MakeSizeStratifiedCampaign(int num_strata) const;
+
   /// "Size Stratification": cum-sqrt(F) boundaries over cluster sizes, read
   /// straight from the view's TripleOffsets() column (StratifySizes).
   static Strata SizeStrata(const KgView& view, int num_strata);
@@ -47,6 +52,10 @@ class StratifiedTwcsEvaluator {
   uint64_t ResolveSecondStageSize() const;
 
  private:
+  /// The engine campaign around `source`, which samples and estimates.
+  std::unique_ptr<Campaign> MakeEngineCampaign(
+      std::shared_ptr<StratifiedTwcsSource> source) const;
+
   const KgView& view_;
   Annotator* annotator_;
   EvaluationOptions options_;

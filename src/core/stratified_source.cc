@@ -3,17 +3,18 @@
 #include <utility>
 
 #include "estimators/unit_estimators.h"
-#include "sampling/srs.h"
+#include "sampling/unit_samplers.h"
 #include "stats/allocation.h"
 #include "util/logging.h"
 
 namespace kgacc {
 
-StratifiedTwcsSource::StratifiedTwcsSource(const KgView& view, Strata strata,
-                                           uint64_t m,
+StratifiedTwcsSource::StratifiedTwcsSource(TriplePrefixIndex column,
+                                           Strata strata, uint64_t m,
                                            uint64_t min_stratum_units)
-    : view_(view),
-      index_(view, std::move(strata.stratum_of), strata.NumStrata()),
+    : view_(column.view()),
+      index_(std::move(column), std::move(strata.stratum_of),
+             strata.NumStrata()),
       m_(m),
       stats_(strata.NumStrata()),
       weights_(std::move(strata.weights)),
@@ -26,20 +27,22 @@ StratifiedTwcsSource::StratifiedTwcsSource(const KgView& view, Strata strata,
 void StratifiedTwcsSource::DrawInto(std::vector<SampleUnit>* out, size_t h,
                                     uint64_t units, Rng& rng) {
   for (uint64_t i = 0; i < units; ++i) {
-    const uint64_t cluster = index_.SizeWeightedCluster(h, rng);
-    out->push_back(SampleUnit{
-        cluster,
-        SampleIndicesWithoutReplacement(view_.ClusterSize(cluster), m_, rng),
-        h});
+    SampleUnit unit =
+        TwcsUnit(view_, index_.SizeWeightedCluster(h, rng), m_, rng);
+    unit.tag = h;
+    out->push_back(std::move(unit));
   }
 }
 
 std::vector<SampleUnit> StratifiedTwcsSource::NextBatch(uint64_t n, Rng& rng) {
   std::vector<SampleUnit> batch;
   if (!seeded_) {
-    // Seed round: every stratum gets enough draws for a variance estimate.
+    // Seed round: every stratum gets enough draws for a variance estimate,
+    // except one without triples (zero-size clusters only): it has nothing
+    // to draw and weight 0, so Neyman allocation never draws there either.
     seeded_ = true;
     for (size_t h = 0; h < stats_.size(); ++h) {
+      if (index_.StratumTriples(h) == 0) continue;
       DrawInto(&batch, h, min_stratum_units_, rng);
     }
     return batch;

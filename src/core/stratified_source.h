@@ -2,11 +2,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
 #include "estimators/estimators.h"
 #include "kg/kg_view.h"
+#include "sampling/srs.h"
 #include "sampling/stratum_index.h"
 #include "stats/running_stats.h"
 #include "stats/stratification.h"
@@ -26,9 +28,16 @@ namespace kgacc {
 /// cluster ids (annotator coordinates).
 class StratifiedTwcsSource : public UnitSampler, public UnitEstimator {
  public:
-  /// `view` is borrowed and must outlive the source. `strata` is taken.
-  StratifiedTwcsSource(const KgView& view, Strata strata, uint64_t m,
+  /// Draws over `column`'s view, which must outlive the source. `strata`
+  /// partitions that view's clusters.
+  StratifiedTwcsSource(TriplePrefixIndex column, Strata strata, uint64_t m,
                        uint64_t min_stratum_units);
+
+  /// Over `view`'s own column, or one built for it.
+  StratifiedTwcsSource(const KgView& view, Strata strata, uint64_t m,
+                       uint64_t min_stratum_units)
+      : StratifiedTwcsSource(TriplePrefixIndex(view), std::move(strata), m,
+                             min_stratum_units) {}
 
   // UnitSampler.
   std::vector<SampleUnit> NextBatch(uint64_t n, Rng& rng) override;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -22,8 +21,6 @@ struct AnnotatorMetrics {
       "annotation.batch.parallel_count");
   obs::Counter* sequential_batches = obs::MetricsRegistry::Global().GetCounter(
       "annotation.batch.sequential_count");
-  obs::Histogram* batch = obs::MetricsRegistry::Global().GetHistogram(
-      "annotation.batch.annotate_seconds");
 };
 
 AnnotatorMetrics& Metrics() {
@@ -169,7 +166,6 @@ void SimulatedAnnotator::AnnotateBatch(std::span<const TripleRef> refs,
                                        uint8_t* out) {
   const size_t n = refs.size();
   if (n == 0) return;
-  obs::ScopedSpan batch_span("annotation.batch", Metrics().batch);
 
   if (options_.annotation_threads > 1 && n >= kParallelBatchThreshold) {
     ThreadPool* pool = PoolForBatch();

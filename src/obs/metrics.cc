@@ -82,7 +82,6 @@ void Histogram::RecordNanos(uint64_t nanos) {
 #else
   const size_t stripe = internal::ThreadStripe();
   Stripe& s = stripes_[stripe];
-  s.count.fetch_add(1, std::memory_order_relaxed);
   s.sum_nanos.fetch_add(nanos, std::memory_order_relaxed);
   // Stripe min/max via relaxed CAS loops (contention-free: one writer set
   // per stripe in the common case).
@@ -107,22 +106,24 @@ HistogramSnapshot Histogram::Snapshot() const {
   uint64_t min_nanos = UINT64_MAX;
   uint64_t max_nanos = 0;
   for (const Stripe& s : stripes_) {
-    out.count += s.count.load(std::memory_order_relaxed);
     sum_nanos += s.sum_nanos.load(std::memory_order_relaxed);
     min_nanos = std::min(min_nanos, s.min_nanos.load(std::memory_order_relaxed));
     max_nanos = std::max(max_nanos, s.max_nanos.load(std::memory_order_relaxed));
   }
-  out.sum_seconds = static_cast<double>(sum_nanos) * 1e-9;
-  if (out.count > 0) {
-    out.min_seconds = static_cast<double>(min_nanos) * 1e-9;
-    out.max_seconds = static_cast<double>(max_nanos) * 1e-9;
-  }
+  // Every record lands in exactly one bucket, so the buckets also carry
+  // the count: one atomic add fewer per record.
   for (size_t b = 0; b < kHistogramBuckets; ++b) {
     uint64_t n = 0;
     for (size_t s = 0; s < internal::kStripes; ++s) {
       n += buckets_[s * kHistogramBuckets + b].load(std::memory_order_relaxed);
     }
     if (n > 0) out.buckets.push_back({b, n});
+    out.count += n;
+  }
+  out.sum_seconds = static_cast<double>(sum_nanos) * 1e-9;
+  if (out.count > 0) {
+    out.min_seconds = static_cast<double>(min_nanos) * 1e-9;
+    out.max_seconds = static_cast<double>(max_nanos) * 1e-9;
   }
   out.p50_seconds = out.Percentile(0.50);
   out.p95_seconds = out.Percentile(0.95);
@@ -132,7 +133,6 @@ HistogramSnapshot Histogram::Snapshot() const {
 
 void Histogram::Reset() {
   for (Stripe& s : stripes_) {
-    s.count.store(0, std::memory_order_relaxed);
     s.sum_nanos.store(0, std::memory_order_relaxed);
     s.min_nanos.store(UINT64_MAX, std::memory_order_relaxed);
     s.max_nanos.store(0, std::memory_order_relaxed);

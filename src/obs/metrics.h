@@ -199,7 +199,6 @@ class Histogram {
 
  private:
   struct alignas(64) Stripe {
-    std::atomic<uint64_t> count{0};
     std::atomic<uint64_t> sum_nanos{0};
     std::atomic<uint64_t> min_nanos{UINT64_MAX};
     std::atomic<uint64_t> max_nanos{0};

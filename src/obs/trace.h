@@ -63,16 +63,17 @@ void EmitCounterEvent(const char* name, double value);
 
 /// RAII phase timer: measures [construction, destruction) on the monotonic
 /// clock, records the duration into `histogram` (when metrics are enabled)
-/// and emits a trace event (when a session is active). With neither active
+/// and emits a trace event (when a session is active). With neither to feed
 /// it does nothing but read one atomic.
 class ScopedSpan {
  public:
   /// `name` must outlive the process (string literal); `histogram` may be
-  /// null for trace-only spans.
+  /// null for a trace-only span, which reads no clock unless a trace
+  /// session is active.
   explicit ScopedSpan(const char* name, Histogram* histogram = nullptr)
       : name_(name), histogram_(histogram) {
 #ifndef KGACC_NO_METRICS
-    mode_ = ObsMode();
+    mode_ = ObsMode() & (histogram_ != nullptr ? ~0u : kModeTrace);
     if (mode_ != 0) start_ns_ = MonotonicNanos();
 #endif
   }
@@ -104,6 +105,64 @@ class ScopedSpan {
  private:
   const char* name_;
   Histogram* histogram_;
+#ifndef KGACC_NO_METRICS
+  uint32_t mode_ = 0;
+  uint64_t start_ns_ = 0;
+#endif
+};
+
+/// Back-to-back phases timed with one clock read per boundary: Lap() ends
+/// the running phase at the instant the next one starts, so n consecutive
+/// phases read the clock n + 1 times where n ScopedSpans read it 2n times.
+/// Each phase records and traces like a ScopedSpan of the same name. A
+/// caller that reads the clock anyway (a product-level stopwatch) passes its
+/// readings in, and those boundaries cost the spans no read at all.
+class PhaseSpans {
+ public:
+  /// Starts the first phase at `start_ns`, a MonotonicNanos() reading.
+  explicit PhaseSpans(uint64_t start_ns) {
+#ifndef KGACC_NO_METRICS
+    mode_ = ObsMode();
+    start_ns_ = start_ns;
+#else
+    (void)start_ns;
+#endif
+  }
+
+  /// Ends the running phase at `end_ns` (a MonotonicNanos() reading) as
+  /// span `name` recorded into `histogram` (may be null), and starts the
+  /// next phase there. A null `name` ends the phase unrecorded.
+  void Lap(const char* name, Histogram* histogram, uint64_t end_ns) {
+#ifdef KGACC_NO_METRICS
+    (void)name;
+    (void)histogram;
+    (void)end_ns;
+#else
+    if (mode_ == 0) return;
+    if (name != nullptr) {
+      const uint64_t dur_ns = end_ns - start_ns_;
+      if ((mode_ & kModeMetrics) != 0 && histogram != nullptr) {
+        histogram->RecordNanos(dur_ns);
+      }
+      if ((mode_ & kModeTrace) != 0) {
+        internal::EmitCompleteEvent(name, start_ns_, dur_ns);
+      }
+    }
+    start_ns_ = end_ns;
+#endif
+  }
+
+  /// Lap() now; reads the clock only while observability is on.
+  void Lap(const char* name, Histogram* histogram) {
+#ifndef KGACC_NO_METRICS
+    if (mode_ != 0) Lap(name, histogram, MonotonicNanos());
+#else
+    (void)name;
+    (void)histogram;
+#endif
+  }
+
+ private:
 #ifndef KGACC_NO_METRICS
   uint32_t mode_ = 0;
   uint64_t start_ns_ = 0;

@@ -59,6 +59,8 @@ class TriplePrefixIndex {
 
   uint64_t TotalTriples() const { return total_triples_; }
 
+  const KgView& view() const { return view_; }
+
   /// The column lookups read: the view's, or the one this index built.
   std::span<const uint64_t> Offsets() const {
     if (!built_.empty()) return built_;

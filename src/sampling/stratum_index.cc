@@ -8,20 +8,20 @@
 
 namespace kgacc {
 
-StratumIndex::StratumIndex(const KgView& view, std::vector<uint8_t> stratum_of,
-                           size_t num_strata)
-    : column_(view),
+StratumIndex::StratumIndex(TriplePrefixIndex column,
+                           std::vector<uint8_t> stratum_of, size_t num_strata)
+    : column_(std::move(column)),
       stratum_of_(std::move(stratum_of)),
       num_strata_(num_strata),
       num_blocks_((stratum_of_.size() + kBlockClusters - 1) / kBlockClusters),
       block_prefix_(num_strata * (num_blocks_ + 1), 0) {
-  KGACC_CHECK(stratum_of_.size() == view.NumClusters())
+  const std::span<const uint64_t> offsets = column_.Offsets();
+  KGACC_CHECK(stratum_of_.size() + 1 == offsets.size())
       << "one stratum id per cluster";
   uint8_t max_id = 0;
   for (uint8_t h : stratum_of_) max_id = std::max(max_id, h);
   KGACC_CHECK(stratum_of_.empty() || max_id < num_strata_)
       << "stratum id out of range";
-  const std::span<const uint64_t> offsets = column_.Offsets();
   std::vector<uint64_t> running(num_strata_, 0);
   for (uint64_t block = 0; block < num_blocks_; ++block) {
     for (size_t h = 0; h < num_strata_; ++h) {

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "kg/kg_view.h"
@@ -22,10 +23,16 @@ class StratumIndex {
  public:
   static constexpr uint64_t kBlockClusters = 64;
 
-  /// `view` is borrowed and must outlive the index. `stratum_of` holds one
-  /// id < `num_strata` per cluster of `view`.
-  StratumIndex(const KgView& view, std::vector<uint8_t> stratum_of,
+  /// Draws over `column`'s view, which must outlive the index.
+  /// `stratum_of` holds one id < `num_strata` per cluster of the view.
+  StratumIndex(TriplePrefixIndex column, std::vector<uint8_t> stratum_of,
                size_t num_strata);
+
+  /// Over `view`'s own column, or one built for it.
+  StratumIndex(const KgView& view, std::vector<uint8_t> stratum_of,
+               size_t num_strata)
+      : StratumIndex(TriplePrefixIndex(view), std::move(stratum_of),
+                     num_strata) {}
 
   size_t NumStrata() const { return num_strata_; }
 

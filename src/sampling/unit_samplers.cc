@@ -7,6 +7,13 @@
 
 namespace kgacc {
 
+SampleUnit TwcsUnit(const KgView& view, uint64_t cluster, uint64_t m,
+                    Rng& rng) {
+  return SampleUnit{
+      cluster,
+      SampleIndicesWithoutReplacement(view.ClusterSize(cluster), m, rng)};
+}
+
 SrsUnitSampler::SrsUnitSampler(const KgView& view)
     : index_(view), ordinals_(view.TotalTriples()) {}
 
@@ -41,10 +48,7 @@ std::vector<SampleUnit> TwcsUnitSampler::NextBatch(uint64_t n, Rng& rng) {
   std::vector<SampleUnit> units;
   units.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
-    const uint64_t cluster = index_.SizeWeightedCluster(rng);
-    units.push_back(SampleUnit{
-        cluster,
-        SampleIndicesWithoutReplacement(view_.ClusterSize(cluster), m_, rng)});
+    units.push_back(TwcsUnit(view_, index_.SizeWeightedCluster(rng), m_, rng));
   }
   return units;
 }

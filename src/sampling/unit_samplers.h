@@ -42,6 +42,12 @@ class RcsUnitSampler : public UnitSampler {
   DistinctIndexSampler clusters_;
 };
 
+/// The TWCS second stage (Section 5.2.3) on a drawn `cluster` of `view`: an
+/// SRS of min(M_i, m) of its triples, without replacement. Every TWCS unit,
+/// stratified or not, is drawn through it.
+SampleUnit TwcsUnit(const KgView& view, uint64_t cluster, uint64_t m,
+                    Rng& rng);
+
 /// Two-stage weighted cluster sampling (Section 5.2.3): the first stage draws
 /// clusters with replacement with probability pi_i = M_i / M, the second an
 /// SRS of min(M_i, m) triples without replacement inside each drawn cluster.

@@ -51,13 +51,11 @@ std::vector<double> CutCumulativeSqrtF(const std::vector<uint64_t>& freq,
 }
 
 /// The first stratum whose boundary is >= value, i.e. the number of
-/// boundaries below it. Counted without branches: a cluster's stratum is as
-/// random as its signal, and a mispredicted binary-search branch per cluster
-/// would be most of a pass.
+/// boundaries below it.
 size_t StratumOf(double value, const std::vector<double>& boundaries) {
-  size_t below = 0;
-  for (double boundary : boundaries) below += boundary < value ? 1 : 0;
-  return below;
+  return static_cast<size_t>(
+      std::lower_bound(boundaries.begin(), boundaries.end(), value) -
+      boundaries.begin());
 }
 
 }  // namespace

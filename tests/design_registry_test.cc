@@ -141,5 +141,25 @@ TEST(DesignRegistryTest, OutOfRangeStrataCountIsAnError) {
                   .ok());
 }
 
+TEST(DesignRegistryTest, StratumOfZeroSizeClustersIsNeverDrawn) {
+  // Size strata give the empty clusters a stratum of their own: weight 0,
+  // nothing to draw. The campaign runs on the other stratum.
+  std::vector<uint32_t> sizes;
+  PerClusterBernoulliOracle oracle{7};
+  for (int i = 0; i < 400; ++i) {
+    sizes.push_back(i % 2 == 0 ? 40 : 0);
+    oracle.Append(0.8);
+  }
+  const ClusterPopulation population(std::move(sizes));
+  EvaluationOptions options;
+  options.num_strata = 2;
+  SimulatedAnnotator annotator(&oracle, kCost);
+  const Result<EvaluationResult> run = DesignRegistry::Global().Run(
+      "twcs+strat", population, &annotator, options);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_TRUE(run->converged);
+  EXPECT_GT(run->ledger.triples_annotated, 0u);
+}
+
 }  // namespace
 }  // namespace kgacc

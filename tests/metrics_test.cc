@@ -392,5 +392,48 @@ TEST(ScopedSpanTest, FinishIsIdempotentAndRecordsOnce) {
   EXPECT_EQ(histogram.Snapshot().count, 1u);
 }
 
+TEST(ScopedSpanTest, SpanWithoutHistogramIsTraceOnly) {
+  if (!kMetricsCompiledIn) GTEST_SKIP() << "built with KGACC_NO_METRICS";
+  EnableMetrics(true);
+  TraceSession::Stop();
+  {
+    ScopedSpan span("test.trace_only");
+    EXPECT_DOUBLE_EQ(span.Finish(), 0.0);  // metrics alone read no clock.
+  }
+  EnableMetrics(false);
+}
+
+TEST(PhaseSpansTest, LapsShareBoundaries) {
+  if (!kMetricsCompiledIn) GTEST_SKIP() << "built with KGACC_NO_METRICS";
+  EnableMetrics(true);
+  Histogram first;
+  Histogram second;
+  Histogram skipped;
+  {
+    PhaseSpans phases(1000);
+    phases.Lap("test.first", &first, 1500);
+    phases.Lap(nullptr, &skipped, 1700);  // ends a phase unrecorded.
+    phases.Lap("test.second", &second, 2000);
+  }
+  EnableMetrics(false);
+  const HistogramSnapshot a = first.Snapshot();
+  const HistogramSnapshot b = second.Snapshot();
+  ASSERT_EQ(a.count, 1u);
+  ASSERT_EQ(b.count, 1u);
+  EXPECT_DOUBLE_EQ(a.sum_seconds, 500e-9);
+  EXPECT_DOUBLE_EQ(b.sum_seconds, 300e-9);  // starts where the skip ended.
+  EXPECT_EQ(skipped.Snapshot().count, 0u);
+}
+
+TEST(PhaseSpansTest, InactivePhasesRecordNothing) {
+  EnableMetrics(false);
+  TraceSession::Stop();
+  Histogram histogram;
+  PhaseSpans phases(MonotonicNanos());
+  phases.Lap("test.idle", &histogram);
+  phases.Lap("test.idle", &histogram, MonotonicNanos());
+  EXPECT_EQ(histogram.Snapshot().count, 0u);
+}
+
 }  // namespace
 }  // namespace kgacc::obs

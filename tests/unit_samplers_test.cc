@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include "core/stratified_evaluator.h"
 #include "kg/cluster_population.h"
 #include "kg/subset_view.h"
+#include "labels/annotator.h"
+#include "labels/synthetic_oracle.h"
 #include "test_util.h"
 
 namespace kgacc {
@@ -156,6 +159,27 @@ TEST(SamplerSetUpTest, AViewWithoutAColumnIsReadOncePerIndex) {
     EXPECT_EQ(ours[i].cluster, theirs[i].cluster);
     EXPECT_EQ(ours[i].offsets, theirs[i].offsets);
   }
+}
+
+TEST(SamplerSetUpTest, SizeStratifiedCampaignBuildsOneColumn) {
+  // On a view without a column, the size strata and the stratum draws share
+  // the one column the campaign builds.
+  std::vector<uint32_t> sizes;
+  PerClusterBernoulliOracle oracle{3};
+  for (uint32_t c = 0; c < 2000; ++c) {
+    sizes.push_back(1 + c % 23);
+    oracle.Append(0.9);
+  }
+  const ClusterPopulation pop(sizes);
+  const CountingView counted(pop);
+  const testing::NoColumnView view(counted);
+  const CostModel cost{.c1_seconds = 45.0, .c2_seconds = 25.0};
+  SimulatedAnnotator annotator(&oracle, cost);
+  const StratifiedTwcsEvaluator evaluator(view, &annotator,
+                                          EvaluationOptions{});
+  const std::unique_ptr<Campaign> campaign =
+      evaluator.MakeSizeStratifiedCampaign(4);
+  EXPECT_EQ(counted.reads(), 2000u);
 }
 
 TEST(TwcsSamplerDeathTest, MZeroAborts) {
