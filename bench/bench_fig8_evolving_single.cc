@@ -7,8 +7,8 @@
 //
 // Setup mirrors Section 7.3: the base KG is a 50%-of-MOVIE-sized population
 // with REM labels at 90% accuracy; updates arrive as independent clusters.
-// RS and SS run through the campaign-level IncrementalCampaignDriver — the
-// same code path as the registry's "rs"/"ss" designs.
+// RS and SS run their campaigns through the IncrementalEvaluator steps —
+// the same campaigns as the registry's "rs"/"ss" designs.
 //
 // Machine-readable output: the per-round campaign traces of each cell's
 // first trial (initialize + update, all three methods) are written through
@@ -21,8 +21,9 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "core/incremental_driver.h"
+#include "core/reservoir_incremental.h"
 #include "core/snapshot_baseline.h"
+#include "core/stratified_incremental.h"
 #include "core/telemetry.h"
 #include "kg/cluster_population.h"
 #include "kg/generator.h"
@@ -89,10 +90,8 @@ void RunCell(const std::string& cell_label, uint64_t update_triples,
     }
 
     SimulatedAnnotator a_rs(&kg.oracle, kCost), a_ss(&kg.oracle, kCost);
-    IncrementalCampaignDriver rs_eval(IncrementalMethod::kReservoir,
-                                      &kg.population, &a_rs, options);
-    IncrementalCampaignDriver ss_eval(IncrementalMethod::kStratified,
-                                      &kg.population, &a_ss, options);
+    ReservoirIncrementalEvaluator rs_eval(&kg.population, &a_rs, options);
+    StratifiedIncrementalEvaluator ss_eval(&kg.population, &a_ss, options);
     rs_eval.Initialize();
     ss_eval.Initialize();
 
@@ -102,8 +101,8 @@ void RunCell(const std::string& cell_label, uint64_t update_triples,
     *overall_accuracy = kg.ExpectedAccuracy();
 
     SnapshotBaselineEvaluator base_eval(&kg.oracle, kCost, options);
-    const IncrementalUpdateReport rb = base_eval.Evaluate(kg.population);
-    baseline->hours.Add(rb.StepCostHours());
+    const EvaluationResult rb = base_eval.Evaluate(kg.population);
+    baseline->hours.Add(rb.AnnotationHours());
     baseline->estimate.Add(rb.estimate.mean);
 
     const EvaluationResult rr = rs_eval.ApplyUpdate(first, count);

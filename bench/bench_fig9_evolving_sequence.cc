@@ -8,8 +8,8 @@
 //
 // The graph (sizes and labels) is fixed across runs; only the evaluation
 // seed varies, so "a run with a bad start" is a run whose initial *sample*
-// was unlucky — the paper's premise. Both methods run through the
-// campaign-level IncrementalCampaignDriver (the registry's "rs"/"ss" path).
+// was unlucky — the paper's premise. Both methods run their campaigns
+// through the IncrementalEvaluator steps (the registry's "rs"/"ss" campaigns).
 //
 // Machine-readable output: full per-round trajectories of a representative
 // run plus the over-/under-estimating runs stream through the JSON telemetry
@@ -22,7 +22,8 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "core/incremental_driver.h"
+#include "core/reservoir_incremental.h"
+#include "core/stratified_incremental.h"
 #include "core/telemetry.h"
 #include "kg/cluster_population.h"
 #include "kg/generator.h"
@@ -68,8 +69,8 @@ class Fig9Scenario {
 
   /// Runs both methods with the given evaluation seed. When `init_only`,
   /// stops after Initialize (used by the bad-start seed scan). When
-  /// `telemetry` is non-null, both drivers stream per-round campaign traces
-  /// into it.
+  /// `telemetry` is non-null, both evaluators stream per-round campaign
+  /// traces into it.
   Trajectory Run(uint64_t eval_seed, bool init_only,
                  TelemetrySink* telemetry = nullptr) const {
     ClusterPopulation population(base_sizes_);
@@ -82,10 +83,8 @@ class Fig9Scenario {
     options.m = 5;
     options.telemetry = telemetry;
     SimulatedAnnotator a_rs(&oracle, kCost), a_ss(&oracle, kCost);
-    IncrementalCampaignDriver rs(IncrementalMethod::kReservoir, &population,
-                                 &a_rs, options);
-    IncrementalCampaignDriver ss(IncrementalMethod::kStratified, &population,
-                                 &a_ss, options);
+    ReservoirIncrementalEvaluator rs(&population, &a_rs, options);
+    StratifiedIncrementalEvaluator ss(&population, &a_ss, options);
 
     Trajectory out;
     out.rs_initial = rs.Initialize().estimate.mean;

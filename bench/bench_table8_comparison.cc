@@ -89,9 +89,9 @@ int main() {
       oracle.Append(0.9);
     }
   }
-  const IncrementalUpdateReport ss_update =
+  const EvaluationResult ss_update =
       ss.ApplyUpdate(first, population.NumClusters() - first);
-  const IncrementalUpdateReport full_redo = scratch.Evaluate(population);
+  const EvaluationResult full_redo = scratch.Evaluate(population);
 
   // --- The table. -------------------------------------------------------------
   bench::Banner("Table 8: summary of KG accuracy evaluation approaches "
@@ -110,8 +110,8 @@ int main() {
   // Neither SRS nor KGEval has an incremental mode: their update cost is a
   // full re-evaluation of the evolved graph.
   std::printf("%-28s %13.2fh %13.2fh %13.2fh\n", "cost after 10% update",
-              full_redo.StepCostHours(), full_redo.StepCostHours(),
-              ss_update.StepCostHours());
+              full_redo.AnnotationHours(), full_redo.AnnotationHours(),
+              ss_update.AnnotationHours());
   std::printf("%-28s %14s %14s %14s\n", "incremental support", "no", "no",
               "yes (RS/SS)");
   std::printf("\nPaper Table 8: SRS unbiased but inefficient; KGEval efficient"

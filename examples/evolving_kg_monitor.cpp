@@ -3,8 +3,8 @@
 // varying quality; after each batch the monitor re-establishes a 5% MoE
 // estimate, reusing previous annotations.
 //
-// Both incremental methods run side by side through the campaign-level
-// IncrementalCampaignDriver (the registry's "rs"/"ss" code path):
+// Both incremental methods run side by side, each one IncrementalEvaluator
+// (the campaigns behind the registry's "rs"/"ss" designs):
 //   RS — weighted reservoir sampling (Algorithm 1): robust, stochastically
 //        refreshes its sample;
 //   SS — stratified incremental evaluation (Algorithm 2): cheapest, reuses
@@ -14,7 +14,7 @@
 // sink and written as kg_monitor_trace.json (kgacc-trace-v1) — the feed a
 // monitoring dashboard would consume.
 //
-// Run: ./build/examples/evolving_kg_monitor
+// Run: ./build/example_evolving_kg_monitor
 
 #include <cstdio>
 #include <sstream>
@@ -70,10 +70,8 @@ int main() {
 
   SimulatedAnnotator rs_annotator(&store.oracle, cost_model);
   SimulatedAnnotator ss_annotator(&store.oracle, cost_model);
-  IncrementalCampaignDriver rs(IncrementalMethod::kReservoir,
-                               &store.population, &rs_annotator, options);
-  IncrementalCampaignDriver ss(IncrementalMethod::kStratified,
-                               &store.population, &ss_annotator, options);
+  ReservoirIncrementalEvaluator rs(&store.population, &rs_annotator, options);
+  StratifiedIncrementalEvaluator ss(&store.population, &ss_annotator, options);
   SnapshotBaselineEvaluator baseline(&store.oracle, cost_model, options);
 
   std::printf("initial evaluation of the base KG (500K triples)...\n");
@@ -112,16 +110,16 @@ int main() {
         store.Ingest(stream[b].triples, stream[b].accuracy, rng);
     const EvaluationResult r1 = rs.ApplyUpdate(first, count);
     const EvaluationResult r2 = ss.ApplyUpdate(first, count);
-    const IncrementalUpdateReport r3 = baseline.Evaluate(store.population);
+    const EvaluationResult r3 = baseline.Evaluate(store.population);
     rs_total += r1.annotation_seconds;
     ss_total += r2.annotation_seconds;
-    baseline_total += r3.step_cost_seconds;
+    baseline_total += r3.annotation_seconds;
     std::printf("%5zu %10.1f%% %10.1f%% %10.1f%% | %11s %11s %12s   %s\n",
                 b + 1, store.TrueAccuracy() * 100.0, r1.estimate.mean * 100.0,
                 r2.estimate.mean * 100.0,
                 FormatDuration(r1.annotation_seconds).c_str(),
                 FormatDuration(r2.annotation_seconds).c_str(),
-                FormatDuration(r3.step_cost_seconds).c_str(), stream[b].note);
+                FormatDuration(r3.annotation_seconds).c_str(), stream[b].note);
   }
 
   std::printf("\ncumulative monitoring cost: RS %s | SS %s | from-scratch %s\n",
@@ -144,8 +142,7 @@ int main() {
   // a string and show the restored evaluator carries the exact estimate and
   // keeps serving updates without re-annotating anything.
   std::stringstream checkpoint;
-  if (const Status saved = SaveStratifiedState(*ss.stratified(), checkpoint);
-      !saved.ok()) {
+  if (const Status saved = SaveStratifiedState(ss, checkpoint); !saved.ok()) {
     std::fprintf(stderr, "checkpoint failed: %s\n", saved.ToString().c_str());
     return 1;
   }
@@ -167,11 +164,11 @@ int main() {
               FormatPercent(ss.CurrentEstimate().mean, 2).c_str(),
               checkpoint.str().size());
   const auto [first, count] = store.Ingest(40000, 0.9, rng);
-  const IncrementalUpdateReport post = resumed.ApplyUpdate(first, count);
+  const EvaluationResult post = resumed.ApplyUpdate(first, count);
   std::printf("first post-restart batch: estimate %s, new cost %s "
               "(old annotations reused)\n",
               FormatPercent(post.estimate.mean, 1).c_str(),
-              FormatDuration(post.step_cost_seconds).c_str());
+              FormatDuration(post.annotation_seconds).c_str());
 
   std::printf(
       "\nGuideline (paper Section 7.3): prefer SS when update history is "

@@ -42,7 +42,7 @@ class Campaign {
   virtual EvaluationResult Result() const = 0;
 };
 
-/// A campaign together with what it borrows from (its evaluator, driver or
+/// A campaign together with what it borrows from (its evaluator or
 /// baseline), for callers that hand out self-contained campaigns — the
 /// DesignRegistry's factories. `owner` outlives `campaign`.
 template <typename Owner>

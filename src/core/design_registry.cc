@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <utility>
 
-#include "core/incremental_driver.h"
 #include "core/kgeval/kgeval_baseline.h"
 #include "core/optimal_m.h"
+#include "core/reservoir_incremental.h"
 #include "core/static_evaluator.h"
 #include "core/stratified_evaluator.h"
+#include "core/stratified_incremental.h"
 #include "core/telemetry.h"
 #include "kg/knowledge_graph.h"
 #include "stats/stratification.h"
@@ -115,6 +116,18 @@ Result<std::unique_ptr<Campaign>> MakeKgEval(const KgView& view,
                                                        std::move(picks)));
 }
 
+/// The "rs"/"ss" designs: the base campaign of an incremental `Method` on
+/// the whole current graph, owning the evaluator it runs on.
+template <typename Method>
+std::unique_ptr<Campaign> MakeIncrementalBase(
+    const KgView& view, Annotator* annotator,
+    const EvaluationOptions& options) {
+  auto evaluator = std::make_unique<Method>(&view, annotator, options);
+  std::unique_ptr<Campaign> base = evaluator->InitializeCampaign();
+  return std::make_unique<OwningCampaign<IncrementalEvaluator>>(
+      std::move(evaluator), std::move(base));
+}
+
 void RegisterBuiltins(DesignRegistry* registry) {
   auto must = [](const Status& status) { KGACC_CHECK(status.ok()); };
   must(registry->Register(
@@ -160,20 +173,12 @@ void RegisterBuiltins(DesignRegistry* registry) {
       "rs",
       "reservoir incremental evaluation (Sec 6.1, Alg 1); base campaign on "
       "the current graph",
-      [](const KgView& view, Annotator* annotator,
-         const EvaluationOptions& options) {
-        return IncrementalCampaignDriver::BaseCampaign(
-            IncrementalMethod::kReservoir, &view, annotator, options);
-      }));
+      MakeIncrementalBase<ReservoirIncrementalEvaluator>));
   must(registry->Register(
       "ss",
       "stratified incremental evaluation (Sec 6.2, Alg 2); base campaign on "
       "the current graph",
-      [](const KgView& view, Annotator* annotator,
-         const EvaluationOptions& options) {
-        return IncrementalCampaignDriver::BaseCampaign(
-            IncrementalMethod::kStratified, &view, annotator, options);
-      }));
+      MakeIncrementalBase<StratifiedIncrementalEvaluator>));
   must(registry->Register(
       "kgeval",
       "KGEval baseline (Ojha & Talukdar 2017); materialized graphs only, no "

@@ -32,8 +32,8 @@ using CampaignFactory = std::function<Result<std::unique_ptr<Campaign>>(
 ///   - static: "srs", "rcs", "wcs", "twcs", "twcs+strat" (the last uses size
 ///     stratification with EvaluationOptions::num_strata strata);
 ///   - "twcs+pilot": TWCS with m chosen by an annotated pilot (Eq 12);
-///   - incremental: "rs", "ss" via IncrementalCampaignDriver (the registry
-///     path evaluates the current graph as the base campaign);
+///   - incremental: "rs", "ss", the base campaign of an IncrementalEvaluator
+///     on the current graph;
 ///   - "kgeval": the KGEval baseline (needs a materialized KnowledgeGraph;
 ///     no statistical guarantee, never reports convergence).
 ///

@@ -91,7 +91,7 @@ struct EngineConfig {
   /// when set. Borrowed, may be null.
   TelemetrySink* telemetry = nullptr;
   /// Campaign label reported to the telemetry sink ("" for one-shot runs;
-  /// incremental drivers use "initialize"/"update-N").
+  /// incremental evaluators use "initialize"/"update-N").
   std::string telemetry_label;
 };
 

@@ -1,42 +1,69 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
+#include "core/campaign.h"
 #include "core/evaluation.h"
+#include "kg/kg_view.h"
+#include "labels/annotator.h"
 #include "stats/estimate.h"
+#include "util/rng.h"
 
 namespace kgacc {
 
-/// Outcome of one incremental evaluation step (Initialize or ApplyUpdate) on
-/// an evolving KG. Cost fields cover only the *new* annotation effort of
-/// this step — the whole point of incremental evaluation is that retained
-/// samples cost nothing.
-struct IncrementalUpdateReport {
-  Estimate estimate;                     ///< accuracy of the current G+Delta.
-  double moe = 1.0;                      ///< achieved margin of error.
-  bool converged = false;                ///< MoE target met.
-  uint64_t newly_annotated_entities = 0; ///< clusters identified this step.
-  uint64_t newly_annotated_triples = 0;  ///< triples annotated this step.
-  double step_cost_seconds = 0.0;        ///< Eq 4 cost of this step only.
-  uint64_t sample_units = 0;             ///< first-stage units backing the estimate.
-  double machine_seconds = 0.0;          ///< sample-maintenance machine time.
-  uint64_t rounds = 0;                   ///< estimate/stop iterations this step.
+/// Incremental evaluation of an evolving KG (Section 6), the one interface
+/// of RS (reservoir, Algorithm 1) and SS (stratified, Algorithm 2). One
+/// evaluator owns one evolving campaign: Initialize() evaluates the base
+/// graph (the whole current population), then each ApplyUpdate() evaluates
+/// one already-appended update batch. Each step is its own EvaluationResult
+/// whose cost fields (`ledger`, `annotation_seconds`) cover only that step's
+/// new annotation effort — the whole point of incremental evaluation is
+/// that retained samples cost nothing.
+///
+/// A method supplies the two campaign factories and the read path; both
+/// steps run those campaigns through RunCampaign with
+/// EvaluationOptions::control, like every registry design, and per-round
+/// telemetry (EvaluationOptions::telemetry) flows from them the same way.
+class IncrementalEvaluator {
+ public:
+  /// `population` is the evolving cluster substrate; it and `annotator`
+  /// must outlive the evaluator. The population only grows (append-only),
+  /// each update batch appended before its ApplyUpdate call. The methods
+  /// inherit this constructor.
+  IncrementalEvaluator(const KgView* population, Annotator* annotator,
+                       EvaluationOptions options);
 
-  double StepCostHours() const { return step_cost_seconds / 3600.0; }
+  virtual ~IncrementalEvaluator() = default;
 
-  /// The report of a step whose campaign returned `result`.
-  static IncrementalUpdateReport FromResult(const EvaluationResult& result) {
-    return IncrementalUpdateReport{
-        .estimate = result.estimate,
-        .moe = result.moe,
-        .converged = result.converged,
-        .newly_annotated_entities = result.ledger.entities_identified,
-        .newly_annotated_triples = result.ledger.triples_annotated,
-        .step_cost_seconds = result.annotation_seconds,
-        .sample_units = result.estimate.num_units,
-        .machine_seconds = result.machine_seconds,
-        .rounds = result.rounds};
-  }
+  // The step campaigns borrow the evaluator, so it stays where it was made.
+  IncrementalEvaluator(const IncrementalEvaluator&) = delete;
+  IncrementalEvaluator& operator=(const IncrementalEvaluator&) = delete;
+
+  /// Evaluates all clusters currently in the population (the base graph).
+  EvaluationResult Initialize();
+
+  /// Evaluates the update batch [first_new_cluster, +count), already
+  /// appended to the population, re-establishing the MoE target.
+  EvaluationResult ApplyUpdate(uint64_t first_new_cluster, uint64_t count);
+
+  /// The campaigns Initialize and ApplyUpdate run (same preconditions);
+  /// they borrow this evaluator. InitializeCampaign is the registry's
+  /// "rs"/"ss" design.
+  virtual std::unique_ptr<Campaign> InitializeCampaign() = 0;
+  virtual std::unique_ptr<Campaign> UpdateCampaign(uint64_t first_new_cluster,
+                                                   uint64_t count) = 0;
+
+  /// The current estimate without sampling anything new — the read path
+  /// for dashboards and freshly restored evaluators.
+  virtual Estimate CurrentEstimate() const = 0;
+
+ protected:
+  const KgView* population_;
+  Annotator* annotator_;
+  EvaluationOptions options_;
+  Rng rng_;  ///< the method's sampling stream, seeded by options.seed.
+  uint64_t m_ = 0;  ///< second-stage sample size (ResolveSecondStageSize).
 };
 
 }  // namespace kgacc

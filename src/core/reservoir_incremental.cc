@@ -5,7 +5,6 @@
 #include <functional>
 
 #include "core/campaign.h"
-#include "core/optimal_m.h"
 #include "sampling/srs.h"
 #include "stats/running_stats.h"
 #include "util/logging.h"
@@ -13,19 +12,6 @@
 #include "util/timer.h"
 
 namespace kgacc {
-
-ReservoirIncrementalEvaluator::ReservoirIncrementalEvaluator(
-    const KgView* population, Annotator* annotator,
-    EvaluationOptions options)
-    : population_(population),
-      annotator_(annotator),
-      options_(options),
-      rng_(options.seed) {
-  KGACC_CHECK(population_ != nullptr);
-  KGACC_CHECK(annotator_ != nullptr);
-  m_ = ResolveSecondStageSize(options_, annotator_->cost_model(),
-                              /*stats=*/nullptr);
-}
 
 double ReservoirIncrementalEvaluator::MakeKey(uint64_t cluster) {
   const double weight = static_cast<double>(population_->ClusterSize(cluster));
@@ -225,17 +211,6 @@ std::unique_ptr<Campaign> ReservoirIncrementalEvaluator::UpdateCampaign(
   return std::make_unique<Reevaluation>(
       this, StrFormat("update-%llu",
                       static_cast<unsigned long long>(update_counter_)));
-}
-
-IncrementalUpdateReport ReservoirIncrementalEvaluator::Initialize() {
-  return IncrementalUpdateReport::FromResult(
-      RunCampaign(*InitializeCampaign(), options_.control));
-}
-
-IncrementalUpdateReport ReservoirIncrementalEvaluator::ApplyUpdate(
-    uint64_t first_new_cluster, uint64_t count) {
-  return IncrementalUpdateReport::FromResult(RunCampaign(
-      *UpdateCampaign(first_new_cluster, count), options_.control));
 }
 
 }  // namespace kgacc

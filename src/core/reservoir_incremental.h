@@ -8,12 +8,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/campaign.h"
-#include "core/evaluation.h"
 #include "core/incremental.h"
-#include "kg/kg_view.h"
-#include "labels/annotator.h"
-#include "util/rng.h"
 #include "util/status.h"
 
 namespace kgacc {
@@ -33,30 +28,17 @@ namespace kgacc {
 /// and later re-enters the reservoir reuses its cached labels at zero cost;
 /// evicted clusters simply stop contributing to the estimator (the paper's
 /// "discarded annotations").
-class ReservoirIncrementalEvaluator {
+class ReservoirIncrementalEvaluator final : public IncrementalEvaluator {
  public:
-  /// `population` is the evolving cluster substrate; it must outlive the
-  /// evaluator and only grow (append-only), with updates applied *before*
-  /// the corresponding ApplyUpdate call.
-  ReservoirIncrementalEvaluator(const KgView* population,
-                                Annotator* annotator,
-                                EvaluationOptions options);
+  using IncrementalEvaluator::IncrementalEvaluator;
 
-  /// Feeds all clusters currently in the population into the reservoir and
-  /// evaluates until the MoE target is met (the initial static evaluation).
-  IncrementalUpdateReport Initialize();
-
-  /// Offers the clusters [first_new_cluster, first_new_cluster + count) —
-  /// the deltas of one update batch, already appended to the population —
-  /// and re-establishes the MoE target.
-  IncrementalUpdateReport ApplyUpdate(uint64_t first_new_cluster,
-                                      uint64_t count);
-
-  /// The campaigns Initialize and ApplyUpdate run (same preconditions),
-  /// one reservoir re-evaluation round a step. They borrow this evaluator.
-  std::unique_ptr<Campaign> InitializeCampaign();
+  /// Initialize feeds all clusters currently in the population into the
+  /// reservoir; an update offers the clusters [first_new_cluster, +count),
+  /// the deltas of one batch. Each step's campaign runs one reservoir
+  /// re-evaluation round a step until the MoE target is met.
+  std::unique_ptr<Campaign> InitializeCampaign() override;
   std::unique_ptr<Campaign> UpdateCampaign(uint64_t first_new_cluster,
-                                           uint64_t count);
+                                           uint64_t count) override;
 
   /// Current reservoir size (first-stage sample units).
   uint64_t SampleSize() const { return capacity_; }
@@ -64,10 +46,9 @@ class ReservoirIncrementalEvaluator {
   /// Total clusters ever offered (for Proposition 3 style accounting).
   uint64_t ClustersSeen() const { return entries_.size(); }
 
-  /// The current estimate over the reservoir's recorded annotations without
-  /// sampling anything new — the read path for dashboards and freshly
-  /// restored evaluators. Requires Initialize() or Restore() first.
-  Estimate CurrentEstimate() const;
+  /// The estimate over the reservoir's recorded annotations. Requires
+  /// Initialize() or Restore() first.
+  Estimate CurrentEstimate() const override;
 
   /// Serializable evaluation state (see core/state_io.h).
   struct ReservoirSnapshot {
@@ -112,12 +93,6 @@ class ReservoirIncrementalEvaluator {
   /// concurrent path sees crowd-scale batches instead of m triples at a
   /// time, and records each entrant's sampled accuracy.
   void AnnotateReservoirEntrants(uint64_t count);
-
-  const KgView* population_;
-  Annotator* annotator_;
-  EvaluationOptions options_;
-  Rng rng_;
-  uint64_t m_;
 
   std::vector<KeyedCluster> entries_;  ///< every cluster ever offered.
   uint64_t capacity_ = 0;              ///< reservoir size |R|.

@@ -11,14 +11,13 @@ SnapshotBaselineEvaluator::SnapshotBaselineEvaluator(const TruthOracle* oracle,
                                                      EvaluationOptions options)
     : oracle_(oracle), cost_model_(cost_model), options_(options) {}
 
-IncrementalUpdateReport SnapshotBaselineEvaluator::Evaluate(const KgView& view) {
+EvaluationResult SnapshotBaselineEvaluator::Evaluate(const KgView& view) {
   // Fresh annotator per snapshot: previous annotations are discarded.
   EvaluationOptions options = options_;
   options.seed = HashCombine(options_.seed, ++snapshot_counter_);
   SimulatedAnnotator annotator(oracle_, cost_model_,
                                {.noise_rate = 0.0, .seed = options.seed});
-  return IncrementalUpdateReport::FromResult(
-      StaticEvaluator(view, &annotator, options).EvaluateTwcs());
+  return StaticEvaluator(view, &annotator, options).EvaluateTwcs();
 }
 
 }  // namespace kgacc

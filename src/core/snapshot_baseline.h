@@ -1,7 +1,6 @@
 #pragma once
 
 #include "core/evaluation.h"
-#include "core/incremental.h"
 #include "kg/kg_view.h"
 #include "labels/truth_oracle.h"
 
@@ -18,7 +17,7 @@ class SnapshotBaselineEvaluator {
                             EvaluationOptions options);
 
   /// Evaluates the current state of the evolving graph from scratch.
-  IncrementalUpdateReport Evaluate(const KgView& view);
+  EvaluationResult Evaluate(const KgView& view);
 
  private:
   const TruthOracle* oracle_;

@@ -21,6 +21,10 @@ Status ExpectHeader(std::istream& in, const char* expected) {
   return Status::OK();
 }
 
+/// Reads a `keyword <count>` record. A record count comes from an untrusted
+/// stream: callers grow their vectors from the records actually parsed and
+/// never reserve() by it, so a corrupt count fails on a missing record
+/// instead of allocating (or throwing) before any record is read.
 Status ReadCount(std::istream& in, const char* keyword, uint64_t* out) {
   std::string word;
   if (!(in >> word) || word != keyword || !(in >> *out)) {
@@ -57,7 +61,6 @@ Status RestoreStratifiedState(std::istream& in,
   uint64_t count = 0;
   KGACC_RETURN_IF_ERROR(ReadCount(in, "strata", &count));
   std::vector<StratifiedIncrementalEvaluator::StratumSnapshot> snapshot;
-  snapshot.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     std::string word;
     StratifiedIncrementalEvaluator::StratumSnapshot stratum;
@@ -107,7 +110,6 @@ Status RestoreReservoirState(std::istream& in,
 
   uint64_t entry_count = 0;
   KGACC_RETURN_IF_ERROR(ReadCount(in, "entries", &entry_count));
-  snapshot.entries.reserve(entry_count);
   for (uint64_t i = 0; i < entry_count; ++i) {
     std::string word;
     uint64_t cluster = 0;
@@ -121,7 +123,6 @@ Status RestoreReservoirState(std::istream& in,
 
   uint64_t annotated_count = 0;
   KGACC_RETURN_IF_ERROR(ReadCount(in, "annotated", &annotated_count));
-  snapshot.annotated.reserve(annotated_count);
   for (uint64_t i = 0; i < annotated_count; ++i) {
     std::string word;
     uint64_t cluster = 0, correct = 0, sampled = 0;

@@ -1,27 +1,10 @@
 #include "core/stratified_incremental.h"
 
-#include <algorithm>
-
-#include "core/optimal_m.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 #include "util/timer.h"
 
 namespace kgacc {
-
-StratifiedIncrementalEvaluator::StratifiedIncrementalEvaluator(
-    const KgView* population, Annotator* annotator,
-    EvaluationOptions options, bool allow_top_up)
-    : population_(population),
-      annotator_(annotator),
-      options_(options),
-      allow_top_up_(allow_top_up),
-      rng_(options.seed) {
-  KGACC_CHECK(population_ != nullptr);
-  KGACC_CHECK(annotator_ != nullptr);
-  m_ = ResolveSecondStageSize(options_, annotator_->cost_model(),
-                              /*stats=*/nullptr);
-}
 
 void StratifiedIncrementalEvaluator::AddStratum(uint64_t first_cluster,
                                                 uint64_t count) {
@@ -64,8 +47,10 @@ Status StratifiedIncrementalEvaluator::Restore(
   }
   // Validate everything before mutating state.
   for (const StratumSnapshot& stratum : snapshot) {
+    // Written so that a huge stored range cannot wrap past the check.
     if (stratum.count == 0 ||
-        stratum.first_cluster + stratum.count > population_->NumClusters()) {
+        stratum.first_cluster > population_->NumClusters() ||
+        stratum.count > population_->NumClusters() - stratum.first_cluster) {
       return Status::FailedPrecondition(StrFormat(
           "stratum [%llu, +%llu) exceeds the population (%llu clusters)",
           static_cast<unsigned long long>(stratum.first_cluster),
@@ -166,23 +151,7 @@ class StratifiedIncrementalEvaluator::DriveToTarget final
 
   void Advance() override {
     WallTimer machine;
-    size_t target = active_;
-    if (ss_->allow_top_up_) {
-      // Route draws to the stratum contributing the most combined variance.
-      double worst = -1.0;
-      for (size_t h = 0; h < ss_->strata_.size(); ++h) {
-        const StratumState& stratum = ss_->strata_[h];
-        const double weight = static_cast<double>(stratum.triples) /
-                              static_cast<double>(ss_->total_triples_);
-        const double contribution =
-            weight * weight * stratum.stats.VarianceOfMean();
-        if (contribution > worst) {
-          worst = contribution;
-          target = h;
-        }
-      }
-    }
-    ss_->SampleStratum(target, options().batch_units);
+    ss_->SampleStratum(active_, options().batch_units);
     machine_seconds_ += machine.ElapsedSeconds();
   }
 
@@ -202,17 +171,6 @@ std::unique_ptr<Campaign> StratifiedIncrementalEvaluator::UpdateCampaign(
   KGACC_CHECK(!strata_.empty()) << "call Initialize() first";
   AddStratum(first_new_cluster, count);
   return std::make_unique<DriveToTarget>(this, strata_.size() - 1);
-}
-
-IncrementalUpdateReport StratifiedIncrementalEvaluator::Initialize() {
-  return IncrementalUpdateReport::FromResult(
-      RunCampaign(*InitializeCampaign(), options_.control));
-}
-
-IncrementalUpdateReport StratifiedIncrementalEvaluator::ApplyUpdate(
-    uint64_t first_new_cluster, uint64_t count) {
-  return IncrementalUpdateReport::FromResult(RunCampaign(
-      *UpdateCampaign(first_new_cluster, count), options_.control));
 }
 
 }  // namespace kgacc

@@ -4,16 +4,11 @@
 #include <memory>
 #include <vector>
 
-#include "core/campaign.h"
-#include "core/evaluation.h"
 #include "core/incremental.h"
-#include "kg/kg_view.h"
 #include "kg/subset_view.h"
-#include "labels/annotator.h"
 #include "sampling/unit_samplers.h"
 #include "stats/running_stats.h"
 #include "util/status.h"
-#include "util/rng.h"
 
 namespace kgacc {
 
@@ -25,41 +20,26 @@ namespace kgacc {
 /// stratified estimate (Eq 13, with weights W_h = |stratum|/|G+Delta|)
 /// meets the MoE target.
 ///
-/// Faithful to Algorithm 2, the update loop samples only the newest stratum.
-/// `allow_top_up` adds an engineering safeguard the paper does not have:
-/// when the newest stratum alone cannot reach the target (e.g. a tiny Delta
-/// after a borderline base evaluation), extra draws go to the highest
-/// W_h^2 Var_h stratum. Benches leave it off to match the paper.
-class StratifiedIncrementalEvaluator {
+/// Faithful to Algorithm 2, the update loop samples only the newest
+/// stratum: old strata are never re-sampled, so a biased or under-budgeted
+/// base stays as it was.
+class StratifiedIncrementalEvaluator final : public IncrementalEvaluator {
  public:
-  StratifiedIncrementalEvaluator(const KgView* population,
-                                 Annotator* annotator,
-                                 EvaluationOptions options,
-                                 bool allow_top_up = false);
+  using IncrementalEvaluator::IncrementalEvaluator;
 
-  /// Evaluates the base graph (all clusters currently in the population) as
-  /// stratum 0.
-  IncrementalUpdateReport Initialize();
-
-  /// Registers the clusters [first_new_cluster, ...+count) — one update
-  /// batch, already appended to the population — as a new stratum and
-  /// re-establishes the MoE target.
-  IncrementalUpdateReport ApplyUpdate(uint64_t first_new_cluster,
-                                      uint64_t count);
-
-  /// The campaigns Initialize and ApplyUpdate run (same preconditions). The
-  /// newest stratum gets its minimum draws when the campaign is made; each
-  /// step then re-estimates and, unless it stops, samples one more batch.
-  /// They borrow this evaluator.
-  std::unique_ptr<Campaign> InitializeCampaign();
+  /// Initialize evaluates the base graph (all clusters currently in the
+  /// population) as stratum 0; an update registers the clusters
+  /// [first_new_cluster, +count) as a new stratum. The newest stratum gets
+  /// its minimum draws when the campaign is made; each step then
+  /// re-estimates and, unless it stops, samples one more batch in it.
+  std::unique_ptr<Campaign> InitializeCampaign() override;
   std::unique_ptr<Campaign> UpdateCampaign(uint64_t first_new_cluster,
-                                           uint64_t count);
+                                           uint64_t count) override;
 
   uint64_t NumStrata() const { return strata_.size(); }
 
-  /// The current combined estimate (Eq 13) without sampling anything —
-  /// the read path for dashboards and freshly restored evaluators.
-  Estimate CurrentEstimate() const { return Combined(); }
+  /// The current combined estimate (Eq 13).
+  Estimate CurrentEstimate() const override { return Combined(); }
 
   /// Serializable view of one stratum's evaluation state (see core/state_io.h).
   struct StratumSnapshot {
@@ -100,13 +80,6 @@ class StratifiedIncrementalEvaluator {
 
   /// Drives batches into the `active` stratum until converged/budget.
   class DriveToTarget;
-
-  const KgView* population_;
-  Annotator* annotator_;
-  EvaluationOptions options_;
-  bool allow_top_up_;
-  Rng rng_;
-  uint64_t m_;
 
   std::vector<StratumState> strata_;
   uint64_t total_triples_ = 0;

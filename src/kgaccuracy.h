@@ -5,13 +5,22 @@
 /// implementation of "Efficient Knowledge Graph Accuracy Evaluation"
 /// (Gao, Li, Xu, Sisman, Dong, Yang; VLDB 2019, arXiv:1907.09657).
 ///
-/// Typical use (see examples/quickstart.cc):
+/// Typical use (see examples/quickstart.cpp):
 ///
 ///   kgacc::Dataset data = kgacc::MakeNell(/*seed=*/1);
 ///   kgacc::SimulatedAnnotator annotator(data.oracle.get(), kgacc::CostModel{});
 ///   kgacc::StaticEvaluator evaluator(data.View(), &annotator, {});
 ///   kgacc::EvaluationResult r = evaluator.EvaluateTwcs();
 ///   // r.estimate.mean, r.moe, r.AnnotationHours(), ...
+///
+/// An evolving KG is monitored by one IncrementalEvaluator, RS or SS (see
+/// examples/evolving_kg_monitor.cpp); each step is an EvaluationResult
+/// whose cost covers only that step's new annotations:
+///
+///   kgacc::StratifiedIncrementalEvaluator ss(&population, &annotator, {});
+///   kgacc::EvaluationResult base = ss.Initialize();
+///   // ...append an update batch of `count` clusters at `first`...
+///   kgacc::EvaluationResult step = ss.ApplyUpdate(first, count);
 
 // Utilities.
 #include "util/json.h"        // IWYU pragma: export
@@ -76,7 +85,6 @@
 #include "core/evaluation.h"             // IWYU pragma: export
 #include "core/grouped_evaluator.h"      // IWYU pragma: export
 #include "core/incremental.h"            // IWYU pragma: export
-#include "core/incremental_driver.h"     // IWYU pragma: export
 #include "core/kgeval/coupling_graph.h"  // IWYU pragma: export
 #include "core/kgeval/kgeval_baseline.h" // IWYU pragma: export
 #include "core/optimal_m.h"              // IWYU pragma: export

@@ -92,8 +92,11 @@ namespace internal {
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line)
     : level_(level) {
+  // The epoch first: on the process's first message it is set here, and a
+  // clock read taken before it would underflow the difference.
+  const uint64_t epoch = LogEpochNanos();
   const double elapsed =
-      static_cast<double>(MonotonicNanos() - LogEpochNanos()) * 1e-9;
+      static_cast<double>(MonotonicNanos() - epoch) * 1e-9;
   char timestamp[32];
   std::snprintf(timestamp, sizeof(timestamp), "%.3f", elapsed);
   stream_ << "[" << LevelName(level) << " " << timestamp << "s " << file << ":"

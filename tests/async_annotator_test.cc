@@ -98,7 +98,7 @@ TEST(AsyncAnnotatorTest, WindowStaysBoundedUnderHostileLatencies) {
 }
 
 TEST(AsyncAnnotatorTest, ChunkedBeginFinishMatchesOneShot) {
-  // The incremental drivers submit per-entrant chunks against one Finish;
+  // The incremental evaluators submit per-entrant chunks against one Finish;
   // labels and ledger must match a single whole-batch call.
   TestPopulation pop = MakeTestPopulation(300, 8, 0.8, 0.2, 23);
   const std::vector<TripleRef> refs = MakeRefs(pop.population, 240, 3);

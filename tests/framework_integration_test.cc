@@ -154,7 +154,7 @@ TEST(EndToEndTest, EvolvingMovieScenario) {
   EvaluationOptions options;
   options.seed = 13;
   StratifiedIncrementalEvaluator ss(&population, &annotator, options);
-  const IncrementalUpdateReport init = ss.Initialize();
+  const EvaluationResult init = ss.Initialize();
   ASSERT_TRUE(init.converged);
 
   // 10% update at 40% accuracy.
@@ -163,13 +163,13 @@ TEST(EndToEndTest, EvolvingMovieScenario) {
     population.Append(1 + static_cast<uint32_t>(rng.UniformIndex(18)));
     oracle.Append(0.4);
   }
-  const IncrementalUpdateReport update =
+  const EvaluationResult update =
       ss.ApplyUpdate(first, population.NumClusters() - first);
   EXPECT_TRUE(update.converged);
   const double truth = RealizedOverallAccuracy(oracle, population);
   EXPECT_NEAR(update.estimate.mean, truth, 3.0 * 0.05);
   // Update cost is a fraction of the initial cost.
-  EXPECT_LT(update.step_cost_seconds, init.step_cost_seconds);
+  EXPECT_LT(update.annotation_seconds, init.annotation_seconds);
 }
 
 }  // namespace

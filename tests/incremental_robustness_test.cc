@@ -1,6 +1,7 @@
-// Robustness/edge-path tests for the incremental evaluators: the stratified
-// top-up safeguard, reservoir capacity growth under variance-increasing
-// updates, and determinism of full evolution runs.
+// Robustness/edge-path tests for the incremental evaluators: an
+// under-budgeted SS base that no update can repair, reservoir capacity
+// growth under variance-increasing updates, and determinism of full
+// evolution runs.
 
 #include <gtest/gtest.h>
 
@@ -35,39 +36,33 @@ struct EvolvingKg {
 TEST(StratifiedTopUpTest, TopUpRescuesUnderbudgetedBase) {
   // The base evaluation is cut off by a tight per-step budget, leaving high
   // base-stratum variance. A tiny clean delta cannot repair the combined
-  // MoE by itself (Algorithm 2 samples only the newest stratum); the top-up
-  // extension routes draws back into the base stratum and converges.
+  // MoE by itself: Algorithm 2 samples only the newest stratum, and SS has
+  // no top-up path that routes draws back into the base.
   // Arithmetic of the scenario (m=1, so each draw is a Bernoulli at the
   // 50% base accuracy, per-draw variance 0.25): reaching MoE 5% at 95%
   // needs ~385 base draws. Each step's budget covers ~250 draws, so the
-  // init is cut short at MoE ~6%; the update step's fresh budget can finish
-  // the job — but only if draws may go back into the base stratum.
-  for (const bool allow_top_up : {false, true}) {
-    Rng rng(99);
-    EvolvingKg kg;
-    kg.Append(2000, 10, 0.5, 0.0, rng);  // pure coin-flip base.
+  // init is cut short at MoE ~6%, and the update step's fresh budget only
+  // buys draws in the delta.
+  Rng rng(99);
+  EvolvingKg kg;
+  kg.Append(2000, 10, 0.5, 0.0, rng);  // pure coin-flip base.
 
-    EvaluationOptions options;
-    options.seed = 5;
-    options.m = 1;
-    options.max_cost_seconds = 250.0 * (45.0 + 25.0);
-    SimulatedAnnotator annotator(&kg.oracle, kCost);
-    StratifiedIncrementalEvaluator evaluator(&kg.population, &annotator,
-                                             options, allow_top_up);
-    const IncrementalUpdateReport init = evaluator.Initialize();
-    ASSERT_FALSE(init.converged) << "budget should cut the base short";
+  EvaluationOptions options;
+  options.seed = 5;
+  options.m = 1;
+  options.max_cost_seconds = 250.0 * (45.0 + 25.0);
+  SimulatedAnnotator annotator(&kg.oracle, kCost);
+  StratifiedIncrementalEvaluator evaluator(&kg.population, &annotator,
+                                           options);
+  const EvaluationResult init = evaluator.Initialize();
+  ASSERT_FALSE(init.converged) << "budget should cut the base short";
 
-    // A small, uniform-quality delta (negligible weight).
-    Rng rng2(100);
-    const auto [first, count] = kg.Append(50, 10, 1.0, 0.0, rng2);
-    const IncrementalUpdateReport update = evaluator.ApplyUpdate(first, count);
-    if (allow_top_up) {
-      EXPECT_TRUE(update.converged) << "top-up should repair the base stratum";
-    } else {
-      EXPECT_FALSE(update.converged)
-          << "faithful Algorithm 2 cannot fix old strata from the delta";
-    }
-  }
+  // A small, uniform-quality delta (negligible weight).
+  Rng rng2(100);
+  const auto [first, count] = kg.Append(50, 10, 1.0, 0.0, rng2);
+  const EvaluationResult update = evaluator.ApplyUpdate(first, count);
+  EXPECT_FALSE(update.converged)
+      << "faithful Algorithm 2 cannot fix old strata from the delta";
 }
 
 TEST(ReservoirGrowthTest, VarianceIncreasingUpdateGrowsReservoir) {
@@ -79,17 +74,17 @@ TEST(ReservoirGrowthTest, VarianceIncreasingUpdateGrowsReservoir) {
   options.seed = 6;
   SimulatedAnnotator annotator(&kg.oracle, kCost);
   ReservoirIncrementalEvaluator evaluator(&kg.population, &annotator, options);
-  const IncrementalUpdateReport init = evaluator.Initialize();
+  const EvaluationResult init = evaluator.Initialize();
   ASSERT_TRUE(init.converged);
   const uint64_t initial_capacity = evaluator.SampleSize();
 
   // A large, very noisy update doubles the variance: the reservoir must
   // grow (the paper's "run Static Evaluation again" fallback).
   const auto [first, count] = kg.Append(3000, 10, 0.5, 0.5, rng);
-  const IncrementalUpdateReport update = evaluator.ApplyUpdate(first, count);
+  const EvaluationResult update = evaluator.ApplyUpdate(first, count);
   EXPECT_TRUE(update.converged);
   EXPECT_GT(evaluator.SampleSize(), initial_capacity);
-  EXPECT_EQ(update.sample_units, evaluator.SampleSize());
+  EXPECT_EQ(update.estimate.num_units, evaluator.SampleSize());
 }
 
 TEST(ReservoirGrowthTest, CleanUpdateKeepsCapacity) {
@@ -103,7 +98,7 @@ TEST(ReservoirGrowthTest, CleanUpdateKeepsCapacity) {
   evaluator.Initialize();
   const uint64_t capacity = evaluator.SampleSize();
   const auto [first, count] = kg.Append(300, 10, 0.9, 0.1, rng);
-  const IncrementalUpdateReport update = evaluator.ApplyUpdate(first, count);
+  const EvaluationResult update = evaluator.ApplyUpdate(first, count);
   EXPECT_TRUE(update.converged);
   EXPECT_EQ(evaluator.SampleSize(), capacity);  // fixed-size Algorithm 1 path.
 }
@@ -143,10 +138,10 @@ TEST(ReservoirAccountingTest, RetainedClustersAreNeverRecharged) {
 
   // An empty-ish update (tiny, same quality): near-zero new annotation.
   const auto [first, count] = kg.Append(5, 10, 0.9, 0.1, rng);
-  const IncrementalUpdateReport update = evaluator.ApplyUpdate(first, count);
-  EXPECT_LE(update.newly_annotated_triples,
+  const EvaluationResult update = evaluator.ApplyUpdate(first, count);
+  EXPECT_LE(update.ledger.triples_annotated,
             annotator.ledger().triples_annotated - triples_after_init + 1);
-  EXPECT_LE(update.newly_annotated_entities, 5u + 2u);
+  EXPECT_LE(update.ledger.entities_identified, 5u + 2u);
 }
 
 }  // namespace

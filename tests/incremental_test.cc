@@ -55,12 +55,12 @@ TEST_F(IncrementalTest, ReservoirInitializeConverges) {
   SimulatedAnnotator annotator(&kg_.oracle, kCost);
   ReservoirIncrementalEvaluator rs(&kg_.population, &annotator,
                                    DefaultOptions(1));
-  const IncrementalUpdateReport report = rs.Initialize();
+  const EvaluationResult report = rs.Initialize();
   EXPECT_TRUE(report.converged);
   EXPECT_LE(report.moe, 0.05 + 1e-12);
   const double truth = RealizedOverallAccuracy(kg_.oracle, kg_.population);
   EXPECT_NEAR(report.estimate.mean, truth, 2.5 * 0.05);
-  EXPECT_GT(report.step_cost_seconds, 0.0);
+  EXPECT_GT(report.annotation_seconds, 0.0);
 }
 
 TEST_F(IncrementalTest, ReservoirUpdateTracksEvolvedAccuracy) {
@@ -71,7 +71,7 @@ TEST_F(IncrementalTest, ReservoirUpdateTracksEvolvedAccuracy) {
   // A large, low-accuracy update shifts the overall accuracy down.
   const auto [first, count] =
       kg_.ApplyBatch(800, 12, 0.4, 0.1, rng_);
-  const IncrementalUpdateReport report = rs.ApplyUpdate(first, count);
+  const EvaluationResult report = rs.ApplyUpdate(first, count);
   EXPECT_TRUE(report.converged);
   const double truth = RealizedOverallAccuracy(kg_.oracle, kg_.population);
   EXPECT_NEAR(report.estimate.mean, truth, 3.0 * 0.05);
@@ -81,24 +81,24 @@ TEST_F(IncrementalTest, ReservoirUpdateCheaperThanFromScratch) {
   SimulatedAnnotator annotator(&kg_.oracle, kCost);
   ReservoirIncrementalEvaluator rs(&kg_.population, &annotator,
                                    DefaultOptions(3));
-  const IncrementalUpdateReport init = rs.Initialize();
+  const EvaluationResult init = rs.Initialize();
   const auto [first, count] = kg_.ApplyBatch(150, 12, 0.9, 0.15, rng_);
-  const IncrementalUpdateReport update = rs.ApplyUpdate(first, count);
+  const EvaluationResult update = rs.ApplyUpdate(first, count);
   // A 10% update should cost much less than the initial evaluation
   // (most reservoir slots are retained).
-  EXPECT_LT(update.step_cost_seconds, init.step_cost_seconds * 0.7);
+  EXPECT_LT(update.annotation_seconds, init.annotation_seconds * 0.7);
 }
 
 TEST_F(IncrementalTest, StratifiedInitializeAndUpdateConverge) {
   SimulatedAnnotator annotator(&kg_.oracle, kCost);
   StratifiedIncrementalEvaluator ss(&kg_.population, &annotator,
                                     DefaultOptions(4));
-  const IncrementalUpdateReport init = ss.Initialize();
+  const EvaluationResult init = ss.Initialize();
   EXPECT_TRUE(init.converged);
   EXPECT_EQ(ss.NumStrata(), 1u);
 
   const auto [first, count] = kg_.ApplyBatch(300, 12, 0.6, 0.2, rng_);
-  const IncrementalUpdateReport update = ss.ApplyUpdate(first, count);
+  const EvaluationResult update = ss.ApplyUpdate(first, count);
   EXPECT_TRUE(update.converged);
   EXPECT_EQ(ss.NumStrata(), 2u);
   const double truth = RealizedOverallAccuracy(kg_.oracle, kg_.population);
@@ -112,14 +112,14 @@ TEST_F(IncrementalTest, StratifiedReusesAllPreviousAnnotations) {
   ss.Initialize();
   const uint64_t triples_after_init = annotator.ledger().triples_annotated;
   const auto [first, count] = kg_.ApplyBatch(150, 12, 0.9, 0.15, rng_);
-  const IncrementalUpdateReport update = ss.ApplyUpdate(first, count);
+  const EvaluationResult update = ss.ApplyUpdate(first, count);
   // SS only annotates inside the new stratum.
-  EXPECT_EQ(update.newly_annotated_triples,
+  EXPECT_EQ(update.ledger.triples_annotated,
             annotator.ledger().triples_annotated - triples_after_init);
-  EXPECT_GT(update.newly_annotated_triples, 0u);
+  EXPECT_GT(update.ledger.triples_annotated, 0u);
   // All new annotations come from delta clusters (index >= first).
   // (Indirectly checked: the update cost is small relative to init.)
-  EXPECT_LT(update.step_cost_seconds, 0.5 * kCost.SampleCostSeconds(
+  EXPECT_LT(update.annotation_seconds, 0.5 * kCost.SampleCostSeconds(
       triples_after_init, triples_after_init));
 }
 
@@ -142,8 +142,8 @@ TEST_F(IncrementalTest, StratifiedCheaperThanReservoirOnAverage) {
     ss.Initialize();
     // A doubling update with stable accuracy.
     const auto [first, count] = kg.ApplyBatch(1200, 12, 0.95, 0.05, rng);
-    rs_cost.Add(rs.ApplyUpdate(first, count).step_cost_seconds);
-    ss_cost.Add(ss.ApplyUpdate(first, count).step_cost_seconds);
+    rs_cost.Add(rs.ApplyUpdate(first, count).annotation_seconds);
+    ss_cost.Add(ss.ApplyUpdate(first, count).annotation_seconds);
   }
   EXPECT_LT(ss_cost.Mean(), rs_cost.Mean());
 }
@@ -156,8 +156,8 @@ TEST_F(IncrementalTest, SequenceOfUpdatesStaysCalibrated) {
   ss.Initialize();
   for (int batch = 0; batch < 8; ++batch) {
     const auto [first, count] = kg_.ApplyBatch(120, 12, 0.85, 0.2, rng_);
-    const IncrementalUpdateReport r1 = rs.ApplyUpdate(first, count);
-    const IncrementalUpdateReport r2 = ss.ApplyUpdate(first, count);
+    const EvaluationResult r1 = rs.ApplyUpdate(first, count);
+    const EvaluationResult r2 = ss.ApplyUpdate(first, count);
     const double truth = RealizedOverallAccuracy(kg_.oracle, kg_.population);
     EXPECT_NEAR(r1.estimate.mean, truth, 3.5 * 0.05) << "RS batch " << batch;
     EXPECT_NEAR(r2.estimate.mean, truth, 3.5 * 0.05) << "SS batch " << batch;
@@ -166,15 +166,15 @@ TEST_F(IncrementalTest, SequenceOfUpdatesStaysCalibrated) {
 
 TEST_F(IncrementalTest, SnapshotBaselinePaysFullCostEveryTime) {
   SnapshotBaselineEvaluator baseline(&kg_.oracle, kCost, DefaultOptions(8));
-  const IncrementalUpdateReport first = baseline.Evaluate(kg_.population);
+  const EvaluationResult first = baseline.Evaluate(kg_.population);
   const auto [first_cluster, count] = kg_.ApplyBatch(150, 12, 0.9, 0.15, rng_);
   (void)first_cluster;
   (void)count;
-  const IncrementalUpdateReport second = baseline.Evaluate(kg_.population);
+  const EvaluationResult second = baseline.Evaluate(kg_.population);
   EXPECT_TRUE(first.converged);
   EXPECT_TRUE(second.converged);
   // No reuse: the second snapshot costs about as much as the first.
-  EXPECT_GT(second.step_cost_seconds, first.step_cost_seconds * 0.5);
+  EXPECT_GT(second.annotation_seconds, first.annotation_seconds * 0.5);
 }
 
 TEST_F(IncrementalTest, ReservoirProposition3InsertionsAreLogarithmic) {
@@ -190,11 +190,11 @@ TEST_F(IncrementalTest, ReservoirProposition3InsertionsAreLogarithmic) {
 
   // Double the number of clusters in one update.
   const auto [first, count] = kg_.ApplyBatch(n_before, 12, 0.9, 0.15, rng_);
-  const IncrementalUpdateReport report = rs.ApplyUpdate(first, count);
+  const EvaluationResult report = rs.ApplyUpdate(first, count);
   // Newly annotated clusters ~ |R| ln(Nj/Ni) = |R| ln 2 ~ 0.69 |R| in
   // expectation (plus any MoE top-up); far below the delta size.
-  EXPECT_LT(report.newly_annotated_entities, reservoir_size * 3);
-  EXPECT_LT(report.newly_annotated_entities, count / 10);
+  EXPECT_LT(report.ledger.entities_identified, reservoir_size * 3);
+  EXPECT_LT(report.ledger.entities_identified, count / 10);
 }
 
 TEST(IncrementalDeathTest, UpdateBeforeInitializeAborts) {

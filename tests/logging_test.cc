@@ -81,6 +81,15 @@ TEST_F(LoggingTest, PassingCheckEmitsNothing) {
   EXPECT_EQ(capture.str(), "");
 }
 
+TEST_F(LoggingTest, FirstMessageTimestampStartsAtZero) {
+  // The process's first message sets the log epoch, so its timestamp must
+  // read 0, not an underflowed clock difference. The "threadsafe" style
+  // re-executes the binary for this test alone, so the death test's
+  // message is its process's first whatever ran before it here.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH({ KGACC_LOG(Fatal) << "first message"; }, "^\\[FATAL 0\\.");
+}
+
 TEST_F(LoggingTest, FailingCheckAborts) {
   SetMinLogLevel(LogLevel::kFatal);  // even max filtering cannot mute Fatal.
   EXPECT_DEATH({ KGACC_CHECK(false) << "invariant broken"; },

@@ -47,7 +47,7 @@ TEST(StratifiedStateTest, RoundTripPreservesEstimateExactly) {
                                           Options(7));
   original.Initialize();
   const auto [first, count] = kg.Append(300, 0.7, rng);
-  const IncrementalUpdateReport before = original.ApplyUpdate(first, count);
+  const EvaluationResult before = original.ApplyUpdate(first, count);
 
   std::stringstream buffer;
   ASSERT_TRUE(SaveStratifiedState(original, buffer).ok());
@@ -61,13 +61,13 @@ TEST(StratifiedStateTest, RoundTripPreservesEstimateExactly) {
   // The next update must produce an estimate consistent with the restored
   // moments: apply an empty-quality-shift batch to both and compare.
   const auto [first2, count2] = kg.Append(100, 0.9, rng);
-  const IncrementalUpdateReport a = original.ApplyUpdate(first2, count2);
+  const EvaluationResult a = original.ApplyUpdate(first2, count2);
   // The restored evaluator samples with its own (reseeded) randomness, so
   // compare the *reused* part: both carry the same pre-update moments, and
   // both estimates must agree within their MoEs.
   SimulatedAnnotator annotator3(&kg.oracle, kCost);
   (void)annotator3;
-  const IncrementalUpdateReport b = restored.ApplyUpdate(first2, count2);
+  const EvaluationResult b = restored.ApplyUpdate(first2, count2);
   EXPECT_TRUE(a.converged);
   EXPECT_TRUE(b.converged);
   EXPECT_NEAR(a.estimate.mean, b.estimate.mean, a.moe + b.moe);
@@ -93,10 +93,10 @@ TEST(StratifiedStateTest, RestoredEvaluatorReannotatesNothingOldStrata) {
   // An update only annotates inside the new stratum: the fresh annotator's
   // ledger stays bounded by the update's own sampling.
   const auto [first, count] = kg.Append(200, 0.9, rng);
-  const IncrementalUpdateReport update = restored.ApplyUpdate(first, count);
+  const EvaluationResult update = restored.ApplyUpdate(first, count);
   EXPECT_TRUE(update.converged);
-  EXPECT_EQ(fresh.ledger().triples_annotated, update.newly_annotated_triples);
-  EXPECT_LT(update.newly_annotated_triples, 200u);
+  EXPECT_EQ(fresh.ledger().triples_annotated, update.ledger.triples_annotated);
+  EXPECT_LT(update.ledger.triples_annotated, 200u);
 }
 
 TEST(StratifiedStateTest, RejectsDriftedPopulation) {
@@ -130,7 +130,14 @@ TEST(StratifiedStateTest, RejectsMalformedStreams) {
   for (const char* bad :
        {"", "wrong header\n", "kgacc-ss-state v1\nstrata x\n",
         "kgacc-ss-state v1\nstrata 1\nstratum 0 10\n",
-        "kgacc-ss-state v1\nstrata 1\nstratum 0 10 30 5 0.9 0.1\n"}) {
+        "kgacc-ss-state v1\nstrata 1\nstratum 0 10 30 5 0.9 0.1\n",
+        // Record counts are read from the stream: a huge one must fail on
+        // the missing records, not throw or allocate up front.
+        "kgacc-ss-state v1\nstrata 4000000000000000000\n",
+        "kgacc-ss-state v1\nstrata 18446744073709551615\n",
+        // A stratum range whose end wraps around 2^64.
+        "kgacc-ss-state v1\nstrata 1\n"
+        "stratum 18446744073709551615 2 30 5 0.9 0.1\nend\n"}) {
     std::stringstream in(bad);
     EXPECT_FALSE(RestoreStratifiedState(in, &evaluator).ok()) << bad;
   }
@@ -157,7 +164,7 @@ TEST(ReservoirStateTest, RoundTripPreservesSampleAndAnnotations) {
   SimulatedAnnotator annotator(&kg.oracle, kCost);
   ReservoirIncrementalEvaluator original(&kg.population, &annotator,
                                          Options(12));
-  const IncrementalUpdateReport init = original.Initialize();
+  const EvaluationResult init = original.Initialize();
 
   std::stringstream buffer;
   ASSERT_TRUE(SaveReservoirState(original, buffer).ok());
@@ -171,7 +178,7 @@ TEST(ReservoirStateTest, RoundTripPreservesSampleAndAnnotations) {
   // Applying an update re-estimates from the restored reservoir: retained
   // clusters use the stored annotations (free for the fresh annotator).
   const auto [first, count] = kg.Append(100, 0.9, rng);
-  const IncrementalUpdateReport update = restored.ApplyUpdate(first, count);
+  const EvaluationResult update = restored.ApplyUpdate(first, count);
   EXPECT_TRUE(update.converged);
   EXPECT_NEAR(update.estimate.mean, init.estimate.mean, init.moe + update.moe);
   // Only reservoir entrants from the delta were annotated anew.
@@ -210,7 +217,11 @@ TEST(ReservoirStateTest, RejectsMalformedStreams) {
        {"", "kgacc-rs-state v1\ncapacity 0\n",
         "kgacc-rs-state v1\ncapacity 5\nentries 1\ne 0 2.0\nannotated 0\nend\n",
         "kgacc-rs-state v1\ncapacity 1\nentries 1\ne 0 0.5\nannotated 1\n"
-        "a 0 5 2\nend\n"}) {
+        "a 0 5 2\nend\n",
+        // Huge record counts fail on the missing records (see above).
+        "kgacc-rs-state v1\ncapacity 1\nentries 18446744073709551615\n",
+        "kgacc-rs-state v1\ncapacity 1\nentries 1\ne 0 0.5\n"
+        "annotated 18446744073709551615\n"}) {
     std::stringstream in(bad);
     EXPECT_FALSE(RestoreReservoirState(in, &evaluator).ok()) << bad;
   }

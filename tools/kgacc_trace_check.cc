@@ -199,9 +199,9 @@ bool CheckMetrics(const std::string& path, const JsonValue& doc) {
       continue;
     }
     if (*value > 0.0) ++active_counters;
-    // Engine-loop designs count rounds; rs/ss run through the incremental
-    // driver instead, whose campaigns always annotate through the batch
-    // path. Either counter proves collection was actually enabled.
+    // Engine-loop designs count rounds; rs/ss run their own incremental
+    // campaigns instead, which always annotate through the batch path.
+    // Either counter proves collection was actually enabled.
     if ((*name == "engine.rounds" || *name == "annotation.cache.lookups") &&
         *value > 0.0) {
       saw_rounds = true;
