@@ -1,15 +1,21 @@
 // Machine-time microbenchmarks (google-benchmark) for the sampling
 // primitives, backing Table 6's "machine time < 1 second" claim for TWCS
-// sample generation at MOVIE scale and beyond.
+// sample generation at MOVIE scale and beyond, and RS's reservoir campaigns
+// and updates, whose cost must not grow with the base.
 
 #include <benchmark/benchmark.h>
 
+#include <span>
+
+#include "core/reservoir_incremental.h"
 #include "core/stratified_evaluator.h"
 #include "kg/cluster_population.h"
 #include "kg/generator.h"
 #include "sampling/srs.h"
 #include "sampling/stratum_index.h"
 #include "sampling/unit_samplers.h"
+#include "labels/annotator.h"
+#include "labels/synthetic_oracle.h"
 #include "util/rng.h"
 
 namespace kgacc {
@@ -103,6 +109,83 @@ void BM_SecondStageSrs(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SecondStageSrs)->Arg(5)->Arg(50);
+
+/// The first `n` clusters of a fixed population: an update "appends" its
+/// batch by raising n, so each iteration starts from the same base without
+/// copying it.
+class GrowingView final : public KgView {
+ public:
+  GrowingView(const ClusterPopulation& full, uint64_t n) : full_(full), n_(n) {}
+  void Grow(uint64_t n) { n_ = n; }
+
+  uint64_t NumClusters() const override { return n_; }
+  uint64_t ClusterSize(uint64_t cluster) const override {
+    return full_.ClusterSize(cluster);
+  }
+  uint64_t TotalTriples() const override { return full_.TripleOffsets()[n_]; }
+  std::span<const uint64_t> TripleOffsets() const override {
+    return full_.TripleOffsets().first(n_ + 1);
+  }
+
+ private:
+  const ClusterPopulation& full_;
+  uint64_t n_;
+};
+
+constexpr CostModel kCost{.c1_seconds = 45.0, .c2_seconds = 25.0};
+
+EvaluationOptions ReservoirOptions(uint64_t iteration) {
+  EvaluationOptions options;
+  options.seed = HashCombine(0x7e5e, iteration);
+  return options;
+}
+
+// One rs campaign on the base: the race draws ~capacity arrivals, whatever
+// the population size.
+void BM_ReservoirInitialize(benchmark::State& state) {
+  const ClusterPopulation pop = MakePopulation(state.range(0));
+  const PerClusterBernoulliOracle oracle =
+      MakeRandomErrorOracle(pop.NumClusters(), 0.9, 5);
+  uint64_t iteration = 0;
+  for (auto _ : state) {
+    SimulatedAnnotator annotator(&oracle, kCost);
+    ReservoirIncrementalEvaluator rs(&pop, &annotator,
+                                     ReservoirOptions(++iteration));
+    benchmark::DoNotOptimize(rs.Initialize());
+  }
+}
+BENCHMARK(BM_ReservoirInitialize)
+    ->Arg(10000)
+    ->Arg(288770)
+    ->Arg(2000000)
+    ->Unit(benchmark::kMicrosecond);
+
+// One update of 1% of the base's clusters after Initialize (untimed): it
+// races only its own clusters over the reservoir's horizon.
+void BM_ReservoirUpdate(benchmark::State& state) {
+  const uint64_t base = state.range(0);
+  const uint64_t batch = base / 100;
+  const ClusterPopulation pop = MakePopulation(base + batch);
+  const PerClusterBernoulliOracle oracle =
+      MakeRandomErrorOracle(pop.NumClusters(), 0.9, 5);
+  uint64_t iteration = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    GrowingView view(pop, base);
+    SimulatedAnnotator annotator(&oracle, kCost);
+    ReservoirIncrementalEvaluator rs(&view, &annotator,
+                                     ReservoirOptions(++iteration));
+    rs.Initialize();
+    view.Grow(base + batch);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(rs.ApplyUpdate(base, batch));
+  }
+}
+BENCHMARK(BM_ReservoirUpdate)
+    ->Arg(10000)
+    ->Arg(288770)
+    ->Arg(2000000)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace kgacc

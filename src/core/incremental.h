@@ -44,7 +44,9 @@ class IncrementalEvaluator {
   EvaluationResult Initialize();
 
   /// Evaluates the update batch [first_new_cluster, +count), already
-  /// appended to the population, re-establishing the MoE target.
+  /// appended to the population, re-establishing the MoE target. The batch
+  /// must start at the first cluster not yet evaluated (it aborts otherwise:
+  /// a re-applied or overlapping batch would count clusters twice).
   EvaluationResult ApplyUpdate(uint64_t first_new_cluster, uint64_t count);
 
   /// The campaigns Initialize and ApplyUpdate run (same preconditions);
@@ -62,7 +64,9 @@ class IncrementalEvaluator {
   const KgView* population_;
   Annotator* annotator_;
   EvaluationOptions options_;
-  Rng rng_;  ///< the method's sampling stream, seeded by options.seed.
+  /// The method's sampling stream, seeded by options.seed and saved with
+  /// the method's checkpoint (core/state_io.h).
+  Rng rng_;
   uint64_t m_ = 0;  ///< second-stage sample size (ResolveSecondStageSize).
 };
 

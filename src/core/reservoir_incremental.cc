@@ -1,8 +1,6 @@
 #include "core/reservoir_incremental.h"
 
 #include <algorithm>
-#include <cmath>
-#include <functional>
 
 #include "core/campaign.h"
 #include "sampling/srs.h"
@@ -13,12 +11,6 @@
 
 namespace kgacc {
 
-double ReservoirIncrementalEvaluator::MakeKey(uint64_t cluster) {
-  const double weight = static_cast<double>(population_->ClusterSize(cluster));
-  KGACC_CHECK(weight > 0.0);
-  return std::pow(rng_.UniformDoublePositive(), 1.0 / weight);
-}
-
 std::vector<uint64_t> ReservoirIncrementalEvaluator::SecondStageOffsets(
     uint64_t cluster) const {
   Rng second_stage(HashCombine(options_.seed, cluster, 0x2e2dULL));
@@ -26,11 +18,12 @@ std::vector<uint64_t> ReservoirIncrementalEvaluator::SecondStageOffsets(
                                          m_, second_stage);
 }
 
-void ReservoirIncrementalEvaluator::AnnotateReservoirEntrants(uint64_t count) {
+void ReservoirIncrementalEvaluator::AnnotateReservoirEntrants() {
   // Reservoir clusters are distinct, so entrants need no dedup.
+  const std::vector<ExponentialRace::Arrival>& reservoir = race_.Arrivals();
   std::vector<uint64_t> entrants;
-  for (uint64_t i = 0; i < count; ++i) {
-    const uint64_t cluster = entries_[i].cluster;
+  for (uint64_t i = 0; i < capacity_; ++i) {
+    const uint64_t cluster = reservoir[i].cluster;
     if (!sampled_accuracy_.contains(cluster)) entrants.push_back(cluster);
   }
   // Streamed with the async bridge: deriving later entrants' second-stage
@@ -57,30 +50,20 @@ class ReservoirIncrementalEvaluator::Reevaluation final
   Reevaluation(ReservoirIncrementalEvaluator* rs, const std::string& label)
       : PolicyCampaign("RS", label, rs->annotator_, rs->options_,
                        rs->options_.telemetry),
-        rs_(rs) {}
+        rs_(rs) {
+    Resize(rs_->capacity_);
+  }
 
  private:
   RoundOutcome RunRound() override {
-    std::vector<KeyedCluster>& entries = rs_->entries_;
-    uint64_t& capacity = rs_->capacity_;
-    WallTimer machine;
-    capacity = std::min<uint64_t>(capacity, entries.size());
-    // The top-capacity keys are the current A-Res reservoir.
-    std::nth_element(entries.begin(),
-                     entries.begin() + static_cast<int64_t>(capacity - 1),
-                     entries.end(),
-                     [](const KeyedCluster& a, const KeyedCluster& b) {
-                       return a.key > b.key;
-                     });
-    machine_seconds_ += machine.ElapsedSeconds();
-
+    const ExponentialRace& race = rs_->race_;
     // One crowd-scale batch for all entrants, then the stats pass below
     // finds every accuracy recorded.
-    rs_->AnnotateReservoirEntrants(capacity);
+    rs_->AnnotateReservoirEntrants();
     RunningStats stats;
-    for (uint64_t i = 0; i < capacity; ++i) {
+    for (uint64_t i = 0; i < rs_->capacity_; ++i) {
       const auto& [correct, sampled] =
-          rs_->sampled_accuracy_.at(entries[i].cluster);
+          rs_->sampled_accuracy_.at(race.Arrivals()[i].cluster);
       stats.Add(static_cast<double>(correct) / static_cast<double>(sampled));
     }
     RoundOutcome outcome;
@@ -88,41 +71,39 @@ class ReservoirIncrementalEvaluator::Reevaluation final
     outcome.estimate.variance_of_mean = stats.VarianceOfMean();
     outcome.estimate.num_units = stats.Count();
     outcome.moe = policy().MarginOfError(outcome.estimate);
-    // The reservoir exhausts when the whole population is sampled.
-    outcome.exhausted = capacity >= entries.size();
+    // The reservoir exhausts once it holds every cluster with triples.
+    outcome.exhausted =
+        race.Exhausted() && rs_->capacity_ >= race.Arrivals().size();
     return outcome;
   }
 
   void Advance() override {
     // MoE unmet: draw more cluster samples (grow the reservoir).
-    rs_->capacity_ = std::min<uint64_t>(
-        rs_->entries_.size(), rs_->capacity_ + options().batch_units);
+    Resize(rs_->capacity_ + options().batch_units);
+  }
+
+  /// Races to `capacity` arrivals, so the reservoir is always drawn: a
+  /// census ends with fewer arrivals than the capacity asked for.
+  void Resize(uint64_t capacity) {
+    WallTimer machine;
+    rs_->race_.Grow(capacity, rs_->rng_);
+    rs_->capacity_ =
+        std::min<uint64_t>(capacity, rs_->race_.Arrivals().size());
+    machine_seconds_ += machine.ElapsedSeconds();
   }
 
   ReservoirIncrementalEvaluator* rs_;
 };
 
 Estimate ReservoirIncrementalEvaluator::CurrentEstimate() const {
-  KGACC_CHECK(!entries_.empty()) << "no state: call Initialize() or Restore()";
-  // The reservoir is the top-capacity_ entries by key; since this is a
-  // const read path, select them without disturbing entries_ order.
-  std::vector<double> keys;
-  keys.reserve(entries_.size());
-  for (const KeyedCluster& entry : entries_) keys.push_back(entry.key);
-  std::nth_element(keys.begin(),
-                   keys.begin() + static_cast<int64_t>(capacity_ - 1),
-                   keys.end(), std::greater<double>());
-  const double threshold = keys[capacity_ - 1];
-
+  KGACC_CHECK(race_.Offered() > 0)
+      << "no state: call Initialize() or Restore()";
   RunningStats stats;
-  uint64_t taken = 0;
-  for (const KeyedCluster& entry : entries_) {
-    if (entry.key < threshold || taken >= capacity_) continue;
-    const auto it = sampled_accuracy_.find(entry.cluster);
+  for (uint64_t i = 0; i < capacity_; ++i) {
+    const auto it = sampled_accuracy_.find(race_.Arrivals()[i].cluster);
     if (it == sampled_accuracy_.end()) continue;  // not annotated yet.
     stats.Add(static_cast<double>(it->second.first) /
               static_cast<double>(it->second.second));
-    ++taken;
   }
   Estimate estimate;
   estimate.mean = stats.Mean();
@@ -134,11 +115,11 @@ Estimate ReservoirIncrementalEvaluator::CurrentEstimate() const {
 ReservoirIncrementalEvaluator::ReservoirSnapshot
 ReservoirIncrementalEvaluator::Snapshot() const {
   ReservoirSnapshot snapshot;
+  snapshot.rng_state = rng_.State();
   snapshot.capacity = capacity_;
-  snapshot.entries.reserve(entries_.size());
-  for (const KeyedCluster& entry : entries_) {
-    snapshot.entries.emplace_back(entry.cluster, entry.key);
-  }
+  snapshot.offered = race_.Offered();
+  snapshot.horizon = race_.Horizon();
+  snapshot.arrivals = race_.Arrivals();
   snapshot.annotated.reserve(sampled_accuracy_.size());
   for (const auto& [cluster, record] : sampled_accuracy_) {
     snapshot.annotated.emplace_back(cluster, record.first, record.second);
@@ -147,24 +128,16 @@ ReservoirIncrementalEvaluator::Snapshot() const {
 }
 
 Status ReservoirIncrementalEvaluator::Restore(const ReservoirSnapshot& snapshot) {
-  if (!entries_.empty()) {
+  if (race_.Offered() > 0) {
     return Status::FailedPrecondition(
         "Restore() requires a never-initialized evaluator");
   }
-  if (snapshot.capacity == 0 || snapshot.entries.empty() ||
-      snapshot.capacity > snapshot.entries.size()) {
+  if (snapshot.offered == 0 || snapshot.capacity == 0 ||
+      snapshot.capacity > snapshot.arrivals.size()) {
     return Status::InvalidArgument("inconsistent reservoir snapshot");
   }
-  for (const auto& [cluster, key] : snapshot.entries) {
-    if (cluster >= population_->NumClusters()) {
-      return Status::FailedPrecondition(StrFormat(
-          "snapshot references cluster %llu, population has %llu",
-          static_cast<unsigned long long>(cluster),
-          static_cast<unsigned long long>(population_->NumClusters())));
-    }
-    if (!(key > 0.0 && key <= 1.0)) {
-      return Status::InvalidArgument("reservoir key outside (0, 1]");
-    }
+  if (!Rng::ValidState(snapshot.rng_state)) {
+    return Status::InvalidArgument("all-zero sampling stream state");
   }
   for (const auto& [cluster, correct, sampled] : snapshot.annotated) {
     if (cluster >= population_->NumClusters() || sampled == 0 ||
@@ -174,11 +147,11 @@ Status ReservoirIncrementalEvaluator::Restore(const ReservoirSnapshot& snapshot)
           static_cast<unsigned long long>(cluster)));
     }
   }
+  // The race validates its own state last: it is the only step that mutates.
+  KGACC_RETURN_IF_ERROR(
+      race_.Restore(snapshot.offered, snapshot.horizon, snapshot.arrivals));
+  rng_.SetState(snapshot.rng_state);
   capacity_ = snapshot.capacity;
-  entries_.reserve(snapshot.entries.size());
-  for (const auto& [cluster, key] : snapshot.entries) {
-    entries_.push_back(KeyedCluster{key, cluster});
-  }
   for (const auto& [cluster, correct, sampled] : snapshot.annotated) {
     sampled_accuracy_.emplace(cluster, std::make_pair(correct, sampled));
   }
@@ -186,27 +159,27 @@ Status ReservoirIncrementalEvaluator::Restore(const ReservoirSnapshot& snapshot)
 }
 
 std::unique_ptr<Campaign> ReservoirIncrementalEvaluator::InitializeCampaign() {
-  KGACC_CHECK(entries_.empty()) << "Initialize() called twice";
-  const uint64_t n = population_->NumClusters();
-  KGACC_CHECK(n > 0) << "empty base graph";
-  entries_.reserve(n);
-  for (uint64_t cluster = 0; cluster < n; ++cluster) {
-    entries_.push_back(KeyedCluster{MakeKey(cluster), cluster});
-  }
-  capacity_ = std::min<uint64_t>(n, std::max<uint64_t>(options_.min_units,
-                                                       options_.batch_units));
+  KGACC_CHECK(race_.Offered() == 0) << "Initialize() called twice";
+  KGACC_CHECK(population_->NumClusters() > 0) << "empty base graph";
+  KGACC_CHECK(population_->TotalTriples() > 0) << "base graph without triples";
+  race_.Offer(population_->NumClusters(), rng_);
+  capacity_ = std::max<uint64_t>(options_.min_units, options_.batch_units);
   return std::make_unique<Reevaluation>(this, "initialize");
 }
 
 std::unique_ptr<Campaign> ReservoirIncrementalEvaluator::UpdateCampaign(
     uint64_t first_new_cluster, uint64_t count) {
-  KGACC_CHECK(!entries_.empty()) << "call Initialize() first";
-  KGACC_CHECK(first_new_cluster + count <= population_->NumClusters())
+  KGACC_CHECK(race_.Offered() > 0) << "call Initialize() first";
+  KGACC_CHECK(first_new_cluster == race_.Offered())
+      << "an update must start at the first cluster not yet offered ("
+      << race_.Offered() << "), not at " << first_new_cluster;
+  KGACC_CHECK(count <= population_->NumClusters() - first_new_cluster)
       << "update range exceeds population (apply deltas to the population "
          "before calling ApplyUpdate)";
-  for (uint64_t c = first_new_cluster; c < first_new_cluster + count; ++c) {
-    entries_.push_back(KeyedCluster{MakeKey(c), c});
-  }
+  // The reservoir alone carries over; the update's arrivals before its last
+  // member's time displace the latest members.
+  race_.Truncate(capacity_);
+  race_.Offer(count, rng_);
   ++update_counter_;
   return std::make_unique<Reevaluation>(
       this, StrFormat("update-%llu",

@@ -9,7 +9,10 @@ namespace kgacc {
 void StratifiedIncrementalEvaluator::AddStratum(uint64_t first_cluster,
                                                 uint64_t count) {
   KGACC_CHECK(count > 0) << "empty stratum";
-  KGACC_CHECK(first_cluster + count <= population_->NumClusters());
+  KGACC_CHECK(first_cluster <= population_->NumClusters() &&
+              count <= population_->NumClusters() - first_cluster)
+      << "update range exceeds population (apply deltas to the population "
+         "before calling ApplyUpdate)";
   StratumState state;
   state.view = std::make_unique<SubsetView>(*population_, first_cluster, count);
   state.sampler = std::make_unique<TwcsUnitSampler>(*state.view, m_);
@@ -20,12 +23,13 @@ void StratifiedIncrementalEvaluator::AddStratum(uint64_t first_cluster,
   strata_.push_back(std::move(state));
 }
 
-std::vector<StratifiedIncrementalEvaluator::StratumSnapshot>
+StratifiedIncrementalEvaluator::StratifiedSnapshot
 StratifiedIncrementalEvaluator::Snapshot() const {
-  std::vector<StratumSnapshot> snapshot;
-  snapshot.reserve(strata_.size());
+  StratifiedSnapshot snapshot;
+  snapshot.rng_state = rng_.State();
+  snapshot.strata.reserve(strata_.size());
   for (const StratumState& state : strata_) {
-    snapshot.push_back(StratumSnapshot{
+    snapshot.strata.push_back(StratumSnapshot{
         .first_cluster = state.first_cluster,
         .count = state.count,
         .triples = state.triples,
@@ -37,16 +41,27 @@ StratifiedIncrementalEvaluator::Snapshot() const {
 }
 
 Status StratifiedIncrementalEvaluator::Restore(
-    const std::vector<StratumSnapshot>& snapshot) {
+    const StratifiedSnapshot& snapshot) {
   if (!strata_.empty()) {
     return Status::FailedPrecondition(
         "Restore() requires a never-initialized evaluator");
   }
-  if (snapshot.empty()) {
+  if (snapshot.strata.empty()) {
     return Status::InvalidArgument("empty snapshot");
   }
+  if (!Rng::ValidState(snapshot.rng_state)) {
+    return Status::InvalidArgument("all-zero sampling stream state");
+  }
   // Validate everything before mutating state.
-  for (const StratumSnapshot& stratum : snapshot) {
+  uint64_t end = 0;
+  for (const StratumSnapshot& stratum : snapshot.strata) {
+    if (stratum.first_cluster != end) {
+      return Status::InvalidArgument(StrFormat(
+          "stratum at cluster %llu does not start where the previous one "
+          "ends (%llu): strata must tile [0, end) in order",
+          static_cast<unsigned long long>(stratum.first_cluster),
+          static_cast<unsigned long long>(end)));
+    }
     // Written so that a huge stored range cannot wrap past the check.
     if (stratum.count == 0 ||
         stratum.first_cluster > population_->NumClusters() ||
@@ -57,6 +72,7 @@ Status StratifiedIncrementalEvaluator::Restore(
           static_cast<unsigned long long>(stratum.count),
           static_cast<unsigned long long>(population_->NumClusters())));
     }
+    end = stratum.first_cluster + stratum.count;
     const SubsetView view(*population_, stratum.first_cluster, stratum.count);
     if (view.TotalTriples() != stratum.triples) {
       return Status::FailedPrecondition(StrFormat(
@@ -67,12 +83,23 @@ Status StratifiedIncrementalEvaluator::Restore(
           static_cast<unsigned long long>(stratum.triples),
           static_cast<unsigned long long>(view.TotalTriples())));
     }
+    // Accuracies lie in [0, 1], so their M2 is at most count / 4.
+    if (!(stratum.stat_mean >= 0.0 && stratum.stat_mean <= 1.0) ||
+        !(stratum.stat_m2 >= 0.0 &&
+          stratum.stat_m2 <=
+              0.25 * static_cast<double>(stratum.stat_count) * (1 + 1e-9))) {
+      return Status::InvalidArgument(StrFormat(
+          "stratum [%llu, +%llu): moments outside the range of accuracies",
+          static_cast<unsigned long long>(stratum.first_cluster),
+          static_cast<unsigned long long>(stratum.count)));
+    }
   }
-  for (const StratumSnapshot& stratum : snapshot) {
+  for (const StratumSnapshot& stratum : snapshot.strata) {
     AddStratum(stratum.first_cluster, stratum.count);
     strata_.back().stats = RunningStats::Restore(
         stratum.stat_count, stratum.stat_mean, stratum.stat_m2);
   }
+  rng_.SetState(snapshot.rng_state);
   return Status::OK();
 }
 
@@ -169,6 +196,10 @@ std::unique_ptr<Campaign> StratifiedIncrementalEvaluator::InitializeCampaign() {
 std::unique_ptr<Campaign> StratifiedIncrementalEvaluator::UpdateCampaign(
     uint64_t first_new_cluster, uint64_t count) {
   KGACC_CHECK(!strata_.empty()) << "call Initialize() first";
+  const StratumState& last = strata_.back();
+  KGACC_CHECK(first_new_cluster == last.first_cluster + last.count)
+      << "an update must start at the first cluster not yet offered ("
+      << last.first_cluster + last.count << "), not at " << first_new_cluster;
   AddStratum(first_new_cluster, count);
   return std::make_unique<DriveToTarget>(this, strata_.size() - 1);
 }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -29,7 +30,8 @@ class StratifiedIncrementalEvaluator final : public IncrementalEvaluator {
 
   /// Initialize evaluates the base graph (all clusters currently in the
   /// population) as stratum 0; an update registers the clusters
-  /// [first_new_cluster, +count) as a new stratum. The newest stratum gets
+  /// [first_new_cluster, +count) as a new stratum, which must start where the
+  /// last one ends. The newest stratum gets
   /// its minimum draws when the campaign is made; each step then
   /// re-estimates and, unless it stops, samples one more batch in it.
   std::unique_ptr<Campaign> InitializeCampaign() override;
@@ -51,14 +53,23 @@ class StratifiedIncrementalEvaluator final : public IncrementalEvaluator {
     double stat_m2 = 0.0;
   };
 
+  /// The full evaluation state: the strata and the sampling stream.
+  struct StratifiedSnapshot {
+    std::array<uint64_t, 4> rng_state{};
+    std::vector<StratumSnapshot> strata;
+  };
+
   /// Captures the full evaluation state; requires Initialize() was called.
-  std::vector<StratumSnapshot> Snapshot() const;
+  StratifiedSnapshot Snapshot() const;
 
   /// Restores a snapshot into this never-initialized evaluator. Validates
-  /// every stratum against the current population (range bounds and triple
-  /// masses must match the state) and fails without side effects visible to
-  /// subsequent Initialize() calls on mismatch.
-  Status Restore(const std::vector<StratumSnapshot>& snapshot);
+  /// every stratum against the current population (the strata must tile
+  /// [0, end) in order, and range bounds and triple masses must match the
+  /// state) and fails without side effects visible to subsequent
+  /// Initialize() calls on mismatch. The sampling stream resumes where it
+  /// was saved, so later updates are bit-identical to the uninterrupted
+  /// run's.
+  Status Restore(const StratifiedSnapshot& snapshot);
 
  private:
   struct StratumState {

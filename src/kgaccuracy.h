@@ -70,9 +70,10 @@
 #include "cost/task.h"        // IWYU pragma: export
 
 // Sampling designs.
-#include "sampling/srs.h"             // IWYU pragma: export
-#include "sampling/stratum_index.h"   // IWYU pragma: export
-#include "sampling/unit_samplers.h"   // IWYU pragma: export
+#include "sampling/exponential_race.h" // IWYU pragma: export
+#include "sampling/srs.h"              // IWYU pragma: export
+#include "sampling/stratum_index.h"    // IWYU pragma: export
+#include "sampling/unit_samplers.h"    // IWYU pragma: export
 
 // Estimators.
 #include "estimators/estimators.h"      // IWYU pragma: export

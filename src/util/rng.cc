@@ -120,4 +120,14 @@ Rng Rng::Fork(uint64_t stream) {
   return Rng(HashCombine(NextUint64(), stream));
 }
 
+std::array<uint64_t, 4> Rng::State() const {
+  return {s_[0], s_[1], s_[2], s_[3]};
+}
+
+void Rng::SetState(const std::array<uint64_t, 4>& state) {
+  KGACC_CHECK(ValidState(state)) << "all-zero xoshiro state";
+  for (int i = 0; i < 4; ++i) s_[i] = state[i];
+  has_spare_gaussian_ = false;
+}
+
 }  // namespace kgacc

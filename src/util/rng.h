@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 namespace kgacc {
@@ -59,6 +60,20 @@ class Rng {
   /// Derives an independent child generator; `stream` distinguishes children
   /// created from the same parent state (e.g. one per trial index).
   Rng Fork(uint64_t stream);
+
+  /// The four xoshiro256++ state words: with SetState, a checkpoint resumes
+  /// the stream exactly where it was saved.
+  std::array<uint64_t, 4> State() const;
+
+  /// Resumes the stream at `state`, which must be a ValidState. Drops any
+  /// cached Gaussian spare.
+  void SetState(const std::array<uint64_t, 4>& state);
+
+  /// False only for all-zero words, xoshiro's one state that never leaves
+  /// itself (every output would be 0).
+  static bool ValidState(const std::array<uint64_t, 4>& state) {
+    return (state[0] | state[1] | state[2] | state[3]) != 0;
+  }
 
  private:
   uint64_t s_[4];

@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "core/reservoir_incremental.h"
 #include "core/static_evaluator.h"
 #include "core/stratified_evaluator.h"
+#include "core/stratified_incremental.h"
 #include "test_util.h"
 
 namespace kgacc {
@@ -118,6 +122,74 @@ TEST(CiCoverageTest, HigherConfidenceCoversMore) {
   // 99% must not cover less than 90% (allow small statistical slack).
   EXPECT_GE(at99.covered + kTrials / 20, at90.covered);
   EXPECT_GE(at99.covered, kTrials * 90 / 100);
+}
+
+/// An evolving KG for the incremental designs: a 1,200-cluster base and 30
+/// update batches of 40 clusters whose accuracy drifts from 0.55 to 0.84.
+struct EvolvingKg {
+  static constexpr uint64_t kBase = 1200;
+  static constexpr uint64_t kBatch = 40;
+  static constexpr int kUpdates = 30;
+
+  std::vector<uint32_t> sizes;
+  PerClusterBernoulliOracle oracle{0xc0e7};
+
+  EvolvingKg() {
+    Rng rng(61);
+    for (uint64_t c = 0; c < kBase + kUpdates * kBatch; ++c) {
+      const int batch = c < kBase ? -1 : static_cast<int>((c - kBase) / kBatch);
+      const double center = batch < 0 ? 0.8 : 0.55 + 0.01 * batch;
+      sizes.push_back(1 + static_cast<uint32_t>(rng.UniformIndex(12)));
+      const double p = center + 0.2 * (rng.UniformDouble() - 0.5) * 2.0;
+      oracle.Append(p < 0.0 ? 0.0 : (p > 1.0 ? 1.0 : p));
+    }
+  }
+
+  /// Initializes on the base, then appends and applies every batch; returns
+  /// the last update's result.
+  template <typename Evaluator>
+  EvaluationResult Evolve(uint64_t seed) const {
+    ClusterPopulation population(
+        std::vector<uint32_t>(sizes.begin(), sizes.begin() + kBase));
+    SimulatedAnnotator annotator(&oracle, kCost);
+    EvaluationOptions options;
+    options.seed = seed;
+    Evaluator evaluator(&population, &annotator, options);
+    evaluator.Initialize();
+    EvaluationResult last;
+    for (int u = 0; u < kUpdates; ++u) {
+      const uint64_t first = population.NumClusters();
+      for (uint64_t c = first; c < first + kBatch; ++c) {
+        population.Append(sizes[c]);
+      }
+      last = evaluator.ApplyUpdate(first, kBatch);
+    }
+    return last;
+  }
+
+  double Truth() const {
+    return RealizedOverallAccuracy(oracle, ClusterPopulation(sizes));
+  }
+};
+
+TEST(CiCoverageTest, ReservoirCoversAfterThirtyUpdates) {
+  const EvolvingKg kg;
+  const CoverageResult coverage =
+      MeasureCoverage(kg.Truth(), [&](uint64_t seed) {
+        return kg.Evolve<ReservoirIncrementalEvaluator>(seed);
+      });
+  EXPECT_EQ(coverage.converged, kTrials);
+  EXPECT_GE(coverage.covered, kTrials * 85 / 100);
+}
+
+TEST(CiCoverageTest, StratifiedIncrementalCoversAfterThirtyUpdates) {
+  const EvolvingKg kg;
+  const CoverageResult coverage =
+      MeasureCoverage(kg.Truth(), [&](uint64_t seed) {
+        return kg.Evolve<StratifiedIncrementalEvaluator>(seed);
+      });
+  EXPECT_EQ(coverage.converged, kTrials);
+  EXPECT_GE(coverage.covered, kTrials * 85 / 100);
 }
 
 }  // namespace

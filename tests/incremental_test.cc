@@ -207,5 +207,28 @@ TEST(IncrementalDeathTest, UpdateBeforeInitializeAborts) {
   EXPECT_DEATH({ ss.ApplyUpdate(0, 1); }, "Initialize");
 }
 
+TEST(IncrementalDeathTest, UpdateMustStartAtFirstUnofferedCluster) {
+  // A re-applied batch would offer the base twice (SS: its triple mass
+  // counted twice in every weight; RS: a cluster in the reservoir twice),
+  // and an overlapping one part of it.
+  ClusterPopulation pop(std::vector<uint32_t>(60, 5));
+  const PerClusterBernoulliOracle oracle(std::vector<double>(80, 0.9), 1);
+  SimulatedAnnotator annotator(&oracle, kCost);
+  ReservoirIncrementalEvaluator rs(&pop, &annotator, DefaultOptions(1));
+  StratifiedIncrementalEvaluator ss(&pop, &annotator, DefaultOptions(2));
+  rs.Initialize();
+  ss.Initialize();
+  EXPECT_DEATH({ rs.ApplyUpdate(0, 60); }, "first cluster not yet offered");
+  EXPECT_DEATH({ ss.ApplyUpdate(0, 60); }, "first cluster not yet offered");
+  for (int c = 0; c < 20; ++c) pop.Append(5);
+  EXPECT_DEATH({ rs.ApplyUpdate(50, 30); }, "first cluster not yet offered");
+  EXPECT_DEATH({ ss.ApplyUpdate(50, 30); }, "first cluster not yet offered");
+  // The batch that does start there is accepted.
+  const EvaluationResult update = rs.ApplyUpdate(60, 20);
+  EXPECT_EQ(update.estimate.num_units, rs.SampleSize());
+  EXPECT_EQ(ss.ApplyUpdate(60, 20).design, "SS");
+  EXPECT_EQ(rs.ClustersSeen(), 80u);
+}
+
 }  // namespace
 }  // namespace kgacc
