@@ -150,9 +150,19 @@ int Main(int argc, char** argv) {
   }
   const std::string dataset_name = flags.GetString("dataset", "nell");
   const std::string design = flags.GetString("design", "srs");
-  const uint64_t max_units = flags.GetUint64("max-units", 128).ValueOr(128);
-  const uint64_t batch_units = flags.GetUint64("batch-units", 32).ValueOr(32);
-  const uint64_t seed = flags.GetUint64("seed", bench::Seed()).ValueOr(0);
+  const Result<uint64_t> max_units_flag = flags.GetUint64("max-units", 128);
+  const Result<uint64_t> batch_units_flag = flags.GetUint64("batch-units", 32);
+  const Result<uint64_t> seed_flag = flags.GetUint64("seed", bench::Seed());
+  for (const Status& bad : {max_units_flag.status(), batch_units_flag.status(),
+                            seed_flag.status()}) {
+    if (!bad.ok()) {
+      std::fprintf(stderr, "error: %s\n", bad.message().c_str());
+      return 2;
+    }
+  }
+  const uint64_t max_units = *max_units_flag;
+  const uint64_t batch_units = *batch_units_flag;
+  const uint64_t seed = *seed_flag;
   const std::string out_path =
       flags.GetString("out", bench::ArtifactPath("BENCH_async_annotate.json"));
 
@@ -176,12 +186,12 @@ int Main(int argc, char** argv) {
   // fresh latency request set).
   auto run_campaign = [&](uint64_t latency_ms, uint64_t window,
                           bool async_path) -> Result<RunOutcome> {
-    const std::unique_ptr<Annotator> annotator = MakeAnnotator(
-        AnnotatorSpec{.seed = seed,
-                      .async = async_path,
-                      .latency_ms = static_cast<double>(latency_ms),
-                      .max_concurrent = window},
-        dataset->oracle.get());
+    const AnnotatorSpec spec{.seed = seed,
+                             .async = async_path,
+                             .latency_ms = static_cast<double>(latency_ms),
+                             .max_concurrent = window};
+    KGACC_ASSIGN_OR_RETURN(const std::unique_ptr<Annotator> annotator,
+                           MakeAnnotator(spec, dataset->oracle.get()));
     const auto* bridge = dynamic_cast<const AsyncAnnotator*>(annotator.get());
     TraceRecorder recorder;
     EvaluationOptions run_options = options;

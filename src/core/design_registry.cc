@@ -11,7 +11,6 @@
 #include "core/stratified_incremental.h"
 #include "core/telemetry.h"
 #include "kg/knowledge_graph.h"
-#include "stats/stratification.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -161,7 +160,6 @@ void RegisterBuiltins(DesignRegistry* registry) {
          const EvaluationOptions& options)
           -> Result<std::unique_ptr<Campaign>> {
         const uint64_t h = options.num_strata > 0 ? options.num_strata : 4;
-        KGACC_RETURN_IF_ERROR(CheckNumStrata(h));
         return StratifiedTwcsEvaluator(view, annotator, options)
             .MakeSizeStratifiedCampaign(static_cast<int>(h));
       }));
@@ -224,6 +222,7 @@ Result<std::unique_ptr<Campaign>> DesignRegistry::MakeCampaign(
     if (it == entries_.end()) return UnknownDesignLocked(name);
     factory = it->second.factory;
   }
+  KGACC_RETURN_IF_ERROR(CheckEvaluationOptions(options));
   // Build outside the lock: set-up can be long (a pilot annotates) and may
   // itself consult the registry.
   return factory(view, annotator, options);

@@ -49,8 +49,8 @@ class DesignRegistry {
                   CampaignFactory factory);
 
   /// Builds one campaign of design `name`; errors on unknown names (the
-  /// message lists the known designs) and on designs that cannot run on
-  /// `view`.
+  /// message lists the known designs), on options CheckEvaluationOptions
+  /// refuses, and on designs that cannot run on `view`.
   Result<std::unique_ptr<Campaign>> MakeCampaign(
       const std::string& name, const KgView& view, Annotator* annotator,
       const EvaluationOptions& options) const;

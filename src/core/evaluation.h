@@ -5,6 +5,7 @@
 
 #include "cost/cost_model.h"
 #include "stats/estimate.h"
+#include "util/status.h"
 
 namespace kgacc {
 
@@ -95,6 +96,23 @@ struct EvaluationOptions {
 
   double Alpha() const { return 1.0 - confidence; }
 };
+
+/// Most units CheckEvaluationOptions accepts in one allocation-sized count:
+/// `batch_units` (drawn per round), `min_units`, `min_stratum_units` and
+/// `pilot_size` (each drawn at once into one batch). A million units is
+/// far past any campaign the paper runs; the cap keeps an outside count
+/// from reaching a vector's reserve().
+inline constexpr uint64_t kMaxRoundUnits = 1000000;
+
+/// Every range rule on EvaluationOptions' value fields, in one place:
+/// moe_target finite and > 0, confidence in (0, 1), batch_units in
+/// [1, kMaxRoundUnits], min_units / min_stratum_units / pilot_size at most
+/// kMaxRoundUnits, num_strata at most kMaxStrata (0 selects the default),
+/// and max_cost_seconds finite and >= 0. InvalidArgument names the field.
+/// DesignRegistry::MakeCampaign calls it, so the CLI, the daemon's
+/// start-campaign and resume, and tenant admission all refuse a bad
+/// configuration with this Status instead of reaching a fatal check.
+Status CheckEvaluationOptions(const EvaluationOptions& options);
 
 /// Outcome of one evaluation campaign.
 struct EvaluationResult {

@@ -46,7 +46,9 @@ class IncrementalEvaluator {
   /// Evaluates the update batch [first_new_cluster, +count), already
   /// appended to the population, re-establishing the MoE target. The batch
   /// must start at the first cluster not yet evaluated (it aborts otherwise:
-  /// a re-applied or overlapping batch would count clusters twice).
+  /// a re-applied or overlapping batch would count clusters twice). An
+  /// empty batch (count 0) is a re-evaluation: it annotates nothing while
+  /// the current estimate still meets the target.
   EvaluationResult ApplyUpdate(uint64_t first_new_cluster, uint64_t count);
 
   /// The campaigns Initialize and ApplyUpdate run (same preconditions);

@@ -3,16 +3,17 @@
 #include <istream>
 #include <ostream>
 
-#include "core/campaign_session.h"
 #include "core/reservoir_incremental.h"
 #include "core/stratified_incremental.h"
-#include "util/result.h"
 #include "util/status.h"
 
 namespace kgacc {
 
-/// Persistence of incremental-evaluation state, so a long-running accuracy
-/// monitor survives process restarts without re-annotating anything.
+/// Persistence of incremental-evaluation state (the RS and SS checkpoints),
+/// so a long-running accuracy monitor survives process restarts without
+/// re-annotating anything. A suspended serve session is not saved here: it
+/// travels as the protocol's `campaign_state` JSON object
+/// (serve/protocol.h), a configuration plus a round count to replay.
 ///
 /// What is saved is the *evaluation* state — stratum moments for SS, the
 /// reservoir race (its horizon and O(reservoir) arrivals) plus per-cluster
@@ -45,17 +46,5 @@ Status SaveReservoirState(const ReservoirIncrementalEvaluator& evaluator,
 /// Restores state into a freshly constructed (never initialized) evaluator.
 Status RestoreReservoirState(std::istream& in,
                              ReservoirIncrementalEvaluator* evaluator);
-
-/// Writes a suspended campaign session (`kgacc-campaign-session v1`): the
-/// design-agnostic replay state the serve daemon persists on `suspend`, in
-/// the same line-based text family as the evaluator states above. Doubles
-/// use %.17g so a restored session replays bit-identically.
-Status SaveCampaignSession(const CampaignSessionState& state,
-                           std::ostream& out);
-
-/// Parses a campaign session back. Validates structure and value ranges;
-/// graph/design existence is the caller's to check (the serve session
-/// manager resolves both against its stores).
-Result<CampaignSessionState> RestoreCampaignSession(std::istream& in);
 
 }  // namespace kgacc

@@ -142,14 +142,10 @@ Estimate StratifiedIncrementalEvaluator::Combined() const {
 class StratifiedIncrementalEvaluator::DriveToTarget final
     : public PolicyCampaign {
  public:
-  DriveToTarget(StratifiedIncrementalEvaluator* ss, size_t active)
-      : PolicyCampaign(
-            "SS",
-            ss->strata_.size() == 1
-                ? std::string("initialize")
-                : StrFormat("update-%llu", static_cast<unsigned long long>(
-                                               ss->strata_.size() - 1)),
-            ss->annotator_, ss->options_, ss->options_.telemetry),
+  DriveToTarget(StratifiedIncrementalEvaluator* ss, size_t active,
+                const std::string& label)
+      : PolicyCampaign("SS", label, ss->annotator_, ss->options_,
+                       ss->options_.telemetry),
         ss_(ss),
         active_(active) {
     // The newest stratum needs a minimal number of draws for a trustworthy
@@ -190,7 +186,7 @@ std::unique_ptr<Campaign> StratifiedIncrementalEvaluator::InitializeCampaign() {
   KGACC_CHECK(strata_.empty()) << "Initialize() called twice";
   KGACC_CHECK(population_->NumClusters() > 0) << "empty base graph";
   AddStratum(0, population_->NumClusters());
-  return std::make_unique<DriveToTarget>(this, 0);
+  return std::make_unique<DriveToTarget>(this, 0, "initialize");
 }
 
 std::unique_ptr<Campaign> StratifiedIncrementalEvaluator::UpdateCampaign(
@@ -200,8 +196,18 @@ std::unique_ptr<Campaign> StratifiedIncrementalEvaluator::UpdateCampaign(
   KGACC_CHECK(first_new_cluster == last.first_cluster + last.count)
       << "an update must start at the first cluster not yet offered ("
       << last.first_cluster + last.count << "), not at " << first_new_cluster;
+  // An empty update adds no stratum. Its campaign drives the newest stratum
+  // as the last update left it, so it annotates nothing while the combined
+  // MoE still meets the target (as RS re-evaluates an empty update).
+  if (count == 0) {
+    return std::make_unique<DriveToTarget>(this, strata_.size() - 1,
+                                           "empty-update");
+  }
   AddStratum(first_new_cluster, count);
-  return std::make_unique<DriveToTarget>(this, strata_.size() - 1);
+  return std::make_unique<DriveToTarget>(
+      this, strata_.size() - 1,
+      StrFormat("update-%llu",
+                static_cast<unsigned long long>(strata_.size() - 1)));
 }
 
 }  // namespace kgacc

@@ -31,7 +31,7 @@ class StratifiedIncrementalEvaluator final : public IncrementalEvaluator {
   /// Initialize evaluates the base graph (all clusters currently in the
   /// population) as stratum 0; an update registers the clusters
   /// [first_new_cluster, +count) as a new stratum, which must start where the
-  /// last one ends. The newest stratum gets
+  /// last one ends (an empty update adds none). The newest stratum gets
   /// its minimum draws when the campaign is made; each step then
   /// re-estimates and, unless it stops, samples one more batch in it.
   std::unique_ptr<Campaign> InitializeCampaign() override;

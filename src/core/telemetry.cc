@@ -77,33 +77,19 @@ namespace {
 
 constexpr const char* kSchema = "kgacc-trace-v1";
 
-/// A count field must be a non-negative integer small enough to cast without
-/// undefined behavior (doubles hold integers exactly up to 2^53); externally
-/// supplied documents get a validation error, never a wrapping cast.
-Result<uint64_t> GetCount(const JsonValue& value, const char* key) {
-  KGACC_ASSIGN_OR_RETURN(const double number, value.GetNumber(key));
-  constexpr double kMaxExact = 9007199254740992.0;  // 2^53.
-  if (!(number >= 0.0) || number > kMaxExact ||
-      number != std::floor(number)) {
-    return Status::InvalidArgument(
-        StrFormat("field '%s' is not a valid count: %g", key, number));
-  }
-  return static_cast<uint64_t>(number);
-}
-
 Result<CampaignRound> ParseRound(const JsonValue& value) {
   CampaignRound round;
-  KGACC_ASSIGN_OR_RETURN(round.round, GetCount(value, "round"));
+  KGACC_ASSIGN_OR_RETURN(round.round, value.GetCount("round"));
   KGACC_ASSIGN_OR_RETURN(round.cost_seconds, value.GetNumber("cost_seconds"));
-  KGACC_ASSIGN_OR_RETURN(round.units, GetCount(value, "units"));
+  KGACC_ASSIGN_OR_RETURN(round.units, value.GetCount("units"));
   KGACC_ASSIGN_OR_RETURN(round.estimate, value.GetNumber("estimate"));
   KGACC_ASSIGN_OR_RETURN(round.ci_lower, value.GetNumber("ci_lower"));
   KGACC_ASSIGN_OR_RETURN(round.ci_upper, value.GetNumber("ci_upper"));
   KGACC_ASSIGN_OR_RETURN(round.moe, value.GetNumber("moe"));
   KGACC_ASSIGN_OR_RETURN(round.triples_annotated,
-                         GetCount(value, "triples_annotated"));
+                         value.GetCount("triples_annotated"));
   KGACC_ASSIGN_OR_RETURN(round.entities_identified,
-                         GetCount(value, "entities_identified"));
+                         value.GetCount("entities_identified"));
   return round;
 }
 

@@ -5,6 +5,7 @@
 
 #include "labels/annotator.h"
 #include "labels/truth_oracle.h"
+#include "util/result.h"
 
 namespace kgacc {
 
@@ -15,8 +16,8 @@ struct AnnotatorSpec {
   uint64_t annotators = 1;        ///< pool size; 1 = single annotator.
   double noise_rate = 0.0;        ///< per-annotator label flip rate.
   uint64_t seed = 0x5eed;         ///< noise- and latency-stream seed.
-  int annotation_threads = 0;     ///< sharded batch-annotation threads.
-  int annotation_shards = 0;      ///< annotation cache shards (0 = default).
+  uint64_t annotation_threads = 0;  ///< sharded batch-annotation threads.
+  uint64_t annotation_shards = 0;   ///< annotation cache shards (0 = default).
   double c1_seconds = 45.0;       ///< entity identification cost (Eq 4).
   double c2_seconds = 25.0;       ///< relationship validation cost (Eq 4).
 
@@ -30,14 +31,29 @@ struct AnnotatorSpec {
   uint64_t max_concurrent = 8;    ///< bounded in-flight annotation window.
 };
 
+/// Caps on the sizes an AnnotatorSpec allocates: pool members, worker
+/// threads, cache shards and in-flight annotation slots.
+inline constexpr uint64_t kMaxAnnotators = 99;
+inline constexpr uint64_t kMaxAnnotationThreads = 256;
+inline constexpr uint64_t kMaxAnnotationShards = 65536;
+inline constexpr uint64_t kMaxConcurrent = 65536;
+
+/// Every range rule on an AnnotatorSpec, in one place: `annotators` odd (a
+/// majority vote cannot tie) and in [1, kMaxAnnotators], `noise_rate` in
+/// [0, 1], `c1_seconds`/`c2_seconds`/`latency_ms` finite and >= 0,
+/// `annotation_threads` <= kMaxAnnotationThreads, `annotation_shards`
+/// <= kMaxAnnotationShards and `max_concurrent` in [1, kMaxConcurrent].
+/// InvalidArgument names the field. MakeAnnotator calls it.
+Status CheckAnnotatorSpec(const AnnotatorSpec& spec);
+
 /// Builds the annotator stack `spec` describes over `oracle` (borrowed; must
-/// outlive the annotator):
+/// outlive the annotator), or refuses a spec CheckAnnotatorSpec rejects:
 ///   - the backend: a SimulatedAnnotator when `annotators == 1`, a
 ///     majority-voting AnnotatorPool otherwise;
 ///   - a MockLatencyAnnotator over it when `latency_ms > 0` or `async` is
 ///     set (the latency facade the async bridge draws its latencies from);
 ///   - an AsyncAnnotator on top when `async` is set.
-std::unique_ptr<Annotator> MakeAnnotator(const AnnotatorSpec& spec,
-                                         const TruthOracle* oracle);
+Result<std::unique_ptr<Annotator>> MakeAnnotator(const AnnotatorSpec& spec,
+                                                 const TruthOracle* oracle);
 
 }  // namespace kgacc

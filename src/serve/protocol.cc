@@ -1,145 +1,189 @@
 #include "serve/protocol.h"
 
-#include <cmath>
+#include <algorithm>
+#include <variant>
 
-#include "stats/stratification.h"
 #include "util/string_util.h"
 
 namespace kgacc::serve {
 
 namespace {
 
-Result<uint64_t> AsCount(const JsonValue& value, const std::string& key) {
-  if (!value.is_number()) {
-    return Status::InvalidArgument(
-        StrFormat("'%s' must be a number", key.c_str()));
-  }
-  const double number = value.AsNumber();
-  constexpr double kMaxExact = 9007199254740992.0;  // 2^53.
-  if (!(number >= 0.0) || number > kMaxExact || number != std::floor(number)) {
-    return Status::InvalidArgument(
-        StrFormat("'%s' is not a valid count: %g", key.c_str(), number));
-  }
-  return static_cast<uint64_t>(number);
+/// One value field of a T the protocol carries, by its JSON name.
+template <typename T>
+struct Field {
+  const char* name;
+  std::variant<double T::*, uint64_t T::*, bool T::*, CiMethod T::*> member;
+};
+
+/// EvaluationOptions' value fields (not the borrowed telemetry/control
+/// pointers). This list and the next drive both the parser and the
+/// campaign_state writer, so the two cannot drift apart.
+const Field<EvaluationOptions> kOptionFields[] = {
+    {"moe_target", &EvaluationOptions::moe_target},
+    {"confidence", &EvaluationOptions::confidence},
+    {"min_units", &EvaluationOptions::min_units},
+    {"batch_units", &EvaluationOptions::batch_units},
+    {"m", &EvaluationOptions::m},
+    {"max_cost_seconds", &EvaluationOptions::max_cost_seconds},
+    {"max_units", &EvaluationOptions::max_units},
+    {"seed", &EvaluationOptions::seed},
+    {"min_stratum_units", &EvaluationOptions::min_stratum_units},
+    {"srs_ci", &EvaluationOptions::srs_ci},
+    {"num_strata", &EvaluationOptions::num_strata},
+    {"pilot_size", &EvaluationOptions::pilot_size},
+    {"pipeline_rounds", &EvaluationOptions::pipeline_rounds},
+};
+
+const Field<AnnotatorSpec> kAnnotatorFields[] = {
+    {"annotators", &AnnotatorSpec::annotators},
+    {"noise_rate", &AnnotatorSpec::noise_rate},
+    {"seed", &AnnotatorSpec::seed},
+    {"annotation_threads", &AnnotatorSpec::annotation_threads},
+    {"annotation_shards", &AnnotatorSpec::annotation_shards},
+    {"c1_seconds", &AnnotatorSpec::c1_seconds},
+    {"c2_seconds", &AnnotatorSpec::c2_seconds},
+    {"async", &AnnotatorSpec::async},
+    {"latency_ms", &AnnotatorSpec::latency_ms},
+    {"max_concurrent", &AnnotatorSpec::max_concurrent},
+};
+
+/// Reads member `key` of `object` into `out`, typed by `out`.
+Status Read(const JsonValue& object, const std::string& key, uint64_t* out) {
+  KGACC_ASSIGN_OR_RETURN(*out, object.GetCount(key));
+  return Status::OK();
 }
 
-Result<double> AsDouble(const JsonValue& value, const std::string& key) {
+Status Read(const JsonValue& object, const std::string& key, double* out) {
+  const JsonValue& value = *object.Find(key);
   if (!value.is_number()) {
     return Status::InvalidArgument(
         StrFormat("'%s' must be a number", key.c_str()));
   }
-  return value.AsNumber();
+  *out = value.AsNumber();
+  return Status::OK();
+}
+
+Status Read(const JsonValue& object, const std::string& key, bool* out) {
+  const JsonValue& value = *object.Find(key);
+  if (!value.is_bool()) {
+    return Status::InvalidArgument(
+        StrFormat("'%s' must be a bool", key.c_str()));
+  }
+  *out = value.AsBool();
+  return Status::OK();
+}
+
+Status Read(const JsonValue& object, const std::string& key, CiMethod* out) {
+  const JsonValue& value = *object.Find(key);
+  if (value.is_string() && value.AsString() == "wilson") {
+    *out = CiMethod::kWilson;
+  } else if (value.is_string() && value.AsString() == "wald") {
+    *out = CiMethod::kWald;
+  } else {
+    return Status::InvalidArgument(
+        StrFormat("'%s' must be \"wald\" or \"wilson\"", key.c_str()));
+  }
+  return Status::OK();
+}
+
+void Write(uint64_t value, JsonWriter& json) { json.Uint(value); }
+void Write(double value, JsonWriter& json) { json.Number(value); }
+void Write(bool value, JsonWriter& json) { json.Bool(value); }
+void Write(CiMethod value, JsonWriter& json) {
+  json.String(value == CiMethod::kWilson ? "wilson" : "wald");
+}
+
+/// Applies the members of object `json` (named `what` in errors) to `out`;
+/// a member that is not one of `fields` is an error naming it.
+template <typename T, size_t N>
+Status ParseFields(const JsonValue& json, const char* what,
+                   const Field<T> (&fields)[N], T* out) {
+  if (!json.is_object()) {
+    return Status::InvalidArgument(
+        StrFormat("'%s' must be a JSON object", what));
+  }
+  for (const auto& [key, value] : json.AsObject()) {
+    const auto* field = std::find_if(
+        std::begin(fields), std::end(fields),
+        [&key = key](const Field<T>& f) { return key == f.name; });
+    if (field == std::end(fields)) {
+      return Status::InvalidArgument(
+          StrFormat("unknown %s member '%s'", what, key.c_str()));
+    }
+    KGACC_RETURN_IF_ERROR(std::visit(
+        [&](auto member) { return Read(json, key, &(out->*member)); },
+        field->member));
+  }
+  return Status::OK();
+}
+
+template <typename T, size_t N>
+void WriteFields(const Field<T> (&fields)[N], const T& in, JsonWriter& json) {
+  json.BeginObject();
+  for (const Field<T>& field : fields) {
+    json.Key(field.name);
+    std::visit([&](auto member) { Write(in.*member, json); }, field.member);
+  }
+  json.EndObject();
 }
 
 }  // namespace
 
 Status ParseEvaluationOptions(const JsonValue& json, EvaluationOptions* out) {
-  if (!json.is_object()) {
-    return Status::InvalidArgument("'options' must be a JSON object");
+  return ParseFields(json, "options", kOptionFields, out);
+}
+
+Status ParseAnnotatorSpec(const JsonValue& json, AnnotatorSpec* out) {
+  return ParseFields(json, "annotator", kAnnotatorFields, out);
+}
+
+Status ParseCampaign(const JsonValue& json, CampaignSessionState* out) {
+  KGACC_ASSIGN_OR_RETURN(out->graph, json.GetString("graph"));
+  KGACC_ASSIGN_OR_RETURN(out->design, json.GetString("design"));
+  if (const JsonValue* options = json.Find("options")) {
+    KGACC_RETURN_IF_ERROR(ParseEvaluationOptions(*options, &out->options));
   }
-  for (const auto& [key, value] : json.AsObject()) {
-    if (key == "moe_target") {
-      KGACC_ASSIGN_OR_RETURN(out->moe_target, AsDouble(value, key));
-    } else if (key == "confidence") {
-      KGACC_ASSIGN_OR_RETURN(out->confidence, AsDouble(value, key));
-    } else if (key == "min_units") {
-      KGACC_ASSIGN_OR_RETURN(out->min_units, AsCount(value, key));
-    } else if (key == "batch_units") {
-      KGACC_ASSIGN_OR_RETURN(out->batch_units, AsCount(value, key));
-    } else if (key == "m") {
-      KGACC_ASSIGN_OR_RETURN(out->m, AsCount(value, key));
-    } else if (key == "max_cost_seconds") {
-      KGACC_ASSIGN_OR_RETURN(out->max_cost_seconds, AsDouble(value, key));
-    } else if (key == "max_units") {
-      KGACC_ASSIGN_OR_RETURN(out->max_units, AsCount(value, key));
-    } else if (key == "seed") {
-      KGACC_ASSIGN_OR_RETURN(out->seed, AsCount(value, key));
-    } else if (key == "min_stratum_units") {
-      KGACC_ASSIGN_OR_RETURN(out->min_stratum_units, AsCount(value, key));
-    } else if (key == "num_strata") {
-      KGACC_ASSIGN_OR_RETURN(out->num_strata, AsCount(value, key));
-      KGACC_RETURN_IF_ERROR(CheckNumStrata(out->num_strata));
-    } else if (key == "pilot_size") {
-      KGACC_ASSIGN_OR_RETURN(out->pilot_size, AsCount(value, key));
-    } else if (key == "pipeline_rounds") {
-      if (!value.is_bool()) {
-        return Status::InvalidArgument("'pipeline_rounds' must be a bool");
-      }
-      out->pipeline_rounds = value.AsBool();
-    } else if (key == "srs_ci") {
-      if (!value.is_string()) {
-        return Status::InvalidArgument("'srs_ci' must be a string");
-      }
-      const std::string& ci = value.AsString();
-      if (ci == "wilson") {
-        out->srs_ci = CiMethod::kWilson;
-      } else if (ci == "wald") {
-        out->srs_ci = CiMethod::kWald;
-      } else {
-        return Status::InvalidArgument(StrFormat(
-            "unknown srs_ci '%s' (want wald or wilson)", ci.c_str()));
-      }
-    } else {
-      return Status::InvalidArgument(
-          StrFormat("unknown option '%s'", key.c_str()));
-    }
-  }
-  if (!(out->moe_target > 0.0) || !(out->confidence > 0.0) ||
-      !(out->confidence < 1.0)) {
-    return Status::InvalidArgument("moe_target/confidence out of range");
-  }
-  if (out->batch_units == 0) {
-    return Status::InvalidArgument("batch_units must be >= 1");
+  if (const JsonValue* annotator = json.Find("annotator")) {
+    KGACC_RETURN_IF_ERROR(ParseAnnotatorSpec(*annotator, &out->annotator));
   }
   return Status::OK();
 }
 
-Status ParseAnnotatorSpec(const JsonValue& json, AnnotatorSpec* out) {
+std::string CampaignStateJson(const CampaignSessionState& state) {
+  JsonWriter json;
+  json.BeginObject();
+  json.Key("design").String(state.design);
+  json.Key("graph").String(state.graph);
+  json.Key("rounds").Uint(state.rounds_completed);
+  json.Key("options");
+  WriteFields(kOptionFields, state.options, json);
+  json.Key("annotator");
+  WriteFields(kAnnotatorFields, state.annotator, json);
+  json.EndObject();
+  return json.TakeString();
+}
+
+Status ParseCampaignState(const JsonValue& json, CampaignSessionState* out) {
+  if (json.is_string()) {
+    return Status::InvalidArgument(
+        "'campaign_state' is a text blob; kgacc-campaign-session v1 blobs "
+        "are no longer read: resume takes the JSON object a suspend "
+        "returns");
+  }
   if (!json.is_object()) {
-    return Status::InvalidArgument("'annotator' must be a JSON object");
+    return Status::InvalidArgument("'campaign_state' must be a JSON object");
   }
   for (const auto& [key, value] : json.AsObject()) {
-    if (key == "annotators") {
-      KGACC_ASSIGN_OR_RETURN(out->annotators, AsCount(value, key));
-    } else if (key == "noise_rate") {
-      KGACC_ASSIGN_OR_RETURN(out->noise_rate, AsDouble(value, key));
-    } else if (key == "seed") {
-      KGACC_ASSIGN_OR_RETURN(out->seed, AsCount(value, key));
-    } else if (key == "annotation_threads") {
-      KGACC_ASSIGN_OR_RETURN(const uint64_t threads, AsCount(value, key));
-      out->annotation_threads = static_cast<int>(threads);
-    } else if (key == "annotation_shards") {
-      KGACC_ASSIGN_OR_RETURN(const uint64_t shards, AsCount(value, key));
-      out->annotation_shards = static_cast<int>(shards);
-    } else if (key == "c1_seconds") {
-      KGACC_ASSIGN_OR_RETURN(out->c1_seconds, AsDouble(value, key));
-    } else if (key == "c2_seconds") {
-      KGACC_ASSIGN_OR_RETURN(out->c2_seconds, AsDouble(value, key));
-    } else if (key == "async") {
-      if (!value.is_bool()) {
-        return Status::InvalidArgument("'async' must be a bool");
-      }
-      out->async = value.AsBool();
-    } else if (key == "latency_ms") {
-      KGACC_ASSIGN_OR_RETURN(out->latency_ms, AsDouble(value, key));
-    } else if (key == "max_concurrent") {
-      KGACC_ASSIGN_OR_RETURN(out->max_concurrent, AsCount(value, key));
-    } else {
+    if (key != "design" && key != "graph" && key != "rounds" &&
+        key != "options" && key != "annotator") {
       return Status::InvalidArgument(
-          StrFormat("unknown annotator field '%s'", key.c_str()));
+          StrFormat("unknown key '%s' in a campaign_state", key.c_str()));
     }
   }
-  if (out->annotators == 0) {
-    return Status::InvalidArgument("annotators must be >= 1");
-  }
-  if (!(out->noise_rate >= 0.0 && out->noise_rate <= 1.0)) {
-    return Status::InvalidArgument("noise_rate outside [0, 1]");
-  }
-  if (out->latency_ms < 0.0) {
-    return Status::InvalidArgument("latency_ms must be >= 0");
-  }
-  if (out->max_concurrent == 0) {
-    return Status::InvalidArgument("max_concurrent must be >= 1");
+  KGACC_RETURN_IF_ERROR(ParseCampaign(json, out));
+  if (json.Find("rounds") != nullptr) {
+    KGACC_ASSIGN_OR_RETURN(out->rounds_completed, json.GetCount("rounds"));
   }
   return Status::OK();
 }
@@ -192,8 +236,7 @@ std::string BuildResumeSession(const std::string& session) {
 }
 
 std::string BuildResumeState(const std::string& campaign_state) {
-  return StrFormat("{\"op\": \"resume\", \"campaign_state\": \"%s\"}",
-                   JsonEscape(campaign_state).c_str());
+  return "{\"op\": \"resume\", \"campaign_state\": " + campaign_state + "}";
 }
 
 std::string BuildStop(const std::string& session) {

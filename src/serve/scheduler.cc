@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <sstream>
 #include <utility>
 
 #include "core/design_registry.h"
-#include "core/state_io.h"
 #include "obs/metrics.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -46,6 +44,22 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
+}
+
+/// The session of tenant `config`, its first `replay_rounds` rounds replayed
+/// before it returns, reporting what it annotates to `observer`.
+std::shared_ptr<ServeSession> MakeTenantSession(
+    const TenantConfig& config, std::shared_ptr<const Dataset> dataset,
+    uint64_t replay_rounds, AnnotationObserver* observer) {
+  return std::make_shared<ServeSession>(
+      ServeSession::Config{.id = config.id,
+                           .design = config.design,
+                           .graph = config.graph,
+                           .dataset = std::move(dataset),
+                           .options = config.options,
+                           .annotator = config.annotator,
+                           .replay_rounds = replay_rounds,
+                           .observer = observer});
 }
 
 /// The smallest admissible charge denominator in the greedy score: a round
@@ -90,7 +104,7 @@ struct CampaignScheduler::Tenant {
   uint64_t arrival = 0;
   TenantState state = TenantState::kResident;
   std::shared_ptr<ServeSession> session;
-  std::string blob;  ///< suspend blob while evicted.
+  uint64_t evicted_rounds = 0;  ///< rounds to replay on resume, while evicted.
   CostModel cost;
   FleetCache* fleet = nullptr;
   ChargeObserver observer;
@@ -190,6 +204,10 @@ Result<std::string> CampaignScheduler::AddTenant(TenantConfig config) {
   }
   KGACC_ASSIGN_OR_RETURN(std::shared_ptr<const Dataset> dataset,
                          graphs_->Get(config.graph));
+  // Refused before it takes a tenant id (the session's own build would
+  // refuse it too), so a bad admission leaves no gap in the ids.
+  KGACC_RETURN_IF_ERROR(CheckEvaluationOptions(config.options));
+  KGACC_RETURN_IF_ERROR(CheckAnnotatorSpec(config.annotator));
 
   std::lock_guard<std::mutex> lock(mutex_);
   if (config.id.empty()) {
@@ -222,15 +240,8 @@ Result<std::string> CampaignScheduler::AddTenant(TenantConfig config) {
   tenant->c_grants = registry.GetCounter(
       StrFormat("sched.tenant.%s.grants", config.id.c_str()));
 
-  ServeSession::Config session_config;
-  session_config.id = config.id;
-  session_config.design = config.design;
-  session_config.graph = config.graph;
-  session_config.dataset = std::move(dataset);
-  session_config.options = config.options;
-  session_config.annotator = config.annotator;
-  session_config.observer = &tenant->observer;
-  tenant->session = std::make_shared<ServeSession>(std::move(session_config));
+  tenant->session = MakeTenantSession(config, std::move(dataset),
+                                      /*replay_rounds=*/0, &tenant->observer);
   // A design that cannot run on this graph (e.g. kgeval on a sizes-only
   // population) is refused with the registry's message, not admitted.
   if (const Status error = tenant->session->GetInfo().error; !error.ok()) {
@@ -262,7 +273,6 @@ Status CampaignScheduler::StopTenant(const std::string& id) {
     tenant->stop_requested = true;
     if (tenant->state == TenantState::kEvicted) {
       tenant->state = TenantState::kStopped;
-      tenant->blob.clear();
       return Status::OK();
     }
     session = tenant->session;
@@ -419,8 +429,8 @@ uint64_t CampaignScheduler::CountResidentLocked() const {
 
 void CampaignScheduler::EvictTenantLocked(Tenant& tenant) {
   if (tenant.state != TenantState::kResident) return;
-  Result<std::string> blob = tenant.session->Suspend();
-  if (!blob.ok()) {
+  Result<CampaignSessionState> suspended = tenant.session->Suspend();
+  if (!suspended.ok()) {
     // The campaign completed (or was stopped) before the eviction landed;
     // reconcile instead of evicting — there is nothing left to park.
     const ServeSession::Info info = tenant.session->GetInfo();
@@ -433,7 +443,7 @@ void CampaignScheduler::EvictTenantLocked(Tenant& tenant) {
     }
     return;
   }
-  tenant.blob = std::move(blob).value();
+  tenant.evicted_rounds = suspended->rounds_completed;
   tenant.session.reset();
   tenant.state = TenantState::kEvicted;
   tenant.evictions++;
@@ -443,33 +453,21 @@ void CampaignScheduler::EvictTenantLocked(Tenant& tenant) {
 }
 
 Status CampaignScheduler::ResumeTenantLocked(Tenant& tenant) {
-  std::istringstream in(tenant.blob);
-  KGACC_ASSIGN_OR_RETURN(CampaignSessionState state,
-                         RestoreCampaignSession(in));
   KGACC_ASSIGN_OR_RETURN(std::shared_ptr<const Dataset> dataset,
-                         graphs_->Get(state.graph));
+                         graphs_->Get(tenant.config.graph));
 
   // Make room for the resumed session before it takes its slot.
   EnforceResidencyLocked(/*keep=*/&tenant);
 
-  ServeSession::Config config;
-  config.id = tenant.config.id;
-  config.design = state.design;
-  config.graph = state.graph;
-  config.dataset = std::move(dataset);
-  config.options = state.options;
-  config.annotator = state.annotator;
-  config.replay_rounds = state.rounds_completed;
-  config.observer = &tenant.observer;
   // The session replays to the suspension point before it returns. Replayed
   // refs are already in the fleet cache, so the drained pending charge is
   // zero — a resume never double-charges the budget.
-  tenant.session = std::make_shared<ServeSession>(std::move(config));
+  tenant.session = MakeTenantSession(tenant.config, std::move(dataset),
+                                     tenant.evicted_rounds, &tenant.observer);
   {
     std::lock_guard<std::mutex> charge(charge_mutex_);
     tenant.pending_charge = 0.0;
   }
-  tenant.blob.clear();
   tenant.state = TenantState::kResident;
   Metrics().resumes->Add(1);
   Metrics().residents->Set(static_cast<double>(CountResidentLocked()));

@@ -78,8 +78,8 @@ class CampaignScheduler {
     /// Total annotation seconds the fleet may spend (Eq 4, after reuse).
     double budget_seconds = std::numeric_limits<double>::infinity();
     /// Max simultaneously resident (campaign-holding) running sessions;
-    /// the least-recently-granted resident is evicted to a suspend blob
-    /// when exceeded. 0 = unlimited.
+    /// the least-recently-granted resident is evicted (suspended, keeping
+    /// only its round count) when exceeded. 0 = unlimited.
     uint64_t max_resident_sessions = 0;
   };
 
@@ -122,8 +122,8 @@ class CampaignScheduler {
   std::vector<TenantStatus> Statuses() const;
   Result<TenantStatus> StatusFor(const std::string& id) const;
 
-  /// The tenant's live session, resuming it from its suspend blob first if
-  /// it was evicted (deterministic replay). Null for unknown ids.
+  /// The tenant's live session, resuming it first if it was evicted
+  /// (deterministic replay). Null for unknown ids.
   std::shared_ptr<ServeSession> SessionFor(const std::string& id);
 
   /// The grant sequence so far — the determinism artifact. Render with
@@ -168,12 +168,13 @@ class CampaignScheduler {
   TenantStatus StatusLocked(const Tenant& tenant) const;
   void UpdateTenantMetricsLocked(Tenant& tenant);
 
-  /// Suspends the tenant's session into its blob. No-op if the session
-  /// completed in the meantime (nothing left to evict).
+  /// Suspends the tenant's session and frees it, keeping its round count.
+  /// No-op if the session completed in the meantime (nothing left to
+  /// evict).
   void EvictTenantLocked(Tenant& tenant);
-  /// Rebuilds an evicted tenant's session from its blob and waits for the
-  /// deterministic replay to reach the suspension point. Evicts another
-  /// resident first if the residency cap requires it.
+  /// Rebuilds an evicted tenant's session from its config and waits for
+  /// the deterministic replay of its rounds to reach the suspension point.
+  /// Evicts another resident first if the residency cap requires it.
   Status ResumeTenantLocked(Tenant& tenant);
   /// Evicts least-recently-granted residents until the cap holds, never
   /// touching `keep`.

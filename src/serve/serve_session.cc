@@ -1,10 +1,8 @@
 #include "serve/serve_session.h"
 
-#include <sstream>
 #include <utility>
 
 #include "core/design_registry.h"
-#include "core/state_io.h"
 #include "labels/annotator_spec.h"
 #include "labels/observed_annotator.h"
 #include "util/logging.h"
@@ -64,7 +62,14 @@ ServeSession::ServeSession(Config config) : config_(std::move(config)) {
   KGACC_CHECK(config_.options.telemetry == nullptr &&
               config_.options.control == nullptr)
       << "the session wires its own telemetry";
-  annotator_ = MakeAnnotator(config_.annotator, config_.dataset->oracle.get());
+  Result<std::unique_ptr<Annotator>> annotator =
+      MakeAnnotator(config_.annotator, config_.dataset->oracle.get());
+  if (!annotator.ok()) {
+    state_ = State::kStopped;
+    error_ = annotator.status();
+    return;
+  }
+  annotator_ = std::move(annotator).value();
   if (config_.observer != nullptr) {
     annotator_ = std::make_unique<ObservedAnnotator>(std::move(annotator_),
                                                      config_.observer);
@@ -139,7 +144,7 @@ Status ServeSession::Step(uint64_t rounds) {
   return Status::OK();
 }
 
-Result<std::string> ServeSession::Suspend() {
+Result<CampaignSessionState> ServeSession::Suspend() {
   const std::unique_lock<std::mutex> op = Interrupt();
   CampaignSessionState state;
   {
@@ -159,9 +164,7 @@ Result<std::string> ServeSession::Suspend() {
   state.graph = config_.graph;
   state.options = config_.options;
   state.annotator = config_.annotator;
-  std::ostringstream out;
-  KGACC_RETURN_IF_ERROR(SaveCampaignSession(state, out));
-  return out.str();
+  return state;
 }
 
 Status ServeSession::Stop() {

@@ -8,10 +8,10 @@
 #include <vector>
 
 #include "core/campaign.h"
-#include "core/campaign_session.h"
 #include "core/telemetry.h"
 #include "datasets/datasets.h"
 #include "labels/annotator.h"
+#include "serve/protocol.h"
 #include "util/result.h"
 
 namespace kgacc {
@@ -89,9 +89,10 @@ class ServeSession {
                                    ///< sizes-only population), if any.
   };
 
-  /// Builds the campaign, then replays its first `replay_rounds` rounds
-  /// before returning. A design that cannot run leaves the session stopped
-  /// with Info::error set.
+  /// Builds the annotator and the campaign, then replays its first
+  /// `replay_rounds` rounds before returning. A configuration that
+  /// CheckAnnotatorSpec or CheckEvaluationOptions refuses, or a design that
+  /// cannot run, leaves the session stopped with Info::error set.
   explicit ServeSession(Config config);
 
   /// Advances up to `rounds` more rounds (0 = run to the design's own
@@ -99,10 +100,10 @@ class ServeSession {
   /// sessions; benign no-op when already completed.
   Status Step(uint64_t rounds);
 
-  /// Ends the campaign at the next round boundary and serializes it as a
-  /// `kgacc-campaign-session v1` document. Errors once completed/stopped
-  /// (nothing left to suspend).
-  Result<std::string> Suspend();
+  /// Ends the campaign at the next round boundary and returns what resumes
+  /// it: this session's configuration and its completed rounds. Errors
+  /// once completed/stopped (nothing left to suspend).
+  Result<CampaignSessionState> Suspend();
 
   /// Abandons the campaign at the next round boundary and marks the session
   /// stopped. The recorded trace stays readable.

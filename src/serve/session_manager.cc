@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <utility>
 
 #include "core/design_registry.h"
-#include "core/state_io.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/protocol.h"
@@ -80,14 +78,7 @@ Result<std::string> RequireString(const JsonValue& request, const char* key) {
 Result<uint64_t> OptionalCount(const JsonValue& request, const char* key,
                                uint64_t fallback) {
   if (request.Find(key) == nullptr) return fallback;
-  KGACC_ASSIGN_OR_RETURN(const double number, request.GetNumber(key));
-  constexpr double kMaxExact = 9007199254740992.0;  // 2^53.
-  if (!(number >= 0.0) || number > kMaxExact ||
-      number != std::floor(number)) {
-    return Status::InvalidArgument(
-        StrFormat("'%s' is not a valid count", key));
-  }
-  return static_cast<uint64_t>(number);
+  return request.GetCount(key);
 }
 
 /// Renders the common session-status object shared by step/query-estimate/
@@ -227,71 +218,75 @@ SessionManager::Response SessionManager::LoadGraph(const JsonValue& request) {
 
 SessionManager::Response SessionManager::StartCampaign(
     const JsonValue& request) {
-  Result<std::string> graph = RequireString(request, "graph");
-  if (!graph.ok()) return ErrorResponse(graph.status());
-  Result<std::string> design = RequireString(request, "design");
-  if (!design.ok()) return ErrorResponse(design.status());
-  // The shared unknown-design message: same listing kgacc_eval users see.
-  if (!DesignRegistry::Global().Contains(*design)) {
-    return ErrorResponse(DesignRegistry::Global().UnknownDesign(*design));
+  CampaignSessionState campaign;
+  campaign.annotator = default_annotator_;
+  if (const Status parsed = ParseCampaign(request, &campaign); !parsed.ok()) {
+    return ErrorResponse(parsed);
   }
-  Result<std::shared_ptr<const Dataset>> dataset = graphs_->Get(*graph);
-  if (!dataset.ok()) return ErrorResponse(dataset.status());
-
-  ServeSession::Config config;
-  config.design = *design;
-  config.graph = *graph;
-  config.dataset = *dataset;
-  if (const JsonValue* options = request.Find("options")) {
-    const Status parsed_options =
-        ParseEvaluationOptions(*options, &config.options);
-    if (!parsed_options.ok()) return ErrorResponse(parsed_options);
-  }
-  config.annotator = default_annotator_;
-  if (const JsonValue* annotator = request.Find("annotator")) {
-    const Status parsed_spec =
-        ParseAnnotatorSpec(*annotator, &config.annotator);
-    if (!parsed_spec.ok()) return ErrorResponse(parsed_spec);
-  }
-
   if (const JsonValue* tenant = request.Find("tenant")) {
     if (!tenant->is_bool()) {
       return ErrorResponse(
           Status::InvalidArgument("'tenant' must be a bool"));
     }
-    if (tenant->AsBool()) return StartTenantCampaign(request, config);
+    if (tenant->AsBool()) return StartTenantCampaign(request, campaign);
+  }
+  return StartSession(std::move(campaign), /*id=*/"");
+}
+
+SessionManager::Response SessionManager::StartSession(
+    CampaignSessionState campaign, std::string id) {
+  // The shared unknown-design message: same listing kgacc_eval users see.
+  if (!DesignRegistry::Global().Contains(campaign.design)) {
+    return ErrorResponse(
+        DesignRegistry::Global().UnknownDesign(campaign.design));
+  }
+  Result<std::shared_ptr<const Dataset>> dataset = graphs_->Get(campaign.graph);
+  if (!dataset.ok()) return ErrorResponse(dataset.status());
+  // Refused before it takes a session id (the session's own build would
+  // refuse it too), so a bad request leaves no gap in the ids.
+  for (const Status& valid : {CheckEvaluationOptions(campaign.options),
+                              CheckAnnotatorSpec(campaign.annotator)}) {
+    if (!valid.ok()) return ErrorResponse(valid);
   }
 
-  {
+  if (id.empty()) {
     std::lock_guard<std::mutex> lock(mutex_);
-    config.id = StrFormat("s%llu",
-                          static_cast<unsigned long long>(next_id_++));
+    id = StrFormat("s%llu", static_cast<unsigned long long>(next_id_++));
   }
   // Built outside the table lock: a campaign's set-up (sampler index, a
-  // pilot) must not stall requests to other sessions.
-  auto session = std::make_shared<ServeSession>(std::move(config));
+  // pilot) and a resume's replay must not stall requests to other sessions.
+  // The session replays to the suspension point before it is published, so
+  // the response (and any later query) reflects the restored position.
+  auto session = std::make_shared<ServeSession>(
+      ServeSession::Config{.id = id,
+                           .design = std::move(campaign.design),
+                           .graph = std::move(campaign.graph),
+                           .dataset = std::move(dataset).value(),
+                           .options = campaign.options,
+                           .annotator = campaign.annotator,
+                           .replay_rounds = campaign.rounds_completed});
   if (const Status error = session->GetInfo().error; !error.ok()) {
     return ErrorResponse(error);
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    sessions_.emplace(session->id(), session);
+    sessions_[id] = session;  // replaces the suspended shell on resume-by-id.
   }
   return OneLine(SessionStatusJson(*session, /*verbose=*/false));
 }
 
 SessionManager::Response SessionManager::StartTenantCampaign(
-    const JsonValue& request, ServeSession::Config config) {
+    const JsonValue& request, const CampaignSessionState& campaign) {
   if (scheduler_ == nullptr) {
     return ErrorResponse(Status::FailedPrecondition(
         "no scheduler attached; restart the daemon with --scheduler to "
         "admit tenants"));
   }
   TenantConfig tenant;
-  tenant.graph = config.graph;
-  tenant.design = config.design;
-  tenant.options = config.options;
-  tenant.annotator = config.annotator;
+  tenant.graph = campaign.graph;
+  tenant.design = campaign.design;
+  tenant.options = campaign.options;
+  tenant.annotator = campaign.annotator;
   if (const JsonValue* id = request.Find("id")) {
     if (!id->is_string()) {
       return ErrorResponse(Status::InvalidArgument("'id' must be a string"));
@@ -319,7 +314,7 @@ SessionManager::Response SessionManager::StartTenantCampaign(
       "\"graph\": \"%s\", \"design\": \"%s\", \"state\": \"resident\", "
       "\"policy\": \"%s\"}",
       JsonEscape(*admitted).c_str(), JsonEscape(*admitted).c_str(),
-      JsonEscape(config.graph).c_str(), JsonEscape(config.design).c_str(),
+      JsonEscape(campaign.graph).c_str(), JsonEscape(campaign.design).c_str(),
       CampaignScheduler::PolicyName(scheduler_->policy())));
 }
 
@@ -405,79 +400,45 @@ SessionManager::Response SessionManager::Suspend(const JsonValue& request) {
     return ErrorResponse(
         Status::NotFound(StrFormat("no session '%s'", id->c_str())));
   }
-  Result<std::string> state = session->Suspend();
+  Result<CampaignSessionState> state = session->Suspend();
   if (!state.ok()) return ErrorResponse(state.status());
-  const ServeSession::Info info = session->GetInfo();
   return OneLine(StrFormat(
       "{\"ok\": true, \"session\": \"%s\", \"state\": \"suspended\", "
-      "\"rounds\": %llu, \"campaign_state\": \"%s\"}",
+      "\"rounds\": %llu, \"campaign_state\": %s}",
       JsonEscape(session->id()).c_str(),
-      static_cast<unsigned long long>(info.result.rounds),
-      JsonEscape(*state).c_str()));
+      static_cast<unsigned long long>(state->rounds_completed),
+      CampaignStateJson(*state).c_str()));
 }
 
 SessionManager::Response SessionManager::Resume(const JsonValue& request) {
-  // Two paths: resume an in-memory suspended session by id, or rebuild one
-  // from a serialized `kgacc-campaign-session v1` blob (daemon restart).
-  CampaignSessionState state;
-  std::string id;
+  // Two paths: resume an in-memory suspended session by id, or start the
+  // campaign_state object a suspend returned (say, after a daemon restart)
+  // and replay its rounds.
   if (request.Find("session") != nullptr) {
-    Result<std::string> sid = RequireString(request, "session");
-    if (!sid.ok()) return ErrorResponse(sid.status());
-    std::shared_ptr<ServeSession> session = FindSession(*sid);
+    Result<std::string> id = RequireString(request, "session");
+    if (!id.ok()) return ErrorResponse(id.status());
+    std::shared_ptr<ServeSession> session = FindSession(*id);
     if (session == nullptr) {
       return ErrorResponse(
-          Status::NotFound(StrFormat("no session '%s'", sid->c_str())));
+          Status::NotFound(StrFormat("no session '%s'", id->c_str())));
     }
-    Result<std::string> serialized = session->Suspend();
-    if (!serialized.ok()) return ErrorResponse(serialized.status());
-    std::istringstream in(*serialized);
-    Result<CampaignSessionState> restored = RestoreCampaignSession(in);
-    if (!restored.ok()) return ErrorResponse(restored.status());
-    state = std::move(restored).value();
-    id = *sid;
-  } else if (request.Find("campaign_state") != nullptr) {
-    Result<std::string> blob = RequireString(request, "campaign_state");
-    if (!blob.ok()) return ErrorResponse(blob.status());
-    std::istringstream in(*blob);
-    Result<CampaignSessionState> restored = RestoreCampaignSession(in);
-    if (!restored.ok()) return ErrorResponse(restored.status());
-    state = std::move(restored).value();
-  } else {
+    Result<CampaignSessionState> state = session->Suspend();
+    if (!state.ok()) return ErrorResponse(state.status());
+    return StartSession(std::move(state).value(), *id);
+  }
+  const JsonValue* object = request.Find("campaign_state");
+  if (object == nullptr) {
     return ErrorResponse(Status::InvalidArgument(
-        "resume needs 'session' (in-memory) or 'campaign_state' (blob)"));
+        "resume needs 'session' (in-memory) or 'campaign_state' (the object "
+        "a suspend returned)"));
   }
-
-  if (!DesignRegistry::Global().Contains(state.design)) {
-    return ErrorResponse(DesignRegistry::Global().UnknownDesign(state.design));
+  CampaignSessionState campaign;
+  campaign.annotator = default_annotator_;
+  if (const Status parsed = ParseCampaignState(*object, &campaign);
+      !parsed.ok()) {
+    return ErrorResponse(parsed);
   }
-  Result<std::shared_ptr<const Dataset>> dataset = graphs_->Get(state.graph);
-  if (!dataset.ok()) return ErrorResponse(dataset.status());
-
-  ServeSession::Config config;
-  config.design = state.design;
-  config.graph = state.graph;
-  config.dataset = *dataset;
-  config.options = state.options;
-  config.annotator = state.annotator;
-  config.replay_rounds = state.rounds_completed;
-
-  if (id.empty()) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    id = StrFormat("s%llu", static_cast<unsigned long long>(next_id_++));
-  }
-  config.id = id;
-  // The session replays to the suspension point before it is published,
-  // so the response (and any later query) reflects the restored position.
-  auto session = std::make_shared<ServeSession>(std::move(config));
-  if (const Status error = session->GetInfo().error; !error.ok()) {
-    return ErrorResponse(error);
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    sessions_[id] = session;  // replaces the suspended shell on resume-by-id.
-  }
-  return OneLine(SessionStatusJson(*session, /*verbose=*/false));
+  return StartSession(std::move(campaign), /*id=*/"");
 }
 
 SessionManager::Response SessionManager::Stop(const JsonValue& request) {

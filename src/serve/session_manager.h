@@ -71,7 +71,11 @@ class SessionManager {
   bool IsTenant(const std::string& id) const;
 
   Response StartTenantCampaign(const JsonValue& request,
-                               ServeSession::Config config);
+                               const CampaignSessionState& campaign);
+  /// Builds and publishes a session of `campaign` under `id` (a fresh id
+  /// when empty), replaying its completed rounds first: a start-campaign
+  /// is a resume from round 0.
+  Response StartSession(CampaignSessionState campaign, std::string id);
   Response LoadGraph(const JsonValue& request);
   Response StartCampaign(const JsonValue& request);
   Response Step(const JsonValue& request);

@@ -4,8 +4,8 @@
 #include <string>
 #include <vector>
 
-#include "core/campaign_session.h"
 #include "core/evaluation.h"
+#include "labels/annotator_spec.h"
 
 namespace kgacc::serve {
 
@@ -35,8 +35,9 @@ struct TenantConfig {
 /// Where a tenant's campaign currently lives.
 enum class TenantState {
   kResident,   ///< ServeSession alive, waiting between rounds.
-  kEvicted,    ///< suspended to a kgacc-campaign-session v1 blob; resumed
-               ///< (deterministic replay) before its next grant.
+  kEvicted,    ///< session freed; the scheduler keeps its round count and
+               ///< rebuilds it from its config by deterministic replay
+               ///< before its next grant.
   kCompleted,  ///< campaign reached its own stopping decision.
   kStopped,    ///< stopped by request; never scheduled again.
   kFailed,     ///< design reported an error; never scheduled again.
@@ -61,7 +62,7 @@ struct TenantStatus {
   bool converged = false;
   double weight = 1.0;
   double quota_seconds = 0.0;
-  uint64_t evictions = 0;     ///< times this tenant was evicted to a blob.
+  uint64_t evictions = 0;     ///< times this tenant was evicted.
 };
 
 /// One scheduler decision: which tenant got the round, what the round was

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "util/logging.h"
-#include "util/string_util.h"
 
 namespace kgacc {
 
@@ -59,15 +58,6 @@ size_t StratumOf(double value, const std::vector<double>& boundaries) {
 }
 
 }  // namespace
-
-Status CheckNumStrata(uint64_t num_strata) {
-  if (num_strata > static_cast<uint64_t>(kMaxStrata)) {
-    return Status::InvalidArgument(
-        StrFormat("num_strata %llu is over the limit of %d strata",
-                  static_cast<unsigned long long>(num_strata), kMaxStrata));
-  }
-  return Status::OK();
-}
 
 std::vector<double> CumulativeSqrtFBoundaries(const std::vector<double>& values,
                                               int num_strata, int num_bins) {

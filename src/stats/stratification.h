@@ -6,18 +6,12 @@
 #include <span>
 #include <vector>
 
-#include "util/status.h"
-
 namespace kgacc {
 
 /// Most strata a stratification takes: the cum-sqrt(F) histogram has 256
 /// bins and needs one per stratum, and a stratum id fits one byte.
 inline constexpr int kMaxStrata = 256;
 static_assert(kMaxStrata - 1 <= std::numeric_limits<uint8_t>::max());
-
-/// InvalidArgument, naming the limit, unless `num_strata` <= kMaxStrata.
-/// Every surface that takes a stratum count from outside checks it.
-Status CheckNumStrata(uint64_t num_strata);
 
 /// A partition of clusters into non-overlapping strata: each cluster's
 /// stratum id, plus each stratum's weight W_h = (triples in stratum h) /

@@ -48,6 +48,17 @@ Result<double> JsonValue::GetNumber(const std::string& key) const {
   return member->AsNumber();
 }
 
+Result<uint64_t> JsonValue::GetCount(const std::string& key) const {
+  KGACC_ASSIGN_OR_RETURN(const double number, GetNumber(key));
+  constexpr double kMaxExactCount = 9007199254740992.0;  // 2^53.
+  if (!(number >= 0.0) || number > kMaxExactCount ||
+      number != std::floor(number)) {
+    return Status::InvalidArgument(StrFormat(
+        "field '%s' is not a valid count: %.17g", key.c_str(), number));
+  }
+  return static_cast<uint64_t>(number);
+}
+
 Result<std::string> JsonValue::GetString(const std::string& key) const {
   const JsonValue* member = Find(key);
   if (member == nullptr || !member->is_string()) {

@@ -52,6 +52,10 @@ class JsonValue {
   /// Convenience typed lookups returning errors instead of aborting, for
   /// validating externally supplied documents.
   Result<double> GetNumber(const std::string& key) const;
+  /// A number member holding a non-negative integer of at most 2^53, the
+  /// range in which a double holds every integer exactly: larger, negative
+  /// or fractional values are an error, never a rounded or wrapped count.
+  Result<uint64_t> GetCount(const std::string& key) const;
   Result<std::string> GetString(const std::string& key) const;
   Result<bool> GetBool(const std::string& key) const;
 

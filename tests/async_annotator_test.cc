@@ -274,11 +274,11 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(MakeAnnotatorTest, BuildsTheStackTheSpecDescribes) {
   TestPopulation pop = MakeTestPopulation(50, 4, 0.9, 0.1, 27);
   const std::unique_ptr<Annotator> plain =
-      MakeAnnotator(AnnotatorSpec{}, &pop.oracle);
+      MakeAnnotator(AnnotatorSpec{}, &pop.oracle).value();
   EXPECT_NE(dynamic_cast<SimulatedAnnotator*>(plain.get()), nullptr);
 
   const std::unique_ptr<Annotator> async =
-      MakeAnnotator(AnnotatorSpec{.async = true}, &pop.oracle);
+      MakeAnnotator(AnnotatorSpec{.async = true}, &pop.oracle).value();
   EXPECT_NE(dynamic_cast<AsyncAnnotator*>(async.get()), nullptr);
   EXPECT_TRUE(async->AsyncCapable());
 }
@@ -289,12 +289,12 @@ TEST(MakeAnnotatorTest, LatencyWithoutAsyncIsWaitedOutSynchronously) {
   // it still never changes a label.
   TestPopulation pop = MakeTestPopulation(50, 4, 0.9, 0.1, 28);
   const std::unique_ptr<Annotator> latent =
-      MakeAnnotator(AnnotatorSpec{.latency_ms = 40.0}, &pop.oracle);
+      MakeAnnotator(AnnotatorSpec{.latency_ms = 40.0}, &pop.oracle).value();
   ASSERT_NE(dynamic_cast<MockLatencyAnnotator*>(latent.get()), nullptr);
   EXPECT_FALSE(latent->AsyncCapable());
 
   const std::unique_ptr<Annotator> plain =
-      MakeAnnotator(AnnotatorSpec{}, &pop.oracle);
+      MakeAnnotator(AnnotatorSpec{}, &pop.oracle).value();
   const std::vector<TripleRef> refs = MakeRefs(pop.population, 3, 29);
   const Clock::time_point start = Clock::now();
   for (const TripleRef& ref : refs) {

@@ -1,21 +1,24 @@
-// CampaignSessionState persistence: the kgacc-campaign-session v1 document
-// round-trips every field bit-exactly (resume = deterministic replay, so a
-// single drifted option would silently fork the campaign).
+// CampaignSessionState's one codec, the protocol's `campaign_state` JSON
+// object: it round-trips every field bit-exactly (resume = deterministic
+// replay, so a single drifted option would silently fork the campaign), and
+// a resume refuses a document it cannot replay faithfully.
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <string>
 
-#include "core/campaign_session.h"
-#include "core/state_io.h"
+#include "serve/graph_store.h"
+#include "serve/protocol.h"
+#include "serve/session_manager.h"
+#include "serve_test_util.h"
 
-namespace kgacc {
+namespace kgacc::serve {
 namespace {
 
 CampaignSessionState FullState() {
   CampaignSessionState state;
   state.design = "twcs+strat";
-  state.graph = "data/my graph.tsv";  // spaces survive (rest-of-line field).
+  state.graph = "data/my graph.tsv";  // spaces survive.
   state.rounds_completed = 17;
   state.options.moe_target = 0.0321;
   state.options.confidence = 0.99;
@@ -43,13 +46,47 @@ CampaignSessionState FullState() {
   return state;
 }
 
+Result<CampaignSessionState> Reparse(const std::string& text) {
+  KGACC_ASSIGN_OR_RETURN(const JsonValue json, JsonValue::Parse(text));
+  CampaignSessionState state;
+  KGACC_RETURN_IF_ERROR(ParseCampaignState(json, &state));
+  return state;
+}
+
+/// `text` with its first occurrence of `from` replaced by `to`.
+std::string Replaced(std::string text, const std::string& from,
+                     const std::string& to) {
+  const size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from << " in " << text;
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
+
+/// A resume through a SessionManager whose graph store holds "g": the
+/// response line of `campaign_state` (the object's JSON text).
+std::string ResumeLine(const std::string& campaign_state) {
+  GraphStore graphs;
+  graphs.Put("g", kgacc::testing::MakeServePopulationDataset(1));
+  SessionManager manager(&graphs);
+  const SessionManager::Response response =
+      manager.HandleLine(BuildResumeState(campaign_state));
+  EXPECT_EQ(response.lines.size(), 1u);
+  return response.lines.empty() ? "" : response.lines[0];
+}
+
+/// A small campaign on "g" that resumes fine as it stands.
+CampaignSessionState ResumableState() {
+  CampaignSessionState state;
+  state.design = "twcs";
+  state.graph = "g";
+  state.rounds_completed = 2;
+  return state;
+}
+
 TEST(CampaignSessionStateTest, RoundTripsEveryField) {
   const CampaignSessionState state = FullState();
-  std::ostringstream out;
-  ASSERT_TRUE(SaveCampaignSession(state, out).ok());
-
-  std::istringstream in(out.str());
-  const Result<CampaignSessionState> restored = RestoreCampaignSession(in);
+  const Result<CampaignSessionState> restored =
+      Reparse(CampaignStateJson(state));
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
 
   EXPECT_EQ(restored->design, state.design);
@@ -89,99 +126,88 @@ TEST(CampaignSessionStateTest, RoundTripsEveryField) {
 }
 
 TEST(CampaignSessionStateTest, SaveRestoreSaveIsIdentity) {
-  const CampaignSessionState state = FullState();
-  std::ostringstream first;
-  ASSERT_TRUE(SaveCampaignSession(state, first).ok());
-  std::istringstream in(first.str());
-  const Result<CampaignSessionState> restored = RestoreCampaignSession(in);
-  ASSERT_TRUE(restored.ok());
-  std::ostringstream second;
-  ASSERT_TRUE(SaveCampaignSession(*restored, second).ok());
-  EXPECT_EQ(first.str(), second.str());
+  const std::string first = CampaignStateJson(FullState());
+  const Result<CampaignSessionState> restored = Reparse(first);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(CampaignStateJson(*restored), first);
 }
 
 TEST(CampaignSessionStateTest, RejectsWrongHeader) {
-  std::istringstream in("kgacc-reservoir-state v1\n");
-  EXPECT_FALSE(RestoreCampaignSession(in).ok());
+  // Documents that are not a campaign_state: another format's object, a
+  // bare value, and an object without the campaign's design.
+  EXPECT_FALSE(
+      Reparse(R"({"schema": "kgacc-trace-v1", "campaigns": []})").ok());
+  EXPECT_FALSE(Reparse("[1, 2]").ok());
+  EXPECT_FALSE(Reparse(R"({"graph": "g", "rounds": 3})").ok());
 }
 
 TEST(CampaignSessionStateTest, RejectsTruncatedDocument) {
-  const CampaignSessionState state = FullState();
-  std::ostringstream out;
-  ASSERT_TRUE(SaveCampaignSession(state, out).ok());
-  const std::string full = out.str();
-  std::istringstream in(full.substr(0, full.size() / 2));
-  EXPECT_FALSE(RestoreCampaignSession(in).ok());
+  const std::string full = CampaignStateJson(FullState());
+  EXPECT_FALSE(Reparse(full.substr(0, full.size() / 2)).ok());
 }
 
 TEST(CampaignSessionStateTest, RejectsOutOfRangeValues) {
-  CampaignSessionState state = FullState();
+  // The codec reads types; the range rules are CheckAnnotatorSpec's, and a
+  // resume applies them before it replays anything.
+  CampaignSessionState state = ResumableState();
   state.annotator.noise_rate = 1.5;  // a probability.
-  std::ostringstream out;
-  ASSERT_TRUE(SaveCampaignSession(state, out).ok());
-  std::istringstream in(out.str());
-  EXPECT_FALSE(RestoreCampaignSession(in).ok());
+  const std::string refused = ResumeLine(CampaignStateJson(state));
+  EXPECT_NE(refused.find("\"ok\": false"), std::string::npos) << refused;
+  EXPECT_NE(refused.find("noise_rate"), std::string::npos) << refused;
+
+  const std::string resumed = ResumeLine(CampaignStateJson(ResumableState()));
+  EXPECT_NE(resumed.find("\"ok\": true"), std::string::npos) << resumed;
+  EXPECT_NE(resumed.find("\"rounds\": 2"), std::string::npos) << resumed;
 }
 
-TEST(CampaignSessionStateTest, LegacyBlobWithoutAsyncRecordsRestoresDefaults) {
-  // Blobs saved before the async-annotator records existed end right after
-  // c2_seconds; they must restore with the struct defaults rather than fail.
-  const CampaignSessionState state = FullState();
-  std::ostringstream out;
-  ASSERT_TRUE(SaveCampaignSession(state, out).ok());
-  std::string text = out.str();
-  const size_t start = text.find("async ");
-  const size_t stop = text.find("end");
-  ASSERT_NE(start, std::string::npos);
-  ASSERT_NE(stop, std::string::npos);
-  ASSERT_LT(start, stop);
-  text.erase(start, stop - start);  // strip the four trailing records.
-  std::istringstream in(text);
-  const Result<CampaignSessionState> restored = RestoreCampaignSession(in);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_FALSE(restored->annotator.async);
-  EXPECT_EQ(restored->annotator.latency_ms, 0.0);
-  EXPECT_EQ(restored->annotator.max_concurrent, 8u);
-  EXPECT_TRUE(restored->options.pipeline_rounds);
-  // Fields before the stripped tail still round-trip.
-  EXPECT_EQ(restored->annotator.c2_seconds, state.annotator.c2_seconds);
+TEST(CampaignSessionStateTest, LegacyTextBlobIsRefusedNamingItsFormat) {
+  // What suspend returned before campaign_state became a JSON object: a
+  // line-based text blob, carried as a JSON string. It is refused, with an
+  // error that names the old format, instead of being half-read.
+  const std::string blob =
+      "kgacc-campaign-session v1\ndesign twcs\ngraph g\nrounds 2\nend\n";
+  const std::string request_state = "\"" + JsonEscape(blob) + "\"";
+  const Result<CampaignSessionState> parsed = Reparse(request_state);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.status().message().find("kgacc-campaign-session v1"),
+            std::string::npos)
+      << parsed.status().message();
+
+  const std::string refused = ResumeLine(request_state);
+  EXPECT_NE(refused.find("\"ok\": false"), std::string::npos) << refused;
+  EXPECT_NE(refused.find("kgacc-campaign-session v1"), std::string::npos)
+      << refused;
 }
 
 TEST(CampaignSessionStateTest, RejectsUnknownTrailingRecord) {
-  const CampaignSessionState state = FullState();
-  std::ostringstream out;
-  ASSERT_TRUE(SaveCampaignSession(state, out).ok());
-  std::string text = out.str();
-  const size_t pos = text.find("pipeline_rounds");
-  ASSERT_NE(pos, std::string::npos);
-  text.insert(pos, "turbo_mode 1\n");
-  std::istringstream in(text);
-  EXPECT_FALSE(RestoreCampaignSession(in).ok());
+  // A member the codec never writes is refused wherever it appears: at the
+  // top level, in the options and in the annotator.
+  const std::string full = CampaignStateJson(FullState());
+  ASSERT_TRUE(Reparse(full).ok());
+  EXPECT_FALSE(
+      Reparse(Replaced(full, "\"rounds\"", "\"turbo_mode\": 1, \"rounds\""))
+          .ok());
+  EXPECT_FALSE(Reparse(Replaced(full, "\"moe_target\"",
+                                "\"turbo_mode\": 1, \"moe_target\""))
+                   .ok());
+  EXPECT_FALSE(Reparse(Replaced(full, "\"annotators\"",
+                                "\"turbo_mode\": 1, \"annotators\""))
+                   .ok());
 }
 
 TEST(CampaignSessionStateTest, RejectsOutOfRangeMaxConcurrent) {
-  const CampaignSessionState state = FullState();
-  std::ostringstream out;
-  ASSERT_TRUE(SaveCampaignSession(state, out).ok());
-  std::string text = out.str();
-  const size_t pos = text.find("max_concurrent 17");
-  ASSERT_NE(pos, std::string::npos);
-  text.replace(pos, 17, "max_concurrent 0 ");
-  std::istringstream in(text);
-  EXPECT_FALSE(RestoreCampaignSession(in).ok());
+  CampaignSessionState state = ResumableState();
+  state.annotator.max_concurrent = 0;
+  const std::string refused = ResumeLine(CampaignStateJson(state));
+  EXPECT_NE(refused.find("\"ok\": false"), std::string::npos) << refused;
+  EXPECT_NE(refused.find("max_concurrent"), std::string::npos) << refused;
 }
 
 TEST(CampaignSessionStateTest, RejectsUnknownSrsCi) {
-  CampaignSessionState state = FullState();
-  std::ostringstream out;
-  ASSERT_TRUE(SaveCampaignSession(state, out).ok());
-  std::string text = out.str();
-  const size_t pos = text.find("srs_ci wilson");
-  ASSERT_NE(pos, std::string::npos);
-  text.replace(pos, 13, "srs_ci jeffry");
-  std::istringstream in(text);
-  EXPECT_FALSE(RestoreCampaignSession(in).ok());
+  const std::string full = CampaignStateJson(FullState());
+  EXPECT_FALSE(
+      Reparse(Replaced(full, "\"wilson\"", "\"jeffreys\"")).ok());
 }
 
 }  // namespace
-}  // namespace kgacc
+}  // namespace kgacc::serve

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 namespace kgacc {
 namespace {
 
@@ -58,6 +61,25 @@ TEST(FlagParserTest, MalformedNumbersError) {
   const FlagParser flags = MustParse({"--n=abc", "--d=1.2.3"});
   EXPECT_TRUE(flags.GetUint64("n", 0).status().IsInvalidArgument());
   EXPECT_TRUE(flags.GetDouble("d", 0.0).status().IsInvalidArgument());
+}
+
+TEST(FlagParserTest, MalformedValueErrorNamesTheFlag) {
+  // A tool reports the getter's error and exits; it never runs with the
+  // default in place of a value it could not read.
+  const FlagParser flags = MustParse(
+      {"--moe", "abc", "--seed", "-3", "--m", "1.5", "--tolerance=x"});
+  const Status moe = flags.GetDouble("moe", 0.05).status();
+  const Status seed = flags.GetUint64("seed", 42).status();
+  const Status m = flags.GetUint64("m", 0).status();
+  const Status tolerance = flags.GetDouble("tolerance", 0.15).status();
+  for (const auto& [status, flag] :
+       {std::pair{moe, "--moe"}, std::pair{seed, "--seed"},
+        std::pair{m, "--m "}, std::pair{tolerance, "--tolerance"}}) {
+    EXPECT_TRUE(status.IsInvalidArgument()) << flag;
+    EXPECT_NE(status.message().find(flag), std::string::npos)
+        << status.message();
+  }
+  EXPECT_NE(seed.message().find("'-3'"), std::string::npos) << seed.message();
 }
 
 TEST(FlagParserTest, ValidateRejectsUnknownFlags) {

@@ -1,11 +1,14 @@
 // Robustness/edge-path tests for the incremental evaluators: an
 // under-budgeted SS base that no update can repair, reservoir capacity
-// growth under variance-increasing updates, and determinism of full
-// evolution runs.
+// growth under variance-increasing updates, empty updates, and determinism
+// of full evolution runs.
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "core/reservoir_incremental.h"
+#include "core/state_io.h"
 #include "core/stratified_incremental.h"
 #include "kg/cluster_population.h"
 #include "labels/synthetic_oracle.h"
@@ -142,6 +145,61 @@ TEST(ReservoirAccountingTest, RetainedClustersAreNeverRecharged) {
   EXPECT_LE(update.ledger.triples_annotated,
             annotator.ledger().triples_annotated - triples_after_init + 1);
   EXPECT_LE(update.ledger.entities_identified, 5u + 2u);
+}
+
+/// An empty update is a re-evaluation: while the estimate meets the target
+/// it annotates nothing and leaves the estimate as it was. The evaluator
+/// then takes a real update and a save/restore as if it had not happened:
+/// the restored copy's next update matches the original's.
+template <typename Method>
+void ExpectEmptyUpdateIsANoOp(
+    Status (*save)(const Method&, std::ostream&),
+    Status (*restore)(std::istream&, Method*)) {
+  Rng rng(23);
+  EvolvingKg kg;
+  kg.Append(2000, 10, 0.9, 0.1, rng);
+  EvaluationOptions options;
+  options.seed = 29;
+  SimulatedAnnotator annotator(&kg.oracle, kCost);
+  Method evaluator(&kg.population, &annotator, options);
+  const EvaluationResult init = evaluator.Initialize();
+  ASSERT_TRUE(init.converged);
+
+  const EvaluationResult empty = evaluator.ApplyUpdate(2000, 0);
+  EXPECT_TRUE(empty.converged);
+  EXPECT_EQ(empty.estimate.mean, init.estimate.mean);
+  EXPECT_EQ(empty.estimate.variance_of_mean, init.estimate.variance_of_mean);
+  EXPECT_EQ(empty.ledger.entities_identified, 0u);
+  EXPECT_EQ(empty.ledger.triples_annotated, 0u);
+  EXPECT_EQ(empty.annotation_seconds, 0.0);
+
+  const auto [first, count] = kg.Append(300, 10, 0.8, 0.1, rng);
+  const EvaluationResult update = evaluator.ApplyUpdate(first, count);
+  EXPECT_TRUE(update.converged);
+  std::stringstream state;
+  ASSERT_TRUE(save(evaluator, state).ok());
+  SimulatedAnnotator restored_annotator(&kg.oracle, kCost);
+  Method restored(&kg.population, &restored_annotator, options);
+  const Status restored_status = restore(state, &restored);
+  ASSERT_TRUE(restored_status.ok()) << restored_status.ToString();
+  EXPECT_EQ(restored.CurrentEstimate().mean, evaluator.CurrentEstimate().mean);
+
+  const auto [next, more] = kg.Append(300, 10, 0.8, 0.1, rng);
+  const EvaluationResult original = evaluator.ApplyUpdate(next, more);
+  const EvaluationResult resumed = restored.ApplyUpdate(next, more);
+  EXPECT_EQ(resumed.estimate.mean, original.estimate.mean);
+  EXPECT_EQ(resumed.estimate.variance_of_mean,
+            original.estimate.variance_of_mean);
+}
+
+TEST(EmptyUpdateTest, StratifiedAddsNoStratumAndAnnotatesNothing) {
+  ExpectEmptyUpdateIsANoOp<StratifiedIncrementalEvaluator>(
+      SaveStratifiedState, RestoreStratifiedState);
+}
+
+TEST(EmptyUpdateTest, ReservoirAnnotatesNothing) {
+  ExpectEmptyUpdateIsANoOp<ReservoirIncrementalEvaluator>(
+      SaveReservoirState, RestoreReservoirState);
 }
 
 }  // namespace

@@ -51,6 +51,22 @@ TEST(JsonTest, RejectsRunawayNesting) {
   EXPECT_FALSE(JsonValue::Parse(deep).ok());
 }
 
+TEST(JsonTest, CountsAreExactNonNegativeIntegers) {
+  const Result<JsonValue> parsed = JsonValue::Parse(
+      R"({"zero": 0, "top": 9007199254740992, "past": 9007199254740994,
+          "negative": -1, "half": 0.5, "text": "7"})");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->GetCount("zero").value(), 0u);
+  EXPECT_EQ(parsed->GetCount("top").value(), uint64_t{1} << 53);
+  // 2^53 + 2 is a double, but past the range where every count is one.
+  for (const char* key : {"past", "negative", "half", "text", "absent"}) {
+    const Result<uint64_t> count = parsed->GetCount(key);
+    EXPECT_FALSE(count.ok()) << key;
+    EXPECT_NE(count.status().message().find(key), std::string::npos)
+        << count.status().message();
+  }
+}
+
 TEST(JsonTest, TypedLookupsFailSoftly) {
   const Result<JsonValue> parsed = JsonValue::Parse(R"({"n": "text"})");
   ASSERT_TRUE(parsed.ok());

@@ -61,32 +61,30 @@ TEST(ServeProtocolTest, RejectsUnknownOptionMembers) {
   EXPECT_NE(status.message().find("moe_tragte"), std::string::npos);
 }
 
-TEST(ServeProtocolTest, RejectsOutOfRangeOptions) {
+/// What a request's options object amounts to: parsed for types, then
+/// held to CheckEvaluationOptions' ranges (as MakeCampaign does).
+Status ParseAndCheck(const std::string& text) {
   EvaluationOptions options;
-  EXPECT_FALSE(ParseEvaluationOptions(ParseOrDie(R"({"moe_target": -1})"),
-                                      &options)
-                   .ok());
-  EXPECT_FALSE(ParseEvaluationOptions(ParseOrDie(R"({"confidence": 2})"),
-                                      &options)
-                   .ok());
-  EXPECT_FALSE(ParseEvaluationOptions(ParseOrDie(R"({"batch_units": 0})"),
-                                      &options)
-                   .ok());
+  KGACC_RETURN_IF_ERROR(ParseEvaluationOptions(ParseOrDie(text), &options));
+  return CheckEvaluationOptions(options);
+}
+
+TEST(ServeProtocolTest, RejectsOutOfRangeOptions) {
+  EXPECT_FALSE(ParseAndCheck(R"({"moe_target": -1})").ok());
+  EXPECT_FALSE(ParseAndCheck(R"({"confidence": 2})").ok());
+  EXPECT_FALSE(ParseAndCheck(R"({"batch_units": 0})").ok());
+  EvaluationOptions options;
   EXPECT_FALSE(ParseEvaluationOptions(
                    ParseOrDie(R"({"seed": 0.5})"), &options)
                    .ok());  // counts must be integers.
 }
 
 TEST(ServeProtocolTest, RejectsAStrataCountOverTheLimit) {
-  EvaluationOptions options;
-  const Status status = ParseEvaluationOptions(
-      ParseOrDie(R"({"num_strata": 300})"), &options);
+  const Status status = ParseAndCheck(R"({"num_strata": 300})");
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("256"), std::string::npos)
       << status.message();
-  EXPECT_TRUE(
-      ParseEvaluationOptions(ParseOrDie(R"({"num_strata": 256})"), &options)
-          .ok());
+  EXPECT_TRUE(ParseAndCheck(R"({"num_strata": 256})").ok());
 }
 
 TEST(ServeProtocolTest, ParsesAnnotatorSpec) {
@@ -99,20 +97,22 @@ TEST(ServeProtocolTest, ParsesAnnotatorSpec) {
   EXPECT_EQ(spec.annotators, 3u);
   EXPECT_EQ(spec.noise_rate, 0.1);
   EXPECT_EQ(spec.seed, 99u);
-  EXPECT_EQ(spec.annotation_threads, 4);
-  EXPECT_EQ(spec.annotation_shards, 8);
+  EXPECT_EQ(spec.annotation_threads, 4u);
+  EXPECT_EQ(spec.annotation_shards, 8u);
   EXPECT_EQ(spec.c1_seconds, 40.0);
   EXPECT_EQ(spec.c2_seconds, 20.0);
 }
 
 TEST(ServeProtocolTest, RejectsBadAnnotatorSpec) {
-  AnnotatorSpec spec;
-  EXPECT_FALSE(
-      ParseAnnotatorSpec(ParseOrDie(R"({"annotators": 0})"), &spec).ok());
-  EXPECT_FALSE(
-      ParseAnnotatorSpec(ParseOrDie(R"({"noise_rate": 1.2})"), &spec).ok());
-  EXPECT_FALSE(
-      ParseAnnotatorSpec(ParseOrDie(R"({"noize": 0.1})"), &spec).ok());
+  // Ranges are CheckAnnotatorSpec's; an unknown member is the parser's.
+  const auto parse_and_check = [](const std::string& text) {
+    AnnotatorSpec spec;
+    KGACC_RETURN_IF_ERROR(ParseAnnotatorSpec(ParseOrDie(text), &spec));
+    return CheckAnnotatorSpec(spec);
+  };
+  EXPECT_FALSE(parse_and_check(R"({"annotators": 0})").ok());
+  EXPECT_FALSE(parse_and_check(R"({"noise_rate": 1.2})").ok());
+  EXPECT_FALSE(parse_and_check(R"({"noize": 0.1})").ok());
 }
 
 TEST(ServeProtocolTest, BuildersEmitParseableRequests) {
@@ -122,7 +122,7 @@ TEST(ServeProtocolTest, BuildersEmitParseableRequests) {
                            R"({"annotators": 3})"),
         BuildStep("s1", 5), BuildQueryEstimate("s1"), BuildStreamTrace("s1"),
         BuildSuspend("s1"), BuildResumeSession("s1"),
-        BuildResumeState("kgacc-campaign-session v1\nend\n"),
+        BuildResumeState(R"({"design": "twcs", "graph": "g"})"),
         BuildStop("s1"), BuildMetrics(), BuildShutdown()}) {
     const JsonValue json = ParseOrDie(request);
     ASSERT_TRUE(json.is_object()) << request;
@@ -221,7 +221,7 @@ std::string BuiltRequest(const std::string& op) {
   if (op == "suspend") return BuildSuspend("s1");
   if (op == "resume") return BuildResumeSession("s1");
   if (op == "resume-state") {
-    return BuildResumeState("kgacc-campaign-session v1\nend\n");
+    return BuildResumeState(R"({"design": "twcs", "graph": "g", "rounds": 1})");
   }
   if (op == "stop") return BuildStop("s1");
   if (op == "set-budget") return BuildSetBudget(10.0);
@@ -252,7 +252,7 @@ TEST_P(ServeUnknownKeyTest, BuiltRequestPassesAndAnExtraKeyIsNamed) {
   const SessionManager::Response built = manager_.HandleLine(request);
   ASSERT_FALSE(built.lines.empty());
   // A builder's request may still fail on its merits (no such graph, a
-  // blob without a design), never on its keys.
+  // suspended session), never on its keys.
   EXPECT_EQ(built.lines[0].find("unknown key"), std::string::npos)
       << request << " -> " << built.lines[0];
 

@@ -132,7 +132,7 @@ TEST_F(ServeServerTest, SuspendResumeStreamsByteIdenticalTraces) {
   const std::vector<std::string> expected = StreamRounds(ref_session);
   ASSERT_GT(expected.size(), 4u);
 
-  // Interrupted: step 2, suspend, resume from the persisted blob, finish.
+  // Interrupted: step 2, suspend, resume from the persisted state, finish.
   const JsonValue started =
       Call(BuildStartCampaign("g", "twcs", campaign_options));
   ASSERT_TRUE(Ok(started));
@@ -140,10 +140,13 @@ TEST_F(ServeServerTest, SuspendResumeStreamsByteIdenticalTraces) {
   ASSERT_TRUE(Ok(Call(BuildStep(session, 2))));
   const JsonValue suspended = Call(BuildSuspend(session));
   ASSERT_TRUE(Ok(suspended));
-  const std::string blob = Str(suspended, "campaign_state");
-  ASSERT_NE(blob.find("kgacc-campaign-session v1"), std::string::npos);
+  const JsonValue* object = suspended.Find("campaign_state");
+  ASSERT_NE(object, nullptr);
+  CampaignSessionState state;
+  ASSERT_TRUE(ParseCampaignState(*object, &state).ok());
+  EXPECT_EQ(state.rounds_completed, 2u);
 
-  const JsonValue resumed = Call(BuildResumeState(blob));
+  const JsonValue resumed = Call(BuildResumeState(CampaignStateJson(state)));
   ASSERT_TRUE(Ok(resumed));
   const std::string resumed_session = Str(resumed, "session");
   ASSERT_NE(resumed_session, session);  // a fresh session carries it on.

@@ -1,5 +1,5 @@
-// The serve subsystem's headline guarantee: a campaign suspended into a
-// kgacc-campaign-session v1 blob and resumed (fresh session, fresh
+// The serve subsystem's headline guarantee: a campaign suspended into its
+// campaign_state document and resumed (fresh session, fresh
 // annotator, deterministic replay of the completed rounds) finishes with an
 // EvaluationResult and telemetry trace bit-identical to the same campaign
 // run uninterrupted — for every registry design and every
@@ -11,13 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
 
-#include "core/state_io.h"
 #include "serve_test_util.h"
 
 namespace kgacc::serve {
@@ -79,6 +77,18 @@ Output RunUninterrupted(const std::string& design, int threads) {
   return Finish(session);
 }
 
+/// What a suspend hands a client and a resume reads back: the state as its
+/// campaign_state JSON document, parsed again.
+CampaignSessionState ThroughJson(const CampaignSessionState& state) {
+  const Result<JsonValue> json = JsonValue::Parse(CampaignStateJson(state));
+  EXPECT_TRUE(json.ok()) << json.status().ToString();
+  CampaignSessionState parsed;
+  const Status status =
+      json.ok() ? ParseCampaignState(*json, &parsed) : json.status();
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  return parsed;
+}
+
 /// Runs the campaign with a suspend/serialize/restore/resume cycle after
 /// each prefix in `steps`, then to completion. Every cycle rebuilds the
 /// session from nothing but the persisted state document (plus the graph,
@@ -95,25 +105,21 @@ Output RunWithSuspensions(const std::string& design, int threads,
   int generation = 0;
   for (const uint64_t rounds : steps) {
     EXPECT_TRUE(session->Step(rounds).ok());
-    Result<std::string> blob = session->Suspend();
-    EXPECT_TRUE(blob.ok()) << blob.status().ToString();
-    if (!blob.ok()) break;
-
-    std::istringstream in(*blob);
-    Result<CampaignSessionState> state = RestoreCampaignSession(in);
-    EXPECT_TRUE(state.ok()) << state.status().ToString();
-    if (!state.ok()) break;
+    Result<CampaignSessionState> suspended = session->Suspend();
+    EXPECT_TRUE(suspended.ok()) << suspended.status().ToString();
+    if (!suspended.ok()) break;
+    const CampaignSessionState state = ThroughJson(*suspended);
 
     session = std::make_unique<ServeSession>(
         ServeSession::Config{.id = "i" + std::to_string(++generation),
-                             .design = state->design,
-                             .graph = state->graph,
-                             .dataset = DatasetFor(state->design),
-                             .options = state->options,
-                             .annotator = state->annotator,
-                             .replay_rounds = state->rounds_completed});
+                             .design = state.design,
+                             .graph = state.graph,
+                             .dataset = DatasetFor(state.design),
+                             .options = state.options,
+                             .annotator = state.annotator,
+                             .replay_rounds = state.rounds_completed});
     EXPECT_EQ(session->TraceAfter(0).rounds.size(),
-              design == "kgeval" ? 0u : state->rounds_completed);
+              design == "kgeval" ? 0u : state.rounds_completed);
   }
   return Finish(*session);
 }
@@ -204,19 +210,17 @@ TEST(ServeSessionTest, AnnotatorPoolResumesBitIdentically) {
                       .options = options,
                       .annotator = spec});
   ASSERT_TRUE(first.Step(3).ok());
-  Result<std::string> blob = first.Suspend();
-  ASSERT_TRUE(blob.ok()) << blob.status().ToString();
-  std::istringstream in(*blob);
-  Result<CampaignSessionState> state = RestoreCampaignSession(in);
-  ASSERT_TRUE(state.ok());
-  EXPECT_EQ(state->annotator.annotators, 3u);
+  Result<CampaignSessionState> suspended = first.Suspend();
+  ASSERT_TRUE(suspended.ok()) << suspended.status().ToString();
+  const CampaignSessionState state = ThroughJson(*suspended);
+  EXPECT_EQ(state.annotator.annotators, 3u);
   ServeSession resumed({.id = "b",
-                        .design = state->design,
-                        .graph = state->graph,
-                        .dataset = DatasetFor(state->design),
-                        .options = state->options,
-                        .annotator = state->annotator,
-                        .replay_rounds = state->rounds_completed});
+                        .design = state.design,
+                        .graph = state.graph,
+                        .dataset = DatasetFor(state.design),
+                        .options = state.options,
+                        .annotator = state.annotator,
+                        .replay_rounds = state.rounds_completed});
   ExpectBitIdentical(expected, Finish(resumed), "pool/suspend@3");
 }
 
@@ -271,9 +275,9 @@ AnnotatorSpec AsyncSpec(int threads) {
 TEST(ServeSessionTest, AsyncAnnotatorStepsAndSuspendsBitIdentically) {
   // The async bridge under the serve lifecycle: a campaign stepped and
   // suspended with annotations in flight each round must (a) persist its
-  // async spec into the state blob, and (b) resume to a result bit-identical
-  // to the plain synchronous annotator run uninterrupted — the bridge and
-  // the suspend machinery compose without touching results.
+  // async spec into its campaign_state, and (b) resume to a result
+  // bit-identical to the plain synchronous annotator run uninterrupted —
+  // the bridge and the suspend machinery compose without touching results.
   const Output expected = RunUninterrupted("twcs", 4);
 
   ServeSession first({.id = "a",
@@ -283,22 +287,20 @@ TEST(ServeSessionTest, AsyncAnnotatorStepsAndSuspendsBitIdentically) {
                       .options = BaseOptions(),
                       .annotator = AsyncSpec(4)});
   ASSERT_TRUE(first.Step(3).ok());
-  Result<std::string> blob = first.Suspend();
-  ASSERT_TRUE(blob.ok()) << blob.status().ToString();
-  std::istringstream in(*blob);
-  Result<CampaignSessionState> state = RestoreCampaignSession(in);
-  ASSERT_TRUE(state.ok()) << state.status().ToString();
-  EXPECT_TRUE(state->annotator.async);
-  EXPECT_EQ(state->annotator.latency_ms, 0.2);
-  EXPECT_EQ(state->annotator.max_concurrent, 8u);
+  Result<CampaignSessionState> suspended = first.Suspend();
+  ASSERT_TRUE(suspended.ok()) << suspended.status().ToString();
+  const CampaignSessionState state = ThroughJson(*suspended);
+  EXPECT_TRUE(state.annotator.async);
+  EXPECT_EQ(state.annotator.latency_ms, 0.2);
+  EXPECT_EQ(state.annotator.max_concurrent, 8u);
 
   ServeSession resumed({.id = "b",
-                        .design = state->design,
-                        .graph = state->graph,
-                        .dataset = DatasetFor(state->design),
-                        .options = state->options,
-                        .annotator = state->annotator,
-                        .replay_rounds = state->rounds_completed});
+                        .design = state.design,
+                        .graph = state.graph,
+                        .dataset = DatasetFor(state.design),
+                        .options = state.options,
+                        .annotator = state.annotator,
+                        .replay_rounds = state.rounds_completed});
   ExpectBitIdentical(expected, Finish(resumed), "async/suspend@3");
 }
 
@@ -367,13 +369,6 @@ TEST(ServeSessionTest, ResumeReplaysItsRoundsBeforeReturning) {
   EXPECT_EQ(session.TraceAfter(0).rounds.size(), 3u);
 }
 
-CampaignSessionState StateOf(const std::string& blob) {
-  std::istringstream in(blob);
-  Result<CampaignSessionState> state = RestoreCampaignSession(in);
-  EXPECT_TRUE(state.ok()) << state.status().ToString();
-  return state.ok() ? *state : CampaignSessionState{};
-}
-
 TEST(ServeSessionTest, ResumedSessionSuspendedAtOnceKeepsItsRounds) {
   // A resumed session replays its rounds before the constructor returns,
   // so suspending it straight away saves the same position, never less.
@@ -386,9 +381,9 @@ TEST(ServeSessionTest, ResumedSessionSuspendedAtOnceKeepsItsRounds) {
                         .options = BaseOptions(),
                         .annotator = BaseSpec(1)});
     ASSERT_TRUE(first.Step(4).ok());
-    Result<std::string> blob = first.Suspend();
-    ASSERT_TRUE(blob.ok()) << blob.status().ToString();
-    const CampaignSessionState state = StateOf(*blob);
+    Result<CampaignSessionState> suspended = first.Suspend();
+    ASSERT_TRUE(suspended.ok()) << suspended.status().ToString();
+    const CampaignSessionState state = ThroughJson(*suspended);
     ASSERT_EQ(state.rounds_completed, 4u);
 
     ServeSession resumed({.id = "b",
@@ -398,9 +393,9 @@ TEST(ServeSessionTest, ResumedSessionSuspendedAtOnceKeepsItsRounds) {
                           .options = state.options,
                           .annotator = state.annotator,
                           .replay_rounds = state.rounds_completed});
-    Result<std::string> again = resumed.Suspend();
+    Result<CampaignSessionState> again = resumed.Suspend();
     ASSERT_TRUE(again.ok()) << again.status().ToString();
-    EXPECT_EQ(StateOf(*again).rounds_completed, 4u);
+    EXPECT_EQ(again->rounds_completed, 4u);
     EXPECT_EQ(resumed.GetInfo().state, ServeSession::State::kSuspended);
   }
 }
@@ -436,9 +431,9 @@ TEST_P(ServeInterruptTest, EndsStepZeroWithinOneRound) {
   const auto start = std::chrono::steady_clock::now();
   uint64_t rounds = 0;
   if (end_by == EndBy::kSuspend) {
-    Result<std::string> blob = session.Suspend();
-    ASSERT_TRUE(blob.ok()) << blob.status().ToString();
-    rounds = StateOf(*blob).rounds_completed;
+    Result<CampaignSessionState> suspended = session.Suspend();
+    ASSERT_TRUE(suspended.ok()) << suspended.status().ToString();
+    rounds = suspended->rounds_completed;
   } else {
     ASSERT_TRUE(session.Stop().ok());
     rounds = session.GetInfo().result.rounds;

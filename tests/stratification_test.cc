@@ -151,14 +151,5 @@ TEST(StratifySizesTest, MatchesStratifyClustersOverTheSizes) {
   }
 }
 
-TEST(CheckNumStrataTest, NamesTheLimit) {
-  EXPECT_TRUE(CheckNumStrata(1).ok());
-  EXPECT_TRUE(CheckNumStrata(kMaxStrata).ok());
-  const Status over = CheckNumStrata(kMaxStrata + 1);
-  EXPECT_EQ(over.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(over.message().find("256"), std::string::npos) << over.message();
-  EXPECT_FALSE(CheckNumStrata(uint64_t{1} << 31).ok());
-}
-
 }  // namespace
 }  // namespace kgacc

@@ -128,7 +128,60 @@ int WriteObsArtifacts(const std::string& metrics_path,
   return 0;
 }
 
+/// Reads the evaluation and annotation flags over the structs' defaults.
+/// A malformed value is an error naming its flag; ranges are left to
+/// CheckEvaluationOptions and CheckAnnotatorSpec.
+Status ReadConfig(const FlagParser& flags, EvaluationOptions* options,
+                  AnnotatorSpec* spec) {
+  KGACC_ASSIGN_OR_RETURN(options->moe_target,
+                         flags.GetDouble("moe", options->moe_target));
+  KGACC_ASSIGN_OR_RETURN(options->confidence,
+                         flags.GetDouble("confidence", options->confidence));
+  KGACC_ASSIGN_OR_RETURN(options->m, flags.GetUint64("m", options->m));
+  KGACC_ASSIGN_OR_RETURN(options->min_units,
+                         flags.GetUint64("min-units", options->min_units));
+  KGACC_ASSIGN_OR_RETURN(options->pilot_size,
+                         flags.GetUint64("pilot-size", options->pilot_size));
+  KGACC_ASSIGN_OR_RETURN(options->batch_units,
+                         flags.GetUint64("batch-units", options->batch_units));
+  KGACC_ASSIGN_OR_RETURN(options->seed, flags.GetUint64("seed", options->seed));
+  KGACC_ASSIGN_OR_RETURN(options->num_strata,
+                         flags.GetUint64("strata", options->num_strata));
+  if (flags.GetBool("wilson", false)) options->srs_ci = CiMethod::kWilson;
+  options->pipeline_rounds = !flags.GetBool("no-pipeline", false);
+
+  KGACC_ASSIGN_OR_RETURN(spec->annotators,
+                         flags.GetUint64("annotators", spec->annotators));
+  KGACC_ASSIGN_OR_RETURN(spec->noise_rate,
+                         flags.GetDouble("noise", spec->noise_rate));
+  spec->seed = options->seed;
+  KGACC_ASSIGN_OR_RETURN(
+      spec->annotation_threads,
+      flags.GetUint64("annotation-threads", spec->annotation_threads));
+  KGACC_ASSIGN_OR_RETURN(spec->c1_seconds,
+                         flags.GetDouble("c1", spec->c1_seconds));
+  KGACC_ASSIGN_OR_RETURN(spec->c2_seconds,
+                         flags.GetDouble("c2", spec->c2_seconds));
+  spec->async = flags.GetBool("async-annotator", false);
+  KGACC_ASSIGN_OR_RETURN(
+      spec->latency_ms,
+      flags.GetDouble("annotator-latency-ms", spec->latency_ms));
+  KGACC_ASSIGN_OR_RETURN(
+      spec->max_concurrent,
+      flags.GetUint64("max-concurrent", spec->max_concurrent));
+  // Checked before the graph is built, which can take seconds.
+  KGACC_RETURN_IF_ERROR(CheckEvaluationOptions(*options));
+  return CheckAnnotatorSpec(*spec);
+}
+
 int RunEval(const FlagParser& flags) {
+  EvaluationOptions options;
+  AnnotatorSpec spec;
+  if (const Status config = ReadConfig(flags, &options, &spec); !config.ok()) {
+    std::fprintf(stderr, "error: %s\n", config.message().c_str());
+    return 1;
+  }
+
   // --- Observability (enabled before loading so KG timings are captured). ----
   const std::string metrics_path = flags.GetString("metrics", "");
   const std::string chrome_trace_path = flags.GetString("chrome-trace", "");
@@ -142,20 +195,12 @@ int RunEval(const FlagParser& flags) {
   }
   if (!chrome_trace_path.empty()) obs::TraceSession::Start();
 
-  // Checked before the graph is built, which can take seconds.
-  const uint64_t strata_count = flags.GetUint64("strata", 0).ValueOr(0);
-  if (const Status strata = CheckNumStrata(strata_count); !strata.ok()) {
-    std::fprintf(stderr, "error: --strata: %s\n", strata.message().c_str());
-    return 1;
-  }
-
   // --- Input. ----------------------------------------------------------------
   Dataset dataset;
   std::unique_ptr<SymbolTable> symbols;
-  const uint64_t seed = flags.GetUint64("seed", 42).ValueOr(42);
   if (flags.Has("dataset")) {
     Result<Dataset> made =
-        MakeDatasetByName(flags.GetString("dataset", ""), seed);
+        MakeDatasetByName(flags.GetString("dataset", ""), options.seed);
     if (!made.ok()) {
       std::fprintf(stderr, "error: %s\n", made.status().ToString().c_str());
       return 1;
@@ -208,50 +253,19 @@ int RunEval(const FlagParser& flags) {
     return 1;
   }
 
-  // --- Options. ----------------------------------------------------------------
-  EvaluationOptions options;
-  options.moe_target = flags.GetDouble("moe", 0.05).ValueOr(0.05);
-  options.confidence = flags.GetDouble("confidence", 0.95).ValueOr(0.95);
-  options.m = flags.GetUint64("m", 0).ValueOr(0);
-  options.min_units = flags.GetUint64("min-units", 30).ValueOr(30);
-  options.pilot_size = flags.GetUint64("pilot-size", 0).ValueOr(0);
-  options.seed = seed;
-  if (flags.GetBool("wilson", false)) options.srs_ci = CiMethod::kWilson;
-  const uint64_t batch_units = flags.GetUint64("batch-units", 0).ValueOr(0);
-  if (flags.Has("batch-units")) {
-    if (batch_units == 0) {
-      std::fprintf(stderr, "error: --batch-units must be >= 1\n");
-      return 1;
-    }
-    options.batch_units = batch_units;
-  }
-
   const std::string trace_path = flags.GetString("trace", "");
   TraceRecorder recorder;
   if (!trace_path.empty()) options.telemetry = &recorder;
 
-  AnnotatorSpec spec;
-  spec.annotators = flags.GetUint64("annotators", 1).ValueOr(1);
-  spec.noise_rate = flags.GetDouble("noise", 0.0).ValueOr(0.0);
-  spec.seed = seed;
-  spec.annotation_threads =
-      static_cast<int>(flags.GetUint64("annotation-threads", 0).ValueOr(0));
-  spec.c1_seconds = flags.GetDouble("c1", 45.0).ValueOr(45.0);
-  spec.c2_seconds = flags.GetDouble("c2", 25.0).ValueOr(25.0);
-  spec.async = flags.GetBool("async-annotator", false);
-  spec.latency_ms = flags.GetDouble("annotator-latency-ms", 0.0).ValueOr(0.0);
-  spec.max_concurrent = flags.GetUint64("max-concurrent", 8).ValueOr(8);
-  if (spec.latency_ms < 0.0) {
-    std::fprintf(stderr, "error: --annotator-latency-ms must be >= 0\n");
-    return 1;
-  }
-  if (spec.max_concurrent == 0) {
-    std::fprintf(stderr, "error: --max-concurrent must be >= 1\n");
-    return 1;
-  }
-  options.pipeline_rounds = !flags.GetBool("no-pipeline", false);
-  const std::unique_ptr<Annotator> annotator =
+  Result<std::unique_ptr<Annotator>> made_annotator =
       MakeAnnotator(spec, dataset.oracle.get());
+  if (!made_annotator.ok()) {
+    std::fprintf(stderr, "error: %s\n",
+                 made_annotator.status().message().c_str());
+    return 1;
+  }
+  const std::unique_ptr<Annotator> annotator =
+      std::move(made_annotator).value();
 
   const KgView& view = dataset.View();
   std::printf("graph: %s — %llu entities, %llu triples (avg cluster %.1f)\n",
@@ -302,15 +316,14 @@ int RunEval(const FlagParser& flags) {
 
   // --- Whole-graph evaluation (design resolved via the registry). ------------
   std::string design = flags.GetString("design", "twcs");
-  if (strata_count > 1) {
-    options.num_strata = strata_count;
+  if (flags.Has("strata") && options.num_strata > 1) {
     if (!flags.Has("design")) {
       design = "twcs+strat";
     } else if (design != "twcs+strat") {
       std::fprintf(stderr,
                    "error: --strata %llu conflicts with --design %s (strata "
                    "only apply to twcs+strat)\n",
-                   static_cast<unsigned long long>(strata_count),
+                   static_cast<unsigned long long>(options.num_strata),
                    design.c_str());
       return 1;
     }

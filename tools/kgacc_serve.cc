@@ -12,8 +12,8 @@
 //    "options": {"moe_target": 0.05}}
 //   {"op": "step", "session": "s1", "rounds": 5}
 //   {"op": "query-estimate", "session": "s1"}
-//   {"op": "suspend", "session": "s1"}     -> returns campaign_state blob
-//   {"op": "resume", "campaign_state": "..."}
+//   {"op": "suspend", "session": "s1"}     -> returns a campaign_state object
+//   {"op": "resume", "campaign_state": {...}}  (that object, after a restart)
 //   {"op": "stream-trace", "session": "s1"}
 //   {"op": "metrics"}
 //   {"op": "shutdown"}
@@ -58,9 +58,9 @@ start-campaign with "tenant": true admits a campaign to the scheduler):
   --annotation-budget N     global annotation-seconds budget the fleet
                             may spend (set-budget changes it live;
                             0 = no grants until set-budget)      [unlimited]
-  --max-resident-sessions K evict least-recently-granted tenants to
-                            suspend blobs beyond K running sessions
-                            (0 = unlimited)                            [0]
+  --max-resident-sessions K evict least-recently-granted tenants beyond
+                            K running sessions (an evicted tenant is
+                            replayed on its next grant) (0 = unlimited) [0]
 
 Annotation latency defaults (a campaign's "annotator" object overrides
 them field by field):
@@ -103,15 +103,23 @@ int Main(int argc, char** argv) {
   }
   AnnotatorSpec default_annotator;
   default_annotator.async = flags.GetBool("async-annotator", false);
-  default_annotator.latency_ms =
-      flags.GetDouble("annotator-latency-ms", 0.0).ValueOr(0.0);
-  default_annotator.max_concurrent =
-      flags.GetUint64("max-concurrent", 8).ValueOr(8);
-  if (default_annotator.latency_ms < 0.0 ||
-      default_annotator.max_concurrent == 0) {
-    std::fprintf(stderr,
-                 "error: --annotator-latency-ms must be >= 0 and "
-                 "--max-concurrent must be >= 1\n");
+  Result<double> latency_ms =
+      flags.GetDouble("annotator-latency-ms", default_annotator.latency_ms);
+  Result<uint64_t> max_concurrent =
+      flags.GetUint64("max-concurrent", default_annotator.max_concurrent);
+  if (!latency_ms.ok() || !max_concurrent.ok()) {
+    std::fprintf(stderr, "error: %s\n",
+                 (!latency_ms.ok() ? latency_ms.status()
+                                   : max_concurrent.status())
+                     .message()
+                     .c_str());
+    return 2;
+  }
+  default_annotator.latency_ms = *latency_ms;
+  default_annotator.max_concurrent = *max_concurrent;
+  if (const Status valid = CheckAnnotatorSpec(default_annotator);
+      !valid.ok()) {
+    std::fprintf(stderr, "error: %s\n", valid.message().c_str());
     return 2;
   }
 

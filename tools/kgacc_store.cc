@@ -52,17 +52,19 @@ int RunBuild(const FlagParser& flags) {
     std::fprintf(stderr, "error: build requires --out FILE.kgstore\n");
     return 1;
   }
-  const uint64_t seed = flags.GetUint64("seed", 42).ValueOr(42);
+  const Result<uint64_t> seed = flags.GetUint64("seed", 42);
+  if (!seed.ok()) return Fail(seed.status());
 
   if (flags.Has("synthetic-triples")) {
-    const uint64_t triples =
-        flags.GetUint64("synthetic-triples", 0).ValueOr(0);
-    if (triples == 0) {
+    const Result<uint64_t> triples = flags.GetUint64("synthetic-triples", 0);
+    if (!triples.ok()) return Fail(triples.status());
+    if (*triples == 0) {
       std::fprintf(stderr, "error: --synthetic-triples must be >= 1\n");
       return 1;
     }
-    const double accuracy = flags.GetDouble("accuracy", 0.9).ValueOr(0.9);
-    const Status built = BuildMovieFullStore(out, triples, accuracy, seed);
+    const Result<double> accuracy = flags.GetDouble("accuracy", 0.9);
+    if (!accuracy.ok()) return Fail(accuracy.status());
+    const Status built = BuildMovieFullStore(out, *triples, *accuracy, *seed);
     if (!built.ok()) return Fail(built);
   } else if (flags.Has("input")) {
     const std::string input = flags.GetString("input", "");
@@ -89,7 +91,7 @@ int RunBuild(const FlagParser& flags) {
     if (!written.ok()) return Fail(written);
   } else if (flags.Has("dataset")) {
     Result<Dataset> made =
-        MakeDatasetByName(flags.GetString("dataset", ""), seed);
+        MakeDatasetByName(flags.GetString("dataset", ""), *seed);
     if (!made.ok()) return Fail(made.status());
     const Dataset dataset = std::move(made).value();
     const TripleView* triples = dataset.Triples();

@@ -332,7 +332,11 @@ bool CheckTraces(const std::string& path, const JsonValue& doc,
 
 int Run(const FlagParser& flags) {
   const std::string baseline_dir = flags.GetString("baseline", "");
-  const double tolerance = flags.GetDouble("tolerance", 0.15).ValueOr(0.15);
+  const Result<double> tolerance = flags.GetDouble("tolerance", 0.15);
+  if (!tolerance.ok()) {
+    std::fprintf(stderr, "error: %s\n", tolerance.status().message().c_str());
+    return 1;
+  }
   const Result<std::vector<Gate>> gates =
       flags.Has("gate") ? ParseGates(flags.GetString("gate", ""))
                         : Result<std::vector<Gate>>(std::vector<Gate>{});
@@ -370,7 +374,7 @@ int Run(const FlagParser& flags) {
       ok = CheckChromeTrace(path, *doc, &observed);
     } else {
       saw_trace = saw_trace || schema == "kgacc-trace-v1";
-      ok = CheckTraces(path, *doc, baseline_dir, tolerance);
+      ok = CheckTraces(path, *doc, baseline_dir, *tolerance);
     }
     if (!ok) ++failures;
   }

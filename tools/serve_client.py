@@ -13,9 +13,9 @@ the header, every round line, and the end marker.
         'suspend session=s1'
 
 Used by the CI serve-smoke job to drive the daemon's suspend/resume
-byte-compare; --save-state FILE writes the campaign_state blob of the last
-suspend response so a later `resume` can read it back with
---load-state FILE (the blob is passed as the "campaign_state" member).
+byte-compare; --save-state FILE writes the campaign_state object of the
+last suspend response as JSON, so a later `resume` can read it back with
+--load-state FILE (the object is passed as the "campaign_state" member).
 """
 
 import argparse
@@ -92,7 +92,13 @@ def main():
         request = parse_request(text)
         if request.get("op") == "resume" and args.load_state:
             with open(args.load_state) as f:
-                request["campaign_state"] = f.read()
+                text = f.read()
+            try:
+                request["campaign_state"] = json.loads(text)
+            except json.JSONDecodeError:
+                # Not JSON (say, an old text blob): the daemon names what
+                # it refuses.
+                request["campaign_state"] = text
         for line in conn.call(request):
             print(line)
             response = json.loads(line)
@@ -102,7 +108,8 @@ def main():
                 saved_state = response["campaign_state"]
     if args.save_state and saved_state is not None:
         with open(args.save_state, "w") as f:
-            f.write(saved_state)
+            json.dump(saved_state, f)
+            f.write("\n")
     return 1 if failed else 0
 
 
