@@ -34,12 +34,10 @@ EngineCampaign::EngineCampaign(Annotator* annotator,
                                std::shared_ptr<UnitSampler> sampler,
                                std::shared_ptr<UnitEstimator> estimator)
     : PolicyCampaign(config.design_name, config.telemetry_label, annotator,
-                     options,
-                     config.telemetry != nullptr ? config.telemetry
-                                                 : options.telemetry),
+                     options, options.telemetry),
       sampler_(std::move(sampler)),
       estimator_(std::move(estimator)),
-      rng_(config.seed_override.value_or(options.seed)),
+      rng_(options.seed),
       // Pipelined rounds: with an asynchronous annotator and a
       // prefetch-safe sampler, round k+1's units are drawn while round k's
       // annotations are in flight. The rng consumes draws in exactly the
@@ -49,8 +47,7 @@ EngineCampaign::EngineCampaign(Annotator* annotator,
       // (campaign-local rng and sampler, and a resumed campaign replays the
       // same sequence). Speculation never extends to annotation itself —
       // cost is observable.
-      pipelined_(options.pipeline_rounds && annotator->AsyncCapable() &&
-                 sampler_->PrefetchSafe()) {
+      pipelined_(annotator->AsyncCapable() && sampler_->PrefetchSafe()) {
   KGACC_CHECK(sampler_ != nullptr);
   KGACC_CHECK(estimator_ != nullptr);
 }
@@ -59,11 +56,10 @@ PolicyCampaign::RoundOutcome EngineCampaign::RunRound() {
   // The spans are purely observational. With metrics on, the sample and
   // annotate phases record histograms through PhaseSpans, which reuses the
   // reads of the sampling stopwatch (the product-level source of
-  // machine_seconds, read in every build, KGACC_NO_METRICS included), so
-  // they cost one more clock read a round. The estimate and stopping-check
-  // spans carry no histogram: a clock read a round each was most of what
-  // metrics added to a small campaign, so they read the clock only for a
-  // trace.
+  // machine_seconds, read whether or not metrics are on), so they cost one
+  // more clock read a round. The estimate and stopping-check spans carry no
+  // histogram: a clock read a round each was most of what metrics added to
+  // a small campaign, so they read the clock only for a trace.
   const uint64_t batch_units = options().batch_units;
   const uint64_t round_start = MonotonicNanos();
   obs::PhaseSpans phases(round_start);

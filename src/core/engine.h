@@ -8,7 +8,6 @@
 
 #include "core/campaign.h"
 #include "core/evaluation.h"
-#include "core/telemetry.h"
 #include "kg/triple.h"
 #include "labels/annotator.h"
 #include "util/rng.h"
@@ -85,11 +84,6 @@ struct EngineConfig {
   std::string design_name;
   UnitSampler* sampler = nullptr;
   UnitEstimator* estimator = nullptr;
-  /// Seed for the sampling Rng; defaults to EvaluationOptions::seed.
-  std::optional<uint64_t> seed_override;
-  /// Per-round telemetry receiver; overrides EvaluationOptions::telemetry
-  /// when set. Borrowed, may be null.
-  TelemetrySink* telemetry = nullptr;
   /// Campaign label reported to the telemetry sink ("" for one-shot runs;
   /// incremental evaluators use "initialize"/"update-N").
   std::string telemetry_label;
@@ -107,7 +101,7 @@ struct EngineConfig {
 class EngineCampaign final : public PolicyCampaign {
  public:
   /// Runs `sampler` and `estimator`, which may share one object (composite
-  /// designs), under `config`'s design name, seed, telemetry and label;
+  /// designs), under `config`'s design name and label;
   /// config.sampler/estimator are not read. EvaluationEngine::Run passes
   /// non-owning pointers to the parts its caller keeps alive.
   EngineCampaign(Annotator* annotator, const EvaluationOptions& options,

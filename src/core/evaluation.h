@@ -77,16 +77,6 @@ struct EvaluationOptions {
   /// design signature. Never influences the evaluation itself.
   TelemetrySink* telemetry = nullptr;
 
-  /// Enables the pipelined round schedule when the annotator is
-  /// asynchronous (Annotator::AsyncCapable): the engine issues round k's
-  /// batch and draws round k+1's units while those annotations are in
-  /// flight. Results, traces and cost are bit-identical either way — the
-  /// schedule only overlaps simulated latency with machine time — so this
-  /// is a wall-clock knob, not a statistical one. Ignored (the strictly
-  /// sequential schedule is kept) for synchronous annotators and for
-  /// samplers that are not PrefetchSafe().
-  bool pipeline_rounds = true;
-
   /// Borrowed round-boundary control (see core/campaign_control.h) that
   /// RunCampaign consults; null runs the campaign to completion. Carried
   /// inside the options for the same reason as `telemetry`: so it flows

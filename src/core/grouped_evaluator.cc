@@ -125,12 +125,13 @@ GroupedEvaluator::GroupResult GroupedEvaluator::EvaluateGroup(
 
   VirtualTwcsSampler sampler(clusters, m);
   TwcsUnitEstimator estimator;
+  EvaluationOptions group_options = options_;
+  group_options.seed = HashCombine(options_.seed, group);
   result.evaluation =
-      EvaluationEngine(annotator_, options_)
+      EvaluationEngine(annotator_, group_options)
           .Run({.design_name = "TWCS/group",
                 .sampler = &sampler,
                 .estimator = &estimator,
-                .seed_override = HashCombine(options_.seed, group),
                 .telemetry_label = StrFormat(
                     "group-%llu", static_cast<unsigned long long>(group))});
   return result;

@@ -36,8 +36,7 @@ void ReservoirIncrementalEvaluator::AnnotateReservoirEntrants() {
           refs.push_back(TripleRef{entrants[e], offset});
         }
         return refs;
-      },
-      annotator_->AsyncCapable() && options_.pipeline_rounds);
+      });
   for (size_t e = 0; e < entrants.size(); ++e) {
     sampled_accuracy_.emplace(
         entrants[e], std::make_pair(labels[e].correct, labels[e].size));

@@ -118,8 +118,7 @@ void StratifiedIncrementalEvaluator::SampleStratum(size_t h, uint64_t units) {
           refs.push_back(TripleRef{parent, offset});
         }
         return refs;
-      },
-      annotator_->AsyncCapable() && options_.pipeline_rounds);
+      });
   for (const GroupLabels& draw : labels) {
     state.stats.Add(static_cast<double>(draw.correct) /
                     static_cast<double>(draw.size));

@@ -41,13 +41,12 @@ constexpr uint64_t kNoiseStream = 0x6e6f697365ULL;  // "noise"
 
 std::vector<GroupLabels> AnnotateGroups(
     Annotator& annotator, size_t num_groups,
-    const std::function<std::vector<TripleRef>(size_t)>& refs_of,
-    bool stream) {
+    const std::function<std::vector<TripleRef>(size_t)>& refs_of) {
   // Per-group label buffers are sized once and never resized, so the
   // out-pointers handed to BeginAnnotateBatch stay valid until the Finish.
   std::vector<std::vector<TripleRef>> refs(num_groups);
   std::vector<std::vector<uint8_t>> labels(num_groups);
-  if (stream) {
+  if (annotator.AsyncCapable()) {
     for (size_t g = 0; g < num_groups; ++g) {
       refs[g] = refs_of(g);
       labels[g].assign(refs[g].size(), 0);

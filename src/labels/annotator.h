@@ -81,16 +81,15 @@ struct GroupLabels {
 };
 
 /// Annotates `num_groups` groups of refs, group `g` being `refs_of(g)`, and
-/// counts each group's correct labels. With `stream`, each group goes in
-/// flight as soon as it is built (BeginAnnotateBatch), so building later
-/// groups overlaps earlier groups' latency, and one FinishAnnotateBatch
-/// collects them all; otherwise every group goes into one AnnotateBatch, so
-/// the concurrent path sees one crowd-scale batch. Labels are
-/// order-independent, so the counts are bit-identical either way.
+/// counts each group's correct labels. When the annotator is AsyncCapable,
+/// each group goes in flight as soon as it is built (BeginAnnotateBatch), so
+/// building later groups overlaps earlier groups' latency, and one
+/// FinishAnnotateBatch collects them all; otherwise every group goes into
+/// one AnnotateBatch, so the concurrent path sees one crowd-scale batch.
+/// Labels are order-independent, so the counts are bit-identical either way.
 std::vector<GroupLabels> AnnotateGroups(
     Annotator& annotator, size_t num_groups,
-    const std::function<std::vector<TripleRef>(size_t)>& refs_of,
-    bool stream);
+    const std::function<std::vector<TripleRef>(size_t)>& refs_of);
 
 /// Simulated human annotator: resolves labels through a TruthOracle while
 /// keeping the books the way the paper's cost model does —

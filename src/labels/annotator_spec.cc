@@ -15,8 +15,6 @@ Status CheckAnnotatorSpec(const AnnotatorSpec& spec) {
        {std::tuple{"annotators", uint64_t{1}, kMaxAnnotators, spec.annotators},
         std::tuple{"annotation_threads", uint64_t{0}, kMaxAnnotationThreads,
                    spec.annotation_threads},
-        std::tuple{"annotation_shards", uint64_t{0}, kMaxAnnotationShards,
-                   spec.annotation_shards},
         std::tuple{"max_concurrent", uint64_t{1}, kMaxConcurrent,
                    spec.max_concurrent}}) {
     if (value < min || value > max) {
@@ -38,8 +36,8 @@ Status CheckAnnotatorSpec(const AnnotatorSpec& spec) {
        {std::tuple{"noise_rate", spec.noise_rate, 1.0, "in [0, 1]"},
         std::tuple{"c1_seconds", spec.c1_seconds, DBL_MAX, "finite and >= 0"},
         std::tuple{"c2_seconds", spec.c2_seconds, DBL_MAX, "finite and >= 0"},
-        std::tuple{"latency_ms", spec.latency_ms, DBL_MAX,
-                   "finite and >= 0"}}) {
+        std::tuple{"latency_ms", spec.latency_ms, kMaxLatencyMs,
+                   "in [0, 10000]"}}) {
     if (!(value >= 0.0 && value <= max)) {
       return Status::InvalidArgument(StrFormat(
           "annotator '%s' must be %s, got %.17g", field, range, value));
@@ -65,11 +63,9 @@ Result<std::unique_ptr<Annotator>> MakeAnnotator(const AnnotatorSpec& spec,
   } else {
     backend = std::make_unique<SimulatedAnnotator>(
         oracle, cost,
-        SimulatedAnnotator::Options{
-            .noise_rate = spec.noise_rate,
-            .seed = spec.seed,
-            .annotation_threads = threads,
-            .annotation_shards = static_cast<int>(spec.annotation_shards)});
+        SimulatedAnnotator::Options{.noise_rate = spec.noise_rate,
+                                    .seed = spec.seed,
+                                    .annotation_threads = threads});
   }
   if (!spec.async && !(spec.latency_ms > 0.0)) return backend;
   auto mock = std::make_unique<MockLatencyAnnotator>(

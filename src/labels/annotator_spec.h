@@ -17,7 +17,6 @@ struct AnnotatorSpec {
   double noise_rate = 0.0;        ///< per-annotator label flip rate.
   uint64_t seed = 0x5eed;         ///< noise- and latency-stream seed.
   uint64_t annotation_threads = 0;  ///< sharded batch-annotation threads.
-  uint64_t annotation_shards = 0;   ///< annotation cache shards (0 = default).
   double c1_seconds = 45.0;       ///< entity identification cost (Eq 4).
   double c2_seconds = 25.0;       ///< relationship validation cost (Eq 4).
 
@@ -32,17 +31,21 @@ struct AnnotatorSpec {
 };
 
 /// Caps on the sizes an AnnotatorSpec allocates: pool members, worker
-/// threads, cache shards and in-flight annotation slots.
+/// threads and in-flight annotation slots.
 inline constexpr uint64_t kMaxAnnotators = 99;
 inline constexpr uint64_t kMaxAnnotationThreads = 256;
-inline constexpr uint64_t kMaxAnnotationShards = 65536;
 inline constexpr uint64_t kMaxConcurrent = 65536;
+
+/// Cap on the simulated mean latency per first-seen triple. A campaign waits
+/// each one out, so the cap bounds how long one round (a daemon `step`)
+/// can hold its thread; 10 s is far past any annotator a bench simulates.
+inline constexpr double kMaxLatencyMs = 10000.0;
 
 /// Every range rule on an AnnotatorSpec, in one place: `annotators` odd (a
 /// majority vote cannot tie) and in [1, kMaxAnnotators], `noise_rate` in
-/// [0, 1], `c1_seconds`/`c2_seconds`/`latency_ms` finite and >= 0,
-/// `annotation_threads` <= kMaxAnnotationThreads, `annotation_shards`
-/// <= kMaxAnnotationShards and `max_concurrent` in [1, kMaxConcurrent].
+/// [0, 1], `c1_seconds`/`c2_seconds` finite and >= 0, `latency_ms` in
+/// [0, kMaxLatencyMs], `annotation_threads` <= kMaxAnnotationThreads and
+/// `max_concurrent` in [1, kMaxConcurrent].
 /// InvalidArgument names the field. MakeAnnotator calls it.
 Status CheckAnnotatorSpec(const AnnotatorSpec& spec);
 

@@ -22,14 +22,12 @@ std::atomic<size_t> g_next_stripe{0};
 }  // namespace
 
 void EnableMetrics(bool enabled) {
-  if constexpr (!kMetricsCompiledIn) return;
   internal::SetObsModeBit(kModeMetrics, enabled);
 }
 
 bool MetricsEnabled() { return (ObsMode() & kModeMetrics) != 0; }
 
 uint32_t ObsMode() {
-  if constexpr (!kMetricsCompiledIn) return 0;
   return g_obs_mode.load(std::memory_order_relaxed);
 }
 
@@ -77,9 +75,6 @@ uint64_t BucketUpperNanos(size_t index) {
 Histogram::Histogram() : buckets_(internal::kStripes * kHistogramBuckets) {}
 
 void Histogram::RecordNanos(uint64_t nanos) {
-#ifdef KGACC_NO_METRICS
-  (void)nanos;
-#else
   const size_t stripe = internal::ThreadStripe();
   Stripe& s = stripes_[stripe];
   s.sum_nanos.fetch_add(nanos, std::memory_order_relaxed);
@@ -97,7 +92,6 @@ void Histogram::RecordNanos(uint64_t nanos) {
   }
   buckets_[stripe * kHistogramBuckets + HistogramBucketIndex(nanos)].fetch_add(
       1, std::memory_order_relaxed);
-#endif
 }
 
 HistogramSnapshot Histogram::Snapshot() const {

@@ -13,13 +13,12 @@
 //    width (≤ 12.5% relative) plus the exact min/max, without ever storing
 //    samples;
 //  - collection is off by default behind one relaxed atomic flag, so an
-//    uninstrumented run pays a load+branch per site; compiling with
-//    KGACC_NO_METRICS removes even that.
+//    uninstrumented run pays a load+branch per site.
 //
 // Hard invariant (pinned by tests/metrics_determinism_test.cc): recording
 // metrics never touches an RNG stream, never reorders an annotation, and
 // never feeds back into the evaluation — results are bit-identical with
-// metrics on, off, or compiled out.
+// metrics on or off.
 //
 // Metric naming convention: `<layer>.<component>.<metric>`, with the unit as
 // a suffix (`_seconds` for histograms of durations), e.g.
@@ -39,15 +38,9 @@
 
 namespace kgacc::obs {
 
-#ifdef KGACC_NO_METRICS
-inline constexpr bool kMetricsCompiledIn = false;
-#else
-inline constexpr bool kMetricsCompiledIn = true;
-#endif
-
 /// Master switch for metric collection (and the cheap half of span
-/// recording). Off by default; `kgacc_eval --metrics` and the benches flip
-/// it on. Under KGACC_NO_METRICS the switch is compiled to `false`.
+/// recording). Off by default; `kgacc_eval --metrics`, `kgacc_serve` and
+/// the benches flip it on.
 void EnableMetrics(bool enabled);
 bool MetricsEnabled();
 
@@ -84,12 +77,8 @@ struct alignas(64) PaddedAtomicU64 {
 class Counter {
  public:
   void Add(uint64_t n) {
-#ifndef KGACC_NO_METRICS
     stripes_[internal::ThreadStripe()].value.fetch_add(
         n, std::memory_order_relaxed);
-#else
-    (void)n;
-#endif
   }
 
   uint64_t Value() const {
@@ -114,11 +103,7 @@ class Counter {
 class Gauge {
  public:
   void Set(double value) {
-#ifndef KGACC_NO_METRICS
     bits_.store(std::bit_cast<uint64_t>(value), std::memory_order_relaxed);
-#else
-    (void)value;
-#endif
   }
 
   double Value() const {
@@ -183,12 +168,8 @@ class Histogram {
 
   /// Records one duration. Negative values clamp to zero.
   void RecordSeconds(double seconds) {
-#ifndef KGACC_NO_METRICS
     RecordNanos(seconds <= 0.0 ? 0
                                : static_cast<uint64_t>(seconds * 1e9 + 0.5));
-#else
-    (void)seconds;
-#endif
   }
 
   void RecordNanos(uint64_t nanos);

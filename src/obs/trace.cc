@@ -69,7 +69,6 @@ void SetThreadTrackName(const char* name) {
 }
 
 void TraceSession::Start() {
-  if constexpr (!kMetricsCompiledIn) return;
   TraceGlobals& globals = Globals();
   {
     std::lock_guard<std::mutex> lock(globals.mutex);

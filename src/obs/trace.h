@@ -72,10 +72,8 @@ class ScopedSpan {
   /// session is active.
   explicit ScopedSpan(const char* name, Histogram* histogram = nullptr)
       : name_(name), histogram_(histogram) {
-#ifndef KGACC_NO_METRICS
     mode_ = ObsMode() & (histogram_ != nullptr ? ~0u : kModeTrace);
     if (mode_ != 0) start_ns_ = MonotonicNanos();
-#endif
   }
 
   ~ScopedSpan() { Finish(); }
@@ -86,9 +84,6 @@ class ScopedSpan {
   /// Ends the span early (idempotent). Returns the measured seconds, 0.0
   /// when observability was inactive at construction.
   double Finish() {
-#ifdef KGACC_NO_METRICS
-    return 0.0;
-#else
     if (mode_ == 0) return 0.0;
     const uint64_t dur_ns = MonotonicNanos() - start_ns_;
     if ((mode_ & kModeMetrics) != 0 && histogram_ != nullptr) {
@@ -99,16 +94,13 @@ class ScopedSpan {
     }
     mode_ = 0;
     return static_cast<double>(dur_ns) * 1e-9;
-#endif
   }
 
  private:
   const char* name_;
   Histogram* histogram_;
-#ifndef KGACC_NO_METRICS
   uint32_t mode_ = 0;
   uint64_t start_ns_ = 0;
-#endif
 };
 
 /// Back-to-back phases timed with one clock read per boundary: Lap() ends
@@ -120,24 +112,13 @@ class ScopedSpan {
 class PhaseSpans {
  public:
   /// Starts the first phase at `start_ns`, a MonotonicNanos() reading.
-  explicit PhaseSpans(uint64_t start_ns) {
-#ifndef KGACC_NO_METRICS
-    mode_ = ObsMode();
-    start_ns_ = start_ns;
-#else
-    (void)start_ns;
-#endif
-  }
+  explicit PhaseSpans(uint64_t start_ns)
+      : mode_(ObsMode()), start_ns_(start_ns) {}
 
   /// Ends the running phase at `end_ns` (a MonotonicNanos() reading) as
   /// span `name` recorded into `histogram` (may be null), and starts the
   /// next phase there. A null `name` ends the phase unrecorded.
   void Lap(const char* name, Histogram* histogram, uint64_t end_ns) {
-#ifdef KGACC_NO_METRICS
-    (void)name;
-    (void)histogram;
-    (void)end_ns;
-#else
     if (mode_ == 0) return;
     if (name != nullptr) {
       const uint64_t dur_ns = end_ns - start_ns_;
@@ -149,24 +130,16 @@ class PhaseSpans {
       }
     }
     start_ns_ = end_ns;
-#endif
   }
 
   /// Lap() now; reads the clock only while observability is on.
   void Lap(const char* name, Histogram* histogram) {
-#ifndef KGACC_NO_METRICS
     if (mode_ != 0) Lap(name, histogram, MonotonicNanos());
-#else
-    (void)name;
-    (void)histogram;
-#endif
   }
 
  private:
-#ifndef KGACC_NO_METRICS
   uint32_t mode_ = 0;
   uint64_t start_ns_ = 0;
-#endif
 };
 
 }  // namespace kgacc::obs

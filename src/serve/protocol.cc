@@ -32,7 +32,6 @@ const Field<EvaluationOptions> kOptionFields[] = {
     {"srs_ci", &EvaluationOptions::srs_ci},
     {"num_strata", &EvaluationOptions::num_strata},
     {"pilot_size", &EvaluationOptions::pilot_size},
-    {"pipeline_rounds", &EvaluationOptions::pipeline_rounds},
 };
 
 const Field<AnnotatorSpec> kAnnotatorFields[] = {
@@ -40,7 +39,6 @@ const Field<AnnotatorSpec> kAnnotatorFields[] = {
     {"noise_rate", &AnnotatorSpec::noise_rate},
     {"seed", &AnnotatorSpec::seed},
     {"annotation_threads", &AnnotatorSpec::annotation_threads},
-    {"annotation_shards", &AnnotatorSpec::annotation_shards},
     {"c1_seconds", &AnnotatorSpec::c1_seconds},
     {"c2_seconds", &AnnotatorSpec::c2_seconds},
     {"async", &AnnotatorSpec::async},
@@ -55,22 +53,12 @@ Status Read(const JsonValue& object, const std::string& key, uint64_t* out) {
 }
 
 Status Read(const JsonValue& object, const std::string& key, double* out) {
-  const JsonValue& value = *object.Find(key);
-  if (!value.is_number()) {
-    return Status::InvalidArgument(
-        StrFormat("'%s' must be a number", key.c_str()));
-  }
-  *out = value.AsNumber();
+  KGACC_ASSIGN_OR_RETURN(*out, object.GetNumber(key));
   return Status::OK();
 }
 
 Status Read(const JsonValue& object, const std::string& key, bool* out) {
-  const JsonValue& value = *object.Find(key);
-  if (!value.is_bool()) {
-    return Status::InvalidArgument(
-        StrFormat("'%s' must be a bool", key.c_str()));
-  }
-  *out = value.AsBool();
+  KGACC_ASSIGN_OR_RETURN(*out, object.GetBool(key));
   return Status::OK();
 }
 

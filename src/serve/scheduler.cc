@@ -62,10 +62,10 @@ std::shared_ptr<ServeSession> MakeTenantSession(
                            .observer = observer});
 }
 
-/// The smallest admissible charge denominator in the greedy score: a round
-/// fully covered by the fleet cache costs 0 budget seconds, and dividing by
-/// ε instead keeps its score finite, enormous, and deterministic — free
-/// progress is always the best buy.
+/// The charge a free round's greedy score is divided by: the round is fully
+/// covered by the fleet cache and costs 0 budget seconds, and dividing by ε
+/// keeps its score finite, enormous, and deterministic — free progress is
+/// always the best buy.
 constexpr double kChargeEpsilon = 1e-9;
 
 }  // namespace
@@ -115,9 +115,6 @@ struct CampaignScheduler::Tenant {
   uint64_t evictions = 0;
   uint64_t last_grant = 0;  ///< global grant index; 0 = never granted.
   double spent = 0.0;
-  double last_charge = 0.0;
-  double paid_spend = 0.0;    ///< spend over rounds that charged > 0.
-  uint64_t paid_rounds = 0;   ///< rounds that charged > 0.
   /// Sample-cohort key (graph + design + sampling seed): tenants in one
   /// cohort draw identical unit sequences, so whoever is behind replays
   /// labels the leader already bought — its next round is free.
@@ -367,25 +364,15 @@ CampaignScheduler::Tenant* CampaignScheduler::PickTenantLocked() const {
           // cheapest information a campaign ever buys.
           score = std::numeric_limits<double>::infinity();
         } else {
-          // Expected width reduction per budget second under the CLT model
-          // width(r+1) ≈ width(r)·sqrt(r/(r+1)). The cost predictor is for
-          // the NEXT round, not the last one: if a sample-cohort partner is
-          // strictly ahead, the next round's units are all replays of labels
-          // the fleet already bought (charge 0 — score ~infinite, take the
-          // free information first); otherwise the tenant's mean paid charge
-          // (fleet mean before it ever paid). Strictly positive either way,
-          // so no tenant starves.
+          // Expected width reduction under the CLT model
+          // width(r+1) ≈ width(r)·sqrt(r/(r+1)). If a sample-cohort partner
+          // is strictly ahead, the next round's units are all replays of
+          // labels the fleet already bought (charge 0): the reduction is
+          // divided by an epsilon charge, so the free information is taken
+          // first. Strictly positive either way, so no tenant starves.
           const bool next_free = NextRoundFreeLocked(*tenant);
-          double cost_estimate = kChargeEpsilon;
           double cohort_members = 1.0;
           if (!next_free) {
-            if (tenant->paid_rounds > 0) {
-              cost_estimate =
-                  tenant->paid_spend / static_cast<double>(tenant->paid_rounds);
-            } else if (fleet_paid_rounds_ > 0) {
-              cost_estimate = fleet_paid_spend_ /
-                              static_cast<double>(fleet_paid_rounds_);
-            }
             // A frontier round is paid once but narrows every runnable
             // cohort member — they replay it for free (identical
             // trajectories), so the fleet-level value is cohort-wide.
@@ -398,8 +385,8 @@ CampaignScheduler::Tenant* CampaignScheduler::PickTenantLocked() const {
           }
           const double r = static_cast<double>(tenant->rounds);
           const double shrink = 1.0 - std::sqrt(r / (r + 1.0));
-          score = cohort_members * tenant->ci_width * shrink /
-                  std::max(cost_estimate, kChargeEpsilon);
+          score = cohort_members * tenant->ci_width * shrink;
+          if (next_free) score /= kChargeEpsilon;
         }
         break;
       }
@@ -549,13 +536,6 @@ bool CampaignScheduler::GrantNext() {
     tenant->ci_width = round.ci_upper - round.ci_lower;
   }
   tenant->spent += charge;
-  tenant->last_charge = charge;
-  if (charge > 0.0) {
-    tenant->paid_spend += charge;
-    tenant->paid_rounds++;
-    fleet_paid_spend_ += charge;
-    fleet_paid_rounds_++;
-  }
   spent_seconds_ += charge;
   grants_++;
   tenant->grants++;

@@ -24,16 +24,18 @@ namespace kgacc::serve {
 /// cost/CI-width efficiency objective lifted across campaigns.
 ///
 /// Policies:
-///  - `greedy-ci`: grant the round with the best expected CI-width reduction
-///    per budget second. The width model is the CLT shrink factor
-///    (width after r+1 rounds ≈ width·sqrt(r/(r+1))); the cost predictor is
-///    for the *next* round: ~0 when a sample-cohort partner (same graph,
-///    design and sampling seed) is strictly ahead — that round replays
-///    labels the fleet already bought, so the free information is taken
-///    first — otherwise the tenant's mean charge over its paid rounds
-///    (fleet mean before it ever paid). Never-started tenants score +∞ (a
-///    bootstrap round is the cheapest information there is). The score is
-///    always positive, so no tenant starves.
+///  - `greedy-ci`: grant the round with the best expected CI-width
+///    reduction. The width model is the CLT shrink factor (width after r+1
+///    rounds ≈ width·sqrt(r/(r+1))). A round whose sample-cohort partner
+///    (same graph, design and sampling seed) is strictly ahead replays
+///    labels the fleet already bought, so it costs nothing and is taken
+///    first; any other round is paid once but narrows every runnable member
+///    of its cohort, so its reduction counts once per member. Paid rounds
+///    are not weighed by a predicted charge: on the fleet bench a per-tenant
+///    mean-charge predictor moved the greedy/round-robin width ratio by
+///    under 1%. Never-started tenants score +∞ (a bootstrap round is the
+///    cheapest information there is). The score is always positive, so no
+///    tenant starves.
 ///  - `round-robin`: least-recently-granted first.
 ///  - `weighted-fair`: smallest spent/weight first, honoring per-tenant
 ///    weights; quotas (all policies) hard-cap a tenant's spend.
@@ -193,8 +195,6 @@ class CampaignScheduler {
   double spent_seconds_ = 0.0;
   uint64_t grants_ = 0;
   uint64_t evictions_ = 0;
-  double fleet_paid_spend_ = 0.0;   ///< spend over rounds charged > 0 —
-  uint64_t fleet_paid_rounds_ = 0;  ///< greedy's fallback cost predictor.
   std::vector<GrantRecord> grant_log_;
   uint64_t next_tenant_id_ = 1;
   double overhead_seconds_ = 0.0;

@@ -223,12 +223,10 @@ SessionManager::Response SessionManager::StartCampaign(
   if (const Status parsed = ParseCampaign(request, &campaign); !parsed.ok()) {
     return ErrorResponse(parsed);
   }
-  if (const JsonValue* tenant = request.Find("tenant")) {
-    if (!tenant->is_bool()) {
-      return ErrorResponse(
-          Status::InvalidArgument("'tenant' must be a bool"));
-    }
-    if (tenant->AsBool()) return StartTenantCampaign(request, campaign);
+  if (request.Find("tenant") != nullptr) {
+    Result<bool> tenant = request.GetBool("tenant");
+    if (!tenant.ok()) return ErrorResponse(tenant.status());
+    if (*tenant) return StartTenantCampaign(request, campaign);
   }
   return StartSession(std::move(campaign), /*id=*/"");
 }
@@ -287,11 +285,10 @@ SessionManager::Response SessionManager::StartTenantCampaign(
   tenant.design = campaign.design;
   tenant.options = campaign.options;
   tenant.annotator = campaign.annotator;
-  if (const JsonValue* id = request.Find("id")) {
-    if (!id->is_string()) {
-      return ErrorResponse(Status::InvalidArgument("'id' must be a string"));
-    }
-    tenant.id = id->AsString();
+  if (request.Find("id") != nullptr) {
+    Result<std::string> id = request.GetString("id");
+    if (!id.ok()) return ErrorResponse(id.status());
+    tenant.id = std::move(id).value();
   }
   if (request.Find("weight") != nullptr) {
     Result<double> weight = request.GetNumber("weight");

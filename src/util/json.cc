@@ -40,11 +40,32 @@ const JsonValue* JsonValue::Find(const std::string& key) const {
   return it == object_->end() ? nullptr : &it->second;
 }
 
-Result<double> JsonValue::GetNumber(const std::string& key) const {
-  const JsonValue* member = Find(key);
-  if (member == nullptr || !member->is_number()) {
-    return Status::NotFound(StrFormat("missing number field '%s'", key.c_str()));
+namespace {
+
+/// Member `key` of `object` when it holds a `type` value: NotFound only when
+/// the member is absent; a member of another type is an InvalidArgument
+/// naming the member and the `expected` type.
+Result<const JsonValue*> TypedMember(const JsonValue& object,
+                                     const std::string& key,
+                                     JsonValue::Type type,
+                                     const char* expected) {
+  const JsonValue* member = object.Find(key);
+  if (member == nullptr) {
+    return Status::NotFound(
+        StrFormat("missing %s field '%s'", expected, key.c_str()));
   }
+  if (member->type() != type) {
+    return Status::InvalidArgument(
+        StrFormat("field '%s' must be a %s", key.c_str(), expected));
+  }
+  return member;
+}
+
+}  // namespace
+
+Result<double> JsonValue::GetNumber(const std::string& key) const {
+  KGACC_ASSIGN_OR_RETURN(const JsonValue* member,
+                         TypedMember(*this, key, Type::kNumber, "number"));
   return member->AsNumber();
 }
 
@@ -60,18 +81,14 @@ Result<uint64_t> JsonValue::GetCount(const std::string& key) const {
 }
 
 Result<std::string> JsonValue::GetString(const std::string& key) const {
-  const JsonValue* member = Find(key);
-  if (member == nullptr || !member->is_string()) {
-    return Status::NotFound(StrFormat("missing string field '%s'", key.c_str()));
-  }
+  KGACC_ASSIGN_OR_RETURN(const JsonValue* member,
+                         TypedMember(*this, key, Type::kString, "string"));
   return member->AsString();
 }
 
 Result<bool> JsonValue::GetBool(const std::string& key) const {
-  const JsonValue* member = Find(key);
-  if (member == nullptr || !member->is_bool()) {
-    return Status::NotFound(StrFormat("missing bool field '%s'", key.c_str()));
-  }
+  KGACC_ASSIGN_OR_RETURN(const JsonValue* member,
+                         TypedMember(*this, key, Type::kBool, "bool"));
   return member->AsBool();
 }
 

@@ -50,7 +50,9 @@ class JsonValue {
   const JsonValue* Find(const std::string& key) const;
 
   /// Convenience typed lookups returning errors instead of aborting, for
-  /// validating externally supplied documents.
+  /// validating externally supplied documents: NotFound when the member is
+  /// absent, InvalidArgument naming the member and the expected type when
+  /// it holds another type.
   Result<double> GetNumber(const std::string& key) const;
   /// A number member holding a non-negative integer of at most 2^53, the
   /// range in which a double holds every integer exactly: larger, negative

@@ -36,13 +36,11 @@ CampaignSessionState FullState() {
   state.annotator.noise_rate = 0.125;
   state.annotator.seed = 0x5eed5;
   state.annotator.annotation_threads = 8;
-  state.annotator.annotation_shards = 16;
   state.annotator.c1_seconds = 47.5;
   state.annotator.c2_seconds = 1.0 / 3.0;  // not representable in decimal.
   state.annotator.async = true;
   state.annotator.latency_ms = 12.25;
   state.annotator.max_concurrent = 17;
-  state.options.pipeline_rounds = false;
   return state;
 }
 
@@ -111,14 +109,11 @@ TEST(CampaignSessionStateTest, RoundTripsEveryField) {
   EXPECT_EQ(restored->annotator.seed, state.annotator.seed);
   EXPECT_EQ(restored->annotator.annotation_threads,
             state.annotator.annotation_threads);
-  EXPECT_EQ(restored->annotator.annotation_shards,
-            state.annotator.annotation_shards);
   EXPECT_EQ(restored->annotator.c1_seconds, state.annotator.c1_seconds);
   EXPECT_EQ(restored->annotator.c2_seconds, state.annotator.c2_seconds);
   EXPECT_EQ(restored->annotator.async, state.annotator.async);
   EXPECT_EQ(restored->annotator.latency_ms, state.annotator.latency_ms);
   EXPECT_EQ(restored->annotator.max_concurrent, state.annotator.max_concurrent);
-  EXPECT_EQ(restored->options.pipeline_rounds, state.options.pipeline_rounds);
 
   // The borrowed observer pointers never travel.
   EXPECT_EQ(restored->options.telemetry, nullptr);

@@ -97,14 +97,13 @@ TEST(CheckEvaluationOptionsTest, StrataCountNamesTheLimit) {
   }
 }
 
-// The caps on threads, shards, pool members and in-flight slots are tested
+// The caps on threads, pool members and in-flight slots are tested
 // on the check alone: an annotator built from the refused values would
 // start that many threads or allocate that much.
 TEST(CheckAnnotatorSpecTest, CapsWhatAnAnnotatorAllocates) {
   EXPECT_TRUE(CheckAnnotatorSpec(AnnotatorSpec{}).ok());
   EXPECT_TRUE(CheckAnnotatorSpec({.annotators = kMaxAnnotators,
                                   .annotation_threads = kMaxAnnotationThreads,
-                                  .annotation_shards = kMaxAnnotationShards,
                                   .max_concurrent = kMaxConcurrent})
                   .ok());
   for (const uint64_t pool : {uint64_t{0}, uint64_t{2}, uint64_t{98},
@@ -114,9 +113,6 @@ TEST(CheckAnnotatorSpecTest, CapsWhatAnAnnotatorAllocates) {
   ExpectRefusal(
       CheckAnnotatorSpec({.annotation_threads = kMaxAnnotationThreads + 1}),
       "annotation_threads");
-  ExpectRefusal(
-      CheckAnnotatorSpec({.annotation_shards = kMaxAnnotationShards + 1}),
-      "annotation_shards");
   for (const uint64_t window : {uint64_t{0}, kMaxConcurrent + 1}) {
     ExpectRefusal(CheckAnnotatorSpec({.async = true, .max_concurrent = window}),
                   "max_concurrent");
@@ -134,8 +130,13 @@ TEST(CheckAnnotatorSpecTest, RatesAndCostsNameTheirField) {
     ExpectRefusal(CheckAnnotatorSpec({.c2_seconds = seconds}), "c2_seconds");
     ExpectRefusal(CheckAnnotatorSpec({.latency_ms = seconds}), "latency_ms");
   }
+  // A campaign waits each first-seen triple's latency out.
+  for (const double ms : {kMaxLatencyMs * 1.001, 1e9}) {
+    ExpectRefusal(CheckAnnotatorSpec({.latency_ms = ms}), "latency_ms");
+  }
   EXPECT_TRUE(CheckAnnotatorSpec({.noise_rate = 1.0, .c1_seconds = 0.0,
-                                  .c2_seconds = 0.0})
+                                  .c2_seconds = 0.0,
+                                  .latency_ms = kMaxLatencyMs})
                   .ok());
 }
 
@@ -173,6 +174,7 @@ constexpr HostileRow kHostileRows[] = {
     {"CertainConfidence", "twcs", R"({"confidence": 1})", "{}", "confidence"},
     {"TooManyStrata", "twcs+strat", R"({"num_strata": 257})", "{}",
      "num_strata"},
+    {"DaysOfLatency", "twcs", "{}", R"({"latency_ms": 1e9})", "latency_ms"},
 };
 
 class HostileConfigTest : public ::testing::TestWithParam<HostileRow> {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 namespace kgacc {
 namespace {
 
@@ -68,10 +71,25 @@ TEST(JsonTest, CountsAreExactNonNegativeIntegers) {
 }
 
 TEST(JsonTest, TypedLookupsFailSoftly) {
-  const Result<JsonValue> parsed = JsonValue::Parse(R"({"n": "text"})");
+  const Result<JsonValue> parsed = JsonValue::Parse(R"({"n": "text", "s": 1})");
   ASSERT_TRUE(parsed.ok());
-  EXPECT_FALSE(parsed->GetNumber("n").ok());      // wrong type.
-  EXPECT_FALSE(parsed->GetNumber("absent").ok()); // missing.
+  // Only an absent member is NotFound; one of another type is a type error
+  // naming the member and the type it must have.
+  for (const Status& status : {parsed->GetNumber("absent").status(),
+                               parsed->GetString("absent").status(),
+                               parsed->GetBool("absent").status()}) {
+    EXPECT_EQ(status.code(), StatusCode::kNotFound) << status.ToString();
+  }
+  for (const auto& [status, expected] :
+       {std::pair{parsed->GetNumber("n").status(), "'n' must be a number"},
+        std::pair{parsed->GetCount("n").status(), "'n' must be a number"},
+        std::pair{parsed->GetString("s").status(), "'s' must be a string"},
+        std::pair{parsed->GetBool("s").status(), "'s' must be a bool"}}) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+    EXPECT_NE(status.message().find(expected), std::string::npos)
+        << status.ToString();
+  }
   EXPECT_EQ(parsed->Find("absent"), nullptr);
 }
 

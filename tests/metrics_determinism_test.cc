@@ -126,7 +126,6 @@ INSTANTIATE_TEST_SUITE_P(Designs, MetricsDeterminismTest,
                          });
 
 TEST(MetricsDeterminismTest, InstrumentationActuallyObservedTheRun) {
-  if (!obs::kMetricsCompiledIn) GTEST_SKIP() << "built with KGACC_NO_METRICS";
   // Guards against the vacuous version of the suite above: the instrumented
   // phases really do record when metrics are on.
   const TestPopulation pop = MakeTestPopulation(5000, 10, 0.85, 0.2, 48);

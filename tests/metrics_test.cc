@@ -73,7 +73,6 @@ TEST(HistogramGridTest, BucketWidthIsAtMostOneEighthOfLowerBound) {
 }
 
 TEST(HistogramTest, CountSumMinMaxAreExact) {
-  if (!kMetricsCompiledIn) GTEST_SKIP() << "built with KGACC_NO_METRICS";
   Histogram h;
   h.RecordNanos(1000);
   h.RecordNanos(3000);
@@ -87,7 +86,6 @@ TEST(HistogramTest, CountSumMinMaxAreExact) {
 }
 
 TEST(HistogramTest, PercentilesWithinOneBucketWidth) {
-  if (!kMetricsCompiledIn) GTEST_SKIP() << "built with KGACC_NO_METRICS";
   Histogram h;
   Rng rng(11);
   std::vector<uint64_t> samples;
@@ -113,7 +111,6 @@ TEST(HistogramTest, PercentilesWithinOneBucketWidth) {
 }
 
 TEST(HistogramTest, PercentilesStayWithinMinAndMax) {
-  if (!kMetricsCompiledIn) GTEST_SKIP() << "built with KGACC_NO_METRICS";
   // Both samples fall in the [960, 1024) ns bucket, whose 992 ns midpoint
   // lies above the first and below the second: unclamped, a one-sample
   // histogram would report a p50 outside its own [min, max].
@@ -191,7 +188,6 @@ TEST(MetricsRegistryTest, ResolvesStablePointersAndResetsValues) {
 }
 
 TEST(MetricsRegistryTest, SnapshotIsNameSortedAndComplete) {
-  if (!kMetricsCompiledIn) GTEST_SKIP() << "built with KGACC_NO_METRICS";
   MetricsRegistry registry;
   registry.GetCounter("b.counter")->Add(2);
   registry.GetCounter("a.counter")->Add(1);
@@ -214,7 +210,6 @@ TEST(MetricsRegistryTest, SnapshotIsNameSortedAndComplete) {
 // threads hammering the same named metrics while another thread snapshots,
 // with exact totals once the writers join.
 TEST(MetricsRegistryTest, ConcurrentWritersProduceExactTotals) {
-  if (!kMetricsCompiledIn) GTEST_SKIP() << "built with KGACC_NO_METRICS";
   MetricsRegistry registry;
   constexpr int kThreads = 8;
   constexpr int kIterations = 20000;
@@ -255,7 +250,6 @@ TEST(MetricsRegistryTest, ConcurrentWritersProduceExactTotals) {
 TEST(MetricsJsonTest, NonFiniteGaugesExportAsNull) {
   // An unlimited scheduler budget is an infinite gauge; the export must
   // still parse (a bare `inf` is not JSON).
-  if (!kMetricsCompiledIn) GTEST_SKIP() << "built with KGACC_NO_METRICS";
   MetricsRegistry registry;
   registry.GetGauge("json.finite")->Set(2.5);
   registry.GetGauge("json.inf")->Set(std::numeric_limits<double>::infinity());
@@ -281,7 +275,6 @@ TEST(MetricsJsonTest, NonFiniteGaugesExportAsNull) {
 }
 
 TEST(MetricsJsonTest, SerializesAndParsesBack) {
-  if (!kMetricsCompiledIn) GTEST_SKIP() << "built with KGACC_NO_METRICS";
   MetricsRegistry registry;
   registry.GetCounter("json.counter")->Add(3);
   registry.GetGauge("json.gauge")->Set(1.5);
@@ -313,7 +306,6 @@ TEST(MetricsJsonTest, SerializesAndParsesBack) {
 }
 
 TEST(ObsModeTest, EnableFlagsMirrorIntoModeWord) {
-  if (!kMetricsCompiledIn) GTEST_SKIP() << "built with KGACC_NO_METRICS";
   EnableMetrics(false);
   TraceSession::Stop();
   EXPECT_EQ(ObsMode() & (kModeMetrics | kModeTrace), 0u);
@@ -328,7 +320,6 @@ TEST(ObsModeTest, EnableFlagsMirrorIntoModeWord) {
 }
 
 TEST(TraceSessionTest, SpansExportAsChromeTraceEvents) {
-  if (!kMetricsCompiledIn) GTEST_SKIP() << "built with KGACC_NO_METRICS";
   TraceSession::Start();
   {
     ScopedSpan outer("test.outer");
@@ -380,7 +371,6 @@ TEST(ScopedSpanTest, InactiveSpanRecordsNothing) {
 }
 
 TEST(ScopedSpanTest, FinishIsIdempotentAndRecordsOnce) {
-  if (!kMetricsCompiledIn) GTEST_SKIP() << "built with KGACC_NO_METRICS";
   EnableMetrics(true);
   Histogram histogram;
   {
@@ -393,7 +383,6 @@ TEST(ScopedSpanTest, FinishIsIdempotentAndRecordsOnce) {
 }
 
 TEST(ScopedSpanTest, SpanWithoutHistogramIsTraceOnly) {
-  if (!kMetricsCompiledIn) GTEST_SKIP() << "built with KGACC_NO_METRICS";
   EnableMetrics(true);
   TraceSession::Stop();
   {
@@ -404,7 +393,6 @@ TEST(ScopedSpanTest, SpanWithoutHistogramIsTraceOnly) {
 }
 
 TEST(PhaseSpansTest, LapsShareBoundaries) {
-  if (!kMetricsCompiledIn) GTEST_SKIP() << "built with KGACC_NO_METRICS";
   EnableMetrics(true);
   Histogram first;
   Histogram second;

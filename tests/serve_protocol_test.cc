@@ -90,15 +90,13 @@ TEST(ServeProtocolTest, RejectsAStrataCountOverTheLimit) {
 TEST(ServeProtocolTest, ParsesAnnotatorSpec) {
   const JsonValue json = ParseOrDie(
       R"({"annotators": 3, "noise_rate": 0.1, "seed": 99,
-          "annotation_threads": 4, "annotation_shards": 8,
-          "c1_seconds": 40, "c2_seconds": 20})");
+          "annotation_threads": 4, "c1_seconds": 40, "c2_seconds": 20})");
   AnnotatorSpec spec;
   ASSERT_TRUE(ParseAnnotatorSpec(json, &spec).ok());
   EXPECT_EQ(spec.annotators, 3u);
   EXPECT_EQ(spec.noise_rate, 0.1);
   EXPECT_EQ(spec.seed, 99u);
   EXPECT_EQ(spec.annotation_threads, 4u);
-  EXPECT_EQ(spec.annotation_shards, 8u);
   EXPECT_EQ(spec.c1_seconds, 40.0);
   EXPECT_EQ(spec.c2_seconds, 20.0);
 }
@@ -184,6 +182,43 @@ TEST(ServeProtocolTest, RejectsAMisplacedOptionAtTheTopLevel) {
       << response.lines[0];
   EXPECT_TRUE(IsOk(manager.HandleLine(
       BuildStartCampaign("g", "twcs", R"({"moe_target": 0.01})"))));
+}
+
+TEST(ServeProtocolTest, AMistypedMemberIsATypeErrorNamingIt) {
+  // A present member of the wrong type is not reported as missing, so a
+  // client can tell a mistyped value from a misspelt key.
+  GraphStore graphs;
+  graphs.Put("g", kgacc::testing::MakeServePopulationDataset(1));
+  SessionManager manager(&graphs);
+  CampaignScheduler scheduler(&graphs, CampaignScheduler::Options{});
+  manager.AttachScheduler(&scheduler);
+  ASSERT_TRUE(IsOk(manager.HandleLine(BuildStartCampaign("g", "twcs"))));
+  for (const auto& [line, member] :
+       {std::pair{R"({"op": "step", "session": "s1", "rounds": "x"})",
+                  "'rounds' must be a number"},
+        std::pair{R"({"op": "step", "session": 1})",
+                  "'session' must be a string"},
+        std::pair{R"({"op": "start-campaign", "graph": "g", "design": "twcs",
+                      "tenant": "yes"})",
+                  "'tenant' must be a bool"},
+        std::pair{R"({"op": "start-campaign", "graph": "g", "design": "twcs",
+                      "tenant": true, "id": 5})",
+                  "'id' must be a string"},
+        std::pair{R"({"op": "start-campaign", "graph": "g", "design": "twcs",
+                      "options": {"moe_target": "0.1"}})",
+                  "'moe_target' must be a number"},
+        std::pair{R"({"op": "start-campaign", "graph": "g", "design": "twcs",
+                      "annotator": {"async": 1}})",
+                  "'async' must be a bool"}}) {
+    const SessionManager::Response response = manager.HandleLine(line);
+    ASSERT_EQ(response.lines.size(), 1u) << line;
+    EXPECT_NE(response.lines[0].find("\"error\": \"InvalidArgument: "),
+              std::string::npos)
+        << line << " -> " << response.lines[0];
+    EXPECT_NE(response.lines[0].find(member), std::string::npos)
+        << line << " -> " << response.lines[0];
+  }
+  EXPECT_EQ(scheduler.NumTenants(), 0u);
 }
 
 TEST(ServeProtocolTest, StrataCountOverTheLimitFailsOnlyItsRequest) {

@@ -410,13 +410,14 @@ class ServeInterruptTest
 TEST_P(ServeInterruptTest, EndsStepZeroWithinOneRound) {
   const bool async = std::get<0>(GetParam());
   const EndBy end_by = std::get<1>(GetParam());
-  // Every triple takes 30 s to annotate, with the synchronous latency
-  // facade or through the async bridge: the campaign cannot finish, and a
-  // suspend or stop that waited for its round instead of cancelling the
-  // wait would take at least that long.
+  // Every triple takes 5 to 15 s to annotate (the latency cap's mean), with
+  // the synchronous latency facade or through the async bridge: the
+  // campaign cannot finish, and a suspend or stop that waited for its round,
+  // or only for the triple in flight, instead of cancelling the wait would
+  // take at least 5 s.
   AnnotatorSpec spec = BaseSpec(1);
   spec.async = async;
-  spec.latency_ms = 30000.0;
+  spec.latency_ms = kMaxLatencyMs;
   ServeSession session({.id = "s",
                         .design = "twcs",
                         .graph = "g",
@@ -447,7 +448,7 @@ TEST_P(ServeInterruptTest, EndsStepZeroWithinOneRound) {
   // after the session ended is refused like any late step.
   EXPECT_TRUE(stepped.ok() || stepped.IsFailedPrecondition())
       << stepped.ToString();
-  EXPECT_LT(seconds, 10.0);
+  EXPECT_LT(seconds, 4.0);
   EXPECT_LE(rounds, 1u);  // at most the round that was in flight.
   const ServeSession::Info info = session.GetInfo();
   EXPECT_EQ(info.state, end_by == EndBy::kSuspend

@@ -85,14 +85,11 @@ the synchronous annotator — only wall-clock time changes):
                             bridge: the engine samples round k+1 while round
                             k's labels are in flight
   --annotator-latency-ms L  mean simulated latency per first-seen triple,
-                            drawn per triple from a deterministic hash
-                            stream (seeded by --seed); without
-                            --async-annotator it is waited out
+                            at most 10000, drawn per triple from a
+                            deterministic hash stream (seeded by --seed);
+                            without --async-annotator it is waited out
                             synchronously                         [0]
   --max-concurrent N        bounded in-flight annotation window   [8]
-  --no-pipeline             keep the strictly sequential round schedule
-                            (the async window still overlaps within a
-                            round's batch)
 
 Every flag may also be spelled with underscores (--batch_units).
 
@@ -148,7 +145,6 @@ Status ReadConfig(const FlagParser& flags, EvaluationOptions* options,
   KGACC_ASSIGN_OR_RETURN(options->num_strata,
                          flags.GetUint64("strata", options->num_strata));
   if (flags.GetBool("wilson", false)) options->srs_ci = CiMethod::kWilson;
-  options->pipeline_rounds = !flags.GetBool("no-pipeline", false);
 
   KGACC_ASSIGN_OR_RETURN(spec->annotators,
                          flags.GetUint64("annotators", spec->annotators));
@@ -185,14 +181,7 @@ int RunEval(const FlagParser& flags) {
   // --- Observability (enabled before loading so KG timings are captured). ----
   const std::string metrics_path = flags.GetString("metrics", "");
   const std::string chrome_trace_path = flags.GetString("chrome-trace", "");
-  if (!metrics_path.empty()) {
-    if constexpr (!obs::kMetricsCompiledIn) {
-      std::fprintf(stderr,
-                   "warning: built with KGACC_NO_METRICS; --metrics will "
-                   "report empty values\n");
-    }
-    obs::EnableMetrics(true);
-  }
+  if (!metrics_path.empty()) obs::EnableMetrics(true);
   if (!chrome_trace_path.empty()) obs::TraceSession::Start();
 
   // --- Input. ----------------------------------------------------------------
@@ -408,8 +397,8 @@ int main(int argc, char** argv) {
        "moe", "confidence", "m", "pilot-size", "min-units", "wilson", "trace",
        "batch-units", "metrics", "chrome-trace", "annotators", "noise",
        "annotation-threads", "c1", "c2", "seed", "async-annotator",
-       "annotator-latency-ms", "max-concurrent", "no-pipeline",
-       "list-datasets", "list-designs", "help"});
+       "annotator-latency-ms", "max-concurrent", "list-datasets",
+       "list-designs", "help"});
   if (!valid.ok()) {
     std::fprintf(stderr, "error: %s (see --help)\n", valid.message().c_str());
     return 1;

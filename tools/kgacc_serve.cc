@@ -28,6 +28,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "serve/graph_store.h"
 #include "serve/scheduler.h"
 #include "serve/server.h"
@@ -122,6 +123,10 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", valid.message().c_str());
     return 2;
   }
+
+  // The `metrics` op reports what the daemon collects: its request and
+  // round histograms record only while collection is on.
+  obs::EnableMetrics(true);
 
   GraphStore graphs;
   const std::string preload = flags.GetString("preload", "");
