@@ -15,8 +15,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "core/static_evaluator.h"
-#include "core/stratified_evaluator.h"
+#include "core/stratified_source.h"
 #include "datasets/registry.h"
 #include "labels/annotator.h"
 #include "sampling/stratum_index.h"
@@ -94,8 +93,8 @@ void AblationBatchSize(const Dataset& nell, int trials, uint64_t seed) {
       options.min_units = 15;
       options.seed = seed + 31 * t + batch;
       SimulatedAnnotator annotator(nell.oracle.get(), kCost);
-      StaticEvaluator evaluator(nell.View(), &annotator, options);
-      const EvaluationResult r = evaluator.EvaluateTwcs();
+      const EvaluationResult r =
+          bench::RunDesign("twcs", nell.View(), &annotator, options);
       units.Add(static_cast<double>(r.estimate.num_units));
       hours.Add(r.AnnotationHours());
       rounds.Add(static_cast<double>(r.rounds));
@@ -126,8 +125,8 @@ void AblationMinUnits(const Dataset& nell, int trials, uint64_t seed) {
       options.min_units = min_units;
       options.seed = seed + 97 * t + min_units;
       SimulatedAnnotator annotator(nell.oracle.get(), kCost);
-      StaticEvaluator evaluator(nell.View(), &annotator, options);
-      const EvaluationResult r = evaluator.EvaluateTwcs();
+      const EvaluationResult r =
+          bench::RunDesign("twcs", nell.View(), &annotator, options);
       hours.Add(r.AnnotationHours());
       estimates.Add(r.estimate.mean);
       if (std::abs(r.estimate.mean - truth) <= r.moe) ++covered;
@@ -146,7 +145,7 @@ void AblationMinUnits(const Dataset& nell, int trials, uint64_t seed) {
 void AblationAllocation(int trials, uint64_t seed) {
   const Dataset syn =
       MakeMovieSyn(BmmParams{.k = 3, .c = 0.01, .sigma = 0.1}, seed);
-  const Strata strata = StratifiedTwcsEvaluator::SizeStrata(syn.View(), 4);
+  const Strata strata = SizeStrata(syn.View(), 4);
   bench::Banner("Ablation D: Neyman vs proportional allocation "
                 "(MOVIE-SYN, 4 size strata)");
   // Proportional allocation is emulated by zeroing the stddev signal: the
@@ -158,8 +157,11 @@ void AblationAllocation(int trials, uint64_t seed) {
     options.seed = seed + 11 * t;
     options.min_units = 15;
     SimulatedAnnotator annotator(syn.oracle.get(), kCost);
-    StratifiedTwcsEvaluator evaluator(syn.View(), &annotator, options);
-    neyman_hours.Add(evaluator.Evaluate(strata).AnnotationHours());
+    neyman_hours.Add(
+        RunCampaign(*MakeStratifiedTwcsCampaign(TriplePrefixIndex(syn.View()),
+                                                strata, &annotator, options),
+                    options.control)
+            .AnnotationHours());
   }
   // Proportional-only: run the same campaign but allocate by weight alone
   // (Neyman with equal stddevs == proportional; emulate via one-stratum-at-
@@ -228,8 +230,8 @@ void AblationNoise(const Dataset& nell, int trials, uint64_t seed) {
       SimulatedAnnotator annotator(
           nell.oracle.get(), kCost,
           {.noise_rate = noise, .seed = seed + 1000 + t});
-      StaticEvaluator evaluator(nell.View(), &annotator, options);
-      estimates.Add(evaluator.EvaluateTwcs().estimate.mean);
+      estimates.Add(bench::RunDesign("twcs", nell.View(), &annotator, options)
+                        .estimate.mean);
     }
     std::printf("%9.0f%% %18s %19.1f%%\n", noise * 100.0,
                 bench::MeanStdPercent(estimates).c_str(),

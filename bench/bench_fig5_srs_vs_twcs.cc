@@ -10,7 +10,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "core/static_evaluator.h"
+#include "core/optimal_m.h"
 #include "datasets/registry.h"
 #include "labels/annotator.h"
 
@@ -29,6 +29,11 @@ void RunDataset(const char* name, const Dataset& dataset, int trials,
   bench::Rule();
 
   for (double confidence : {0.90, 0.95, 0.99}) {
+    // TWCS runs at the Eq 12-optimal m for this confidence level.
+    const uint64_t optimal_m =
+        ChooseOptimalM(stats, cost, 1.0 - confidence,
+                       EvaluationOptions().moe_target)
+            .best_m;
     RunningStats srs_entities, srs_triples, srs_hours;
     RunningStats twcs_entities, twcs_triples, twcs_hours;
     for (int t = 0; t < trials; ++t) {
@@ -40,16 +45,16 @@ void RunDataset(const char* name, const Dataset& dataset, int trials,
       options.seed = seed + 13 * t + static_cast<uint64_t>(confidence * 100);
 
       SimulatedAnnotator a1(dataset.oracle.get(), cost);
-      StaticEvaluator srs(dataset.View(), &a1, options);
-      const EvaluationResult r1 = srs.EvaluateSrs();
+      const EvaluationResult r1 =
+          bench::RunDesign("srs", dataset.View(), &a1, options);
       srs_entities.Add(static_cast<double>(r1.ledger.entities_identified));
       srs_triples.Add(static_cast<double>(r1.ledger.triples_annotated));
       srs_hours.Add(r1.AnnotationHours());
 
       SimulatedAnnotator a2(dataset.oracle.get(), cost);
-      StaticEvaluator twcs(dataset.View(), &a2, options);
-      twcs.SetPopulationStatsForAutoM(&stats);
-      const EvaluationResult r2 = twcs.EvaluateTwcs();
+      options.m = optimal_m;
+      const EvaluationResult r2 =
+          bench::RunDesign("twcs", dataset.View(), &a2, options);
       twcs_entities.Add(static_cast<double>(r2.ledger.entities_identified));
       twcs_triples.Add(static_cast<double>(r2.ledger.triples_annotated));
       twcs_hours.Add(r2.AnnotationHours());

@@ -12,7 +12,6 @@
 
 #include "bench_util.h"
 #include "core/optimal_m.h"
-#include "core/static_evaluator.h"
 #include "datasets/registry.h"
 #include "labels/annotator.h"
 
@@ -33,8 +32,8 @@ void RunDataset(const char* name, const KgView& view, const TruthOracle& oracle,
     options.min_units = 15;
     options.seed = seed + 7919 * t;
     SimulatedAnnotator annotator(&oracle, cost);
-    StaticEvaluator evaluator(view, &annotator, options);
-    srs_hours.Add(evaluator.EvaluateSrs().AnnotationHours());
+    srs_hours.Add(
+        bench::RunDesign("srs", view, &annotator, options).AnnotationHours());
   }
 
   bench::Banner(StrFormat("Figure 6 — %s (%d trials; SRS ref %.2f±%.2f h)",
@@ -56,8 +55,8 @@ void RunDataset(const char* name, const KgView& view, const TruthOracle& oracle,
       options.m = m;
       options.seed = seed + 104729 * t + m;
       SimulatedAnnotator annotator(&oracle, cost);
-      StaticEvaluator evaluator(view, &annotator, options);
-      const EvaluationResult r = evaluator.EvaluateTwcs();
+      const EvaluationResult r =
+          bench::RunDesign("twcs", view, &annotator, options);
       clusters.Add(static_cast<double>(r.estimate.num_units));
       triples.Add(static_cast<double>(r.ledger.triples_annotated));
       hours.Add(r.AnnotationHours());

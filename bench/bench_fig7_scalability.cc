@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "core/static_evaluator.h"
 #include "core/telemetry.h"
 #include "datasets/datasets.h"
 #include "kg/store/mapped_graph.h"
@@ -55,8 +54,8 @@ RunningStats EvaluateTwcsHours(const KgView& view, const TruthOracle& oracle,
     options.seed = seed + 271 * t;
     options.m = 5;
     SimulatedAnnotator annotator(&oracle, cost);
-    StaticEvaluator evaluator(view, &annotator, options);
-    hours.Add(evaluator.EvaluateTwcs().AnnotationHours());
+    hours.Add(
+        bench::RunDesign("twcs", view, &annotator, options).AnnotationHours());
   }
   return hours;
 }

@@ -8,7 +8,7 @@
 #include <span>
 
 #include "core/reservoir_incremental.h"
-#include "core/stratified_evaluator.h"
+#include "core/stratified_source.h"
 #include "kg/cluster_population.h"
 #include "kg/generator.h"
 #include "sampling/srs.h"
@@ -45,7 +45,7 @@ BENCHMARK(BM_TriplePrefixIndexBuild)->Arg(10000)->Arg(288770)->Arg(2000000);
 void BM_SizeStrata(benchmark::State& state) {
   const ClusterPopulation pop = MakePopulation(state.range(0));
   for (auto _ : state) {
-    Strata strata = StratifiedTwcsEvaluator::SizeStrata(pop, 4);
+    Strata strata = SizeStrata(pop, 4);
     benchmark::DoNotOptimize(strata);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -54,7 +54,7 @@ BENCHMARK(BM_SizeStrata)->Arg(10000)->Arg(288770)->Arg(2000000);
 
 void BM_StratumIndexBuild(benchmark::State& state) {
   const ClusterPopulation pop = MakePopulation(state.range(0));
-  const Strata strata = StratifiedTwcsEvaluator::SizeStrata(pop, 4);
+  const Strata strata = SizeStrata(pop, 4);
   for (auto _ : state) {
     StratumIndex index(pop, strata.stratum_of, strata.NumStrata());
     benchmark::DoNotOptimize(index);

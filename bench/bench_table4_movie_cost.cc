@@ -8,7 +8,6 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "core/static_evaluator.h"
 #include "datasets/datasets.h"
 #include "labels/annotator.h"
 
@@ -30,8 +29,8 @@ int main() {
     options.seed = seed + 1000 + t;
 
     SimulatedAnnotator a1(movie.oracle.get(), cost);
-    StaticEvaluator srs(movie.View(), &a1, options);
-    const EvaluationResult r1 = srs.EvaluateSrs();
+    const EvaluationResult r1 =
+        bench::RunDesign("srs", movie.View(), &a1, options);
     srs_entities.Add(static_cast<double>(r1.ledger.entities_identified));
     srs_triples.Add(static_cast<double>(r1.ledger.triples_annotated));
     srs_hours.Add(r1.AnnotationHours());
@@ -39,8 +38,8 @@ int main() {
 
     options.m = 10;  // the paper's Table 4 TWCS configuration.
     SimulatedAnnotator a2(movie.oracle.get(), cost);
-    StaticEvaluator twcs(movie.View(), &a2, options);
-    const EvaluationResult r2 = twcs.EvaluateTwcs();
+    const EvaluationResult r2 =
+        bench::RunDesign("twcs", movie.View(), &a2, options);
     twcs_entities.Add(static_cast<double>(r2.ledger.entities_identified));
     twcs_triples.Add(static_cast<double>(r2.ledger.triples_annotated));
     twcs_hours.Add(r2.AnnotationHours());

@@ -9,10 +9,9 @@
 // on MOVIE (footnote: their estimates then miss the MoE target).
 
 #include <cstdio>
-#include <functional>
 
 #include "bench_util.h"
-#include "core/static_evaluator.h"
+#include "core/optimal_m.h"
 #include "datasets/registry.h"
 #include "labels/annotator.h"
 
@@ -31,8 +30,14 @@ void RunDataset(const char* name, const Dataset& dataset, int trials,
   const ClusterPopulationStats stats =
       BuildPopulationStats(dataset.View(), *dataset.oracle);
 
+  // TWCS runs at the Eq 12-optimal m.
+  const uint64_t optimal_m =
+      ChooseOptimalM(stats, cost, EvaluationOptions().Alpha(),
+                     EvaluationOptions().moe_target)
+          .best_m;
   DesignRow rows[4];
   const char* designs[4] = {"SRS", "RCS", "WCS", "TWCS"};
+  const char* names[4] = {"srs", "rcs", "wcs", "twcs"};
   for (int t = 0; t < trials; ++t) {
     for (int d = 0; d < 4; ++d) {
       EvaluationOptions options;
@@ -42,16 +47,10 @@ void RunDataset(const char* name, const Dataset& dataset, int trials,
       options.seed = seed + 17 * t + d;
       // The paper stops RCS/WCS at 5 hours on MOVIE for economic reasons.
       if (d == 1 || d == 2) options.max_cost_seconds = budget_hours * 3600.0;
+      options.m = optimal_m;
       SimulatedAnnotator annotator(dataset.oracle.get(), cost);
-      StaticEvaluator evaluator(dataset.View(), &annotator, options);
-      evaluator.SetPopulationStatsForAutoM(&stats);
-      EvaluationResult r;
-      switch (d) {
-        case 0: r = evaluator.EvaluateSrs(); break;
-        case 1: r = evaluator.EvaluateRcs(); break;
-        case 2: r = evaluator.EvaluateWcs(); break;
-        case 3: r = evaluator.EvaluateTwcs(); break;
-      }
+      const EvaluationResult r =
+          bench::RunDesign(names[d], dataset.View(), &annotator, options);
       rows[d].hours.Add(r.AnnotationHours());
       rows[d].estimate.Add(r.estimate.mean);
       if (!r.converged) ++rows[d].not_converged;

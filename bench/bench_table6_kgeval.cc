@@ -17,7 +17,7 @@
 
 #include "bench_util.h"
 #include "core/design_registry.h"
-#include "core/static_evaluator.h"
+#include "core/optimal_m.h"
 #include "datasets/registry.h"
 #include "labels/annotator.h"
 
@@ -42,14 +42,18 @@ void RunDataset(const char* name, const Dataset& dataset, int twcs_trials,
   // --- TWCS over trials. --------------------------------------------------
   const ClusterPopulationStats stats =
       BuildPopulationStats(dataset.View(), *dataset.oracle);
+  const uint64_t optimal_m =
+      ChooseOptimalM(stats, cost, EvaluationOptions().Alpha(),
+                     EvaluationOptions().moe_target)
+          .best_m;
   RunningStats twcs_triples, twcs_hours, twcs_estimate, twcs_machine;
   for (int t = 0; t < twcs_trials; ++t) {
     EvaluationOptions options;
     options.seed = seed + 31 * t;
+    options.m = optimal_m;  // the Eq 12-optimal m.
     SimulatedAnnotator annotator(dataset.oracle.get(), cost);
-    StaticEvaluator evaluator(dataset.View(), &annotator, options);
-    evaluator.SetPopulationStatsForAutoM(&stats);
-    const EvaluationResult r = evaluator.EvaluateTwcs();
+    const EvaluationResult r =
+        bench::RunDesign("twcs", dataset.View(), &annotator, options);
     twcs_triples.Add(static_cast<double>(r.ledger.triples_annotated));
     twcs_hours.Add(r.AnnotationHours());
     twcs_estimate.Add(r.estimate.mean);

@@ -13,8 +13,8 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "core/static_evaluator.h"
-#include "core/stratified_evaluator.h"
+#include "core/optimal_m.h"
+#include "core/stratified_source.h"
 #include "datasets/registry.h"
 #include "labels/annotator.h"
 
@@ -26,12 +26,24 @@ void RunDataset(const char* name, const Dataset& dataset, int num_strata,
   const CostModel cost{.c1_seconds = 45.0, .c2_seconds = 25.0};
   const ClusterPopulationStats stats =
       BuildPopulationStats(dataset.View(), *dataset.oracle);
-  const Strata size_strata =
-      StratifiedTwcsEvaluator::SizeStrata(dataset.View(), num_strata);
+  const Strata size_strata = SizeStrata(dataset.View(), num_strata);
   const Strata oracle_strata =
-      with_oracle ? StratifiedTwcsEvaluator::OracleStrata(
-                        dataset.View(), *dataset.oracle, num_strata)
+      with_oracle ? OracleStrata(dataset.View(), *dataset.oracle, num_strata)
                   : Strata{};
+  // Plain TWCS runs at the Eq 12-optimal m; the stratified runs at the
+  // default m.
+  const uint64_t optimal_m =
+      ChooseOptimalM(stats, cost, EvaluationOptions().Alpha(),
+                     EvaluationOptions().moe_target)
+          .best_m;
+  const auto run_stratified = [&](const Strata& strata,
+                                  const EvaluationOptions& options) {
+    SimulatedAnnotator annotator(dataset.oracle.get(), cost);
+    return RunCampaign(
+        *MakeStratifiedTwcsCampaign(TriplePrefixIndex(dataset.View()), strata,
+                                    &annotator, options),
+        options.control);
+  };
 
   RunningStats hours[4], estimate[4];
   for (int t = 0; t < trials; ++t) {
@@ -43,30 +55,27 @@ void RunDataset(const char* name, const Dataset& dataset, int num_strata,
 
     {
       SimulatedAnnotator annotator(dataset.oracle.get(), cost);
-      StaticEvaluator evaluator(dataset.View(), &annotator, options);
-      const EvaluationResult r = evaluator.EvaluateSrs();
+      const EvaluationResult r =
+          bench::RunDesign("srs", dataset.View(), &annotator, options);
       hours[0].Add(r.AnnotationHours());
       estimate[0].Add(r.estimate.mean);
     }
     {
       SimulatedAnnotator annotator(dataset.oracle.get(), cost);
-      StaticEvaluator evaluator(dataset.View(), &annotator, options);
-      evaluator.SetPopulationStatsForAutoM(&stats);
-      const EvaluationResult r = evaluator.EvaluateTwcs();
+      EvaluationOptions twcs = options;
+      twcs.m = optimal_m;
+      const EvaluationResult r =
+          bench::RunDesign("twcs", dataset.View(), &annotator, twcs);
       hours[1].Add(r.AnnotationHours());
       estimate[1].Add(r.estimate.mean);
     }
     {
-      SimulatedAnnotator annotator(dataset.oracle.get(), cost);
-      StratifiedTwcsEvaluator evaluator(dataset.View(), &annotator, options);
-      const EvaluationResult r = evaluator.Evaluate(size_strata);
+      const EvaluationResult r = run_stratified(size_strata, options);
       hours[2].Add(r.AnnotationHours());
       estimate[2].Add(r.estimate.mean);
     }
     if (with_oracle) {
-      SimulatedAnnotator annotator(dataset.oracle.get(), cost);
-      StratifiedTwcsEvaluator evaluator(dataset.View(), &annotator, options);
-      const EvaluationResult r = evaluator.Evaluate(oracle_strata);
+      const EvaluationResult r = run_stratified(oracle_strata, options);
       hours[3].Add(r.AnnotationHours());
       estimate[3].Add(r.estimate.mean);
     }

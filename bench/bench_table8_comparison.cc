@@ -17,7 +17,6 @@
 #include "bench_util.h"
 #include "core/kgeval/kgeval_baseline.h"
 #include "core/snapshot_baseline.h"
-#include "core/static_evaluator.h"
 #include "core/stratified_incremental.h"
 #include "datasets/registry.h"
 #include "kg/generator.h"
@@ -46,9 +45,10 @@ int main() {
     options.seed = seed + 11 * t;
     options.min_units = 15;
     SimulatedAnnotator a1(nell.oracle.get(), kCost), a2(nell.oracle.get(), kCost);
-    StaticEvaluator e1(nell.View(), &a1, options), e2(nell.View(), &a2, options);
-    const EvaluationResult srs = e1.EvaluateSrs();
-    const EvaluationResult twcs = e2.EvaluateTwcs();
+    const EvaluationResult srs =
+        bench::RunDesign("srs", nell.View(), &a1, options);
+    const EvaluationResult twcs =
+        bench::RunDesign("twcs", nell.View(), &a2, options);
     srs_estimates.Add(srs.estimate.mean);
     srs_hours.Add(srs.AnnotationHours());
     twcs_estimates.Add(twcs.estimate.mean);

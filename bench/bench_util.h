@@ -10,7 +10,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 
+#include "core/design_registry.h"
 #include "stats/running_stats.h"
 #include "util/string_util.h"
 
@@ -57,6 +59,22 @@ inline std::string ArtifactPath(const std::string& name) {
   const char* dir = std::getenv("KGACC_BENCH_JSON_DIR");
   const std::string base = (dir != nullptr && *dir != '\0') ? dir : ".";
   return base + "/" + name;
+}
+
+/// Runs one campaign of registry design `design` to completion. A bench's
+/// configuration is fixed, so a refusal is a bug: it is reported and the
+/// bench exits 1.
+inline EvaluationResult RunDesign(const std::string& design,
+                                  const KgView& view, Annotator* annotator,
+                                  const EvaluationOptions& options) {
+  Result<EvaluationResult> run =
+      DesignRegistry::Global().Run(design, view, annotator, options);
+  if (!run.ok()) {
+    std::fprintf(stderr, "error: %s: %s\n", design.c_str(),
+                 run.status().ToString().c_str());
+    std::exit(1);
+  }
+  return std::move(run).value();
 }
 
 /// Section banner.

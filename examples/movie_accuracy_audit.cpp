@@ -40,12 +40,13 @@ int main() {
   options.seed = 99;
 
   // The pilot's annotations stay cached: TWCS reuses any triple it re-draws.
-  StaticEvaluator evaluator(movie.View(), &annotator, options);
-  const EvaluationResult twcs = evaluator.EvaluateTwcs();
+  const DesignRegistry& designs = DesignRegistry::Global();
+  const EvaluationResult twcs =
+      designs.Run("twcs", movie.View(), &annotator, options).value();
 
   SimulatedAnnotator srs_annotator(movie.oracle.get(), cost_model);
-  StaticEvaluator srs_evaluator(movie.View(), &srs_annotator, options);
-  const EvaluationResult srs = srs_evaluator.EvaluateSrs();
+  const EvaluationResult srs =
+      designs.Run("srs", movie.View(), &srs_annotator, options).value();
 
   std::printf("\n%-10s %26s %14s %12s\n", "design", "estimate [95% CI]",
               "entities/triples", "time");
@@ -67,10 +68,10 @@ int main() {
   std::printf("\nRe-auditing at MoE 3%% with 4 size strata...\n");
   EvaluationOptions tight = options;
   tight.moe_target = 0.03;
+  tight.num_strata = 4;
   SimulatedAnnotator strat_annotator(movie.oracle.get(), cost_model);
-  StratifiedTwcsEvaluator stratified(movie.View(), &strat_annotator, tight);
-  const Strata strata = StratifiedTwcsEvaluator::SizeStrata(movie.View(), 4);
-  const EvaluationResult strat = stratified.Evaluate(strata);
+  const EvaluationResult strat =
+      designs.Run("twcs+strat", movie.View(), &strat_annotator, tight).value();
 
   std::printf("stratified TWCS: %s [%s, %s], %s, %llu strata draws\n",
               FormatPercent(strat.estimate.mean, 1).c_str(),

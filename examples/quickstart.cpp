@@ -29,20 +29,26 @@ int main() {
 
   // 3. Evaluate. The framework samples entity clusters in small batches and
   //    stops as soon as the margin of error is below the target — no
-  //    oversampling (Fig 2 of the paper).
+  //    oversampling (Fig 2 of the paper). Designs are picked by name from
+  //    the DesignRegistry (kgacc_eval --list-designs prints them all).
   EvaluationOptions options;
   options.moe_target = 0.05;   // +-5 percentage points...
   options.confidence = 0.95;   // ...at 95% confidence.
   options.seed = 7;
 
-  StaticEvaluator evaluator(nell.View(), &annotator, options);
-  const EvaluationResult result = evaluator.EvaluateTwcs();
+  const Result<EvaluationResult> run =
+      DesignRegistry::Global().Run("twcs", nell.View(), &annotator, options);
+  if (!run.ok()) {  // e.g. an option out of range.
+    std::fprintf(stderr, "error: %s\n", run.status().ToString().c_str());
+    return 1;
+  }
+  const EvaluationResult& result = *run;
 
   // 4. Report.
   std::printf("design:            %s (second-stage m=%llu)\n",
               result.design.c_str(),
               static_cast<unsigned long long>(
-                  evaluator.ResolveSecondStageSize()));
+                  ResolveSecondStageSize(options, cost_model, nullptr)));
   std::printf("estimated accuracy: %s\n",
               FormatPercent(result.estimate.mean, 1).c_str());
   std::printf("95%% CI:            [%s, %s] (MoE %.1f%%)\n",

@@ -1,22 +1,73 @@
 #include "core/design_registry.h"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "core/kgeval/kgeval_baseline.h"
 #include "core/optimal_m.h"
 #include "core/reservoir_incremental.h"
-#include "core/static_evaluator.h"
-#include "core/stratified_evaluator.h"
 #include "core/stratified_incremental.h"
+#include "core/stratified_source.h"
 #include "core/telemetry.h"
+#include "estimators/unit_estimators.h"
 #include "kg/knowledge_graph.h"
-#include "util/logging.h"
+#include "sampling/unit_samplers.h"
+#include "stats/stratification.h"
 #include "util/string_util.h"
 
 namespace kgacc {
 
 namespace {
+
+/// A single-stage engine design: `sampler` draws the units `estimator`
+/// combines, under the result label `design`.
+std::unique_ptr<Campaign> MakeEngineCampaign(
+    const char* design, Annotator* annotator, const EvaluationOptions& options,
+    std::shared_ptr<UnitSampler> sampler,
+    std::shared_ptr<UnitEstimator> estimator) {
+  return std::make_unique<EngineCampaign>(annotator, options,
+                                          EngineConfig{.design_name = design},
+                                          std::move(sampler),
+                                          std::move(estimator));
+}
+
+Result<std::unique_ptr<Campaign>> MakeSrs(const KgView& view,
+                                          Annotator* annotator,
+                                          const EvaluationOptions& options) {
+  return MakeEngineCampaign("SRS", annotator, options,
+                            std::make_shared<SrsUnitSampler>(view),
+                            std::make_shared<SrsUnitEstimator>());
+}
+
+Result<std::unique_ptr<Campaign>> MakeRcs(const KgView& view,
+                                          Annotator* annotator,
+                                          const EvaluationOptions& options) {
+  return MakeEngineCampaign(
+      "RCS", annotator, options, std::make_shared<RcsUnitSampler>(view),
+      std::make_shared<RcsUnitEstimator>(view.NumClusters(),
+                                         view.TotalTriples()));
+}
+
+Result<std::unique_ptr<Campaign>> MakeWcs(const KgView& view,
+                                          Annotator* annotator,
+                                          const EvaluationOptions& options) {
+  return MakeEngineCampaign("WCS", annotator, options,
+                            std::make_shared<WcsUnitSampler>(view),
+                            std::make_shared<WcsUnitEstimator>());
+}
+
+/// TWCS with second-stage size options.m, or the shared auto-m default.
+Result<std::unique_ptr<Campaign>> MakeTwcs(const KgView& view,
+                                           Annotator* annotator,
+                                           const EvaluationOptions& options) {
+  return MakeEngineCampaign(
+      "TWCS", annotator, options,
+      std::make_shared<TwcsUnitSampler>(
+          view, ResolveSecondStageSize(options, annotator->cost_model(),
+                                       /*stats=*/nullptr)),
+      std::make_shared<TwcsUnitEstimator>());
+}
 
 /// TWCS with the second-stage size chosen by an annotated pilot (Eq 12).
 /// The pilot's annotations stay cached in the annotator, so the campaign
@@ -47,7 +98,7 @@ class PilotedTwcsCampaign final : public Campaign, public TelemetrySink {
     campaign->pilot_seconds_ =
         annotator->ElapsedSeconds() - campaign->start_seconds_;
     if (options.telemetry != nullptr) pinned.telemetry = campaign.get();
-    campaign->twcs_ = StaticEvaluator(view, annotator, pinned).TwcsCampaign();
+    KGACC_ASSIGN_OR_RETURN(campaign->twcs_, MakeTwcs(view, annotator, pinned));
     return std::unique_ptr<Campaign>(std::move(campaign));
   }
 
@@ -118,114 +169,89 @@ Result<std::unique_ptr<Campaign>> MakeKgEval(const KgView& view,
 /// The "rs"/"ss" designs: the base campaign of an incremental `Method` on
 /// the whole current graph, owning the evaluator it runs on.
 template <typename Method>
-std::unique_ptr<Campaign> MakeIncrementalBase(
+Result<std::unique_ptr<Campaign>> MakeIncrementalBase(
     const KgView& view, Annotator* annotator,
     const EvaluationOptions& options) {
   auto evaluator = std::make_unique<Method>(&view, annotator, options);
   std::unique_ptr<Campaign> base = evaluator->InitializeCampaign();
-  return std::make_unique<OwningCampaign<IncrementalEvaluator>>(
-      std::move(evaluator), std::move(base));
+  return std::unique_ptr<Campaign>(
+      std::make_unique<OwningCampaign<IncrementalEvaluator>>(
+          std::move(evaluator), std::move(base)));
 }
 
-void RegisterBuiltins(DesignRegistry* registry) {
-  auto must = [](const Status& status) { KGACC_CHECK(status.ok()); };
-  must(registry->Register(
-      "srs", "simple random sampling of triples (Eq 5)",
-      [](const KgView& view, Annotator* annotator,
-         const EvaluationOptions& options) {
-        return StaticEvaluator(view, annotator, options).SrsCampaign();
-      }));
-  must(registry->Register(
-      "rcs", "random cluster sampling, uniform without replacement (Eq 7)",
-      [](const KgView& view, Annotator* annotator,
-         const EvaluationOptions& options) {
-        return StaticEvaluator(view, annotator, options).RcsCampaign();
-      }));
-  must(registry->Register(
-      "wcs", "weighted cluster sampling, size-proportional (Eq 8)",
-      [](const KgView& view, Annotator* annotator,
-         const EvaluationOptions& options) {
-        return StaticEvaluator(view, annotator, options).WcsCampaign();
-      }));
-  must(registry->Register(
-      "twcs", "two-stage weighted cluster sampling (Eq 9, recommended)",
-      [](const KgView& view, Annotator* annotator,
-         const EvaluationOptions& options) {
-        return StaticEvaluator(view, annotator, options).TwcsCampaign();
-      }));
-  must(registry->Register(
-      "twcs+strat",
-      "size-stratified TWCS with options.num_strata strata (Eq 13)",
-      [](const KgView& view, Annotator* annotator,
-         const EvaluationOptions& options)
-          -> Result<std::unique_ptr<Campaign>> {
-        const uint64_t h = options.num_strata > 0 ? options.num_strata : 4;
-        return StratifiedTwcsEvaluator(view, annotator, options)
-            .MakeSizeStratifiedCampaign(static_cast<int>(h));
-      }));
-  must(registry->Register(
-      "twcs+pilot",
-      "TWCS with m selected by an annotated pilot (Eq 12 search)",
-      PilotedTwcsCampaign::Make));
-  must(registry->Register(
-      "rs",
-      "reservoir incremental evaluation (Sec 6.1, Alg 1); base campaign on "
-      "the current graph",
-      MakeIncrementalBase<ReservoirIncrementalEvaluator>));
-  must(registry->Register(
-      "ss",
-      "stratified incremental evaluation (Sec 6.2, Alg 2); base campaign on "
-      "the current graph",
-      MakeIncrementalBase<StratifiedIncrementalEvaluator>));
-  must(registry->Register(
-      "kgeval",
-      "KGEval baseline (Ojha & Talukdar 2017); materialized graphs only, no "
-      "statistical guarantee",
-      MakeKgEval));
+/// Size-stratified TWCS: the strata and the stratum draws read one
+/// triple-offset column, the view's or one built for both.
+Result<std::unique_ptr<Campaign>> MakeSizeStratifiedTwcs(
+    const KgView& view, Annotator* annotator,
+    const EvaluationOptions& options) {
+  const uint64_t h = options.num_strata > 0 ? options.num_strata : 4;
+  TriplePrefixIndex column(view);
+  Strata strata = StratifySizes(column.Offsets(), static_cast<int>(h));
+  return MakeStratifiedTwcsCampaign(std::move(column), std::move(strata),
+                                    annotator, options);
+}
+
+using DesignFactory = Result<std::unique_ptr<Campaign>> (*)(
+    const KgView& view, Annotator* annotator,
+    const EvaluationOptions& options);
+
+struct Design {
+  const char* name;
+  const char* description;
+  DesignFactory make;
+};
+
+/// The built-in designs, sorted by name.
+constexpr Design kDesigns[] = {
+    {"kgeval",
+     "KGEval baseline (Ojha & Talukdar 2017); materialized graphs only, no "
+     "statistical guarantee",
+     MakeKgEval},
+    {"rcs", "random cluster sampling, uniform without replacement (Eq 7)",
+     MakeRcs},
+    {"rs",
+     "reservoir incremental evaluation (Sec 6.1, Alg 1); base campaign on "
+     "the current graph",
+     MakeIncrementalBase<ReservoirIncrementalEvaluator>},
+    {"srs", "simple random sampling of triples (Eq 5)", MakeSrs},
+    {"ss",
+     "stratified incremental evaluation (Sec 6.2, Alg 2); base campaign on "
+     "the current graph",
+     MakeIncrementalBase<StratifiedIncrementalEvaluator>},
+    {"twcs", "two-stage weighted cluster sampling (Eq 9, recommended)",
+     MakeTwcs},
+    {"twcs+pilot", "TWCS with m selected by an annotated pilot (Eq 12 search)",
+     PilotedTwcsCampaign::Make},
+    {"twcs+strat",
+     "size-stratified TWCS with options.num_strata strata (Eq 13)",
+     MakeSizeStratifiedTwcs},
+    {"wcs", "weighted cluster sampling, size-proportional (Eq 8)", MakeWcs},
+};
+
+const Design* Find(const std::string& name) {
+  for (const Design& design : kDesigns) {
+    if (name == design.name) return &design;
+  }
+  return nullptr;
 }
 
 }  // namespace
 
-DesignRegistry& DesignRegistry::Global() {
-  static DesignRegistry* registry = [] {
-    auto* r = new DesignRegistry();
-    RegisterBuiltins(r);
-    return r;
-  }();
-  return *registry;
-}
-
-Status DesignRegistry::Register(const std::string& name,
-                                const std::string& description,
-                                CampaignFactory factory) {
-  if (name.empty()) return Status::InvalidArgument("empty design name");
-  if (factory == nullptr) {
-    return Status::InvalidArgument("null campaign factory");
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto [it, inserted] =
-      entries_.emplace(name, Entry{description, std::move(factory)});
-  if (!inserted) {
-    return Status::FailedPrecondition(
-        StrFormat("design '%s' already registered", name.c_str()));
-  }
-  return Status::OK();
+const DesignRegistry& DesignRegistry::Global() {
+  static const DesignRegistry registry;
+  return registry;
 }
 
 Result<std::unique_ptr<Campaign>> DesignRegistry::MakeCampaign(
     const std::string& name, const KgView& view, Annotator* annotator,
     const EvaluationOptions& options) const {
-  CampaignFactory factory;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = entries_.find(name);
-    if (it == entries_.end()) return UnknownDesignLocked(name);
-    factory = it->second.factory;
-  }
+  const Design* design = Find(name);
+  if (design == nullptr) return UnknownDesign(name);
   KGACC_RETURN_IF_ERROR(CheckEvaluationOptions(options));
-  // Build outside the lock: set-up can be long (a pilot annotates) and may
-  // itself consult the registry.
-  return factory(view, annotator, options);
+  if (view.TotalTriples() == 0) {
+    return Status::InvalidArgument("cannot evaluate an empty graph");
+  }
+  return design->make(view, annotator, options);
 }
 
 Result<EvaluationResult> DesignRegistry::Run(
@@ -237,37 +263,28 @@ Result<EvaluationResult> DesignRegistry::Run(
 }
 
 bool DesignRegistry::Contains(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.find(name) != entries_.end();
+  return Find(name) != nullptr;
 }
 
-Status DesignRegistry::UnknownDesignLocked(const std::string& name) const {
+Status DesignRegistry::UnknownDesign(const std::string& name) const {
   std::string known;
-  for (const auto& [key, entry] : entries_) {
+  for (const Design& design : kDesigns) {
     if (!known.empty()) known += ", ";
-    known += key;
+    known += design.name;
   }
   return Status::NotFound(StrFormat("unknown design '%s' (known: %s)",
                                     name.c_str(), known.c_str()));
 }
 
-Status DesignRegistry::UnknownDesign(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return UnknownDesignLocked(name);
-}
-
 std::vector<std::string> DesignRegistry::Names() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::string> names;
-  names.reserve(entries_.size());
-  for (const auto& [name, entry] : entries_) names.push_back(name);
+  for (const Design& design : kDesigns) names.push_back(design.name);
   return names;
 }
 
 std::string DesignRegistry::Description(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = entries_.find(name);
-  return it == entries_.end() ? "" : it->second.description;
+  const Design* design = Find(name);
+  return design == nullptr ? "" : design->description;
 }
 
 }  // namespace kgacc

@@ -1,9 +1,6 @@
 #pragma once
 
-#include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -15,18 +12,11 @@
 
 namespace kgacc {
 
-/// Builds one evaluation campaign of a registered design, ready for its
-/// first Step(). The campaign borrows `view` and `annotator`, which must
-/// outlive it, and honours EvaluationOptions::telemetry; it ignores
-/// EvaluationOptions::control, which only RunCampaign consults. Designs may
-/// fail (e.g. "kgeval" on a sizes-only population).
-using CampaignFactory = std::function<Result<std::unique_ptr<Campaign>>(
-    const KgView& view, Annotator* annotator,
-    const EvaluationOptions& options)>;
-
-/// String-keyed registry of sampling designs, so benches and the CLI select
-/// designs by name instead of hand-rolled switch blocks, and downstream code
-/// can plug in new designs without touching the callers.
+/// The one place a sampling design is assembled: a fixed, name-keyed table of
+/// the built-in designs, so benches, the CLI and the daemon select designs by
+/// name instead of hand-rolled switch blocks. A new design is a
+/// UnitSampler/UnitEstimator pair (core/engine.h) plus one row in the table;
+/// code outside the library builds an EngineCampaign and calls RunCampaign.
 ///
 /// Built-in names:
 ///   - static: "srs", "rcs", "wcs", "twcs", "twcs+strat" (the last uses size
@@ -38,19 +28,20 @@ using CampaignFactory = std::function<Result<std::unique_ptr<Campaign>>(
 ///     no statistical guarantee, never reports convergence).
 ///
 /// Every built-in honours EvaluationOptions::telemetry with per-round
-/// campaign traces (see core/telemetry.h).
+/// campaign traces (see core/telemetry.h). The table is immutable, so the
+/// registry needs no lock.
 class DesignRegistry {
  public:
-  /// The process-wide registry, pre-populated with the built-in designs.
-  static DesignRegistry& Global();
+  /// The process-wide registry of the built-in designs.
+  static const DesignRegistry& Global();
 
-  /// Registers a design; errors on a duplicate name or empty name.
-  Status Register(const std::string& name, const std::string& description,
-                  CampaignFactory factory);
-
-  /// Builds one campaign of design `name`; errors on unknown names (the
-  /// message lists the known designs), on options CheckEvaluationOptions
-  /// refuses, and on designs that cannot run on `view`.
+  /// Builds one campaign of design `name`, ready for its first Step(). The
+  /// campaign borrows `view` and `annotator`, which must outlive it, and
+  /// ignores EvaluationOptions::control, which only RunCampaign consults.
+  /// Errors on unknown names (the message lists the known designs), on
+  /// options CheckEvaluationOptions refuses, on a view without triples, and
+  /// on designs that cannot run on `view` (e.g. "kgeval" on a sizes-only
+  /// population).
   Result<std::unique_ptr<Campaign>> MakeCampaign(
       const std::string& name, const KgView& view, Annotator* annotator,
       const EvaluationOptions& options) const;
@@ -64,26 +55,15 @@ class DesignRegistry {
   bool Contains(const std::string& name) const;
 
   /// The NotFound status reported for an unknown design name, listing the
-  /// registered designs. Shared by Run(), the kgacc_eval CLI, and the serve
+  /// built-in designs. Shared by Run(), the kgacc_eval CLI, and the serve
   /// start-campaign path so the listing can never drift between surfaces.
   Status UnknownDesign(const std::string& name) const;
 
-  /// All registered names, sorted.
+  /// All design names, sorted.
   std::vector<std::string> Names() const;
 
   /// One-line description of a design ("" for unknown names).
   std::string Description(const std::string& name) const;
-
- private:
-  struct Entry {
-    std::string description;
-    CampaignFactory factory;
-  };
-
-  Status UnknownDesignLocked(const std::string& name) const;
-
-  mutable std::mutex mutex_;
-  std::map<std::string, Entry> entries_;
 };
 
 }  // namespace kgacc

@@ -61,9 +61,8 @@ struct EvaluationOptions {
   /// CI used by the SRS stopping rule (see CiMethod).
   CiMethod srs_ci = CiMethod::kWald;
 
-  /// Stratum count used by the stratified designs when selected through the
-  /// DesignRegistry ("twcs+strat"); direct StratifiedTwcsEvaluator callers
-  /// pass explicit Strata instead.
+  /// Stratum count of the DesignRegistry's "twcs+strat" size strata;
+  /// MakeStratifiedTwcsCampaign callers pass explicit Strata instead.
   uint64_t num_strata = 4;
 
   /// Clusters annotated by the "twcs+pilot" design's pilot before the Eq 12

@@ -1,6 +1,6 @@
 #include "core/snapshot_baseline.h"
 
-#include "core/static_evaluator.h"
+#include "core/design_registry.h"
 #include "labels/annotator.h"
 #include "util/rng.h"
 
@@ -17,7 +17,9 @@ EvaluationResult SnapshotBaselineEvaluator::Evaluate(const KgView& view) {
   options.seed = HashCombine(options_.seed, ++snapshot_counter_);
   SimulatedAnnotator annotator(oracle_, cost_model_,
                                {.noise_rate = 0.0, .seed = options.seed});
-  return StaticEvaluator(view, &annotator, options).EvaluateTwcs();
+  return DesignRegistry::Global()
+      .Run("twcs", view, &annotator, options)
+      .value();
 }
 
 }  // namespace kgacc

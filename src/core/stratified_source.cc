@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "core/optimal_m.h"
 #include "estimators/unit_estimators.h"
 #include "sampling/unit_samplers.h"
 #include "stats/allocation.h"
@@ -74,6 +75,37 @@ void StratifiedTwcsSource::AddUnit(const SampleUnit& unit,
   estimate.variance_of_mean = stats.VarianceOfMean();
   estimate.num_units = stats.Count();
   combined_.UpdateStratum(h, estimate);
+}
+
+Strata SizeStrata(const KgView& view, int num_strata) {
+  return StratifySizes(TriplePrefixIndex(view).Offsets(), num_strata);
+}
+
+Strata OracleStrata(const KgView& view, const TruthOracle& oracle,
+                    int num_strata) {
+  const uint64_t n = view.NumClusters();
+  std::vector<double> signal(n);
+  std::vector<uint64_t> sizes(n);
+  for (uint64_t i = 0; i < n; ++i) {
+    sizes[i] = view.ClusterSize(i);
+    signal[i] = RealizedClusterAccuracy(oracle, i, sizes[i]);
+  }
+  return StratifyClusters(signal, sizes, num_strata);
+}
+
+std::unique_ptr<Campaign> MakeStratifiedTwcsCampaign(
+    TriplePrefixIndex column, Strata strata, Annotator* annotator,
+    const EvaluationOptions& options) {
+  KGACC_CHECK(strata.NumStrata() >= 1) << "need at least one stratum";
+  // The source is both sampler and estimator.
+  auto source = std::make_shared<StratifiedTwcsSource>(
+      std::move(column), std::move(strata),
+      ResolveSecondStageSize(options, annotator->cost_model(),
+                             /*stats=*/nullptr),
+      options.min_stratum_units);
+  return std::make_unique<EngineCampaign>(
+      annotator, options, EngineConfig{.design_name = "TWCS+strat"}, source,
+      source);
 }
 
 }  // namespace kgacc

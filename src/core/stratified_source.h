@@ -8,6 +8,7 @@
 #include "core/engine.h"
 #include "estimators/estimators.h"
 #include "kg/kg_view.h"
+#include "labels/truth_oracle.h"
 #include "sampling/srs.h"
 #include "sampling/stratum_index.h"
 #include "stats/running_stats.h"
@@ -68,5 +69,23 @@ class StratifiedTwcsSource : public UnitSampler, public UnitEstimator {
   uint64_t min_stratum_units_;
   bool seeded_ = false;
 };
+
+/// "Size Stratification": cum-sqrt(F) boundaries over cluster sizes, read
+/// straight from the view's TripleOffsets() column (StratifySizes).
+Strata SizeStrata(const KgView& view, int num_strata);
+
+/// "Oracle Stratification": strata on realized per-cluster accuracy — the
+/// unattainable-in-practice lower bound of Table 7.
+Strata OracleStrata(const KgView& view, const TruthOracle& oracle,
+                    int num_strata);
+
+/// The stratified-TWCS campaign ("TWCS+strat") over `strata` of `column`'s
+/// view, ready for its first Step(), with second-stage size
+/// ResolveSecondStageSize(options, annotator's cost model, no stats). It
+/// borrows the view and `annotator`. The registry's "twcs+strat" cuts size
+/// strata from the same column, so a view without one builds it once.
+std::unique_ptr<Campaign> MakeStratifiedTwcsCampaign(
+    TriplePrefixIndex column, Strata strata, Annotator* annotator,
+    const EvaluationOptions& options);
 
 }  // namespace kgacc

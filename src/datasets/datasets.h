@@ -7,6 +7,7 @@
 #include "kg/kg_view.h"
 #include "kg/knowledge_graph.h"
 #include "kg/store/mapped_graph.h"
+#include "kg/symbol_table.h"
 #include "kg/triple_view.h"
 #include "labels/synthetic_oracle.h"
 #include "labels/truth_oracle.h"
@@ -35,6 +36,10 @@ struct Dataset {
   std::unique_ptr<ClusterPopulation> population;
 
   std::unique_ptr<TruthOracle> oracle;
+
+  /// The names behind a loaded TSV graph's ids (null for the others; a
+  /// .kgstore may embed its own, MappedGraph::SymbolName).
+  std::unique_ptr<SymbolTable> symbols;
 
   /// Set when `oracle` is a PerClusterBernoulliOracle (synthetic labels);
   /// grants access to per-cluster expected accuracies.

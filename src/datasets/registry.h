@@ -29,4 +29,16 @@ Result<Dataset> MakeDatasetByName(const std::string& name, uint64_t seed);
 /// Names accepted by MakeDatasetByName.
 std::vector<std::string> KnownDatasetNames();
 
+/// Loads a gold-labeled TSV graph (kg/loader.h; the 0/1 label column is the
+/// truth a simulated annotator consults) as a materialized dataset that
+/// keeps the file's SymbolTable. InvalidArgument, naming the file, when a
+/// line has no label or the file holds no triples.
+Result<Dataset> LoadTsvDataset(const std::string& path);
+
+/// Opens a `.kgstore` file as a zero-copy mmap dataset, in O(1) in the graph
+/// size. The file must embed gold labels (kgacc_store build writes them
+/// whenever the source has full label coverage): campaigns cannot annotate
+/// without a truth source.
+Result<Dataset> LoadKgstoreDataset(const std::string& path);
+
 }  // namespace kgacc

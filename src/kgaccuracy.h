@@ -9,9 +9,11 @@
 ///
 ///   kgacc::Dataset data = kgacc::MakeNell(/*seed=*/1);
 ///   kgacc::SimulatedAnnotator annotator(data.oracle.get(), kgacc::CostModel{});
-///   kgacc::StaticEvaluator evaluator(data.View(), &annotator, {});
-///   kgacc::EvaluationResult r = evaluator.EvaluateTwcs();
-///   // r.estimate.mean, r.moe, r.AnnotationHours(), ...
+///   kgacc::Result<kgacc::EvaluationResult> r =
+///       kgacc::DesignRegistry::Global().Run("twcs", data.View(), &annotator,
+///                                           {});
+///   // r.status() on a refused configuration, else r->estimate.mean,
+///   // r->moe, r->AnnotationHours(), ...
 ///
 /// An evolving KG is monitored by one IncrementalEvaluator, RS or SS (see
 /// examples/evolving_kg_monitor.cpp); each step is an EvaluationResult
@@ -92,8 +94,6 @@
 #include "core/reservoir_incremental.h"  // IWYU pragma: export
 #include "core/snapshot_baseline.h"      // IWYU pragma: export
 #include "core/state_io.h"               // IWYU pragma: export
-#include "core/static_evaluator.h"       // IWYU pragma: export
-#include "core/stratified_evaluator.h"   // IWYU pragma: export
 #include "core/stratified_source.h"      // IWYU pragma: export
 #include "core/stratified_incremental.h" // IWYU pragma: export
 #include "core/telemetry.h"              // IWYU pragma: export

@@ -6,10 +6,6 @@
 #include <utility>
 
 #include "datasets/registry.h"
-#include "kg/loader.h"
-#include "kg/store/mapped_graph.h"
-#include "kg/symbol_table.h"
-#include "labels/gold_labels.h"
 #include "util/string_util.h"
 
 namespace kgacc::serve {
@@ -40,46 +36,6 @@ std::string CanonicalName(const std::string& name) {
   char resolved[PATH_MAX];
   if (::realpath(name.c_str(), resolved) == nullptr) return name;
   return resolved;
-}
-
-/// Opens a `.kgstore` file as a zero-copy mmap dataset. O(1) in the graph
-/// size — this is what makes daemon restart near-instant. The file must
-/// embed gold labels (kgacc_store build writes them whenever the source has
-/// full label coverage); campaigns cannot annotate without a truth source.
-Result<Dataset> LoadKgstoreDataset(const std::string& path) {
-  KGACC_ASSIGN_OR_RETURN(MappedGraph mapped, MappedGraph::Open(path));
-  if (!mapped.has_labels()) {
-    return Status::FailedPrecondition(StrFormat(
-        "'%s' has no embedded gold labels; rebuild it from a labeled source "
-        "(kgacc_store build)",
-        path.c_str()));
-  }
-  Dataset dataset;
-  dataset.name = path;
-  dataset.mapped = std::make_unique<MappedGraph>(std::move(mapped));
-  dataset.oracle = std::make_unique<MappedLabelOracle>(dataset.mapped.get());
-  return dataset;
-}
-
-Result<Dataset> LoadTsvDataset(const std::string& path) {
-  SymbolTable symbols;
-  auto graph = std::make_unique<KnowledgeGraph>();
-  std::vector<LabeledTriple> labels;
-  KGACC_RETURN_IF_ERROR(LoadTsvFile(path, &symbols, graph.get(), &labels));
-  if (labels.size() != graph->TotalTriples()) {
-    return Status::InvalidArgument(StrFormat(
-        "'%s' needs a 0/1 gold label on every line (%llu labels for %llu "
-        "triples)",
-        path.c_str(), static_cast<unsigned long long>(labels.size()),
-        static_cast<unsigned long long>(graph->TotalTriples())));
-  }
-  auto gold = std::make_unique<GoldLabelStore>(graph->ClusterSizes());
-  for (const LabeledTriple& lt : labels) gold->Set(lt.ref, lt.correct);
-  Dataset dataset;
-  dataset.name = path;
-  dataset.graph = std::move(graph);
-  dataset.oracle = std::move(gold);
-  return dataset;
 }
 
 }  // namespace

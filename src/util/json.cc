@@ -109,10 +109,10 @@ class JsonParser {
  private:
   static constexpr int kMaxDepth = 64;
 
-  Status Error(const char* message) const {
+  Status Error(const std::string& message) const {
     return Status::InvalidArgument(
         StrFormat("JSON parse error at offset %llu: %s",
-                  static_cast<unsigned long long>(pos_), message));
+                  static_cast<unsigned long long>(pos_), message.c_str()));
   }
 
   void SkipWhitespace() {
@@ -176,7 +176,11 @@ class JsonParser {
       SkipWhitespace();
       if (!Consume(':')) return Error("expected ':' in object");
       KGACC_ASSIGN_OR_RETURN(JsonValue member, ParseValue(depth + 1));
-      (*value.object_)[key.string_] = std::move(member);
+      // A repeated member would silently win over the first.
+      if (!value.object_->emplace(key.string_, std::move(member)).second) {
+        return Error(
+            StrFormat("duplicate member '%s'", key.string_.c_str()));
+      }
       SkipWhitespace();
       if (Consume(',')) continue;
       if (Consume('}')) return value;

@@ -22,7 +22,7 @@ class JsonValue {
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
 
   using Array = std::vector<JsonValue>;
-  /// std::map keeps keys ordered; duplicate keys keep the last value.
+  /// std::map keeps keys ordered; Parse refuses a repeated key.
   using Object = std::map<std::string, JsonValue>;
 
   JsonValue() : type_(Type::kNull) {}

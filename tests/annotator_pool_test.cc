@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/static_evaluator.h"
 #include "kg/cluster_population.h"
 #include "labels/synthetic_oracle.h"
 #include "test_util.h"
@@ -90,8 +89,8 @@ TEST(AnnotatorPoolTest, PluggableIntoEvaluator) {
                      {.num_annotators = 3, .noise_rate = 0.1, .seed = 8});
   EvaluationOptions options;
   options.seed = 9;
-  StaticEvaluator evaluator(pop.population, &pool, options);
-  const EvaluationResult r = evaluator.EvaluateTwcs();
+  const EvaluationResult r =
+      testing::RunDesign("twcs", pop.population, &pool, options);
   EXPECT_TRUE(r.converged);
   // The pool's redundancy triples the bill relative to its single-annotator
   // ledger shape.

@@ -10,15 +10,15 @@
 #include <vector>
 
 #include "core/reservoir_incremental.h"
-#include "core/static_evaluator.h"
-#include "core/stratified_evaluator.h"
 #include "core/stratified_incremental.h"
+#include "core/stratified_source.h"
 #include "test_util.h"
 
 namespace kgacc {
 namespace {
 
 using kgacc::testing::MakeTestPopulation;
+using kgacc::testing::RunDesign;
 using kgacc::testing::TestPopulation;
 
 constexpr CostModel kCost{.c1_seconds = 45.0, .c2_seconds = 25.0};
@@ -49,8 +49,7 @@ TEST(CiCoverageTest, TwcsCoversAtRoughlyNominalRate) {
         EvaluationOptions options;
         options.seed = seed;
         SimulatedAnnotator annotator(&pop.oracle, kCost);
-        StaticEvaluator evaluator(pop.population, &annotator, options);
-        return evaluator.EvaluateTwcs();
+        return RunDesign("twcs", pop.population, &annotator, options);
       });
   EXPECT_EQ(coverage.converged, kTrials);
   EXPECT_GE(coverage.covered, kTrials * 85 / 100);
@@ -64,8 +63,7 @@ TEST(CiCoverageTest, SrsCoversAtRoughlyNominalRate) {
         EvaluationOptions options;
         options.seed = seed;
         SimulatedAnnotator annotator(&pop.oracle, kCost);
-        StaticEvaluator evaluator(pop.population, &annotator, options);
-        return evaluator.EvaluateSrs();
+        return RunDesign("srs", pop.population, &annotator, options);
       });
   EXPECT_EQ(coverage.converged, kTrials);
   EXPECT_GE(coverage.covered, kTrials * 85 / 100);
@@ -74,15 +72,16 @@ TEST(CiCoverageTest, SrsCoversAtRoughlyNominalRate) {
 TEST(CiCoverageTest, StratifiedTwcsCoversAtRoughlyNominalRate) {
   const TestPopulation pop = MakeTestPopulation(1500, 20, 0.8, 0.3, 47);
   const double truth = RealizedOverallAccuracy(pop.oracle, pop.population);
-  const Strata strata =
-      StratifiedTwcsEvaluator::SizeStrata(pop.population, 3);
+  const Strata strata = SizeStrata(pop.population, 3);
   const CoverageResult coverage =
       MeasureCoverage(truth, [&](uint64_t seed) {
         EvaluationOptions options;
         options.seed = seed;
         SimulatedAnnotator annotator(&pop.oracle, kCost);
-        StratifiedTwcsEvaluator evaluator(pop.population, &annotator, options);
-        return evaluator.Evaluate(strata);
+        return RunCampaign(
+            *MakeStratifiedTwcsCampaign(TriplePrefixIndex(pop.population),
+                                        strata, &annotator, options),
+            options.control);
       });
   EXPECT_EQ(coverage.converged, kTrials);
   EXPECT_GE(coverage.covered, kTrials * 82 / 100);
@@ -97,8 +96,7 @@ TEST(CiCoverageTest, TighterTargetStillCovers) {
         options.seed = seed;
         options.moe_target = 0.025;
         SimulatedAnnotator annotator(&pop.oracle, kCost);
-        StaticEvaluator evaluator(pop.population, &annotator, options);
-        return evaluator.EvaluateTwcs();
+        return RunDesign("twcs", pop.population, &annotator, options);
       });
   EXPECT_EQ(coverage.converged, kTrials);
   EXPECT_GE(coverage.covered, kTrials * 85 / 100);
@@ -113,8 +111,7 @@ TEST(CiCoverageTest, HigherConfidenceCoversMore) {
       options.seed = seed;
       options.confidence = confidence;
       SimulatedAnnotator annotator(&pop.oracle, kCost);
-      StaticEvaluator evaluator(pop.population, &annotator, options);
-      return evaluator.EvaluateTwcs();
+      return RunDesign("twcs", pop.population, &annotator, options);
     });
   };
   const CoverageResult at90 = run(0.90);

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <limits>
+#include <ostream>
 #include <string>
 
 #include "core/evaluation.h"
@@ -155,6 +156,10 @@ struct HostileRow {
   const char* annotator;
   const char* field;
 };
+
+/// Prints a row as its name. gtest would print its bytes, five string
+/// addresses that move with every build, and ctest names each case by it.
+void PrintTo(const HostileRow& row, std::ostream* os) { *os << row.name; }
 
 constexpr HostileRow kHostileRows[] = {
     {"EvenPool", "twcs", "{}", R"({"annotators": 2})", "annotators"},

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 
-#include "core/static_evaluator.h"
 #include "stats/stratification.h"
 #include "test_util.h"
 
@@ -67,37 +66,26 @@ TEST(DesignRegistryTest, UnknownDesignListsKnownNames) {
   EXPECT_NE(run.status().message().find("twcs"), std::string::npos);
 }
 
-TEST(DesignRegistryTest, RejectsDuplicateAndInvalidRegistrations) {
-  DesignRegistry registry;
-  const CampaignFactory noop = [](const KgView& view, Annotator* annotator,
-                                  const EvaluationOptions& options) {
-    return StaticEvaluator(view, annotator, options).SrsCampaign();
-  };
-  EXPECT_TRUE(registry.Register("custom", "test design", noop).ok());
-  EXPECT_FALSE(registry.Register("custom", "duplicate", noop).ok());
-  EXPECT_FALSE(registry.Register("", "empty name", noop).ok());
-  EXPECT_FALSE(registry.Register("null-fn", "", nullptr).ok());
-}
-
-TEST(DesignRegistryTest, CustomDesignPlugsIn) {
-  // The ~50-line-plugin promise: a new design is one Register call.
-  DesignRegistry registry;
-  ASSERT_TRUE(registry
-                  .Register("twcs-m2", "TWCS pinned to m = 2",
-                            [](const KgView& view, Annotator* annotator,
-                               const EvaluationOptions& options) {
-                              EvaluationOptions pinned = options;
-                              pinned.m = 2;
-                              return StaticEvaluator(view, annotator, pinned)
-                                  .TwcsCampaign();
-                            })
-                  .ok());
-  TestPopulation pop = MakeTestPopulation(300, 10, 0.85, 0.1, 7);
-  SimulatedAnnotator annotator(&pop.oracle, kCost);
-  const Result<EvaluationResult> run = registry.Run(
-      "twcs-m2", pop.population, &annotator, EvaluationOptions{.seed = 3});
-  ASSERT_TRUE(run.ok());
-  EXPECT_TRUE(run->converged);
+TEST(DesignRegistryTest, AGraphWithoutTriplesIsAnError) {
+  // No design can draw a first unit from it; each says so instead of
+  // aborting in its sampler.
+  const PerClusterBernoulliOracle oracle{1};
+  const ClusterPopulation empty;
+  const ClusterPopulation zero_sized(std::vector<uint32_t>{0, 0, 0});
+  for (const KgView* view : {static_cast<const KgView*>(&empty),
+                             static_cast<const KgView*>(&zero_sized)}) {
+    for (const std::string& name : DesignRegistry::Global().Names()) {
+      SCOPED_TRACE(name);
+      SimulatedAnnotator annotator(&oracle, kCost);
+      const Result<EvaluationResult> run = DesignRegistry::Global().Run(
+          name, *view, &annotator, EvaluationOptions{});
+      ASSERT_FALSE(run.ok());
+      EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(run.status().message().find("empty graph"),
+                std::string::npos)
+          << run.status().message();
+    }
+  }
 }
 
 TEST(DesignRegistryTest, StrataCountFlowsThroughOptions) {

@@ -2,7 +2,7 @@
 // design must reproduce, bit for bit, the EvaluationResult the pre-refactor
 // hand-rolled loops produced at fixed seeds on the synthetic generator. The
 // golden numbers below were captured from the last commit before the engine
-// existed (the four loops in static_evaluator.cc and the stratified loop);
+// existed (the four static loops and the stratified loop);
 // sampling, annotation order, estimation, and stopping are all deterministic
 // given the seed, so any drift in these values means the refactor changed
 // campaign semantics.
@@ -13,8 +13,8 @@
 #include <vector>
 
 #include "core/design_registry.h"
-#include "core/static_evaluator.h"
-#include "core/stratified_evaluator.h"
+#include "core/optimal_m.h"
+#include "core/stratified_source.h"
 #include "test_util.h"
 
 namespace kgacc {
@@ -93,57 +93,40 @@ TEST_F(EngineParityTest, RegistryDesignsReproducePreRefactorResults) {
   }
 }
 
-TEST_F(EngineParityTest, EvaluatorApiMatchesRegistryPath) {
-  // The classic evaluator entry points are thin wrappers over the same
-  // engine configurations the registry builds: identical campaigns.
-  SimulatedAnnotator a1(&pop_.oracle, kCost), a2(&pop_.oracle, kCost);
-  StaticEvaluator evaluator(pop_.population, &a1, Options(false));
-  const EvaluationResult direct = evaluator.EvaluateTwcs();
-  const EvaluationResult via_registry =
-      *DesignRegistry::Global().Run("twcs", pop_.population, &a2,
-                                    Options(false));
-  EXPECT_DOUBLE_EQ(direct.estimate.mean, via_registry.estimate.mean);
-  EXPECT_EQ(direct.estimate.num_units, via_registry.estimate.num_units);
-  EXPECT_EQ(direct.ledger.triples_annotated,
-            via_registry.ledger.triples_annotated);
-  EXPECT_EQ(direct.rounds, via_registry.rounds);
-}
-
-TEST_F(EngineParityTest, StratifiedEvaluatorMatchesRegistryPath) {
-  SimulatedAnnotator a1(&pop_.oracle, kCost), a2(&pop_.oracle, kCost);
-  StratifiedTwcsEvaluator evaluator(pop_.population, &a1, Options(false));
-  const EvaluationResult direct = evaluator.Evaluate(
-      StratifiedTwcsEvaluator::SizeStrata(pop_.population, 4));
-  EvaluationOptions options = Options(false);
-  options.num_strata = 4;
-  const EvaluationResult via_registry = *DesignRegistry::Global().Run(
-      "twcs+strat", pop_.population, &a2, options);
-  EXPECT_DOUBLE_EQ(direct.estimate.mean, via_registry.estimate.mean);
-  EXPECT_EQ(direct.ledger.triples_annotated,
-            via_registry.ledger.triples_annotated);
-}
-
 TEST_F(EngineParityTest, StratifiedSecondStageSizeUsesSharedResolution) {
   // The pre-refactor stratified loop hardcoded m = 5; it must now route
-  // through the same auto-m resolution as static TWCS.
-  SimulatedAnnotator annotator(&pop_.oracle, kCost);
+  // through the same auto-m resolution as static TWCS: m = 0 resolves to
+  // the paper's default, so it runs the m = 5 campaign draw for draw, and
+  // explicit strata run what the registry's twcs+strat runs.
+  const auto run_explicit = [&](uint64_t m) {
+    SimulatedAnnotator annotator(&pop_.oracle, kCost);
+    EvaluationOptions options = Options(false);
+    options.m = m;
+    return RunCampaign(
+        *MakeStratifiedTwcsCampaign(TriplePrefixIndex(pop_.population),
+                                    SizeStrata(pop_.population, 4),
+                                    &annotator, options),
+        options.control);
+  };
   EvaluationOptions options = Options(false);
-  options.m = 7;
-  StratifiedTwcsEvaluator stratified(pop_.population, &annotator, options);
-  EXPECT_EQ(stratified.ResolveSecondStageSize(), 7u);
-
-  options.m = 0;
-  StratifiedTwcsEvaluator auto_m(pop_.population, &annotator, options);
-  StaticEvaluator static_eval(pop_.population, &annotator, options);
-  EXPECT_EQ(auto_m.ResolveSecondStageSize(),
-            static_eval.ResolveSecondStageSize());
-
-  const ClusterPopulationStats stats =
-      BuildPopulationStats(pop_.population, pop_.oracle);
-  StratifiedTwcsEvaluator with_stats(pop_.population, &annotator, options);
-  with_stats.SetPopulationStatsForAutoM(&stats);
-  EXPECT_EQ(with_stats.ResolveSecondStageSize(),
-            ChooseOptimalM(stats, kCost, 0.05, 0.05).best_m);
+  options.num_strata = 4;
+  options.m = 5;
+  SimulatedAnnotator annotator(&pop_.oracle, kCost);
+  const EvaluationResult via_registry = *DesignRegistry::Global().Run(
+      "twcs+strat", pop_.population, &annotator, options);
+  ASSERT_EQ(ResolveSecondStageSize(Options(false), kCost, nullptr), 5u);
+  for (uint64_t m : {uint64_t{0}, uint64_t{5}}) {
+    SCOPED_TRACE(m);
+    const EvaluationResult direct = run_explicit(m);
+    EXPECT_EQ(direct.design, "TWCS+strat");
+    EXPECT_DOUBLE_EQ(direct.estimate.mean, via_registry.estimate.mean);
+    EXPECT_EQ(direct.estimate.num_units, via_registry.estimate.num_units);
+    EXPECT_EQ(direct.ledger.triples_annotated,
+              via_registry.ledger.triples_annotated);
+    EXPECT_EQ(direct.rounds, via_registry.rounds);
+  }
+  EXPECT_NE(run_explicit(7).ledger.triples_annotated,
+            via_registry.ledger.triples_annotated);
 }
 
 }  // namespace

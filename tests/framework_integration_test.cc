@@ -4,14 +4,17 @@
 
 #include <gtest/gtest.h>
 
-#include "core/static_evaluator.h"
+#include "core/optimal_m.h"
 #include "core/stratified_incremental.h"
 #include "datasets/registry.h"
 #include "labels/annotator.h"
 #include "stats/running_stats.h"
+#include "test_util.h"
 
 namespace kgacc {
 namespace {
+
+using kgacc::testing::RunDesign;
 
 constexpr CostModel kCost{.c1_seconds = 45.0, .c2_seconds = 25.0};
 
@@ -106,17 +109,19 @@ TEST(EndToEndTest, TwcsBeatsSrsOnNell) {
   const double truth = Characterize(nell).gold_accuracy;
   const ClusterPopulationStats stats =
       BuildPopulationStats(nell.View(), *nell.oracle);
+  const uint64_t optimal_m =
+      ChooseOptimalM(stats, kCost, EvaluationOptions().Alpha(),
+                     EvaluationOptions().moe_target)
+          .best_m;
   RunningStats srs_cost, twcs_cost, srs_est, twcs_est;
   for (uint64_t seed = 0; seed < 400; ++seed) {
     EvaluationOptions options;
     options.seed = 500 + seed;
     SimulatedAnnotator a1(nell.oracle.get(), kCost);
     SimulatedAnnotator a2(nell.oracle.get(), kCost);
-    StaticEvaluator e1(nell.View(), &a1, options);
-    StaticEvaluator e2(nell.View(), &a2, options);
-    e2.SetPopulationStatsForAutoM(&stats);
-    const EvaluationResult srs = e1.EvaluateSrs();
-    const EvaluationResult twcs = e2.EvaluateTwcs();
+    const EvaluationResult srs = RunDesign("srs", nell.View(), &a1, options);
+    options.m = optimal_m;
+    const EvaluationResult twcs = RunDesign("twcs", nell.View(), &a2, options);
     srs_cost.Add(srs.annotation_seconds);
     twcs_cost.Add(twcs.annotation_seconds);
     srs_est.Add(srs.estimate.mean);
@@ -133,8 +138,8 @@ TEST(EndToEndTest, YagoNeedsVeryFewSamples) {
   EvaluationOptions options;
   options.seed = 11;
   SimulatedAnnotator annotator(yago.oracle.get(), kCost);
-  StaticEvaluator evaluator(yago.View(), &annotator, options);
-  const EvaluationResult r = evaluator.EvaluateTwcs();
+  const EvaluationResult r =
+      RunDesign("twcs", yago.View(), &annotator, options);
   EXPECT_TRUE(r.converged);
   // Stops right at the CLT floor — no oversampling.
   EXPECT_LE(r.estimate.num_units, options.min_units + options.batch_units);

@@ -7,6 +7,8 @@
 
 #include <unistd.h>
 
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -91,6 +93,46 @@ TEST(GraphStorePathTest, NonPathNamesAreKeyedVerbatim) {
   Result<std::shared_ptr<const Dataset>> again = store.Get("nell");
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(nell->get(), again->get());
+}
+
+std::string WriteTextFile(const std::string& name, const std::string& text) {
+  const std::string path = testing::TempPath(name);
+  std::ofstream(path) << text;
+  return path;
+}
+
+TEST(GraphStorePathTest, ATsvWithoutTriplesIsRefusedNamingIt) {
+  // A campaign on a graph without triples cannot draw its first unit; the
+  // load is refused before any session can be started on it.
+  for (const std::string& text :
+       {std::string(""), std::string("# comment only\n\n")}) {
+    const std::string path = WriteTextFile("empty_graph.tsv", text);
+    serve::GraphStore store;
+    const Result<std::shared_ptr<const Dataset>> loaded = store.Load(path, 1);
+    ASSERT_FALSE(loaded.ok()) << text;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().message().find("empty_graph"),
+              std::string::npos)
+        << loaded.status().message();
+    EXPECT_NE(loaded.status().message().find("no triples"), std::string::npos)
+        << loaded.status().message();
+    EXPECT_TRUE(store.Names().empty());
+    std::remove(path.c_str());
+  }
+}
+
+TEST(GraphStorePathTest, ATsvKeepsItsSymbols) {
+  const std::string path = WriteTextFile(
+      "symbols_graph.tsv", "alice\tknows\tbob\t1\nbob\tage\t42\t0\n");
+  serve::GraphStore store;
+  const Result<std::shared_ptr<const Dataset>> loaded = store.Load(path, 1);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const Dataset& dataset = **loaded;
+  EXPECT_EQ(dataset.View().TotalTriples(), 2u);
+  ASSERT_NE(dataset.symbols, nullptr);
+  EXPECT_TRUE(dataset.symbols->Contains("knows"));
+  EXPECT_TRUE(dataset.symbols->Contains("age"));
+  std::remove(path.c_str());
 }
 
 }  // namespace

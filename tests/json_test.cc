@@ -101,11 +101,20 @@ TEST(JsonTest, EscapeProducesParseableStrings) {
   EXPECT_EQ(parsed->AsString(), hostile);
 }
 
-TEST(JsonTest, LastDuplicateKeyWins) {
-  const Result<JsonValue> parsed =
-      JsonValue::Parse(R"({"k": 1, "k": 2})");
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_DOUBLE_EQ(parsed->GetNumber("k").value(), 2.0);
+TEST(JsonTest, RejectsDuplicateMembers) {
+  // Keeping either copy would silently drop the other.
+  for (const char* doc :
+       {R"({"k": 1, "k": 2})", R"({"o": {"k": 1, "j": 0, "k": 1}})",
+        R"([{"a": 1}, {"k": "x", "k": "x"}])"}) {
+    const Result<JsonValue> parsed = JsonValue::Parse(doc);
+    ASSERT_FALSE(parsed.ok()) << doc;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << doc;
+    EXPECT_NE(parsed.status().message().find("duplicate member 'k'"),
+              std::string::npos)
+        << parsed.status().message();
+  }
+  // The same key in sibling objects is no duplicate.
+  EXPECT_TRUE(JsonValue::Parse(R"([{"k": 1}, {"k": 2}])").ok());
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/static_evaluator.h"
 #include "stats/running_stats.h"
 #include "test_util.h"
 
@@ -11,6 +10,7 @@ namespace kgacc {
 namespace {
 
 using kgacc::testing::MakeTestPopulation;
+using kgacc::testing::RunDesign;
 using kgacc::testing::TestPopulation;
 
 constexpr CostModel kCost{.c1_seconds = 45.0, .c2_seconds = 25.0};
@@ -34,6 +34,12 @@ std::string DesignName(Design design) {
   return "?";
 }
 
+/// The design's DesignRegistry name.
+const char* RegistryName(Design design) {
+  constexpr const char* kNames[] = {"srs", "rcs", "wcs", "twcs"};
+  return kNames[static_cast<int>(design)];
+}
+
 using AccuracyDesign = std::tuple<double, Design>;
 
 class MoeGuaranteeSweep : public ::testing::TestWithParam<AccuracyDesign> {};
@@ -55,22 +61,8 @@ TEST_P(MoeGuaranteeSweep, ConvergedEstimateSatisfiesTargetAndIsCalibrated) {
     EvaluationOptions options;
     options.seed = 7000 + t;
     SimulatedAnnotator annotator(&pop.oracle, kCost);
-    StaticEvaluator evaluator(pop.population, &annotator, options);
-    EvaluationResult r;
-    switch (design) {
-      case Design::kSrs:
-        r = evaluator.EvaluateSrs();
-        break;
-      case Design::kRcs:
-        r = evaluator.EvaluateRcs();
-        break;
-      case Design::kWcs:
-        r = evaluator.EvaluateWcs();
-        break;
-      case Design::kTwcs:
-        r = evaluator.EvaluateTwcs();
-        break;
-    }
+    const EvaluationResult r =
+        RunDesign(RegistryName(design), pop.population, &annotator, options);
     if (r.converged) {
       ++converged;
       EXPECT_LE(r.moe, 0.05 + 1e-12) << DesignName(design);
@@ -113,8 +105,8 @@ TEST_P(TwcsMSweep, UnbiasedAtEveryM) {
     options.seed = 8000 + t;
     options.m = m;
     SimulatedAnnotator annotator(&pop.oracle, kCost);
-    StaticEvaluator evaluator(pop.population, &annotator, options);
-    const EvaluationResult r = evaluator.EvaluateTwcs();
+    const EvaluationResult r =
+        RunDesign("twcs", pop.population, &annotator, options);
     EXPECT_TRUE(r.converged);
     estimates.Add(r.estimate.mean);
   }
@@ -139,8 +131,8 @@ TEST_P(EpsilonSweep, AchievedMoeBelowTarget) {
   options.moe_target = epsilon;
   options.seed = 4242;
   SimulatedAnnotator annotator(&pop.oracle, kCost);
-  StaticEvaluator evaluator(pop.population, &annotator, options);
-  const EvaluationResult r = evaluator.EvaluateTwcs();
+  const EvaluationResult r =
+      RunDesign("twcs", pop.population, &annotator, options);
   EXPECT_TRUE(r.converged);
   EXPECT_LE(r.moe, epsilon + 1e-12);
   // Tighter epsilon must not be reported converged with a looser MoE.
@@ -175,8 +167,8 @@ TEST_P(NoiseSweep, EstimateTracksNoisyLabelRate) {
     SimulatedAnnotator annotator(&pop.oracle, kCost,
                                  {.noise_rate = noise,
                                   .seed = 9100 + static_cast<uint64_t>(t)});
-    StaticEvaluator evaluator(pop.population, &annotator, options);
-    estimates.Add(evaluator.EvaluateTwcs().estimate.mean);
+    estimates.Add(
+        RunDesign("twcs", pop.population, &annotator, options).estimate.mean);
   }
   EXPECT_NEAR(estimates.Mean(), expected, 0.04) << "noise=" << noise;
 }

@@ -221,6 +221,34 @@ TEST(ServeProtocolTest, AMistypedMemberIsATypeErrorNamingIt) {
   EXPECT_EQ(scheduler.NumTenants(), 0u);
 }
 
+TEST(ServeProtocolTest, ARepeatedMemberIsRefusedNamingIt) {
+  // Either copy winning would run a configuration the client did not
+  // state; a refused start takes no session id.
+  GraphStore graphs;
+  graphs.Put("g", kgacc::testing::MakeServePopulationDataset(1));
+  SessionManager manager(&graphs);
+  for (const auto& [line, member] :
+       {std::pair{R"({"op": "start-campaign", "graph": "g", "design": "twcs",
+                      "options": {"moe_target": 0.1, "moe_target": 0.01}})",
+                  "duplicate member 'moe_target'"},
+        std::pair{R"({"op": "step", "session": 1e308, "session": "s11"})",
+                  "duplicate member 'session'"}}) {
+    const SessionManager::Response response = manager.HandleLine(line);
+    ASSERT_EQ(response.lines.size(), 1u) << line;
+    EXPECT_FALSE(IsOk(response)) << line << " -> " << response.lines[0];
+    EXPECT_NE(response.lines[0].find("\"error\": \"InvalidArgument: "),
+              std::string::npos)
+        << line << " -> " << response.lines[0];
+    EXPECT_NE(response.lines[0].find(member), std::string::npos)
+        << line << " -> " << response.lines[0];
+  }
+  const SessionManager::Response started =
+      manager.HandleLine(BuildStartCampaign("g", "twcs"));
+  ASSERT_TRUE(IsOk(started)) << started.lines[0];
+  EXPECT_NE(started.lines[0].find("\"session\": \"s1\""), std::string::npos)
+      << started.lines[0];
+}
+
 TEST(ServeProtocolTest, StrataCountOverTheLimitFailsOnlyItsRequest) {
   // An out-of-range count fails its own request instead of reaching a fatal
   // check that would take every session down; the next request is served.

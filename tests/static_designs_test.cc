@@ -1,7 +1,11 @@
-#include "core/static_evaluator.h"
+// The four static designs of Section 5 (SRS Eq 5, RCS Eq 7, WCS Eq 8, TWCS
+// Eq 9) as the DesignRegistry assembles them: convergence, stopping rules,
+// cost accounting and the second-stage size.
 
 #include <gtest/gtest.h>
 
+#include "core/design_registry.h"
+#include "core/optimal_m.h"
 #include "stats/running_stats.h"
 #include "test_util.h"
 
@@ -9,6 +13,7 @@ namespace kgacc {
 namespace {
 
 using kgacc::testing::MakeTestPopulation;
+using kgacc::testing::RunDesign;
 using kgacc::testing::TestPopulation;
 
 constexpr CostModel kCost{.c1_seconds = 45.0, .c2_seconds = 25.0};
@@ -21,6 +26,8 @@ EvaluationOptions DefaultOptions(uint64_t seed) {
   return options;
 }
 
+// The suite is named for the evaluator class these designs used to run
+// through, so its test IDs outlive the class.
 class StaticEvaluatorTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -34,14 +41,11 @@ class StaticEvaluatorTest : public ::testing::Test {
 TEST_F(StaticEvaluatorTest, AllDesignsConvergeAndSatisfyMoE) {
   SimulatedAnnotator a1(&pop_.oracle, kCost), a2(&pop_.oracle, kCost),
       a3(&pop_.oracle, kCost), a4(&pop_.oracle, kCost);
-  StaticEvaluator srs(pop_.population, &a1, DefaultOptions(1));
-  StaticEvaluator rcs(pop_.population, &a2, DefaultOptions(2));
-  StaticEvaluator wcs(pop_.population, &a3, DefaultOptions(3));
-  StaticEvaluator twcs(pop_.population, &a4, DefaultOptions(4));
-
   for (const EvaluationResult& r :
-       {srs.EvaluateSrs(), rcs.EvaluateRcs(), wcs.EvaluateWcs(),
-        twcs.EvaluateTwcs()}) {
+       {RunDesign("srs", pop_.population, &a1, DefaultOptions(1)),
+        RunDesign("rcs", pop_.population, &a2, DefaultOptions(2)),
+        RunDesign("wcs", pop_.population, &a3, DefaultOptions(3)),
+        RunDesign("twcs", pop_.population, &a4, DefaultOptions(4))}) {
     EXPECT_TRUE(r.converged) << r.design;
     EXPECT_LE(r.moe, 0.05 + 1e-12) << r.design;
     EXPECT_GE(r.estimate.num_units, 30u) << r.design;
@@ -54,8 +58,8 @@ TEST_F(StaticEvaluatorTest, AllDesignsConvergeAndSatisfyMoE) {
 
 TEST_F(StaticEvaluatorTest, LedgerMatchesCostModel) {
   SimulatedAnnotator annotator(&pop_.oracle, kCost);
-  StaticEvaluator evaluator(pop_.population, &annotator, DefaultOptions(5));
-  const EvaluationResult r = evaluator.EvaluateTwcs();
+  const EvaluationResult r =
+      RunDesign("twcs", pop_.population, &annotator, DefaultOptions(5));
   EXPECT_DOUBLE_EQ(r.annotation_seconds,
                    kCost.SampleCostSeconds(r.ledger.entities_identified,
                                            r.ledger.triples_annotated));
@@ -67,10 +71,12 @@ TEST_F(StaticEvaluatorTest, TwcsCheaperThanSrsOnClusteredPopulation) {
   RunningStats srs_cost, twcs_cost;
   for (uint64_t seed = 0; seed < 10; ++seed) {
     SimulatedAnnotator a1(&pop_.oracle, kCost), a2(&pop_.oracle, kCost);
-    StaticEvaluator srs(pop_.population, &a1, DefaultOptions(100 + seed));
-    StaticEvaluator twcs(pop_.population, &a2, DefaultOptions(200 + seed));
-    srs_cost.Add(srs.EvaluateSrs().annotation_seconds);
-    twcs_cost.Add(twcs.EvaluateTwcs().annotation_seconds);
+    srs_cost.Add(RunDesign("srs", pop_.population, &a1,
+                           DefaultOptions(100 + seed))
+                     .annotation_seconds);
+    twcs_cost.Add(RunDesign("twcs", pop_.population, &a2,
+                            DefaultOptions(200 + seed))
+                      .annotation_seconds);
   }
   EXPECT_LT(twcs_cost.Mean(), srs_cost.Mean());
 }
@@ -82,8 +88,8 @@ TEST_F(StaticEvaluatorTest, MinUnitsIsRespected) {
   SimulatedAnnotator annotator(&perfect.oracle, kCost);
   EvaluationOptions options = DefaultOptions(6);
   options.min_units = 40;
-  StaticEvaluator evaluator(perfect.population, &annotator, options);
-  const EvaluationResult r = evaluator.EvaluateTwcs();
+  const EvaluationResult r =
+      RunDesign("twcs", perfect.population, &annotator, options);
   EXPECT_TRUE(r.converged);
   EXPECT_GE(r.estimate.num_units, 40u);
   EXPECT_NEAR(r.estimate.mean, 1.0, 1e-12);
@@ -94,8 +100,8 @@ TEST_F(StaticEvaluatorTest, CostBudgetStopsEvaluation) {
   EvaluationOptions options = DefaultOptions(7);
   options.moe_target = 0.001;          // practically unreachable...
   options.max_cost_seconds = 3600.0;   // ...within one budgeted hour.
-  StaticEvaluator evaluator(pop_.population, &annotator, options);
-  const EvaluationResult r = evaluator.EvaluateSrs();
+  const EvaluationResult r =
+      RunDesign("srs", pop_.population, &annotator, options);
   EXPECT_FALSE(r.converged);
   EXPECT_GE(r.annotation_seconds, 3600.0);
   // One batch of overshoot at most.
@@ -107,8 +113,8 @@ TEST_F(StaticEvaluatorTest, MaxUnitsStopsEvaluation) {
   EvaluationOptions options = DefaultOptions(8);
   options.moe_target = 1e-6;
   options.max_units = 100;
-  StaticEvaluator evaluator(pop_.population, &annotator, options);
-  const EvaluationResult r = evaluator.EvaluateTwcs();
+  const EvaluationResult r =
+      RunDesign("twcs", pop_.population, &annotator, options);
   EXPECT_FALSE(r.converged);
   EXPECT_GE(r.estimate.num_units, 100u);
   EXPECT_LT(r.estimate.num_units, 100u + options.batch_units + 1);
@@ -120,35 +126,52 @@ TEST_F(StaticEvaluatorTest, SrsExhaustsSmallPopulationGracefully) {
   EvaluationOptions options = DefaultOptions(9);
   options.moe_target = 1e-9;  // force exhaustion.
   options.max_units = 0;      // no cap.
-  StaticEvaluator evaluator(tiny.population, &annotator, options);
-  const EvaluationResult r = evaluator.EvaluateSrs();
+  const EvaluationResult r =
+      RunDesign("srs", tiny.population, &annotator, options);
   // Every triple annotated exactly once.
   EXPECT_EQ(r.ledger.triples_annotated, tiny.population.TotalTriples());
   EXPECT_NEAR(r.estimate.mean,
               RealizedOverallAccuracy(tiny.oracle, tiny.population), 1e-12);
 }
 
+/// The TWCS campaign's result at `options`, on a fresh annotator.
+EvaluationResult RunTwcs(const TestPopulation& pop,
+                         const EvaluationOptions& options) {
+  SimulatedAnnotator annotator(&pop.oracle, kCost);
+  return RunDesign("twcs", pop.population, &annotator, options);
+}
+
+void ExpectSameCampaign(const EvaluationResult& a, const EvaluationResult& b) {
+  EXPECT_DOUBLE_EQ(a.estimate.mean, b.estimate.mean);
+  EXPECT_EQ(a.estimate.num_units, b.estimate.num_units);
+  EXPECT_EQ(a.ledger.triples_annotated, b.ledger.triples_annotated);
+  EXPECT_EQ(a.rounds, b.rounds);
+}
+
 TEST_F(StaticEvaluatorTest, ExplicitMIsUsed) {
-  SimulatedAnnotator annotator(&pop_.oracle, kCost);
   EvaluationOptions options = DefaultOptions(10);
   options.m = 7;
-  StaticEvaluator evaluator(pop_.population, &annotator, options);
-  EXPECT_EQ(evaluator.ResolveSecondStageSize(), 7u);
+  EXPECT_EQ(ResolveSecondStageSize(options, kCost, nullptr), 7u);
+  // m = 1 annotates at most one new triple per drawn cluster.
+  options.m = 1;
+  const EvaluationResult r = RunTwcs(pop_, options);
+  EXPECT_LE(r.ledger.triples_annotated, r.estimate.num_units);
 }
 
 TEST_F(StaticEvaluatorTest, AutoMDefaultsWithoutStats) {
-  SimulatedAnnotator annotator(&pop_.oracle, kCost);
-  StaticEvaluator evaluator(pop_.population, &annotator, DefaultOptions(11));
-  EXPECT_EQ(evaluator.ResolveSecondStageSize(), 5u);  // paper guideline.
+  EvaluationOptions options = DefaultOptions(11);
+  EXPECT_EQ(ResolveSecondStageSize(options, kCost, nullptr),
+            5u);  // paper guideline.
+  const EvaluationResult auto_m = RunTwcs(pop_, options);
+  options.m = 5;
+  ExpectSameCampaign(auto_m, RunTwcs(pop_, options));
 }
 
 TEST_F(StaticEvaluatorTest, AutoMUsesPopulationStats) {
-  SimulatedAnnotator annotator(&pop_.oracle, kCost);
-  StaticEvaluator evaluator(pop_.population, &annotator, DefaultOptions(12));
   const ClusterPopulationStats stats =
       BuildPopulationStats(pop_.population, pop_.oracle);
-  evaluator.SetPopulationStatsForAutoM(&stats);
-  const uint64_t m = evaluator.ResolveSecondStageSize();
+  const uint64_t m =
+      ResolveSecondStageSize(DefaultOptions(12), kCost, &stats);
   EXPECT_GE(m, 1u);
   EXPECT_LE(m, 20u);
   const OptimalMResult expected = ChooseOptimalM(stats, kCost, 0.05, 0.05);
@@ -156,22 +179,8 @@ TEST_F(StaticEvaluatorTest, AutoMUsesPopulationStats) {
 }
 
 TEST_F(StaticEvaluatorTest, DeterministicGivenSeed) {
-  SimulatedAnnotator a1(&pop_.oracle, kCost), a2(&pop_.oracle, kCost);
-  StaticEvaluator e1(pop_.population, &a1, DefaultOptions(77));
-  StaticEvaluator e2(pop_.population, &a2, DefaultOptions(77));
-  const EvaluationResult r1 = e1.EvaluateTwcs();
-  const EvaluationResult r2 = e2.EvaluateTwcs();
-  EXPECT_DOUBLE_EQ(r1.estimate.mean, r2.estimate.mean);
-  EXPECT_EQ(r1.ledger.triples_annotated, r2.ledger.triples_annotated);
-}
-
-TEST(StaticEvaluatorDeathTest, EmptyGraphAborts) {
-  const ClusterPopulation empty;
-  const PerClusterBernoulliOracle oracle(1);
-  SimulatedAnnotator annotator(&oracle, kCost);
-  EXPECT_DEATH(
-      { StaticEvaluator evaluator(empty, &annotator, EvaluationOptions{}); },
-      "empty graph");
+  ExpectSameCampaign(RunTwcs(pop_, DefaultOptions(77)),
+                     RunTwcs(pop_, DefaultOptions(77)));
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
-#include "core/stratified_evaluator.h"
+// Stratified TWCS (Section 5.3, Eq 13) over explicit size and oracle strata,
+// through MakeStratifiedTwcsCampaign.
 
 #include <gtest/gtest.h>
 
-#include "core/static_evaluator.h"
+#include "core/stratified_source.h"
 #include "kg/cluster_population.h"
 #include "labels/synthetic_oracle.h"
 #include "stats/running_stats.h"
@@ -17,6 +18,15 @@ EvaluationOptions DefaultOptions(uint64_t seed) {
   EvaluationOptions options;
   options.seed = seed;
   return options;
+}
+
+/// One stratified-TWCS campaign over `strata`, run to completion.
+EvaluationResult RunStratified(const KgView& view, const Strata& strata,
+                               Annotator* annotator,
+                               const EvaluationOptions& options) {
+  return RunCampaign(*MakeStratifiedTwcsCampaign(TriplePrefixIndex(view),
+                                                 strata, annotator, options),
+                     options.control);
 }
 
 /// A population where cluster size strongly predicts accuracy (the BMM
@@ -41,8 +51,7 @@ BmmPopulation MakeBmmPopulation(uint64_t seed) {
 
 TEST(SizeStrataTest, PartitionsAllClusters) {
   BmmPopulation bmm = MakeBmmPopulation(1);
-  const Strata strata =
-      StratifiedTwcsEvaluator::SizeStrata(bmm.population, 4);
+  const Strata strata = SizeStrata(bmm.population, 4);
   ASSERT_EQ(strata.stratum_of.size(), bmm.population.NumClusters());
   size_t members = 0;
   double weight = 0.0;
@@ -59,8 +68,7 @@ TEST(SizeStrataTest, PartitionsAllClusters) {
 
 TEST(OracleStrataTest, GroupsByAccuracy) {
   BmmPopulation bmm = MakeBmmPopulation(2);
-  const Strata strata =
-      StratifiedTwcsEvaluator::OracleStrata(bmm.population, bmm.oracle, 4);
+  const Strata strata = OracleStrata(bmm.population, bmm.oracle, 4);
   EXPECT_GE(strata.NumStrata(), 2u);
   // Accuracy spread within a stratum should be far smaller than overall.
   const std::vector<std::vector<uint32_t>> members =
@@ -79,10 +87,9 @@ TEST(StratifiedTwcsTest, ConvergesWithValidEstimate) {
   BmmPopulation bmm = MakeBmmPopulation(3);
   const double truth = RealizedOverallAccuracy(bmm.oracle, bmm.population);
   SimulatedAnnotator annotator(&bmm.oracle, kCost);
-  StratifiedTwcsEvaluator evaluator(bmm.population, &annotator,
-                                    DefaultOptions(4));
-  const Strata strata = StratifiedTwcsEvaluator::SizeStrata(bmm.population, 4);
-  const EvaluationResult r = evaluator.Evaluate(strata);
+  const EvaluationResult r =
+      RunStratified(bmm.population, SizeStrata(bmm.population, 4), &annotator,
+                    DefaultOptions(4));
   EXPECT_TRUE(r.converged);
   EXPECT_LE(r.moe, 0.05 + 1e-12);
   EXPECT_NEAR(r.estimate.mean, truth, 2.5 * 0.05);
@@ -92,13 +99,13 @@ TEST(StratifiedTwcsTest, ConvergesWithValidEstimate) {
 TEST(StratifiedTwcsTest, UnbiasedOverTrials) {
   BmmPopulation bmm = MakeBmmPopulation(5);
   const double truth = RealizedOverallAccuracy(bmm.oracle, bmm.population);
-  const Strata strata = StratifiedTwcsEvaluator::SizeStrata(bmm.population, 4);
+  const Strata strata = SizeStrata(bmm.population, 4);
   RunningStats means;
   for (uint64_t seed = 0; seed < 40; ++seed) {
     SimulatedAnnotator annotator(&bmm.oracle, kCost);
-    StratifiedTwcsEvaluator evaluator(bmm.population, &annotator,
-                                      DefaultOptions(1000 + seed));
-    means.Add(evaluator.Evaluate(strata).estimate.mean);
+    means.Add(RunStratified(bmm.population, strata, &annotator,
+                            DefaultOptions(1000 + seed))
+                  .estimate.mean);
   }
   const double se = means.SampleStdDev() / std::sqrt(40.0);
   EXPECT_NEAR(means.Mean(), truth, 4.0 * se + 0.005);
@@ -109,16 +116,16 @@ TEST(StratifiedTwcsTest, OracleStratificationReducesCostOnBmm) {
   // stratification <= plain TWCS on a strongly size-correlated population.
   BmmPopulation bmm = MakeBmmPopulation(6);
   RunningStats plain_cost, oracle_cost;
-  const Strata oracle_strata =
-      StratifiedTwcsEvaluator::OracleStrata(bmm.population, bmm.oracle, 4);
+  const Strata oracle_strata = OracleStrata(bmm.population, bmm.oracle, 4);
   for (uint64_t seed = 0; seed < 12; ++seed) {
     SimulatedAnnotator a1(&bmm.oracle, kCost), a2(&bmm.oracle, kCost);
     EvaluationOptions options = DefaultOptions(3000 + seed);
     options.m = 5;
-    StaticEvaluator plain(bmm.population, &a1, options);
-    plain_cost.Add(plain.EvaluateTwcs().annotation_seconds);
-    StratifiedTwcsEvaluator stratified(bmm.population, &a2, options);
-    oracle_cost.Add(stratified.Evaluate(oracle_strata).annotation_seconds);
+    plain_cost.Add(testing::RunDesign("twcs", bmm.population, &a1, options)
+                       .annotation_seconds);
+    oracle_cost.Add(
+        RunStratified(bmm.population, oracle_strata, &a2, options)
+            .annotation_seconds);
   }
   EXPECT_LT(oracle_cost.Mean(), plain_cost.Mean());
 }
@@ -126,12 +133,11 @@ TEST(StratifiedTwcsTest, OracleStratificationReducesCostOnBmm) {
 TEST(StratifiedTwcsTest, SingleStratumMatchesPlainTwcsShape) {
   BmmPopulation bmm = MakeBmmPopulation(7);
   SimulatedAnnotator annotator(&bmm.oracle, kCost);
-  StratifiedTwcsEvaluator evaluator(bmm.population, &annotator,
-                                    DefaultOptions(8));
   Strata one;
   one.stratum_of.assign(bmm.population.NumClusters(), 0);
   one.weights = {1.0};
-  const EvaluationResult r = evaluator.Evaluate(one);
+  const EvaluationResult r =
+      RunStratified(bmm.population, one, &annotator, DefaultOptions(8));
   EXPECT_TRUE(r.converged);
   EXPECT_LE(r.moe, 0.05 + 1e-12);
 }
@@ -139,9 +145,13 @@ TEST(StratifiedTwcsTest, SingleStratumMatchesPlainTwcsShape) {
 TEST(StratifiedTwcsDeathTest, NoStrataAborts) {
   BmmPopulation bmm = MakeBmmPopulation(9);
   SimulatedAnnotator annotator(&bmm.oracle, kCost);
-  StratifiedTwcsEvaluator evaluator(bmm.population, &annotator,
-                                    DefaultOptions(10));
-  EXPECT_DEATH({ (void)evaluator.Evaluate(Strata{}); }, "at least one stratum");
+  EXPECT_DEATH(
+      {
+        (void)MakeStratifiedTwcsCampaign(TriplePrefixIndex(bmm.population),
+                                         Strata{}, &annotator,
+                                         DefaultOptions(10));
+      },
+      "at least one stratum");
 }
 
 }  // namespace

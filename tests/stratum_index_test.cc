@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/stratified_evaluator.h"
 #include "core/stratified_source.h"
 #include "kg/cluster_population.h"
 #include "kg/generator.h"
@@ -81,7 +80,7 @@ TEST(StratumIndexTest, SizeStrataMatchPerStratumIndexes) {
   const ClusterPopulation pop = LogNormalPopulation(5000, 1);
   for (int h : {1, 2, 4, 7}) {
     SCOPED_TRACE(h);
-    ExpectMatchesReference(pop, StratifiedTwcsEvaluator::SizeStrata(pop, h));
+    ExpectMatchesReference(pop, SizeStrata(pop, h));
   }
 }
 
@@ -92,7 +91,7 @@ TEST(StratumIndexTest, OracleStrataMatchPerStratumIndexes) {
   for (uint64_t c = 0; c < pop.NumClusters(); ++c) {
     oracle.Append(rng.UniformDouble());
   }
-  const Strata strata = StratifiedTwcsEvaluator::OracleStrata(pop, oracle, 4);
+  const Strata strata = OracleStrata(pop, oracle, 4);
   ASSERT_GE(strata.NumStrata(), 2u);
   ExpectMatchesReference(pop, strata);
 }
@@ -118,7 +117,7 @@ TEST(StratumIndexTest, MillionToOneSkew) {
   std::vector<uint32_t> sizes(300, 1);
   for (uint32_t c : {0u, 64u, 65u, 199u, 299u}) sizes[c] = 1000000;
   const ClusterPopulation pop(sizes);
-  ExpectMatchesReference(pop, StratifiedTwcsEvaluator::SizeStrata(pop, 2));
+  ExpectMatchesReference(pop, SizeStrata(pop, 2));
   // Giants and singletons mixed inside each stratum, across blocks.
   Strata mixed;
   mixed.weights = {0.5, 0.5};
@@ -147,8 +146,8 @@ TEST(StratumIndexTest, BuildsItsOwnColumnForAViewWithout) {
   const ClusterPopulation pop = LogNormalPopulation(2000, 8);
   const testing::NoColumnView view(pop);
   ASSERT_TRUE(view.TripleOffsets().empty());
-  const Strata strata = StratifiedTwcsEvaluator::SizeStrata(view, 4);
-  const Strata from_column = StratifiedTwcsEvaluator::SizeStrata(pop, 4);
+  const Strata strata = SizeStrata(view, 4);
+  const Strata from_column = SizeStrata(pop, 4);
   EXPECT_EQ(strata.stratum_of, from_column.stratum_of);
   EXPECT_EQ(strata.weights, from_column.weights);
   ExpectMatchesReference(view, strata);
@@ -159,7 +158,7 @@ TEST(StratumIndexTest, SeedRoundMatchesPerStratumTwcsSamplers) {
   // the design it replaces: one TwcsUnitSampler per member-list view, with
   // units translated to parent ids, on one shared rng.
   const ClusterPopulation pop = LogNormalPopulation(4000, 9);
-  const Strata strata = StratifiedTwcsEvaluator::SizeStrata(pop, 4);
+  const Strata strata = SizeStrata(pop, 4);
   const uint64_t m = 5;
   const uint64_t per_stratum = 40;
   StratifiedTwcsSource source(pop, strata, m, per_stratum);

@@ -6,8 +6,10 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/design_registry.h"
 #include "kg/cluster_population.h"
 #include "kg/kg_view.h"
 #include "labels/synthetic_oracle.h"
@@ -30,6 +32,17 @@ inline std::string TempPath(const std::string& name) {
          (dot == std::string::npos
               ? name + pid
               : name.substr(0, dot) + pid + name.substr(dot));
+}
+
+/// Runs one campaign of registry design `design` to completion, failing the
+/// calling test (and returning an empty result) when the registry refuses.
+inline EvaluationResult RunDesign(const std::string& design,
+                                  const KgView& view, Annotator* annotator,
+                                  const EvaluationOptions& options) {
+  Result<EvaluationResult> run =
+      DesignRegistry::Global().Run(design, view, annotator, options);
+  EXPECT_TRUE(run.ok()) << design << ": " << run.status().ToString();
+  return run.ok() ? std::move(run).value() : EvaluationResult{};
 }
 
 /// A small synthetic population paired with its label oracle, for estimator

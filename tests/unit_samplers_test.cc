@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/stratified_evaluator.h"
+#include "core/design_registry.h"
 #include "kg/cluster_population.h"
 #include "kg/subset_view.h"
 #include "labels/annotator.h"
@@ -175,10 +175,12 @@ TEST(SamplerSetUpTest, SizeStratifiedCampaignBuildsOneColumn) {
   const testing::NoColumnView view(counted);
   const CostModel cost{.c1_seconds = 45.0, .c2_seconds = 25.0};
   SimulatedAnnotator annotator(&oracle, cost);
-  const StratifiedTwcsEvaluator evaluator(view, &annotator,
-                                          EvaluationOptions{});
-  const std::unique_ptr<Campaign> campaign =
-      evaluator.MakeSizeStratifiedCampaign(4);
+  EvaluationOptions options;
+  options.num_strata = 4;
+  const Result<std::unique_ptr<Campaign>> campaign =
+      DesignRegistry::Global().MakeCampaign("twcs+strat", view, &annotator,
+                                            options);
+  ASSERT_TRUE(campaign.ok()) << campaign.status().ToString();
   EXPECT_EQ(counted.reads(), 2000u);
 }
 

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/static_evaluator.h"
 #include "stats/confidence.h"
 #include "test_util.h"
 
@@ -13,6 +12,7 @@ namespace kgacc {
 namespace {
 
 using kgacc::testing::MakeTestPopulation;
+using kgacc::testing::RunDesign;
 using kgacc::testing::TestPopulation;
 
 constexpr CostModel kCost{.c1_seconds = 45.0, .c2_seconds = 25.0};
@@ -22,8 +22,8 @@ TEST(WilsonStoppingTest, PerfectKgWaldStopsAtFloorWithZeroMoe) {
   EvaluationOptions options;
   options.seed = 2;
   SimulatedAnnotator annotator(&perfect.oracle, kCost);
-  StaticEvaluator evaluator(perfect.population, &annotator, options);
-  const EvaluationResult r = evaluator.EvaluateSrs();
+  const EvaluationResult r =
+      RunDesign("srs", perfect.population, &annotator, options);
   EXPECT_TRUE(r.converged);
   EXPECT_EQ(r.estimate.num_units, options.min_units);
   EXPECT_DOUBLE_EQ(r.moe, 0.0);  // the Wald degeneracy.
@@ -35,8 +35,8 @@ TEST(WilsonStoppingTest, PerfectKgWilsonKeepsHonestWidth) {
   options.seed = 2;
   options.srs_ci = CiMethod::kWilson;
   SimulatedAnnotator annotator(&perfect.oracle, kCost);
-  StaticEvaluator evaluator(perfect.population, &annotator, options);
-  const EvaluationResult r = evaluator.EvaluateSrs();
+  const EvaluationResult r =
+      RunDesign("srs", perfect.population, &annotator, options);
   EXPECT_TRUE(r.converged);
   EXPECT_GT(r.moe, 0.0);
   EXPECT_LE(r.moe, options.moe_target + 1e-12);
@@ -57,10 +57,10 @@ TEST(WilsonStoppingTest, MidAccuracyBothMethodsAgree) {
   wilson_options.srs_ci = CiMethod::kWilson;
 
   SimulatedAnnotator a1(&pop.oracle, kCost), a2(&pop.oracle, kCost);
-  StaticEvaluator e1(pop.population, &a1, wald_options);
-  StaticEvaluator e2(pop.population, &a2, wilson_options);
-  const EvaluationResult wald = e1.EvaluateSrs();
-  const EvaluationResult wilson = e2.EvaluateSrs();
+  const EvaluationResult wald =
+      RunDesign("srs", pop.population, &a1, wald_options);
+  const EvaluationResult wilson =
+      RunDesign("srs", pop.population, &a2, wilson_options);
   EXPECT_TRUE(wald.converged);
   EXPECT_TRUE(wilson.converged);
   // Sample sizes within ~15% of each other.
@@ -82,15 +82,15 @@ TEST(WilsonStoppingTest, CoverageImprovesOnNearPerfectKg) {
     options.seed = 100 + t;
     {
       SimulatedAnnotator annotator(&pop.oracle, kCost);
-      StaticEvaluator evaluator(pop.population, &annotator, options);
-      const EvaluationResult r = evaluator.EvaluateSrs();
+      const EvaluationResult r =
+          RunDesign("srs", pop.population, &annotator, options);
       if (std::abs(r.estimate.mean - truth) <= r.moe + 1e-12) ++wald_covered;
     }
     {
       options.srs_ci = CiMethod::kWilson;
       SimulatedAnnotator annotator(&pop.oracle, kCost);
-      StaticEvaluator evaluator(pop.population, &annotator, options);
-      const EvaluationResult r = evaluator.EvaluateSrs();
+      const EvaluationResult r =
+          RunDesign("srs", pop.population, &annotator, options);
       // Wilson's interval is asymmetric; use the actual interval.
       const ConfidenceInterval ci = WilsonInterval(
           static_cast<uint64_t>(std::llround(

@@ -170,6 +170,20 @@ Status ReadConfig(const FlagParser& flags, EvaluationOptions* options,
   return CheckAnnotatorSpec(*spec);
 }
 
+/// The graph the input flags name: a built-in dataset, a gold-labeled TSV
+/// file or a graph store, opened as the daemon's load-graph opens it.
+Result<Dataset> OpenInput(const FlagParser& flags, uint64_t seed) {
+  if (flags.Has("dataset")) {
+    return MakeDatasetByName(flags.GetString("dataset", ""), seed);
+  }
+  if (flags.Has("input")) return LoadTsvDataset(flags.GetString("input", ""));
+  if (flags.Has("graph-store")) {
+    return LoadKgstoreDataset(flags.GetString("graph-store", ""));
+  }
+  return Status::InvalidArgument(
+      "pass --dataset, --input or --graph-store (see --help)");
+}
+
 int RunEval(const FlagParser& flags) {
   EvaluationOptions options;
   AnnotatorSpec spec;
@@ -185,62 +199,12 @@ int RunEval(const FlagParser& flags) {
   if (!chrome_trace_path.empty()) obs::TraceSession::Start();
 
   // --- Input. ----------------------------------------------------------------
-  Dataset dataset;
-  std::unique_ptr<SymbolTable> symbols;
-  if (flags.Has("dataset")) {
-    Result<Dataset> made =
-        MakeDatasetByName(flags.GetString("dataset", ""), options.seed);
-    if (!made.ok()) {
-      std::fprintf(stderr, "error: %s\n", made.status().ToString().c_str());
-      return 1;
-    }
-    dataset = std::move(made).value();
-  } else if (flags.Has("input")) {
-    symbols = std::make_unique<SymbolTable>();
-    auto graph = std::make_unique<KnowledgeGraph>();
-    std::vector<LabeledTriple> labels;
-    const Status load = LoadTsvFile(flags.GetString("input", ""), symbols.get(),
-                                    graph.get(), &labels);
-    if (!load.ok()) {
-      std::fprintf(stderr, "error: %s\n", load.ToString().c_str());
-      return 1;
-    }
-    if (labels.size() != graph->TotalTriples()) {
-      std::fprintf(stderr,
-                   "error: --input requires a 0/1 gold label on every line "
-                   "(%llu labels for %llu triples)\n",
-                   static_cast<unsigned long long>(labels.size()),
-                   static_cast<unsigned long long>(graph->TotalTriples()));
-      return 1;
-    }
-    auto gold = std::make_unique<GoldLabelStore>(graph->ClusterSizes());
-    for (const LabeledTriple& lt : labels) gold->Set(lt.ref, lt.correct);
-    dataset.name = flags.GetString("input", "");
-    dataset.graph = std::move(graph);
-    dataset.oracle = std::move(gold);
-  } else if (flags.Has("graph-store")) {
-    const std::string store_path = flags.GetString("graph-store", "");
-    Result<MappedGraph> mapped = MappedGraph::Open(store_path);
-    if (!mapped.ok()) {
-      std::fprintf(stderr, "error: %s\n", mapped.status().ToString().c_str());
-      return 1;
-    }
-    if (!mapped->has_labels()) {
-      std::fprintf(stderr,
-                   "error: '%s' has no embedded gold labels; rebuild it from "
-                   "a labeled source (kgacc_store build)\n",
-                   store_path.c_str());
-      return 1;
-    }
-    dataset.name = store_path;
-    dataset.mapped = std::make_unique<MappedGraph>(std::move(mapped).value());
-    dataset.oracle = std::make_unique<MappedLabelOracle>(dataset.mapped.get());
-  } else {
-    std::fprintf(stderr,
-                 "error: pass --dataset, --input or --graph-store (see "
-                 "--help)\n");
+  Result<Dataset> opened = OpenInput(flags, options.seed);
+  if (!opened.ok()) {
+    std::fprintf(stderr, "error: %s\n", opened.status().ToString().c_str());
     return 1;
   }
+  const Dataset dataset = std::move(opened).value();
 
   const std::string trace_path = flags.GetString("trace", "");
   TraceRecorder recorder;
@@ -278,7 +242,7 @@ int RunEval(const FlagParser& flags) {
                 "accuracy", "MoE", "cost");
     for (const auto& result : results) {
       const std::string name =
-          symbols != nullptr ? symbols->Name(result.group)
+          dataset.symbols != nullptr ? dataset.symbols->Name(result.group)
           : dataset.mapped != nullptr && dataset.mapped->has_symbols()
               ? std::string(dataset.mapped->SymbolName(result.group))
               : StrFormat("p%u", result.group);
