@@ -179,16 +179,17 @@ Result<std::unique_ptr<Campaign>> MakeIncrementalBase(
           std::move(evaluator), std::move(base)));
 }
 
-/// Size-stratified TWCS: the strata and the stratum draws read one
-/// triple-offset column, the view's or one built for both.
+/// Size-stratified TWCS: the strata are cut in one pass over a triple-offset
+/// column (the view's, or one built for both passes), and the stratum index
+/// built in a second that also writes each cluster's stratum.
 Result<std::unique_ptr<Campaign>> MakeSizeStratifiedTwcs(
     const KgView& view, Annotator* annotator,
     const EvaluationOptions& options) {
   const uint64_t h = options.num_strata > 0 ? options.num_strata : 4;
   TriplePrefixIndex column(view);
-  Strata strata = StratifySizes(column.Offsets(), static_cast<int>(h));
-  return MakeStratifiedTwcsCampaign(std::move(column), std::move(strata),
-                                    annotator, options);
+  const SizeStratifier sizes(column.Offsets(), static_cast<int>(h));
+  return MakeStratifiedTwcsCampaign(StratumIndex(std::move(column), sizes),
+                                    sizes.weights(), annotator, options);
 }
 
 using DesignFactory = Result<std::unique_ptr<Campaign>> (*)(

@@ -10,17 +10,19 @@
 
 namespace kgacc {
 
-StratifiedTwcsSource::StratifiedTwcsSource(TriplePrefixIndex column,
-                                           Strata strata, uint64_t m,
+StratifiedTwcsSource::StratifiedTwcsSource(StratumIndex index,
+                                           std::vector<double> weights,
+                                           uint64_t m,
                                            uint64_t min_stratum_units)
-    : view_(column.view()),
-      index_(std::move(column), std::move(strata.stratum_of),
-             strata.NumStrata()),
+    : view_(index.view()),
+      index_(std::move(index)),
       m_(m),
-      stats_(strata.NumStrata()),
-      weights_(std::move(strata.weights)),
+      stats_(index_.NumStrata()),
+      weights_(std::move(weights)),
       min_stratum_units_(min_stratum_units) {
   KGACC_CHECK(weights_.size() >= 1) << "need at least one stratum";
+  KGACC_CHECK(weights_.size() == index_.NumStrata())
+      << "one weight per stratum";
   KGACC_CHECK(m_ >= 1) << "TWCS second-stage size m must be >= 1";
   for (double weight : weights_) combined_.AddStratum(weight);
 }
@@ -94,18 +96,28 @@ Strata OracleStrata(const KgView& view, const TruthOracle& oracle,
 }
 
 std::unique_ptr<Campaign> MakeStratifiedTwcsCampaign(
-    TriplePrefixIndex column, Strata strata, Annotator* annotator,
+    StratumIndex index, std::vector<double> weights, Annotator* annotator,
     const EvaluationOptions& options) {
-  KGACC_CHECK(strata.NumStrata() >= 1) << "need at least one stratum";
   // The source is both sampler and estimator.
   auto source = std::make_shared<StratifiedTwcsSource>(
-      std::move(column), std::move(strata),
+      std::move(index), std::move(weights),
       ResolveSecondStageSize(options, annotator->cost_model(),
                              /*stats=*/nullptr),
       options.min_stratum_units);
   return std::make_unique<EngineCampaign>(
       annotator, options, EngineConfig{.design_name = "TWCS+strat"}, source,
       source);
+}
+
+std::unique_ptr<Campaign> MakeStratifiedTwcsCampaign(
+    TriplePrefixIndex column, Strata strata, Annotator* annotator,
+    const EvaluationOptions& options) {
+  KGACC_CHECK(strata.NumStrata() >= 1) << "need at least one stratum";
+  const size_t num_strata = strata.NumStrata();
+  return MakeStratifiedTwcsCampaign(
+      StratumIndex(std::move(column), std::move(strata.stratum_of),
+                   num_strata),
+      std::move(strata.weights), annotator, options);
 }
 
 }  // namespace kgacc

@@ -29,16 +29,17 @@ namespace kgacc {
 /// cluster ids (annotator coordinates).
 class StratifiedTwcsSource : public UnitSampler, public UnitEstimator {
  public:
-  /// Draws over `column`'s view, which must outlive the source. `strata`
-  /// partitions that view's clusters.
-  StratifiedTwcsSource(TriplePrefixIndex column, Strata strata, uint64_t m,
-                       uint64_t min_stratum_units);
+  /// Draws through `index`, whose view must outlive the source; `weights`
+  /// holds W_h of each of its strata.
+  StratifiedTwcsSource(StratumIndex index, std::vector<double> weights,
+                       uint64_t m, uint64_t min_stratum_units);
 
-  /// Over `view`'s own column, or one built for it.
-  StratifiedTwcsSource(const KgView& view, Strata strata, uint64_t m,
+  /// Over explicit `strata` of `view`, indexed from their ids.
+  StratifiedTwcsSource(const KgView& view, const Strata& strata, uint64_t m,
                        uint64_t min_stratum_units)
-      : StratifiedTwcsSource(TriplePrefixIndex(view), std::move(strata), m,
-                             min_stratum_units) {}
+      : StratifiedTwcsSource(
+            StratumIndex(view, strata.stratum_of, strata.NumStrata()),
+            strata.weights, m, min_stratum_units) {}
 
   // UnitSampler.
   std::vector<SampleUnit> NextBatch(uint64_t n, Rng& rng) override;
@@ -79,11 +80,17 @@ Strata SizeStrata(const KgView& view, int num_strata);
 Strata OracleStrata(const KgView& view, const TruthOracle& oracle,
                     int num_strata);
 
-/// The stratified-TWCS campaign ("TWCS+strat") over `strata` of `column`'s
-/// view, ready for its first Step(), with second-stage size
-/// ResolveSecondStageSize(options, annotator's cost model, no stats). It
-/// borrows the view and `annotator`. The registry's "twcs+strat" cuts size
-/// strata from the same column, so a view without one builds it once.
+/// The stratified-TWCS campaign ("TWCS+strat") drawing through `index`,
+/// with W_h = `weights[h]`, ready for its first Step(), with second-stage
+/// size ResolveSecondStageSize(options, annotator's cost model, no stats).
+/// It borrows the index's view and `annotator`. The registry's "twcs+strat"
+/// passes a size-strata index, cut and built in two passes over one column.
+std::unique_ptr<Campaign> MakeStratifiedTwcsCampaign(
+    StratumIndex index, std::vector<double> weights, Annotator* annotator,
+    const EvaluationOptions& options);
+
+/// The same campaign over explicit `strata` of `column`'s view, indexed
+/// from their ids.
 std::unique_ptr<Campaign> MakeStratifiedTwcsCampaign(
     TriplePrefixIndex column, Strata strata, Annotator* annotator,
     const EvaluationOptions& options);

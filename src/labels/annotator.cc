@@ -117,25 +117,24 @@ bool SimulatedAnnotator::NoiseFlip(const TripleRef& ref) const {
 
 uint8_t SimulatedAnnotator::AnnotateInShard(
     ShardedAnnotationCache::Shard& shard, const TripleRef& ref) {
-  ++shard.lookups;
-  const auto [it, inserted] = shard.labels.try_emplace(ref, uint8_t{0});
-  if (!inserted) return it->second;
-  if (shard.clusters.insert(ref.cluster).second) ++shard.entities_identified;
-  ++shard.triples_annotated;
-  bool label = oracle_->IsCorrect(ref);
-  if (options_.noise_rate > 0.0 && NoiseFlip(ref)) label = !label;
-  it->second = label ? 1 : 0;
-  return it->second;
+  const ShardedAnnotationCache::Marked marked = shard.Mark(ref);
+  if (marked.new_triple) {
+    bool label = oracle_->IsCorrect(ref);
+    if (options_.noise_rate > 0.0 && NoiseFlip(ref)) label = !label;
+    marked.SetLabel(label);
+    return label ? 1 : 0;
+  }
+  return marked.Label() ? 1 : 0;
 }
 
 bool SimulatedAnnotator::Annotate(const TripleRef& ref) {
   ShardedAnnotationCache::Shard& shard = cache_.ShardFor(ref.cluster);
-  const uint64_t entities_before = shard.entities_identified;
-  const uint64_t triples_before = shard.triples_annotated;
+  const uint64_t entities_before = shard.entities_identified();
+  const uint64_t triples_before = shard.triples_annotated();
   const uint8_t label = AnnotateInShard(shard, ref);
   // Keep the session ledger exact without an O(shards) reduce per triple.
-  ledger_.entities_identified += shard.entities_identified - entities_before;
-  ledger_.triples_annotated += shard.triples_annotated - triples_before;
+  ledger_.entities_identified += shard.entities_identified() - entities_before;
+  ledger_.triples_annotated += shard.triples_annotated() - triples_before;
   return label != 0;
 }
 
@@ -187,7 +186,7 @@ void SimulatedAnnotator::AnnotateBatch(std::span<const TripleRef> refs,
     // shared counter, so a skewed cluster-size distribution — one giant
     // shard plus many tiny ones — no longer pins the whole tail on a single
     // statically-assigned worker. Exactness is untouched: every shard (its
-    // label map, cluster set and accumulators) is still processed by exactly
+    // cluster records and accumulators) is still processed by exactly
     // one worker, lock-free and merge-free, and labels/books stay
     // order-independent. This also replaces the old whole-batch rescan per
     // worker (O(n * workers)) with one O(n + shards) sort.
@@ -228,10 +227,14 @@ void SimulatedAnnotator::AnnotateBatch(std::span<const TripleRef> refs,
     return;
   }
 
-  // Sequential fast path: one try_emplace probe per triple (Annotate pays a
-  // delta computation per call on top).
+  // Sequential fast path: the shard is routed, and its record resolved, once
+  // per run of consecutive refs of one cluster (an engine unit's refs are).
+  ShardedAnnotationCache::Shard* shard = nullptr;
   for (size_t i = 0; i < n; ++i) {
-    out[i] = AnnotateInShard(cache_.ShardFor(refs[i].cluster), refs[i]);
+    if (i == 0 || refs[i].cluster != refs[i - 1].cluster) {
+      shard = &cache_.ShardFor(refs[i].cluster);
+    }
+    out[i] = AnnotateInShard(*shard, refs[i]);
   }
   ledger_ = cache_.Totals();
   Metrics().sequential_batches->Add(1);

@@ -150,8 +150,9 @@ class SimulatedAnnotator : public Annotator {
   void UseThreadPool(ThreadPool* pool) { external_pool_ = pool; }
 
  private:
-  /// The one lookup/bookkeeping step, shared by every path. Touches only
-  /// `shard` (the ref's own shard), so concurrent calls on distinct shards
+  /// The one lookup/bookkeeping step, shared by every path: marks `ref` in
+  /// `shard` (the ref's own shard) and asks the oracle only for a new
+  /// triple. Touches only `shard`, so concurrent calls on distinct shards
   /// are race-free by construction.
   uint8_t AnnotateInShard(ShardedAnnotationCache::Shard& shard,
                           const TripleRef& ref);

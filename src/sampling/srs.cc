@@ -29,16 +29,15 @@ std::vector<uint64_t> SampleIndicesWithoutReplacement(uint64_t population,
   }
 
   // Sparse draw: Floyd's algorithm, O(k) expected work and memory.
-  std::unordered_set<uint64_t> chosen;
-  chosen.reserve(static_cast<size_t>(k) * 2);
+  FlatSet64 chosen;
   std::vector<uint64_t> out;
   out.reserve(k);
   for (uint64_t j = population - k; j < population; ++j) {
     const uint64_t t = rng.UniformIndex(j + 1);
-    if (chosen.insert(t).second) {
+    if (chosen.Insert(t)) {
       out.push_back(t);
     } else {
-      chosen.insert(j);
+      chosen.Insert(j);
       out.push_back(j);
     }
   }
@@ -56,10 +55,10 @@ std::vector<uint64_t> DistinctIndexSampler::Next(uint64_t k, Rng& rng) {
   for (uint64_t attempts = 0; batch.size() < k && attempts < max_attempts;
        ++attempts) {
     const uint64_t index = rng.UniformIndex(population_);
-    if (drawn_.insert(index).second) batch.push_back(index);
+    if (drawn_.Insert(index)) batch.push_back(index);
   }
   for (uint64_t index = 0; batch.size() < k && index < population_; ++index) {
-    if (drawn_.insert(index).second) batch.push_back(index);
+    if (drawn_.Insert(index)) batch.push_back(index);
   }
   return batch;
 }

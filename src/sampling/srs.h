@@ -2,11 +2,11 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "kg/kg_view.h"
 #include "kg/triple.h"
+#include "util/flat_map.h"
 #include "util/rng.h"
 
 namespace kgacc {
@@ -34,7 +34,7 @@ class DistinctIndexSampler {
 
  private:
   uint64_t population_;
-  std::unordered_set<uint64_t> drawn_;
+  FlatSet64 drawn_;
 };
 
 /// Maps global triple indices in [0, M) to (cluster, offset) positions by

@@ -15,13 +15,29 @@ StratumIndex::StratumIndex(TriplePrefixIndex column,
       num_strata_(num_strata),
       num_blocks_((stratum_of_.size() + kBlockClusters - 1) / kBlockClusters),
       block_prefix_(num_strata * (num_blocks_ + 1), 0) {
-  const std::span<const uint64_t> offsets = column_.Offsets();
-  KGACC_CHECK(stratum_of_.size() + 1 == offsets.size())
+  KGACC_CHECK(stratum_of_.size() + 1 == column_.Offsets().size())
       << "one stratum id per cluster";
   uint8_t max_id = 0;
   for (uint8_t h : stratum_of_) max_id = std::max(max_id, h);
   KGACC_CHECK(stratum_of_.empty() || max_id < num_strata_)
       << "stratum id out of range";
+  IndexBlocks([this](uint64_t c, uint64_t) { return stratum_of_[c]; });
+}
+
+StratumIndex::StratumIndex(TriplePrefixIndex column,
+                           const SizeStratifier& sizes)
+    : column_(std::move(column)),
+      stratum_of_(column_.Offsets().size() - 1),
+      num_strata_(sizes.NumStrata()),
+      num_blocks_((stratum_of_.size() + kBlockClusters - 1) / kBlockClusters),
+      block_prefix_(num_strata_ * (num_blocks_ + 1), 0) {
+  IndexBlocks(
+      [&sizes](uint64_t, uint64_t size) { return sizes.StratumOf(size); });
+}
+
+template <typename StratumOf>
+void StratumIndex::IndexBlocks(StratumOf stratum_of) {
+  const std::span<const uint64_t> offsets = column_.Offsets();
   std::vector<uint64_t> running(num_strata_, 0);
   for (uint64_t block = 0; block < num_blocks_; ++block) {
     for (size_t h = 0; h < num_strata_; ++h) {
@@ -30,7 +46,10 @@ StratumIndex::StratumIndex(TriplePrefixIndex column,
     const uint64_t end =
         std::min<uint64_t>(stratum_of_.size(), (block + 1) * kBlockClusters);
     for (uint64_t c = block * kBlockClusters; c < end; ++c) {
-      running[stratum_of_[c]] += offsets[c + 1] - offsets[c];
+      const uint64_t size = offsets[c + 1] - offsets[c];
+      const uint8_t h = stratum_of(c, size);
+      stratum_of_[c] = h;
+      running[h] += size;
     }
   }
   for (size_t h = 0; h < num_strata_; ++h) {

@@ -7,6 +7,7 @@
 
 #include "kg/kg_view.h"
 #include "sampling/srs.h"
+#include "stats/stratification.h"
 #include "util/rng.h"
 
 namespace kgacc {
@@ -17,7 +18,8 @@ namespace kgacc {
 /// draw in stratum h is the cluster holding triple t = UniformIndex(M_h) of h
 /// in cluster-id order — the same draw a TriplePrefixIndex makes over a view
 /// of h's clusters alone, without building one per stratum. One O(N) pass to
-/// build; it keeps the stratum id per cluster plus (N/64 + 1) * H counts
+/// build, which also writes each cluster's id when the strata are size
+/// strata; it keeps the stratum id per cluster plus (N/64 + 1) * H counts
 /// (0.5 B per cluster at H = 4), and a draw costs O(log(N/64) + 64).
 class StratumIndex {
  public:
@@ -33,6 +35,13 @@ class StratumIndex {
                size_t num_strata)
       : StratumIndex(TriplePrefixIndex(view), std::move(stratum_of),
                      num_strata) {}
+
+  /// `sizes`' strata of `column`'s view, which must be the strata cut from
+  /// this column: each cluster's id is written in the pass that counts the
+  /// block prefixes.
+  StratumIndex(TriplePrefixIndex column, const SizeStratifier& sizes);
+
+  const KgView& view() const { return column_.view(); }
 
   size_t NumStrata() const { return num_strata_; }
 
@@ -50,6 +59,11 @@ class StratumIndex {
   uint64_t SizeWeightedCluster(size_t h, Rng& rng) const;
 
  private:
+  /// Fills the block prefixes in one pass over the column, storing cluster
+  /// c's stratum `stratum_of(c, size of c)` as it goes.
+  template <typename StratumOf>
+  void IndexBlocks(StratumOf stratum_of);
+
   TriplePrefixIndex column_;  // the view's column, or one built for it.
   std::vector<uint8_t> stratum_of_;
   size_t num_strata_;

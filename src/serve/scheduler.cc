@@ -90,10 +90,10 @@ std::string GrantRecord::ToLine() const {
       ci_width, completed ? 1 : 0);
 }
 
-/// Per-graph fleet set of already-purchased labels. The cache's shard
-/// structure is reused as the set (the label value is irrelevant — only
-/// membership is); one mutex per graph since observers run on whichever
-/// thread steps a session.
+/// Per-graph fleet set of already-purchased labels. The cache's marks are
+/// reused as the set (the label value is irrelevant — only membership is);
+/// one mutex per graph since observers run on whichever thread steps a
+/// session.
 struct CampaignScheduler::FleetCache {
   std::mutex mutex;
   ShardedAnnotationCache cache;
@@ -136,16 +136,9 @@ void CampaignScheduler::ChargeObserver::OnAnnotate(
   {
     std::lock_guard<std::mutex> lock(fleet.mutex);
     for (const TripleRef& ref : refs) {
-      ShardedAnnotationCache::Shard& shard = fleet.cache.ShardFor(ref.cluster);
-      shard.lookups++;
-      if (shard.clusters.insert(ref.cluster).second) {
-        shard.entities_identified++;
-        novel_entities++;
-      }
-      if (shard.labels.emplace(ref, uint8_t{1}).second) {
-        shard.triples_annotated++;
-        novel_triples++;
-      }
+      const ShardedAnnotationCache::Marked marked = fleet.cache.Mark(ref);
+      novel_entities += marked.new_entity ? 1 : 0;
+      novel_triples += marked.new_triple ? 1 : 0;
     }
   }
   if (novel_entities == 0 && novel_triples == 0) return;  // full reuse.

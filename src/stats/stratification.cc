@@ -10,8 +10,8 @@ namespace kgacc {
 
 namespace {
 
-/// Sizes min_size + s with s below this are binned and assigned once per
-/// distinct size; a tail of larger sizes once per cluster.
+/// Sizes below this are counted, binned and assigned once per distinct size;
+/// larger ones once per cluster.
 constexpr uint64_t kSizeTableEntries = uint64_t{1} << 16;
 
 /// Equi-width histogram bin of `value`: bins of `bin_width` from `lo`, the
@@ -51,10 +51,37 @@ std::vector<double> CutCumulativeSqrtF(const std::vector<uint64_t>& freq,
 
 /// The first stratum whose boundary is >= value, i.e. the number of
 /// boundaries below it.
-size_t StratumOf(double value, const std::vector<double>& boundaries) {
+size_t StratumOfValue(double value, const std::vector<double>& boundaries) {
   return static_cast<size_t>(
       std::lower_bound(boundaries.begin(), boundaries.end(), value) -
       boundaries.begin());
+}
+
+/// The cut strata that hold a cluster, renumbered in order, and their
+/// weights W_h = (triples in h) / (total triples).
+struct StrataCompaction {
+  std::vector<uint8_t> renumbered;  ///< cut stratum -> kept stratum.
+  std::vector<double> weights;
+};
+
+StrataCompaction CompactIds(const std::vector<uint64_t>& stratum_triples,
+                            const std::vector<uint64_t>& stratum_clusters) {
+  uint64_t total_triples = 0;
+  for (uint64_t triples : stratum_triples) total_triples += triples;
+
+  // Drop empty strata (possible when boundaries collapse).
+  StrataCompaction compaction;
+  compaction.renumbered.assign(stratum_clusters.size(), 0);
+  for (size_t h = 0; h < stratum_clusters.size(); ++h) {
+    if (stratum_clusters[h] == 0) continue;
+    compaction.renumbered[h] =
+        static_cast<uint8_t>(compaction.weights.size());
+    compaction.weights.push_back(
+        total_triples > 0 ? static_cast<double>(stratum_triples[h]) /
+                                static_cast<double>(total_triples)
+                          : 0.0);
+  }
+  return compaction;
 }
 
 }  // namespace
@@ -80,7 +107,8 @@ std::vector<uint32_t> AssignStrata(const std::vector<double>& values,
                                    const std::vector<double>& boundaries) {
   std::vector<uint32_t> assignment(values.size(), 0);
   for (size_t i = 0; i < values.size(); ++i) {
-    assignment[i] = static_cast<uint32_t>(StratumOf(values[i], boundaries));
+    assignment[i] =
+        static_cast<uint32_t>(StratumOfValue(values[i], boundaries));
   }
   return assignment;
 }
@@ -94,7 +122,7 @@ Strata StratifyClusters(const std::vector<double>& signal,
   std::vector<uint64_t> triples(boundaries.size() + 1, 0);
   std::vector<uint64_t> clusters(boundaries.size() + 1, 0);
   for (size_t i = 0; i < signal.size(); ++i) {
-    const size_t h = StratumOf(signal[i], boundaries);
+    const size_t h = StratumOfValue(signal[i], boundaries);
     stratum_of[i] = static_cast<uint8_t>(h);
     triples[h] += sizes[i];
     ++clusters[h];
@@ -102,75 +130,99 @@ Strata StratifyClusters(const std::vector<double>& signal,
   return internal::CompactStrata(std::move(stratum_of), triples, clusters);
 }
 
-Strata StratifySizes(std::span<const uint64_t> offsets, int num_strata) {
+SizeStratifier::SizeStratifier(std::span<const uint64_t> offsets,
+                               int num_strata) {
   KGACC_CHECK(num_strata >= 1);
   KGACC_CHECK(kMaxStrata >= num_strata);
   const uint64_t n = offsets.empty() ? 0 : offsets.size() - 1;
-  const auto size_of = [offsets](uint64_t c) {
-    return offsets[c + 1] - offsets[c];
-  };
 
-  // Pass 1: the size range. Converting to double is monotone, so these are
-  // also the extremes of the sizes as a double signal.
-  uint64_t min_size = n > 0 ? size_of(0) : 0;
-  uint64_t max_size = min_size;
-  for (uint64_t c = 1; c < n; ++c) {
-    const uint64_t size = size_of(c);
-    min_size = std::min(min_size, size);
-    max_size = std::max(max_size, size);
+  // The one pass: clusters per size below the table's end, larger sizes
+  // (at most M / 2^16 of them) aside.
+  std::vector<uint64_t> clusters_of_size;
+  std::vector<uint64_t> large;
+  for (uint64_t c = 0; c < n; ++c) {
+    const uint64_t size = offsets[c + 1] - offsets[c];
+    if (size < clusters_of_size.size()) {
+      ++clusters_of_size[size];
+    } else if (size < kSizeTableEntries) {
+      clusters_of_size.resize(size + 1, 0);
+      ++clusters_of_size[size];
+    } else {
+      large.push_back(size);
+    }
   }
-  const uint64_t table_size =
-      n == 0 ? 0
-             : std::min(max_size - min_size, kSizeTableEntries - 1) + 1;
+
+  // The size range. Converting to double is monotone, so these are also the
+  // extremes of the sizes as a double signal.
+  uint64_t min_size = 0;
+  uint64_t max_size = 0;
+  if (!large.empty()) {
+    min_size = *std::min_element(large.begin(), large.end());
+    max_size = *std::max_element(large.begin(), large.end());
+  }
+  if (!clusters_of_size.empty()) {
+    min_size = static_cast<uint64_t>(
+        std::find_if(clusters_of_size.begin(), clusters_of_size.end(),
+                     [](uint64_t count) { return count > 0; }) -
+        clusters_of_size.begin());
+    if (large.empty()) max_size = clusters_of_size.size() - 1;
+  }
   const double lo = static_cast<double>(min_size);
   const double hi = static_cast<double>(max_size);
   // CumulativeSqrtFBoundaries' early-outs: one stratum, or one point mass.
-  const bool cut = num_strata > 1 && lo != hi;
-  const double bin_width = (hi - lo) / static_cast<double>(kMaxStrata);
-
-  // Pass 2: clusters per size in the table, histogram bins for the rest.
-  std::vector<uint64_t> clusters_of_size(table_size, 0);
-  std::vector<uint64_t> freq(kMaxStrata, 0);
-  for (uint64_t c = 0; c < n; ++c) {
-    const uint64_t size = size_of(c);
-    if (size - min_size < table_size) {
-      ++clusters_of_size[size - min_size];
-    } else if (cut) {
+  if (num_strata > 1 && lo != hi) {
+    const double bin_width = (hi - lo) / static_cast<double>(kMaxStrata);
+    std::vector<uint64_t> freq(kMaxStrata, 0);
+    for (uint64_t s = min_size; s < clusters_of_size.size(); ++s) {
+      freq[BinOf(static_cast<double>(s), lo, bin_width, kMaxStrata)] +=
+          clusters_of_size[s];
+    }
+    for (uint64_t size : large) {
       ++freq[BinOf(static_cast<double>(size), lo, bin_width, kMaxStrata)];
     }
-  }
-  std::vector<double> boundaries;
-  if (cut) {
-    for (uint64_t s = 0; s < table_size; ++s) {
-      freq[BinOf(static_cast<double>(min_size + s), lo, bin_width,
-                 kMaxStrata)] += clusters_of_size[s];
-    }
-    boundaries = CutCumulativeSqrtF(freq, lo, bin_width, num_strata);
+    boundaries_ = CutCumulativeSqrtF(freq, lo, bin_width, num_strata);
   }
 
-  // Pass 3: each cluster's stratum, through the table where it reaches.
-  std::vector<uint64_t> triples(boundaries.size() + 1, 0);
-  std::vector<uint64_t> clusters(boundaries.size() + 1, 0);
-  std::vector<uint8_t> stratum_of_size(table_size);
-  for (uint64_t s = 0; s < table_size; ++s) {
-    const size_t h = StratumOf(static_cast<double>(min_size + s), boundaries);
-    stratum_of_size[s] = static_cast<uint8_t>(h);
-    triples[h] += clusters_of_size[s] * (min_size + s);
+  // Each size's cut stratum, walking the boundaries upward with the sizes,
+  // and each cut stratum's mass.
+  std::vector<uint64_t> triples(boundaries_.size() + 1, 0);
+  std::vector<uint64_t> clusters(boundaries_.size() + 1, 0);
+  stratum_of_size_.resize(clusters_of_size.size());
+  size_t h = 0;
+  for (uint64_t s = 0; s < clusters_of_size.size(); ++s) {
+    while (h < boundaries_.size() &&
+           boundaries_[h] < static_cast<double>(s)) {
+      ++h;
+    }
+    stratum_of_size_[s] = static_cast<uint8_t>(h);
+    triples[h] += clusters_of_size[s] * s;
     clusters[h] += clusters_of_size[s];
   }
-  std::vector<uint8_t> stratum_of(n);
-  for (uint64_t c = 0; c < n; ++c) {
-    const uint64_t size = size_of(c);
-    if (size - min_size < table_size) {
-      stratum_of[c] = stratum_of_size[size - min_size];
-      continue;
-    }
-    const size_t h = StratumOf(static_cast<double>(size), boundaries);
-    stratum_of[c] = static_cast<uint8_t>(h);
-    triples[h] += size;
-    ++clusters[h];
+  for (uint64_t size : large) {
+    const size_t cut = StratumOfValue(static_cast<double>(size), boundaries_);
+    triples[cut] += size;
+    ++clusters[cut];
   }
-  return internal::CompactStrata(std::move(stratum_of), triples, clusters);
+  StrataCompaction compaction = CompactIds(triples, clusters);
+  renumbered_ = std::move(compaction.renumbered);
+  weights_ = std::move(compaction.weights);
+  for (uint8_t& stratum : stratum_of_size_) stratum = renumbered_[stratum];
+}
+
+uint8_t SizeStratifier::StratumOfLarge(uint64_t size) const {
+  return renumbered_[StratumOfValue(static_cast<double>(size), boundaries_)];
+}
+
+Strata StratifySizes(std::span<const uint64_t> offsets, int num_strata) {
+  const SizeStratifier sizes(offsets, num_strata);
+  const uint64_t n = offsets.empty() ? 0 : offsets.size() - 1;
+  Strata strata;
+  strata.stratum_of.resize(n);
+  for (uint64_t c = 0; c < n; ++c) {
+    strata.stratum_of[c] = sizes.StratumOf(offsets[c + 1] - offsets[c]);
+  }
+  strata.weights = sizes.weights();
+  return strata;
 }
 
 namespace internal {
@@ -178,22 +230,11 @@ namespace internal {
 Strata CompactStrata(std::vector<uint8_t> stratum_of,
                      const std::vector<uint64_t>& stratum_triples,
                      const std::vector<uint64_t>& stratum_clusters) {
-  uint64_t total_triples = 0;
-  for (uint64_t triples : stratum_triples) total_triples += triples;
-
-  // Drop empty strata (possible when boundaries collapse).
+  StrataCompaction compaction = CompactIds(stratum_triples, stratum_clusters);
   Strata strata;
-  std::vector<uint8_t> renumbered(stratum_clusters.size(), 0);
-  for (size_t h = 0; h < stratum_clusters.size(); ++h) {
-    if (stratum_clusters[h] == 0) continue;
-    renumbered[h] = static_cast<uint8_t>(strata.weights.size());
-    strata.weights.push_back(
-        total_triples > 0 ? static_cast<double>(stratum_triples[h]) /
-                                static_cast<double>(total_triples)
-                          : 0.0);
-  }
+  strata.weights = std::move(compaction.weights);
   if (strata.weights.size() < stratum_clusters.size()) {
-    for (uint8_t& h : stratum_of) h = renumbered[h];
+    for (uint8_t& h : stratum_of) h = compaction.renumbered[h];
   }
   strata.stratum_of = std::move(stratum_of);
   return strata;

@@ -47,11 +47,35 @@ Strata StratifyClusters(const std::vector<double>& signal,
                         const std::vector<uint64_t>& sizes, int num_strata);
 
 /// Size stratification over a triple-offset column (cluster c holds
-/// [offsets[c], offsets[c+1]), as KgView::TripleOffsets()): exactly
-/// StratifyClusters with each cluster's size as both signal and mass, but
-/// with no per-cluster copy. Sizes go through per-size tables, so it costs
-/// three cheap passes over the column; the one O(N) allocation is the
-/// stratum id per cluster.
+/// [offsets[c], offsets[c+1]), as KgView::TripleOffsets()), cut in one pass:
+/// clusters are counted per size (a table indexed by size below 2^16, larger
+/// sizes kept aside), and the boundaries, each size's stratum and each
+/// stratum's weight follow from those counts. The strata are exactly
+/// StratifyClusters' with each cluster's size as both signal and mass.
+class SizeStratifier {
+ public:
+  SizeStratifier(std::span<const uint64_t> offsets, int num_strata);
+
+  /// The stratum of a cluster of `size` triples.
+  uint8_t StratumOf(uint64_t size) const {
+    return size < stratum_of_size_.size() ? stratum_of_size_[size]
+                                          : StratumOfLarge(size);
+  }
+
+  const std::vector<double>& weights() const { return weights_; }
+  size_t NumStrata() const { return weights_.size(); }
+
+ private:
+  uint8_t StratumOfLarge(uint64_t size) const;
+
+  std::vector<uint8_t> stratum_of_size_;  ///< by size, to the largest < 2^16.
+  std::vector<double> boundaries_;
+  std::vector<uint8_t> renumbered_;  ///< cut stratum -> stratum with clusters.
+  std::vector<double> weights_;
+};
+
+/// SizeStratifier's strata with each cluster's id: a second pass over the
+/// column, and the one O(N) allocation.
 Strata StratifySizes(std::span<const uint64_t> offsets, int num_strata);
 
 namespace internal {

@@ -1,5 +1,7 @@
 #include "util/sharded_cache.h"
 
+#include <bit>
+
 #include "util/rng.h"
 
 namespace kgacc {
@@ -12,7 +14,50 @@ size_t RoundUpToPowerOfTwo(size_t n) {
   return p;
 }
 
+constexpr uint64_t kWordBits = 64;
+
 }  // namespace
+
+ShardedAnnotationCache::Marked ShardedAnnotationCache::Shard::Mark(
+    const TripleRef& ref) {
+  ++lookups_;
+  Marked marked;
+  if (last_ == nullptr || last_cluster_ != ref.cluster) {
+    const auto [record, inserted] = records_.TryEmplace(ref.cluster);
+    last_ = record;
+    last_cluster_ = ref.cluster;
+    marked.new_entity = inserted;
+    entities_identified_ += inserted ? 1 : 0;
+  }
+  Record& record = *last_;
+  const uint64_t word = ref.offset / kWordBits;
+  uint64_t* annotated = &record.annotated;
+  if (word > 0) {
+    if (record.more.size() < 2 * word) record.more.resize(2 * word, 0);
+    annotated = &record.more[2 * (word - 1)];
+  }
+  const uint64_t bit = uint64_t{1} << (ref.offset % kWordBits);
+  marked.new_triple = (*annotated & bit) == 0;
+  *annotated |= bit;
+  triples_annotated_ += marked.new_triple ? 1 : 0;
+  // A record's labels word follows its annotated word, inline and in `more`.
+  marked.label_word = word > 0 ? annotated + 1 : &record.labels;
+  marked.label_bit = bit;
+  return marked;
+}
+
+uint64_t ShardedAnnotationCache::Shard::NumCachedLabels() const {
+  uint64_t n = 0;
+  records_.ForEachValue([&n](const Record& record) {
+    n += static_cast<uint64_t>(std::popcount(record.annotated));
+    for (size_t w = 0; w < record.more.size(); w += 2) {
+      n += static_cast<uint64_t>(std::popcount(record.more[w]));
+    }
+  });
+  return n;
+}
+
+void ShardedAnnotationCache::Shard::Clear() { *this = Shard(); }
 
 ShardedAnnotationCache::ShardedAnnotationCache(size_t num_shards) {
   const size_t n = RoundUpToPowerOfTwo(num_shards == 0 ? 1 : num_shards);
@@ -29,32 +74,26 @@ size_t ShardedAnnotationCache::ShardOf(uint64_t cluster) const {
 AnnotationLedger ShardedAnnotationCache::Totals() const {
   AnnotationLedger totals;
   for (const Shard& shard : shards_) {
-    totals.entities_identified += shard.entities_identified;
-    totals.triples_annotated += shard.triples_annotated;
+    totals.entities_identified += shard.entities_identified();
+    totals.triples_annotated += shard.triples_annotated();
   }
   return totals;
 }
 
 uint64_t ShardedAnnotationCache::NumCachedLabels() const {
   uint64_t n = 0;
-  for (const Shard& shard : shards_) n += shard.labels.size();
+  for (const Shard& shard : shards_) n += shard.NumCachedLabels();
   return n;
 }
 
 uint64_t ShardedAnnotationCache::TotalLookups() const {
   uint64_t n = 0;
-  for (const Shard& shard : shards_) n += shard.lookups;
+  for (const Shard& shard : shards_) n += shard.lookups();
   return n;
 }
 
 void ShardedAnnotationCache::Clear() {
-  for (Shard& shard : shards_) {
-    shard.labels.clear();
-    shard.clusters.clear();
-    shard.entities_identified = 0;
-    shard.triples_annotated = 0;
-    shard.lookups = 0;
-  }
+  for (Shard& shard : shards_) shard.Clear();
 }
 
 }  // namespace kgacc

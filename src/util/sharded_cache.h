@@ -1,12 +1,11 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "cost/cost_model.h"
 #include "kg/triple.h"
+#include "util/flat_map.h"
 
 namespace kgacc {
 
@@ -20,6 +19,10 @@ namespace kgacc {
 ///  - each shard carries its own effort accumulators; a batch reduces them
 ///    once (O(num_shards), not O(batch)) to refresh the session ledger.
 ///
+/// A shard keeps one record per identified cluster, not one entry per
+/// triple: two bitmaps over the cluster's offsets, which are annotated and
+/// their labels. Creating the record is the entity identification.
+///
 /// Concurrency contract: the cache itself holds no locks. During a parallel
 /// batch each shard must be touched by exactly one worker — shard ownership
 /// is a pure function of the cluster id (ShardOf), so workers partition the
@@ -31,17 +34,59 @@ class ShardedAnnotationCache {
   /// evenly, few enough that the per-batch ledger reduce stays negligible.
   static constexpr size_t kDefaultShards = 64;
 
-  struct Shard {
-    std::unordered_map<TripleRef, uint8_t, TripleRefHash> labels;
-    std::unordered_set<uint64_t> clusters;
+  /// What marking one triple found. `label_word`/`label_bit` address the
+  /// triple's label, 0 until SetLabel; the address lasts until the shard's
+  /// next Mark.
+  struct Marked {
+    bool new_entity = false;  ///< first triple of its cluster (c1).
+    bool new_triple = false;  ///< first visit to the triple (c2).
+    uint64_t* label_word = nullptr;
+    uint64_t label_bit = 0;
+
+    bool Label() const { return (*label_word & label_bit) != 0; }
+    void SetLabel(bool correct) const {
+      if (correct) *label_word |= label_bit;
+    }
+  };
+
+  class Shard {
+   public:
+    /// Marks `ref` annotated — the one mark-and-count step of every
+    /// annotation path — and counts the lookup, an identification and a
+    /// validation as they occur. `ref.cluster` must route to this shard.
+    /// Consecutive marks of one cluster resolve its record once.
+    Marked Mark(const TripleRef& ref);
+
     /// Per-shard effort accumulators (the shard's slice of Eq 4's sets).
-    uint64_t entities_identified = 0;
-    uint64_t triples_annotated = 0;
-    /// Label lookups routed to this shard (observability only; cache hits =
-    /// lookups - triples_annotated). Written by the shard's owning worker
-    /// under the same contract as the accumulators above, so it needs no
-    /// atomics.
-    uint64_t lookups = 0;
+    uint64_t entities_identified() const { return entities_identified_; }
+    uint64_t triples_annotated() const { return triples_annotated_; }
+    /// Marks routed to this shard (observability only; cache hits =
+    /// lookups - triples_annotated).
+    uint64_t lookups() const { return lookups_; }
+
+    /// Annotated triples, counted from the records' bitmaps.
+    uint64_t NumCachedLabels() const;
+
+    void Clear();
+
+   private:
+    /// One identified cluster: bit o of word o / 64 stands for offset o.
+    /// Offsets below 64 live inline; `more` holds (annotated, labels) word
+    /// pairs for words 1, 2, ..., grown only as far as the largest offset.
+    struct Record {
+      uint64_t annotated = 0;
+      uint64_t labels = 0;
+      std::vector<uint64_t> more;
+    };
+
+    FlatMap64<Record> records_;
+    /// The record the previous Mark resolved (valid until records_ grows,
+    /// which only a Mark of another cluster can make it do).
+    Record* last_ = nullptr;
+    uint64_t last_cluster_ = 0;
+    uint64_t entities_identified_ = 0;
+    uint64_t triples_annotated_ = 0;
+    uint64_t lookups_ = 0;
   };
 
   /// `num_shards` is rounded up to a power of two (>= 1).
@@ -56,6 +101,9 @@ class ShardedAnnotationCache {
   Shard& shard(size_t index) { return shards_[index]; }
   const Shard& shard(size_t index) const { return shards_[index]; }
   Shard& ShardFor(uint64_t cluster) { return shards_[ShardOf(cluster)]; }
+
+  /// Marks `ref` in its shard (Shard::Mark).
+  Marked Mark(const TripleRef& ref) { return ShardFor(ref.cluster).Mark(ref); }
 
   /// Reduces the per-shard accumulators into one ledger — the once-per-batch
   /// merge that replaces per-triple serial bookkeeping.

@@ -57,11 +57,7 @@ TEST(ShardedCacheTest, DenseClusterIdsSpreadAcrossShards) {
 TEST(ShardedCacheTest, TotalsReduceAcrossShards) {
   ShardedAnnotationCache cache(4);
   for (uint64_t cluster = 0; cluster < 100; ++cluster) {
-    ShardedAnnotationCache::Shard& shard = cache.ShardFor(cluster);
-    shard.labels.emplace(TripleRef{cluster, 0}, uint8_t{1});
-    shard.clusters.insert(cluster);
-    ++shard.entities_identified;
-    ++shard.triples_annotated;
+    cache.Mark(TripleRef{cluster, 0}).SetLabel(true);
   }
   const AnnotationLedger totals = cache.Totals();
   EXPECT_EQ(totals.entities_identified, 100u);

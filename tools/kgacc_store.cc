@@ -73,6 +73,11 @@ int RunBuild(const FlagParser& flags) {
     std::vector<LabeledTriple> labels;
     const Status load = LoadTsvFile(input, &symbols, &graph, &labels);
     if (!load.ok()) return Fail(load);
+    // A store without triples is a file no campaign can run on.
+    if (graph.TotalTriples() == 0) {
+      return Fail(Status::InvalidArgument(
+          StrFormat("'%s' holds no triples", input.c_str())));
+    }
     // Labels are embedded only with full coverage: a store whose label
     // bitset silently defaulted missing lines to "wrong" would corrupt
     // every estimate downstream.

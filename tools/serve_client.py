@@ -16,12 +16,34 @@ Used by the CI serve-smoke job to drive the daemon's suspend/resume
 byte-compare; --save-state FILE writes the campaign_state object of the
 last suspend response as JSON, so a later `resume` can read it back with
 --load-state FILE (the object is passed as the "campaign_state" member).
+
+Exits 1 when a response has "ok": false, and 2 without sending anything when
+a request (or a --load-state file) names a JSON member twice, which the
+daemon refuses too: Python's json would keep only the last copy.
 """
 
 import argparse
 import json
 import socket
 import sys
+
+
+class DuplicateMemberError(ValueError):
+    pass
+
+
+def reject_duplicates(pairs):
+    """object_pairs_hook: an object that names a member twice is an error."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise DuplicateMemberError("duplicate member '%s'" % key)
+        obj[key] = value
+    return obj
+
+
+def loads(text):
+    return json.loads(text, object_pairs_hook=reject_duplicates)
 
 
 class ServeConnection:
@@ -54,13 +76,15 @@ def parse_request(text):
     """Full JSON object, or `op key=value ...` shorthand."""
     text = text.strip()
     if text.startswith("{"):
-        return json.loads(text)
+        return loads(text)
     parts = text.split()
     request = {"op": parts[0]}
     for part in parts[1:]:
         key, _, value = part.partition("=")
+        if key in request:
+            raise DuplicateMemberError("duplicate member '%s'" % key)
         try:
-            request[key] = json.loads(value)
+            request[key] = loads(value)
         except json.JSONDecodeError:
             request[key] = value
     return request
@@ -85,20 +109,31 @@ def main():
     parser.add_argument("requests", nargs="+", help="JSON or `op k=v ...`")
     args = parser.parse_args()
 
+    requests = []
+    try:
+        for text in args.requests:
+            source = text
+            request = parse_request(text)
+            if request.get("op") == "resume" and args.load_state:
+                source = args.load_state
+                with open(args.load_state) as f:
+                    state = f.read()
+                try:
+                    request["campaign_state"] = loads(state)
+                except json.JSONDecodeError:
+                    # Not JSON (say, an old text blob): the daemon names what
+                    # it refuses.
+                    request["campaign_state"] = state
+            requests.append(request)
+    except DuplicateMemberError as error:
+        print("serve_client.py: %s in %r; nothing sent" % (error, source),
+              file=sys.stderr)
+        return 2
+
     conn = ServeConnection(args.host, args.port)
     saved_state = None
     failed = False
-    for text in args.requests:
-        request = parse_request(text)
-        if request.get("op") == "resume" and args.load_state:
-            with open(args.load_state) as f:
-                text = f.read()
-            try:
-                request["campaign_state"] = json.loads(text)
-            except json.JSONDecodeError:
-                # Not JSON (say, an old text blob): the daemon names what
-                # it refuses.
-                request["campaign_state"] = text
+    for request in requests:
         for line in conn.call(request):
             print(line)
             response = json.loads(line)
