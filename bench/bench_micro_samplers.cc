@@ -1,12 +1,14 @@
 // Machine-time microbenchmarks (google-benchmark) for the sampling
 // primitives, backing Table 6's "machine time < 1 second" claim for TWCS
-// sample generation at MOVIE scale and beyond, and RS's reservoir campaigns
-// and updates, whose cost must not grow with the base.
+// sample generation at MOVIE scale and beyond, RS's reservoir campaigns and
+// updates, whose cost must not grow with the base, and an rcs campaign,
+// whose whole-cluster rounds are mostly annotation bookkeeping.
 
 #include <benchmark/benchmark.h>
 
 #include <span>
 
+#include "core/design_registry.h"
 #include "core/reservoir_incremental.h"
 #include "core/stratified_source.h"
 #include "kg/cluster_population.h"
@@ -40,8 +42,8 @@ void BM_TriplePrefixIndexBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_TriplePrefixIndexBuild)->Arg(10000)->Arg(288770)->Arg(2000000);
 
-// twcs+strat's one O(N) set-up: size strata (H = 4) cut from the column,
-// then the block-prefix rank index every stratum draws through.
+// Size strata (H = 4) with a stratum id per cluster, as explicit-strata
+// callers cut them, then the block-prefix rank index built from those ids.
 void BM_SizeStrata(benchmark::State& state) {
   const ClusterPopulation pop = MakePopulation(state.range(0));
   for (auto _ : state) {
@@ -62,6 +64,19 @@ void BM_StratumIndexBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_StratumIndexBuild)->Arg(10000)->Arg(288770)->Arg(2000000);
+
+// twcs+strat's one O(N) set-up: the strata cut from one counting pass over
+// the column, then the index built in a second that writes each id.
+void BM_SizeStratumIndexBuild(benchmark::State& state) {
+  const ClusterPopulation pop = MakePopulation(state.range(0));
+  for (auto _ : state) {
+    const SizeStratifier sizes(pop.TripleOffsets(), 4);
+    StratumIndex index(TriplePrefixIndex(pop), sizes);
+    benchmark::DoNotOptimize(index);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SizeStratumIndexBuild)->Arg(10000)->Arg(288770)->Arg(2000000);
 
 void BM_SizeWeightedDraw(benchmark::State& state) {
   const ClusterPopulation pop = MakePopulation(288770);
@@ -134,7 +149,7 @@ class GrowingView final : public KgView {
 
 constexpr CostModel kCost{.c1_seconds = 45.0, .c2_seconds = 25.0};
 
-EvaluationOptions ReservoirOptions(uint64_t iteration) {
+EvaluationOptions CampaignOptions(uint64_t iteration) {
   EvaluationOptions options;
   options.seed = HashCombine(0x7e5e, iteration);
   return options;
@@ -150,7 +165,7 @@ void BM_ReservoirInitialize(benchmark::State& state) {
   for (auto _ : state) {
     SimulatedAnnotator annotator(&oracle, kCost);
     ReservoirIncrementalEvaluator rs(&pop, &annotator,
-                                     ReservoirOptions(++iteration));
+                                     CampaignOptions(++iteration));
     benchmark::DoNotOptimize(rs.Initialize());
   }
 }
@@ -174,7 +189,7 @@ void BM_ReservoirUpdate(benchmark::State& state) {
     GrowingView view(pop, base);
     SimulatedAnnotator annotator(&oracle, kCost);
     ReservoirIncrementalEvaluator rs(&view, &annotator,
-                                     ReservoirOptions(++iteration));
+                                     CampaignOptions(++iteration));
     rs.Initialize();
     view.Grow(base + batch);
     state.ResumeTiming();
@@ -186,6 +201,21 @@ BENCHMARK(BM_ReservoirUpdate)
     ->Arg(288770)
     ->Arg(2000000)
     ->Unit(benchmark::kMicrosecond);
+
+// One registry rcs campaign with a fresh annotator: uniform whole clusters,
+// so every round marks each cluster's triples in the annotation books.
+void BM_RcsCampaign(benchmark::State& state) {
+  const ClusterPopulation pop = MakePopulation(state.range(0));
+  const PerClusterBernoulliOracle oracle =
+      MakeRandomErrorOracle(pop.NumClusters(), 0.9, 5);
+  uint64_t iteration = 0;
+  for (auto _ : state) {
+    SimulatedAnnotator annotator(&oracle, kCost);
+    benchmark::DoNotOptimize(DesignRegistry::Global().Run(
+        "rcs", pop, &annotator, CampaignOptions(++iteration)));
+  }
+}
+BENCHMARK(BM_RcsCampaign)->Arg(288770)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace kgacc

@@ -49,8 +49,9 @@ uint64_t ExpectedSectionBytes(const Header& h, Section s) {
 }
 
 /// O(1) structural validation of the header against the mapped size:
-/// magic, version, checksum, and that every section lies inside the file
-/// (overflow-safe) at 8-byte alignment with the size its counts demand.
+/// magic, version, checksum, known flags, counts whose sections fit the
+/// file, and that every section lies inside the file (overflow-safe) at
+/// 8-byte alignment with the size its counts demand.
 Status ValidateHeader(const Header& h, uint64_t file_bytes,
                       const std::string& path) {
   if (!store::MagicMatches(h)) {
@@ -64,6 +65,19 @@ Status ValidateHeader(const Header& h, uint64_t file_bytes,
   if (store::HeaderChecksum(h) != h.header_checksum) {
     return Status::InvalidArgument("kgstore header checksum mismatch: " +
                                    path);
+  }
+  if ((h.flags & ~(store::kHasLabels | store::kHasSymbols)) != 0) {
+    return Status::InvalidArgument("unknown kgstore flags " +
+                                   std::to_string(h.flags) + ": " + path);
+  }
+  // A count whose section cannot fit in the file is refused before a size
+  // is computed from it: count * width could wrap around 2^64 to the size
+  // the descriptor states.
+  if (h.num_clusters >= file_bytes / sizeof(uint64_t) ||
+      h.num_triples > file_bytes / sizeof(uint32_t) ||
+      h.num_symbols >= file_bytes / sizeof(uint64_t)) {
+    return Status::InvalidArgument(
+        "kgstore header counts exceed the file size: " + path);
   }
   for (uint32_t s = 0; s < store::kNumSections; ++s) {
     const SectionDesc& d = h.sections[s];

@@ -143,6 +143,10 @@ class SimulatedAnnotator : public Annotator {
   /// annotation campaign, e.g. the from-scratch baseline on an evolved KG).
   void Reset();
 
+  /// Distinct triples holding a cached label, counted from the cache's
+  /// records (ledger().triples_annotated keeps the same count as it goes).
+  uint64_t NumCachedLabels() const { return cache_.NumCachedLabels(); }
+
   /// Borrows an external worker pool for the parallel batch path instead of
   /// lazily creating one (an AnnotatorPool shares one pool across members).
   /// Pass nullptr to return to the owned pool. The pool must outlive all

@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <span>
 #include <vector>
 
 #include "labels/annotator.h"
+#include "labels/synthetic_oracle.h"
 #include "test_util.h"
 
 namespace kgacc {
@@ -66,6 +68,94 @@ TEST(ShardedCacheTest, TotalsReduceAcrossShards) {
   cache.Clear();
   EXPECT_EQ(cache.Totals().entities_identified, 0u);
   EXPECT_EQ(cache.NumCachedLabels(), 0u);
+}
+
+TEST(ShardedCacheTest, MarkReportsFirstVisitsAndKeepsLabels) {
+  ShardedAnnotationCache cache(2);
+  const auto first = cache.Mark(TripleRef{5, 70});
+  EXPECT_TRUE(first.new_entity);
+  EXPECT_TRUE(first.new_triple);
+  EXPECT_FALSE(first.Label());
+  first.SetLabel(true);
+  const auto again = cache.Mark(TripleRef{5, 70});
+  EXPECT_FALSE(again.new_entity);
+  EXPECT_FALSE(again.new_triple);
+  EXPECT_TRUE(again.Label());
+  // The same offset of another cluster, and another offset of this one.
+  EXPECT_TRUE(cache.Mark(TripleRef{6, 70}).new_entity);
+  const auto inline_word = cache.Mark(TripleRef{5, 6});
+  EXPECT_FALSE(inline_word.new_entity);
+  EXPECT_TRUE(inline_word.new_triple);
+  EXPECT_FALSE(inline_word.Label());
+  EXPECT_TRUE(cache.Mark(TripleRef{5, 70}).Label());
+  EXPECT_EQ(cache.NumCachedLabels(), 3u);
+  EXPECT_EQ(cache.TotalLookups(), 5u);
+}
+
+/// Refs over `clusters` clusters with offsets 0-300, so most cross the
+/// records' inline word: lone refs interleaving clusters, runs of one
+/// cluster (as an engine unit's refs are), and repeats of earlier refs.
+std::vector<TripleRef> ModelRefs(uint64_t clusters, uint64_t count,
+                                 Rng& rng) {
+  std::vector<TripleRef> refs;
+  while (refs.size() < count) {
+    switch (rng.UniformIndex(3)) {
+      case 0:
+        refs.push_back({rng.UniformIndex(clusters), rng.UniformIndex(301)});
+        break;
+      case 1: {
+        const uint64_t cluster = rng.UniformIndex(clusters);
+        for (uint64_t i = 1 + rng.UniformIndex(70); i > 0; --i) {
+          refs.push_back({cluster, rng.UniformIndex(301)});
+        }
+        break;
+      }
+      default:
+        if (!refs.empty()) refs.push_back(refs[rng.UniformIndex(refs.size())]);
+    }
+  }
+  return refs;
+}
+
+TEST(AnnotationBooksModelTest, MatchesASetOfTriples) {
+  // Batches of 1,500 refs take the sharded path at 4 threads. 40 clusters
+  // of 301 offsets make refs repeat across batches too.
+  constexpr uint64_t kClusters = 40;
+  PerClusterBernoulliOracle oracle(0xb00c5);
+  for (uint64_t c = 0; c < kClusters; ++c) oracle.Append(0.7);
+  for (const int threads : {1, 4}) {
+    SimulatedAnnotator annotator(&oracle, kCost,
+                                 {.annotation_threads = threads});
+    Rng rng(61);
+    for (int session = 0; session < 2; ++session) {
+      std::set<TripleRef> triples;
+      std::set<uint64_t> clusters;
+      for (int batch = 0; batch < 6; ++batch) {
+        const std::vector<TripleRef> refs = ModelRefs(kClusters, 1500, rng);
+        std::vector<uint8_t> labels(refs.size());
+        annotator.AnnotateBatch(refs, labels.data());
+        for (size_t i = 0; i < refs.size(); ++i) {
+          ASSERT_EQ(labels[i] != 0, oracle.IsCorrect(refs[i]))
+              << threads << " threads, batch " << batch << ", ref " << i;
+          triples.insert(refs[i]);
+          clusters.insert(refs[i].cluster);
+        }
+        // Single-ref annotations between batches keep the same books.
+        for (const TripleRef& ref : ModelRefs(kClusters, 20, rng)) {
+          ASSERT_EQ(annotator.Annotate(ref), oracle.IsCorrect(ref));
+          triples.insert(ref);
+          clusters.insert(ref.cluster);
+        }
+        ASSERT_EQ(annotator.ledger().entities_identified, clusters.size());
+        ASSERT_EQ(annotator.ledger().triples_annotated, triples.size());
+        ASSERT_EQ(annotator.NumCachedLabels(), triples.size());
+      }
+      annotator.Reset();
+      EXPECT_EQ(annotator.ledger().entities_identified, 0u);
+      EXPECT_EQ(annotator.ledger().triples_annotated, 0u);
+      EXPECT_EQ(annotator.NumCachedLabels(), 0u);
+    }
+  }
 }
 
 /// A crowd-scale workload with heavy overlap: repeats within a batch,

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <set>
+#include <unordered_set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -174,6 +176,68 @@ TEST(SrsTripleSamplerTest, ExhaustsPopulationExactly) {
   EXPECT_EQ(first.size(), 4u);
   EXPECT_EQ(second.size(), 1u);
   EXPECT_TRUE(third.empty());
+}
+
+/// DistinctIndexSampler's draw over a node-based set: the same rng calls
+/// and the same accept/reject decisions, so the same indices.
+class ReferenceDistinctSampler {
+ public:
+  explicit ReferenceDistinctSampler(uint64_t population)
+      : population_(population) {}
+
+  std::vector<uint64_t> Next(uint64_t k, Rng& rng) {
+    k = std::min<uint64_t>(k, population_ - drawn_.size());
+    std::vector<uint64_t> batch;
+    const uint64_t max_attempts = 20 * (k + 8);
+    for (uint64_t attempts = 0; batch.size() < k && attempts < max_attempts;
+         ++attempts) {
+      const uint64_t index = rng.UniformIndex(population_);
+      if (drawn_.insert(index).second) batch.push_back(index);
+    }
+    for (uint64_t index = 0; batch.size() < k && index < population_;
+         ++index) {
+      if (drawn_.insert(index).second) {
+        batch.push_back(index);
+        ++scanned_;
+      }
+    }
+    return batch;
+  }
+
+  /// Indices the in-order fallback scan supplied.
+  uint64_t scanned() const { return scanned_; }
+
+ private:
+  uint64_t population_;
+  std::unordered_set<uint64_t> drawn_;
+  uint64_t scanned_ = 0;
+};
+
+TEST(DistinctIndexSamplerTest, DrawsMatchANodeSetAcrossGrowthAndFallback) {
+  // Batch sizes that step the flat set across its growth boundaries (8, 16,
+  // 32, ... entries), then single draws to exhaustion: once few indices are
+  // left, a draw runs out of rejection attempts and the in-order scan
+  // supplies it.
+  uint64_t scanned = 0;
+  for (const uint64_t population : {1ull, 7ull, 64ull, 300ull, 5000ull}) {
+    DistinctIndexSampler ours(population);
+    ReferenceDistinctSampler reference(population);
+    Rng ours_rng(population);
+    Rng reference_rng(population);
+    std::vector<uint64_t> batches = {1, 6, 1, 9, 15, 17, 33, 64, 129, 500, 3};
+    batches.resize(batches.size() + population, 1);
+    uint64_t drawn = 0;
+    for (const uint64_t k : batches) {
+      const std::vector<uint64_t> got = ours.Next(k, ours_rng);
+      ASSERT_EQ(got, reference.Next(k, reference_rng))
+          << "population " << population << ", after " << drawn;
+      drawn += got.size();
+    }
+    EXPECT_EQ(drawn, population);
+    EXPECT_TRUE(ours.Next(4, ours_rng).empty());
+    scanned += reference.scanned();
+  }
+  EXPECT_GT(scanned, 0u);
 }
 
 TEST(SrsTripleSamplerTest, RefsAreValidPositions) {
