@@ -56,7 +56,7 @@ class SizeStratifier {
  public:
   SizeStratifier(std::span<const uint64_t> offsets, int num_strata);
 
-  /// The stratum of a cluster of `size` triples.
+  /// The stratum of a cluster of `size` triples (a size the column holds).
   uint8_t StratumOf(uint64_t size) const {
     return size < stratum_of_size_.size() ? stratum_of_size_[size]
                                           : StratumOfLarge(size);

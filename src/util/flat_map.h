@@ -48,9 +48,6 @@ class FlatMap64 {
     }
   }
 
-  /// Forgets every entry and releases the slots.
-  void Clear() { *this = FlatMap64(); }
-
  private:
   static constexpr size_t kMinSlots = 16;
 

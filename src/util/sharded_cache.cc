@@ -57,8 +57,6 @@ uint64_t ShardedAnnotationCache::Shard::NumCachedLabels() const {
   return n;
 }
 
-void ShardedAnnotationCache::Shard::Clear() { *this = Shard(); }
-
 ShardedAnnotationCache::ShardedAnnotationCache(size_t num_shards) {
   const size_t n = RoundUpToPowerOfTwo(num_shards == 0 ? 1 : num_shards);
   shards_.resize(n);
@@ -93,7 +91,7 @@ uint64_t ShardedAnnotationCache::TotalLookups() const {
 }
 
 void ShardedAnnotationCache::Clear() {
-  for (Shard& shard : shards_) shard.Clear();
+  for (Shard& shard : shards_) shard = Shard();
 }
 
 }  // namespace kgacc

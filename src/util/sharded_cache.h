@@ -58,6 +58,8 @@ class ShardedAnnotationCache {
     Marked Mark(const TripleRef& ref);
 
     /// Per-shard effort accumulators (the shard's slice of Eq 4's sets).
+    /// Only Mark writes them, so under the class's concurrency contract they
+    /// need no atomics.
     uint64_t entities_identified() const { return entities_identified_; }
     uint64_t triples_annotated() const { return triples_annotated_; }
     /// Marks routed to this shard (observability only; cache hits =
@@ -66,8 +68,6 @@ class ShardedAnnotationCache {
 
     /// Annotated triples, counted from the records' bitmaps.
     uint64_t NumCachedLabels() const;
-
-    void Clear();
 
    private:
     /// One identified cluster: bit o of word o / 64 stands for offset o.
